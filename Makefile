@@ -79,6 +79,13 @@ bench:
 bench-check:
 	python benchmarks/selfbench.py --check
 
+# The end-to-end + per-layer ledger (benchmarks/e2e/README.md): all
+# four workloads in fresh subprocesses with their fingerprint oracle,
+# then the ledger's own span tests, which no other tier runs.
+e2e:
+	python3 benchmarks/e2e/bench.py
+	PYTHONPATH=src python3 -m pytest benchmarks/e2e/test_spans.py -q
+
 # Tier-2: flight-record a contended benchmark end-to-end and
 # schema-validate the exported Chrome trace (the CLI validates before
 # writing; a nonzero exit means the export is broken).
@@ -88,4 +95,4 @@ trace:
 		--out .trace-out --warmup 1 --measure 1
 	@ls -l .trace-out
 
-.PHONY: test chaos sanitize lint verify-ir tier1 tier2 bench bench-check trace durable serve
+.PHONY: test chaos sanitize lint verify-ir tier1 tier2 bench bench-check e2e trace durable serve

@@ -99,22 +99,6 @@ class ThreadKilledError(GuestRuntimeError):
     injected = True
 
 
-class WorkerCrashError(ReproError):
-    """A sweep worker process died or raised outside the harness.
-
-    Carries the worker's formatted traceback (``worker_traceback``) so a
-    crash inside a shard surfaces the real stack instead of a bare
-    pool error, plus the worker id and the unit it was running.
-    """
-
-    def __init__(self, message: str, *, worker_traceback: str = "",
-                 worker: int | None = None, unit: str | None = None) -> None:
-        super().__init__(message)
-        self.worker_traceback = worker_traceback
-        self.worker = worker
-        self.unit = unit
-
-
 class StageTimeout(ReproError):
     """A durable-sweep stage exceeded its host-wall-clock deadline.
 

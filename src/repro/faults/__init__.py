@@ -30,13 +30,13 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import KINDS, FaultEvent, FaultPlan, FaultSpec
 from repro.faults.report import FailureReport
 from repro.faults.resilience import (
-    DEFAULT_ITERATION_BUDGET,
     Quarantine,
     ResilientResult,
     ResilientRunner,
     SuiteResult,
     run_suite,
 )
+from repro.harness.config import DEFAULT_ITERATION_BUDGET
 
 __all__ = [
     "KINDS", "FaultEvent", "FaultPlan", "FaultSpec", "FaultInjector",

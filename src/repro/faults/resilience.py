@@ -17,6 +17,8 @@ running (``continue_on_error=True``, the default).
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -27,12 +29,10 @@ from repro.errors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FailureReport
+from repro.harness.config import SweepConfig, plans_of, resolve_suite
 from repro.harness.core import GuestBenchmark, Runner, RunResult, \
     ValidationError, config_name
-
-#: Default per-iteration cycle budget: generous (every suite workload
-#: finishes an iteration well under this), yet finite, so nothing hangs.
-DEFAULT_ITERATION_BUDGET = 200_000_000
+from repro.harness.plugins import MergeablePlugin
 
 #: Errors a different schedule seed can plausibly dodge.
 _RETRYABLE = (ValidationError, DeadlockError, WatchdogTimeout)
@@ -60,12 +60,13 @@ class ResilientResult:
 class ResilientRunner:
     """A :class:`Runner` that reports failures instead of dying on them."""
 
-    def __init__(self, benchmark: GuestBenchmark, *, jit="graal",
-                 cores: int = 8, schedule_seed: int = 0, plugins: tuple = (),
-                 faults: FaultPlan | None = None,
-                 iteration_budget: int | None = DEFAULT_ITERATION_BUDGET,
-                 max_retries: int = 2, reseed_stride: int = 1_000_003,
-                 sanitize=None, engine: str = "threaded",
+    def __init__(self, benchmark: GuestBenchmark, *, jit=SweepConfig.jit,
+                 cores: int = SweepConfig.cores, schedule_seed: int = 0,
+                 plugins: tuple = (), faults: FaultPlan | None = None,
+                 iteration_budget: int | None = SweepConfig.iteration_budget,
+                 max_retries: int = SweepConfig.max_retries,
+                 reseed_stride: int = 1_000_003, sanitize=None,
+                 engine: str = SweepConfig.engine,
                  verify_ir: bool = False) -> None:
         self.benchmark = benchmark
         self.jit = jit
@@ -206,8 +207,8 @@ class SuiteResult:
     quarantine: Quarantine = field(default_factory=Quarantine)
     race_reports: list = field(default_factory=list)   # checked runs only
     #: Durability counters (units, executed, served_from_store,
-    #: respawns, ...) when the sweep ran through
-    #: :func:`repro.harness.durable.run_suite_durable`; None otherwise.
+    #: respawns, ...) of a sweep that kept its ``durable_dir``; None
+    #: otherwise.
     durable: dict | None = None
 
     @property
@@ -307,16 +308,17 @@ class SuiteResult:
         }
 
 
-def run_suite(suite="renaissance", *, jit="graal", cores: int = 8,
-              schedule_seed: int = 0, warmup: int | None = None,
-              measure: int | None = None, continue_on_error: bool = True,
-              faults=None, iteration_budget: int | None = DEFAULT_ITERATION_BUDGET,
-              max_retries: int = 2, repeat: int = 1,
+def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
+              cores: int = SweepConfig.cores, schedule_seed: int = 0,
+              warmup: int | None = None, measure: int | None = None,
+              continue_on_error: bool = True, faults=None,
+              iteration_budget: int | None = SweepConfig.iteration_budget,
+              max_retries: int = SweepConfig.max_retries, repeat: int = 1,
               quarantine: Quarantine | None = None,
               plugins: tuple = (), sanitize=None,
               jobs: int | None = None,
               durable_dir=None, resume: bool = False,
-              durable_policy=None, engine: str = "threaded",
+              durable_policy=None, engine: str = SweepConfig.engine,
               verify_ir: bool = False) -> SuiteResult:
     """Run every benchmark of ``suite``, surviving individual failures.
 
@@ -328,60 +330,53 @@ def run_suite(suite="renaissance", *, jit="graal", cores: int = 8,
     :class:`SuiteResult`; otherwise the original exception propagates.
     ``sanitize`` (``True`` or a SanitizerConfig) runs every benchmark in
     checked mode and collects one RaceReport per completed run in
-    ``SuiteResult.race_reports``.  ``jobs`` > 1 shards the sweep across
-    that many worker processes (see :mod:`repro.harness.parallel`) with
-    a byte-identical merged result; ``None``/1 runs serially in-process.
-    ``durable_dir`` routes the sweep through the crash-safe controller
-    (:mod:`repro.harness.durable`): journaled stage lifecycle, a
-    content-addressed result store, worker supervision, and
-    ``resume=True`` to continue a killed sweep byte-identically.
+    ``SuiteResult.race_reports``.  ``jobs`` > 1 runs the units on that
+    many supervised worker processes (a crashed or hung worker is killed
+    and respawned, its unit retried) with a byte-identical merged
+    result; ``None``/1 runs serially in-process, as does a sweep whose
+    plugins or prepared sanitizer cannot cross a process boundary.
+    ``durable_dir`` keeps the controller's journal and content-addressed
+    result store (:mod:`repro.harness.durable`) so ``resume=True``
+    continues a killed sweep byte-identically; without it a ``jobs=N``
+    sweep runs the same controller over a throwaway directory.
     """
-    if durable_dir is not None:
-        from repro.harness.durable import run_suite_durable
+    config = SweepConfig(
+        jit=jit, cores=cores, schedule_seed=schedule_seed, warmup=warmup,
+        measure=measure, iteration_budget=iteration_budget,
+        max_retries=max_retries, sanitize=sanitize, engine=engine,
+        verify_ir=verify_ir)
+    plugins = tuple(plugins)
+    sharded = jobs is not None and jobs > 1 and config.shardable \
+        and all(isinstance(p, MergeablePlugin) for p in plugins)
+    if durable_dir is not None or sharded:
+        from repro.harness.durable import DurableSweep
 
-        return run_suite_durable(
-            suite, dir=durable_dir, resume=resume, jobs=jobs,
-            policy=durable_policy, jit=jit, cores=cores,
-            schedule_seed=schedule_seed, warmup=warmup, measure=measure,
-            continue_on_error=continue_on_error, faults=faults,
-            iteration_budget=iteration_budget, max_retries=max_retries,
-            repeat=repeat, quarantine=quarantine, plugins=plugins,
-            sanitize=sanitize, engine=engine, verify_ir=verify_ir)
-    if jobs is not None and jobs > 1:
-        from repro.harness.parallel import run_suite_parallel
+        with contextlib.ExitStack() as stack:
+            out = DurableSweep(
+                suite, config, resume=resume, jobs=jobs,
+                dir=durable_dir if durable_dir is not None
+                else stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-sweep-")),
+                policy=durable_policy, continue_on_error=continue_on_error,
+                faults=faults, repeat=repeat, quarantine=quarantine,
+                plugins=plugins).run()
+        if durable_dir is None:
+            out.durable = None          # nothing left to resume or inspect
+        return out
 
-        return run_suite_parallel(
-            suite, jobs=jobs, jit=jit, cores=cores,
-            schedule_seed=schedule_seed, warmup=warmup, measure=measure,
-            continue_on_error=continue_on_error, faults=faults,
-            iteration_budget=iteration_budget, max_retries=max_retries,
-            repeat=repeat, quarantine=quarantine, plugins=plugins,
-            sanitize=sanitize, engine=engine, verify_ir=verify_ir)
-    if isinstance(suite, str):
-        from repro.suites.registry import benchmarks_of
-        benches = benchmarks_of(suite)
-        suite_name = suite
-    else:
-        benches = tuple(suite)
-        suite_name = benches[0].suite if benches else "custom"
-    if isinstance(faults, FaultPlan) or faults is None:
-        plan_of = {b.name: faults for b in benches}
-    else:
-        plan_of = {b.name: faults.get(b.name) for b in benches}
-
+    # The in-process reference path: what the equivalence tests diff the
+    # supervised paths against, and the only one that keeps RunResult.vm.
+    benches, suite_name = resolve_suite(suite)
+    plan_of = plans_of(faults, benches)
     out = SuiteResult(
-        suite_name, config_name(None if sanitize else jit),
+        suite_name, config.config_name,
         quarantine=quarantine if quarantine is not None else Quarantine())
     for _ in range(repeat):
         for bench in benches:
             if bench.name in out.quarantine:
                 out.skipped.append(bench.name)
                 continue
-            runner = ResilientRunner(
-                bench, jit=jit, cores=cores, schedule_seed=schedule_seed,
-                plugins=plugins, faults=plan_of[bench.name],
-                iteration_budget=iteration_budget, max_retries=max_retries,
-                sanitize=sanitize, engine=engine, verify_ir=verify_ir)
+            runner = config.runner(bench, plan_of[bench.name], plugins)
             outcome = runner.run(warmup=warmup, measure=measure)
             if outcome.ok:
                 out.results.append(outcome.result)

@@ -8,10 +8,14 @@
   with summary statistics),
 - :mod:`repro.harness.stats` — Welch's t-test, winsorization, geometric
   means and confidence intervals,
-- :mod:`repro.harness.durable` — crash-safe sweeps: journaled stage
-  lifecycle, content-addressed result store, checkpoint/resume, and
-  worker supervision (with :mod:`repro.harness.journal` and
-  :mod:`repro.harness.store` underneath).
+- :mod:`repro.harness.config` — :class:`SweepConfig`, the one object
+  that owns a sweep's run parameters and its store identity,
+- :mod:`repro.harness.durable` — the sweep controller: journaled stage
+  lifecycle, content-addressed result store, checkpoint/resume (with
+  :mod:`repro.harness.journal` and :mod:`repro.harness.store`
+  underneath), driving
+- :mod:`repro.harness.workers` — the supervised unit worker every
+  ``jobs=N`` sweep and the service pool run on.
 """
 
 from repro.harness.core import (
@@ -28,7 +32,7 @@ from repro.harness.plugins import (
     MergeablePlugin,
 )
 from repro.harness.jmh import JmhResult, run_jmh
-from repro.harness.parallel import run_suite_parallel
+from repro.harness.config import SweepConfig
 from repro.harness.durable import DurablePolicy, run_suite_durable
 
 __all__ = [
@@ -36,5 +40,5 @@ __all__ = [
     "ValidationError", "config_name",
     "HarnessPlugin", "FaultLogPlugin", "MergeablePlugin",
     "JmhResult", "run_jmh",
-    "run_suite_parallel", "run_suite_durable", "DurablePolicy",
+    "SweepConfig", "run_suite_durable", "DurablePolicy",
 ]

@@ -1,17 +1,17 @@
 """Command-line suite sweeps: ``python -m repro.harness``.
 
 Runs one registered suite through the resilient harness and prints a
-per-benchmark summary plus the suite roll-up.  ``--jobs N`` shards the
-sweep across N worker processes (byte-identical results, see
-:mod:`repro.harness.parallel`); ``--durable DIR`` journals every stage
-into DIR and caches completed units in a content-addressed store, so a
-killed sweep continues with ``--resume DIR`` instead of starting over
-(see :mod:`repro.harness.durable`).
+per-benchmark summary plus the suite roll-up.  ``--jobs N`` runs the
+units on N supervised worker processes (byte-identical results; a
+crashed or hung worker is respawned); ``--durable DIR`` journals every
+stage into DIR and caches completed units in a content-addressed store,
+so a killed sweep continues with ``--resume DIR`` instead of starting
+over (see :mod:`repro.harness.durable`).
 
 Options::
 
     python -m repro.harness                          # renaissance, serial
-    python -m repro.harness dacapo --jobs 4          # sharded sweep
+    python -m repro.harness dacapo --jobs 4          # 4 supervised workers
     python -m repro.harness renaissance:scrabble,philosophers
     python -m repro.harness --jit none --warmup 1 --measure 1
     python -m repro.harness --sanitize               # checked mode

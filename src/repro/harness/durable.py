@@ -1,7 +1,8 @@
 """Durable sweeps: crash-safe, resumable suite execution.
 
-:func:`run_suite_durable` wraps the serial and sharded suite paths with
-the durability layer the benchmark-as-a-service roadmap item needs:
+:class:`DurableSweep` is the controller behind every sweep that is
+journaled, stored, or run on worker processes — ``run_suite(durable_dir=
+...)`` and ``run_suite(jobs=N)`` alike:
 
 - every (suite, benchmark, config, seed, round, engine) **unit** runs
   through an explicit stage lifecycle — ``prepare → run → collect →
@@ -15,15 +16,13 @@ the durability layer the benchmark-as-a-service roadmap item needs:
   flight, and ``--resume`` serves completed units from the store so the
   merged :class:`~repro.faults.resilience.SuiteResult` is byte-identical
   to an uninterrupted sweep,
-- the parallel path (``jobs=N``) gains worker **supervision**: one
-  private pipe per worker (no shared queues a dying worker could poison),
-  heartbeats, hung/crashed-shard detection, kill-and-respawn with the
-  in-flight unit returned to the queue, and graceful SIGINT/SIGTERM
-  draining that journals in-flight state before raising
-  :class:`~repro.errors.SweepInterrupted`,
+- the parallel path (``jobs=N``) runs its units on supervised
+  :class:`~repro.harness.workers.Worker` processes: a hung or crashed
+  worker is killed and respawned with the in-flight unit returned to
+  the queue, and SIGINT/SIGTERM drain gracefully, journaling in-flight
+  state before raising :class:`~repro.errors.SweepInterrupted`,
 - a failed unit is recorded, persisted, and quarantined — never fatal
-  (``continue_on_error=False`` raises only after the merge, like the
-  sharded path).
+  (``continue_on_error=False`` raises only after the merge).
 
 Byte-identity holds because unit outcomes are pure functions of their
 keys (fresh VM per run, fully seeded), execution happens on *cloned*
@@ -36,14 +35,15 @@ snapshot came from this process, a worker, or the store on resume.
 from __future__ import annotations
 
 import hashlib
-import json
+import itertools
 import os
 import pickle
 import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing import connection
 
 from repro.errors import (
     DurableSweepError,
@@ -51,11 +51,11 @@ from repro.errors import (
     StageTimeout,
     SweepInterrupted,
 )
-from repro.faults.plan import FaultPlan
 from repro.faults.report import FailureReport
-from repro.harness.core import GuestBenchmark, config_name
+from repro.harness.config import SweepConfig, plans_of, resolve_suite
+from repro.harness.core import GuestBenchmark
 from repro.harness.journal import Journal
-from repro.jvm.tier2 import TIER_LADDERS
+from repro.harness.plugins import MergeablePlugin
 from repro.harness.store import (
     ResultStore,
     StoreLock,
@@ -63,14 +63,13 @@ from repro.harness.store import (
     decode_outcome,
     encode_outcome,
 )
+from repro.harness.workers import Worker, lost_unit_failure
 
 #: Stage lifecycle, in order.  ``prepare`` builds the runner and warms
 #: the compile cache, ``run`` executes warmup+measure through the
 #: resilience layer, ``collect`` snapshots plugins and packs the
 #: outcome, ``teardown`` drops VM references.
 STAGES = ("prepare", "run", "collect", "teardown")
-
-_BUDGET_DEFAULT = object()
 
 
 @dataclass
@@ -132,68 +131,8 @@ class SweepUnit:
 
 
 # ----------------------------------------------------------------------
-# Unit keys and fingerprints.
+# Unit keys.
 # ----------------------------------------------------------------------
-def _sanitize_fp(sanitize) -> object:
-    if sanitize is None or sanitize is False:
-        return None
-    if sanitize is True:
-        return "default"
-    return repr(sanitize)           # dataclass repr is deterministic
-
-
-def _faults_fp(faults) -> object:
-    if faults is None:
-        return None
-    if isinstance(faults, FaultPlan):
-        return faults.to_dict()
-    return {name: (plan.to_dict() if plan is not None else None)
-            for name, plan in sorted(faults.items())}
-
-
-def _config_fingerprint(kwargs: dict, faults, plugins: tuple) -> dict:
-    """The run parameters a unit's outcome depends on.
-
-    Plugins are part of the identity: an attached flight recorder or
-    metrics profiler changes the VM's counters, so units recorded under
-    one plugin stack must not be served to a resume with another (the
-    stack is fingerprinted by class; reconfiguring the *same* plugin
-    class differently is on the caller).  Normalized through a JSON
-    round-trip so the in-memory fingerprint compares equal to one
-    replayed from the journal (tuples -> lists).
-    """
-    fingerprint = {
-        "plugins": [f"{type(p).__module__}.{type(p).__qualname__}"
-                    for p in plugins],
-        "schema": "repro-sweep/1",
-        "config": config_name(
-            None if kwargs["sanitize"] else kwargs["jit"]),
-        "cores": kwargs["cores"],
-        "schedule_seed": kwargs["schedule_seed"],
-        "warmup": kwargs["warmup"],
-        "measure": kwargs["measure"],
-        "iteration_budget": kwargs["iteration_budget"],
-        "max_retries": kwargs["max_retries"],
-        "sanitize": _sanitize_fp(kwargs["sanitize"]),
-        "faults": _faults_fp(faults),
-        # The host engine is part of the unit identity on purpose: even
-        # though engines are byte-identical, serving a tier1-run unit to
-        # a reference resume would silently mask an identity bug.
-        # ``verify_ir`` is deliberately NOT part of the identity: the
-        # verifier either raises or changes nothing, so a verified unit
-        # is byte-identical to an unverified one and may serve a resume
-        # either way.
-        "engine": kwargs.get("engine", "threaded"),
-        # The engine's full promotion ladder rides along so a journal
-        # written before a tier was added (or with a different ladder
-        # for the same engine name) never serves units to a resume that
-        # would now run under different tiering.
-        "tier_ladder": list(TIER_LADDERS.get(
-            kwargs.get("engine", "threaded"), ())),
-    }
-    return json.loads(json.dumps(fingerprint, sort_keys=True))
-
-
 def unit_digest(bench: GuestBenchmark, rnd: int, fingerprint: dict) -> str:
     key = {
         "benchmark": bench.name,
@@ -216,8 +155,8 @@ def _clone_plugins(plugins: tuple) -> tuple:
 # Stage lifecycle (runs in the controller for serial sweeps, in a
 # worker process for jobs=N).
 # ----------------------------------------------------------------------
-def execute_unit(unit: SweepUnit, kwargs: dict, plan, plugins: tuple,
-                 policy: DurablePolicy, notify=None) -> dict:
+def execute_unit(unit: SweepUnit, config: SweepConfig, plan,
+                 plugins: tuple, policy: DurablePolicy, notify=None) -> dict:
     """Run one unit through prepare → run → collect → teardown.
 
     Returns an outcome dict (kind ``"result"`` or ``"failure"``).  Host
@@ -226,8 +165,6 @@ def execute_unit(unit: SweepUnit, kwargs: dict, plan, plugins: tuple,
     never kills the sweep.  Benchmark-level failures arrive here already
     folded into a FailureReport by the resilience layer.
     """
-    from repro.faults.resilience import ResilientRunner
-
     state: dict = {}
     stage_trace: list = []
 
@@ -236,17 +173,11 @@ def execute_unit(unit: SweepUnit, kwargs: dict, plan, plugins: tuple,
             unit.benchmark.compile()  # compile error surfaces in run()
         except ReproError:            # through the resilience layer so
             pass                      # the report matches a plain sweep
-        state["runner"] = ResilientRunner(
-            unit.benchmark, jit=kwargs["jit"], cores=kwargs["cores"],
-            schedule_seed=kwargs["schedule_seed"], plugins=plugins,
-            faults=plan, iteration_budget=kwargs["iteration_budget"],
-            max_retries=kwargs["max_retries"], sanitize=kwargs["sanitize"],
-            engine=kwargs.get("engine", "threaded"),
-            verify_ir=kwargs.get("verify_ir", False))
+        state["runner"] = config.runner(unit.benchmark, plan, plugins)
 
     def _run():
         state["outcome"] = state["runner"].run(
-            warmup=kwargs["warmup"], measure=kwargs["measure"])
+            warmup=config.warmup, measure=config.measure)
 
     def _collect():
         payloads = tuple(p.snapshot_run() for p in plugins)
@@ -275,12 +206,11 @@ def execute_unit(unit: SweepUnit, kwargs: dict, plan, plugins: tuple,
         except Exception as exc:      # infra failure after retries
             report = FailureReport(
                 benchmark=unit.name,
-                config=config_name(
-                    None if kwargs["sanitize"] else kwargs["jit"]),
+                config=config.config_name,
                 error_type=type(exc).__name__,
                 message=str(exc),
                 phase=f"stage:{stage}",
-                schedule_seed=kwargs["schedule_seed"],
+                schedule_seed=config.schedule_seed,
                 extra={"stage": stage,
                        "traceback": traceback.format_exc()})
             return {"kind": "failure", "failure": report, "plugins": None,
@@ -320,112 +250,38 @@ def _run_stage(unit, stage, fn, policy, stage_trace, notify) -> None:
 
 
 # ----------------------------------------------------------------------
-# Worker process (jobs=N path).
-# ----------------------------------------------------------------------
-def _durable_worker(conn, kwargs, plans, plugins, policy) -> None:
-    """Pull units off a private pipe, heartbeat, ship outcomes back."""
-    send_lock = threading.Lock()
-
-    def send(msg) -> None:
-        with send_lock:
-            try:
-                conn.send(msg)
-            except (BrokenPipeError, OSError):      # parent is gone
-                os._exit(1)
-
-    stop_beating = threading.Event()
-
-    def beat() -> None:
-        while not stop_beating.wait(policy.heartbeat_interval):
-            send(("hb",))
-
-    threading.Thread(target=beat, daemon=True).start()
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg[0] == "stop":
-            break
-        unit = msg[1]
-        try:
-            outcome = execute_unit(
-                unit, kwargs, plans.get(unit.name), plugins, policy,
-                notify=lambda stage, attempt: send(
-                    ("stage", unit.digest, stage, attempt)))
-            send(("done", unit.digest, encode_outcome(outcome)))
-        except BaseException:         # truly unexpected: report and die
-            send(("crash", unit.digest, traceback.format_exc()))
-            raise
-    stop_beating.set()
-    conn.close()
-
-
-class _Worker:
-    """Parent-side view of one supervised worker process."""
-
-    def __init__(self, wid: int, proc, conn) -> None:
-        self.wid = wid
-        self.proc = proc
-        self.conn = conn
-        self.inflight: SweepUnit | None = None
-        self.last_seen = time.monotonic()
-        self.stage = None
-        self.stage_attempt = 0
-        self.stage_started = time.monotonic()
-
-
-# ----------------------------------------------------------------------
 # The controller.
 # ----------------------------------------------------------------------
 class DurableSweep:
     """Journaled, resumable, supervised execution of one suite sweep."""
 
-    def __init__(self, suite, *, dir, resume: bool = False,
-                 jobs: int | None = None,
+    def __init__(self, suite, config: SweepConfig, *, dir,
+                 resume: bool = False, jobs: int | None = None,
                  policy: DurablePolicy | None = None,
-                 jit="graal", cores: int = 8, schedule_seed: int = 0,
-                 warmup: int | None = None, measure: int | None = None,
                  continue_on_error: bool = True, faults=None,
-                 iteration_budget=_BUDGET_DEFAULT, max_retries: int = 2,
-                 repeat: int = 1, quarantine=None, plugins: tuple = (),
-                 sanitize=None, engine: str = "threaded",
-                 verify_ir: bool = False) -> None:
-        from repro.faults.resilience import DEFAULT_ITERATION_BUDGET
-        from repro.harness.plugins import MergeablePlugin
-
-        if iteration_budget is _BUDGET_DEFAULT:
-            iteration_budget = DEFAULT_ITERATION_BUDGET
+                 repeat: int = 1, quarantine=None,
+                 plugins: tuple = ()) -> None:
         plugins = tuple(plugins)
         if not all(isinstance(p, MergeablePlugin) for p in plugins):
             raise DurableSweepError(
                 "durable sweeps persist plugin state into the store; "
                 "every plugin must implement MergeablePlugin")
-        from repro.harness.parallel import _forkable, _resolve
-        if not _forkable(sanitize):
+        if not config.shardable:
             raise DurableSweepError(
                 "pass sanitize=True or a SanitizerConfig (a prepared "
                 "SanitizerPlugin holds unshareable in-process state)")
-        self.benches, self.suite_name = _resolve(suite)
+        self.benches, self.suite_name = resolve_suite(suite)
+        self.config = config
         self.dir = str(dir)
         self.resume = resume
         self.jobs = jobs
         self.policy = policy or DurablePolicy()
-        self.kwargs = dict(
-            jit=jit, cores=cores, schedule_seed=schedule_seed,
-            warmup=warmup, measure=measure,
-            iteration_budget=iteration_budget, max_retries=max_retries,
-            sanitize=sanitize, engine=engine, verify_ir=verify_ir)
         self.continue_on_error = continue_on_error
         self.repeat = repeat
         self.quarantine = quarantine
         self.plugins = plugins
-        if isinstance(faults, FaultPlan) or faults is None:
-            self.plans = {b.name: faults for b in self.benches}
-        else:
-            self.plans = {b.name: faults.get(b.name) for b in self.benches}
-        self.fingerprint = _config_fingerprint(self.kwargs, faults, plugins)
-        self.config = config_name(None if sanitize else jit)
+        self.plans = plans_of(faults, self.benches)
+        self.fingerprint = config.fingerprint(faults, plugins)
 
         self.units: dict[tuple[int, int], SweepUnit] = {}
         for rnd in range(repeat):
@@ -578,7 +434,7 @@ class DurableSweep:
                 "unit-begin", digest=unit.digest, benchmark=unit.name,
                 round=unit.round, worker=0)
             outcome = execute_unit(
-                unit, self.kwargs, self.plans.get(unit.name),
+                unit, self.config, self.plans.get(unit.name),
                 exec_plugins, self.policy, notify=notify_factory(unit))
             self._persist(unit, outcome)
         if self._signal is not None:
@@ -603,194 +459,99 @@ class DurableSweep:
     # Supervised parallel execution.
     # ------------------------------------------------------------------
     def _run_parallel(self) -> None:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:                          # pragma: no cover
-            ctx = multiprocessing.get_context("spawn")
-        self._ctx = ctx
         exec_plugins = _clone_plugins(self.plugins)
-        self._worker_args = (self.kwargs, self.plans, exec_plugins,
-                             self.policy)
-        jobs = min(self.jobs, max(1, len(self.ready)))
-        workers: dict[int, _Worker] = {}
-        self._next_wid = 0
+        workers: list[Worker] = []
+        wids = itertools.count()
         attempts: dict[str, int] = {}
 
-        def spawn() -> _Worker:
-            wid = self._next_wid
-            self._next_wid += 1
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_durable_worker,
-                args=(child_conn,) + self._worker_args, daemon=True)
-            proc.start()
-            child_conn.close()
-            worker = _Worker(wid, proc, parent_conn)
-            workers[wid] = worker
-            self.journal.append("shard-spawn", worker=wid, pid=proc.pid)
+        def spawn() -> Worker:
+            worker = Worker(next(wids), execute_unit, self.policy,
+                            exec_plugins)
+            workers.append(worker)
+            self.journal.append("shard-spawn", worker=worker.wid,
+                                pid=worker.pid)
             return worker
 
-        def retire(worker: _Worker, reason: str, *, respawn: bool,
-                   worker_tb: str = "") -> None:
-            """Kill/bury one worker; requeue or fail its in-flight unit."""
-            self.journal.append(
-                "shard-exit", worker=worker.wid, pid=worker.proc.pid,
-                reason=reason)
-            if worker.proc.is_alive():
-                worker.proc.kill()
-            worker.proc.join(timeout=5)
-            try:
-                worker.conn.close()
-            except OSError:                         # pragma: no cover
-                pass
-            workers.pop(worker.wid, None)
-            unit = worker.inflight
+        def bury(worker: Worker, reason: str) -> None:
+            """A lost worker: requeue or fail its in-flight unit, and
+            replace it while there is work left."""
+            self.journal.append("shard-exit", worker=worker.wid,
+                                pid=worker.pid, reason=reason)
+            workers.remove(worker)
+            unit = worker.unit
             if unit is not None:
                 attempts[unit.digest] = attempts.get(unit.digest, 0) + 1
                 if attempts[unit.digest] >= self.policy.max_unit_attempts:
-                    self._fail_unit(unit, worker, reason, worker_tb)
+                    self._persist(unit, lost_unit_failure(
+                        worker, self.config, attempts[unit.digest]))
                 else:
                     self.ready.insert(0, unit)
-            if respawn and not self._draining and (self.ready or unit):
+            if not self._draining and (self.ready or unit):
                 replacement = spawn()
                 self.stats["respawns"] += 1
                 self.journal.append(
                     "shard-respawn", worker=replacement.wid,
-                    pid=replacement.proc.pid, replaces=worker.wid)
+                    pid=replacement.pid, replaces=worker.wid)
 
-        for _ in range(jobs):
+        for _ in range(min(self.jobs, max(1, len(self.ready)))):
             spawn()
 
         try:
-            while self.ready or any(w.inflight for w in workers.values()):
+            while self.ready or any(w.unit for w in workers):
                 if self._signal is not None and not self._draining:
                     self._draining = True
                     self.journal.append(
                         "drain-begin", signal=self._signal,
-                        inflight=[w.inflight.digest
-                                  for w in workers.values() if w.inflight],
+                        inflight=[w.unit.digest for w in workers if w.unit],
                         pending=[u.digest for u in self.ready])
                     self._drain_started = time.monotonic()
                 if self._draining:
-                    if not any(w.inflight for w in workers.values()):
+                    if not any(w.unit for w in workers):
                         break
                     if (time.monotonic() - self._drain_started
                             > self.policy.drain_timeout):
                         break         # stop waiting; kill below
                 else:
                     self._dispatch(workers, spawn)
-                self._pump(workers, retire)
+                self._pump(workers, bury)
         finally:
-            for worker in list(workers.values()):
-                try:
-                    worker.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-                try:
-                    worker.conn.close()
-                except OSError:                     # pragma: no cover
-                    pass
-                worker.proc.join(timeout=2)
-                if worker.proc.is_alive():
-                    worker.proc.kill()
-                    worker.proc.join(timeout=5)
+            for worker in workers:
+                worker.stop()
         if self._signal is not None:
             self._interrupt()
 
-    def _dispatch(self, workers: dict, spawn) -> None:
+    def _dispatch(self, workers: list, spawn) -> None:
         if self.ready and not workers:
             spawn()                   # everyone died; keep the sweep alive
-        for worker in workers.values():
+        for worker in workers:
             if not self.ready:
                 break
-            if worker.inflight is None:
+            if worker.unit is None:
                 unit = self.ready.pop(0)
-                worker.inflight = unit
-                worker.stage = None
-                worker.stage_started = time.monotonic()
-                try:
-                    worker.conn.send(("unit", unit))
-                except (BrokenPipeError, OSError):
-                    self.ready.insert(0, unit)
-                    worker.inflight = None
-                    continue
+                worker.send(unit, self.config, self.plans.get(unit.name))
                 self.journal.append(
                     "unit-begin", digest=unit.digest, benchmark=unit.name,
                     round=unit.round, worker=worker.wid)
 
-    def _pump(self, workers: dict, retire) -> None:
-        from multiprocessing import connection
-
-        conns = {w.conn: w for w in workers.values()}
-        for conn in connection.wait(list(conns), timeout=0.05):
-            worker = conns[conn]
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                retire(worker, "pipe closed (worker died)", respawn=True)
+    def _pump(self, workers: list, bury) -> None:
+        connection.wait([w.conn for w in workers], timeout=0.05)
+        for worker in list(workers):
+            unit = worker.unit
+            event = worker.step(0)
+            if event is None:
                 continue
-            worker.last_seen = time.monotonic()
-            kind = msg[0]
-            if kind == "hb":
-                continue
-            if kind == "stage":
-                _, digest, stage, attempt = msg
-                worker.stage = stage
-                worker.stage_attempt = attempt
-                worker.stage_started = time.monotonic()
+            if event[0] == "stage":
+                _, stage, attempt = event
                 if attempt > 0:
                     self.stats["stage_retries"] += 1
                 self.journal.append(
-                    "stage", digest=digest, stage=stage, attempt=attempt,
-                    worker=worker.wid)
-            elif kind == "done":
-                _, digest, payload = msg
-                unit, worker.inflight = worker.inflight, None
-                worker.stage = None
-                if unit is not None and unit.digest == digest:
-                    self._persist(unit, decode_outcome(payload),
-                                  payload=payload)
-            elif kind == "crash":
-                _, digest, worker_tb = msg
-                retire(worker, "worker raised", respawn=True,
-                       worker_tb=worker_tb)
-
-        now = time.monotonic()
-        for worker in list(workers.values()):
-            if not worker.proc.is_alive():
-                retire(worker, f"process exited "
-                       f"(exitcode {worker.proc.exitcode})", respawn=True)
-                continue
-            if now - worker.last_seen > self.policy.heartbeat_timeout:
-                retire(worker, "heartbeat lost", respawn=True)
-                continue
-            if worker.inflight is not None and worker.stage is not None:
-                deadline = self.policy.deadline_for(worker.stage)
-                if deadline is not None \
-                        and now - worker.stage_started > deadline:
-                    retire(worker,
-                           f"stage {worker.stage} exceeded "
-                           f"{deadline:.3f}s deadline", respawn=True)
-
-    def _fail_unit(self, unit: SweepUnit, worker: _Worker, reason: str,
-                   worker_tb: str) -> None:
-        """Synthesize a quarantining failure for an unrunnable unit."""
-        timed_out = "deadline" in reason
-        report = FailureReport(
-            benchmark=unit.name, config=self.config,
-            error_type="StageTimeout" if timed_out else "WorkerCrashError",
-            message=f"worker {worker.wid}: {reason} "
-                    f"(stage {worker.stage or '?'}, "
-                    f"attempt {self.policy.max_unit_attempts})",
-            phase=f"stage:{worker.stage or '?'}",
-            schedule_seed=self.kwargs["schedule_seed"],
-            retries=self.policy.max_unit_attempts - 1,
-            extra={"worker": worker.wid, "stage": worker.stage,
-                   "traceback": worker_tb})
-        self._persist(unit, {"kind": "failure", "failure": report,
-                             "plugins": None})
+                    "stage", digest=unit.digest, stage=stage,
+                    attempt=attempt, worker=worker.wid)
+            elif event[0] == "done":
+                self._persist(unit, decode_outcome(event[1]),
+                              payload=event[1])
+            else:
+                bury(worker, event[1])
 
     # ------------------------------------------------------------------
     # Merge: stitch outcomes back in serial sweep order.
@@ -799,7 +560,7 @@ class DurableSweep:
         from repro.faults.resilience import Quarantine, SuiteResult
 
         out = SuiteResult(
-            self.suite_name, self.config,
+            self.suite_name, self.config.config_name,
             quarantine=self.quarantine if self.quarantine is not None
             else Quarantine())
         first_error = None
@@ -914,15 +675,16 @@ class DurableSweep:
 def run_suite_durable(suite="renaissance", *, dir, resume: bool = False,
                       jobs: int | None = None,
                       policy: DurablePolicy | None = None, **kwargs):
-    """Crash-safe :func:`~repro.faults.resilience.run_suite`.
+    """``run_suite(suite, durable_dir=dir, durable_policy=policy, ...)``.
 
-    All run parameters match :func:`run_suite`; ``dir`` is the sweep
-    directory holding the write-ahead journal (``journal.wal``) and the
-    content-addressed result store (``objects/``).  ``resume=True``
-    serves units already completed by a previous (possibly killed) sweep
-    from the store — the merged result is byte-identical to an
-    uninterrupted run.  The returned SuiteResult carries the durability
-    counters in ``result.durable``.
+    ``dir`` is the sweep directory holding the write-ahead journal
+    (``journal.wal``) and the content-addressed result store
+    (``objects/``).  ``resume=True`` serves units already completed by a
+    previous (possibly killed) sweep from the store — the merged result
+    is byte-identical to an uninterrupted run.  The returned SuiteResult
+    carries the durability counters in ``result.durable``.
     """
-    return DurableSweep(suite, dir=dir, resume=resume, jobs=jobs,
-                        policy=policy, **kwargs).run()
+    from repro.faults.resilience import run_suite
+
+    return run_suite(suite, durable_dir=dir, resume=resume, jobs=jobs,
+                     durable_policy=policy, **kwargs)

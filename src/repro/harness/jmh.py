@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.harness.core import GuestBenchmark, Runner
+from repro.harness.core import GuestBenchmark, Runner, config_name
 from repro.harness.stats import confidence_interval, mean, stdev
 
 
@@ -45,13 +45,7 @@ def run_jmh(benchmark: GuestBenchmark, *, jit="graal", forks: int = 3,
             warmup: int | None = None, measure: int | None = None,
             cores: int = 8, plugins: tuple = ()) -> JmhResult:
     """Run ``benchmark`` in ``forks`` fresh VMs and aggregate."""
-    if jit is None:
-        config = "interpreter"
-    elif isinstance(jit, str):
-        config = jit
-    else:
-        config = jit.name
-    out = JmhResult(benchmark.name, config, forks)
+    out = JmhResult(benchmark.name, config_name(jit), forks)
     for fork in range(forks):
         runner = Runner(benchmark, jit=jit, cores=cores,
                         schedule_seed=fork * 7919, plugins=plugins)

@@ -37,24 +37,19 @@ class HarnessPlugin:
 
 
 class MergeablePlugin(HarnessPlugin):
-    """A plugin that survives sharded suite execution (``jobs=N``).
+    """A plugin that survives ``jobs=N`` and durable sweeps.
 
-    The parallel runner (:mod:`repro.harness.parallel`) pickles plugin
-    instances into each worker, where they observe that shard's runs
-    through the normal hooks.  After every benchmark run the worker
-    calls :meth:`snapshot_run` and ships the payload back; the parent
-    replays the payloads into *its* instance via :meth:`absorb_run` in
-    serial sweep order (round-major, registry order), so the parent
-    plugin ends up byte-identical to a serial sweep's.
-
-    Durable sweeps (:mod:`repro.harness.durable`) lean on the same
-    protocol one level harder: each unit's snapshot payloads are
+    The sweep controller (:mod:`repro.harness.durable`) runs every unit
+    on pickled clones of the caller's plugin instances, which observe
+    that unit's run through the normal hooks.  After every benchmark
+    run the executor calls :meth:`snapshot_run`; the controller replays
+    the payloads into the *caller's* instance via :meth:`absorb_run` in
+    serial sweep order (round-major, registry order), so it ends up
+    byte-identical to a serial sweep's.  Each unit's payloads are also
     *persisted* into the content-addressed result store alongside the
     RunResult, so after a crash ``--resume`` absorbs the payloads of
     already-completed units straight from disk — trace recordings and
     metrics histories survive the crash and merge byte-identically.
-    Execution always happens on pickled clones of the caller's plugin
-    instances; the originals only ever absorb, in serial sweep order.
 
     Contract: :meth:`snapshot_run` returns a picklable payload covering
     exactly the runs since the previous snapshot (and resets that

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats as _scipy_stats
-
 
 def winsorize(values: list[float], fraction: float = 0.1) -> list[float]:
     """Clamp the lowest/highest ``fraction`` of values to the remaining
@@ -31,6 +29,9 @@ def welch_t_test(a: list[float], b: list[float]) -> float:
         return 1.0
     if _all_equal(a) and _all_equal(b):
         return 0.0 if a[0] != b[0] else 1.0
+    # Imported on use: scipy costs ~1.3 s and ~80 MB, which a sweep
+    # (it never calls this) would otherwise pay in every process.
+    from scipy import stats as _scipy_stats
     result = _scipy_stats.ttest_ind(a, b, equal_var=False)
     p = float(result.pvalue)
     return 1.0 if math.isnan(p) else p
@@ -68,6 +69,7 @@ def confidence_interval(values: list[float], level: float = 0.99
     se = stdev(values) / math.sqrt(len(values))
     if se == 0.0:
         return (m, m)
+    from scipy import stats as _scipy_stats
     t = _scipy_stats.t.ppf(0.5 + level / 2, len(values) - 1)
     return (m - t * se, m + t * se)
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.metrics.profiler import METRIC_NAMES
 
 
@@ -48,6 +46,8 @@ class PcaResult:
 def run_pca(rows: list[dict], benchmarks: list[str],
             suites: list[str]) -> PcaResult:
     """``rows[i]`` maps metric name -> normalized value for benchmark i."""
+    import numpy as np                  # on use: see harness/stats.py
+
     names = list(METRIC_NAMES)
     x = np.array([[row.get(name, 0.0) for name in names] for row in rows],
                  dtype=float)

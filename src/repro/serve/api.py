@@ -37,11 +37,14 @@ from repro.serve.spec import SweepSpec
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            503: "Service Unavailable"}
+            408: "Request Timeout", 503: "Service Unavailable"}
 
 #: Request caps: longer lines/bodies are rejected, not buffered.
 MAX_LINE = 8192
 MAX_BODY = 1 << 20
+#: Seconds a client gets to deliver its whole request (line, headers,
+#: body); a silent connection must not hold a handler task forever.
+READ_TIMEOUT = 10.0
 
 
 class _HttpError(Exception):
@@ -83,7 +86,7 @@ class Service:
         await self.scheduler.start()
         try:
             self._server = await asyncio.start_server(
-                self._handle, self.host, self.port)
+                self._handle, self.host, self.port, limit=MAX_LINE)
         except Exception:
             await self.scheduler.drain()
             raise
@@ -128,7 +131,13 @@ class Service:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         try:
-            method, path, body = await self._read_request(reader)
+            try:
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), READ_TIMEOUT)
+            except asyncio.TimeoutError:
+                raise _HttpError(
+                    408, f"no complete request within {READ_TIMEOUT}s") \
+                    from None
             await self._route(method, path, body, writer)
         except _HttpError as exc:
             self.metrics.inc("serve_http_errors")
@@ -145,14 +154,26 @@ class Service:
                 pass
         finally:
             try:
+                # A worker forked while this request was open holds a
+                # copy of its socket, so close() alone would not end an
+                # event stream: half-close says so explicitly.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
             except (Exception, asyncio.CancelledError):
                 pass                    # shutdown cancels idle handlers
 
+    async def _read_line(self, reader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:              # overran the reader's MAX_LINE
+            raise _HttpError(
+                400, f"line exceeds {MAX_LINE} bytes") from None
+
     async def _read_request(self, reader):
-        request_line = await reader.readline()
-        if not request_line or len(request_line) > MAX_LINE:
+        request_line = await self._read_line(reader)
+        if not request_line:
             raise _HttpError(400, "bad request line")
         try:
             method, path, _version = request_line.decode(
@@ -161,9 +182,7 @@ class Service:
             raise _HttpError(400, "malformed request line") from None
         length = 0
         while True:
-            line = await reader.readline()
-            if len(line) > MAX_LINE:
-                raise _HttpError(400, "header line too long")
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -172,8 +191,9 @@ class Service:
                     length = int(value.strip())
                 except ValueError:
                     raise _HttpError(400, "bad Content-Length") from None
-        if length > MAX_BODY:
-            raise _HttpError(400, f"body exceeds {MAX_BODY} bytes")
+        if not 0 <= length <= MAX_BODY:
+            raise _HttpError(
+                400, f"Content-Length must be within 0..{MAX_BODY}")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, body
 

@@ -1,15 +1,14 @@
-"""Supervised fork-worker pool for the service's unit executions.
+"""The service's pool of supervised unit workers.
 
-Same trust model as the ``jobs=N`` durable sweep
-(:mod:`repro.harness.durable`): one forked process per worker, one
-private pipe per worker (no shared queue a dying worker could poison),
-heartbeats, kill-and-respawn on crash or silence.  The differences are
-shape, not substance — a service runs units from *many* jobs with
-*different* configurations, so the kwargs travel with each unit message
-instead of being fixed at fork time, and the parent side is asyncio:
-each worker is owned by exactly one coroutine at a time and the
-blocking ``Connection.recv`` runs on the default executor so the event
-loop (the store's single writer) never blocks.
+The processes, the pipe protocol and the judgement of when a worker is
+lost are :mod:`repro.harness.workers` — the same
+:class:`~repro.harness.workers.Worker` the ``jobs=N`` sweep controller
+drives.  This module is the asyncio driver: a service runs units from
+*many* jobs with *different* configurations, so each unit is sent with
+its own :class:`~repro.harness.config.SweepConfig`; each worker is owned
+by exactly one coroutine at a time, and the blocking
+:meth:`~repro.harness.workers.Worker.step` runs on the default executor
+so the event loop (the store's single writer) never blocks.
 
 Faults and plugins never cross this boundary: the service always runs
 ``plan=None, plugins=()`` — the fingerprint under which its digests
@@ -19,91 +18,15 @@ were minted (see :mod:`repro.serve.spec`).
 from __future__ import annotations
 
 import asyncio
-import os
-import threading
-import time
-import traceback
 
-from repro.harness.core import config_name
+from repro.harness.config import SweepConfig
 from repro.harness.durable import DurablePolicy, SweepUnit, execute_unit
 from repro.harness.store import decode_outcome, encode_outcome
-
-
-def _serve_worker(conn, policy: DurablePolicy) -> None:
-    """Child: pull ``("unit", unit, kwargs)`` messages, heartbeat,
-    ship ``("stage"|"done"|"crash", ...)`` back."""
-    send_lock = threading.Lock()
-
-    def send(msg) -> None:
-        with send_lock:
-            try:
-                conn.send(msg)
-            except (BrokenPipeError, OSError):      # parent is gone
-                os._exit(1)
-
-    stop_beating = threading.Event()
-
-    def beat() -> None:
-        while not stop_beating.wait(policy.heartbeat_interval):
-            send(("hb",))
-
-    threading.Thread(target=beat, daemon=True).start()
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg[0] == "stop":
-            break
-        _, unit, kwargs = msg
-        try:
-            outcome = execute_unit(
-                unit, kwargs, None, (), policy,
-                notify=lambda stage, attempt: send(
-                    ("stage", unit.digest, stage, attempt)))
-            send(("done", unit.digest, encode_outcome(outcome)))
-        except BaseException:         # truly unexpected: report and die
-            send(("crash", unit.digest, traceback.format_exc()))
-            raise
-    stop_beating.set()
-    conn.close()
-
-
-def _recv_step(conn, timeout: float):
-    """Blocking helper (runs on the executor): one message or a tick.
-
-    Returns ``("msg", payload)``, ``("timeout",)`` when nothing arrived
-    within ``timeout``, or ``("eof",)`` when the worker died.
-    """
-    from multiprocessing import connection
-
-    try:
-        if not connection.wait([conn], timeout):
-            return ("timeout",)
-        return ("msg", conn.recv())
-    except (EOFError, OSError):
-        return ("eof",)
-
-
-class _PoolWorker:
-    def __init__(self, wid: int, proc, conn) -> None:
-        self.wid = wid
-        self.proc = proc
-        self.conn = conn
-        self.last_seen = time.monotonic()
-
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.kill()
-        self.proc.join(timeout=5)
-        try:
-            self.conn.close()
-        except OSError:                             # pragma: no cover
-            pass
+from repro.harness.workers import Worker, lost_unit_failure
 
 
 class WorkerPool:
-    """Asyncio-owned pool of supervised ``_serve_worker`` processes."""
+    """Asyncio-owned pool of supervised :class:`Worker` processes."""
 
     def __init__(self, size: int, policy: DurablePolicy,
                  metrics=None) -> None:
@@ -111,7 +34,7 @@ class WorkerPool:
         self.policy = policy
         self.metrics = metrics
         self._idle: asyncio.Queue = asyncio.Queue()
-        self._workers: dict[int, _PoolWorker] = {}
+        self._workers: dict[int, Worker] = {}
         self._next_wid = 0
         self._closed = False
 
@@ -122,153 +45,59 @@ class WorkerPool:
 
     def start(self) -> None:
         for _ in range(self.size):
-            self._idle.put_nowait(self._spawn())
+            self._spawn()
 
-    def _spawn(self) -> _PoolWorker:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:                          # pragma: no cover
-            ctx = multiprocessing.get_context("spawn")
-        wid = self._next_wid
+    def _spawn(self) -> None:
+        worker = Worker(self._next_wid, execute_unit, self.policy)
         self._next_wid += 1
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(target=_serve_worker,
-                           args=(child_conn, self.policy), daemon=True)
-        proc.start()
-        child_conn.close()
-        worker = _PoolWorker(wid, proc, parent_conn)
-        self._workers[wid] = worker
-        return worker
-
-    def _bury(self, worker: _PoolWorker) -> None:
-        worker.kill()
-        self._workers.pop(worker.wid, None)
-
-    def _respawn(self, worker: _PoolWorker) -> None:
-        self._bury(worker)
-        if self.metrics is not None:
-            self.metrics.inc("serve_workers_respawned")
-        if not self._closed:
-            self._idle.put_nowait(self._spawn())
+        self._workers[worker.wid] = worker
+        self._idle.put_nowait(worker)
 
     # ------------------------------------------------------------------
-    async def run_unit(self, unit: SweepUnit, kwargs: dict,
+    async def run_unit(self, unit: SweepUnit, config: SweepConfig,
                        on_stage=None) -> tuple[dict, bytes]:
         """Execute one unit, supervising the worker that runs it.
 
         Returns ``(outcome, payload)`` — the decoded outcome dict plus
-        the exact bytes to persist.  A worker that crashes or goes
-        silent is killed and respawned and the unit retried elsewhere,
-        up to ``policy.max_unit_attempts``; after that the outcome is a
-        synthesized, quarantining failure (mirroring the durable
-        sweep's ``_fail_unit``) — a sick unit never wedges the service.
-        """
-        attempt = 0
-        last_stage = None
-        while True:
-            worker = await self._idle.get()
-            done, reason, stage = await self._run_on(
-                worker, unit, kwargs, on_stage)
-            if done is not None:
-                return done
-            last_stage = stage or last_stage
-            attempt += 1
-            if attempt >= self.policy.max_unit_attempts:
-                return self._synthesize_failure(
-                    unit, kwargs, reason, last_stage)
-
-    async def _run_on(self, worker, unit, kwargs, on_stage):
-        """One dispatch attempt.
-
-        Returns ``((outcome, payload), None, stage)`` on success or
-        ``(None, reason, stage)`` on worker loss, where ``stage`` is
-        the last lifecycle stage the worker reported.
+        the exact bytes to persist.  A lost worker is replaced and the
+        unit retried elsewhere, up to ``policy.max_unit_attempts``;
+        after that the outcome is the quarantining
+        :func:`~repro.harness.workers.lost_unit_failure` — a sick unit
+        never wedges the service.
         """
         loop = asyncio.get_running_loop()
-        last_stage = None
-        try:
-            worker.conn.send(("unit", unit, kwargs))
-        except (BrokenPipeError, OSError):
-            self._respawn(worker)
-            return None, "pipe closed before dispatch", last_stage
-        worker.last_seen = time.monotonic()
-        stage_started = time.monotonic()
+        attempt = 0
         while True:
-            step = await loop.run_in_executor(
-                None, _recv_step, worker.conn,
-                self.policy.heartbeat_interval)
-            now = time.monotonic()
-            if step[0] == "eof":
-                self._respawn(worker)
-                return None, "pipe closed (worker died)", last_stage
-            if step[0] == "timeout":
-                if not worker.proc.is_alive():
-                    self._respawn(worker)
-                    return (None, f"process exited (exitcode "
-                            f"{worker.proc.exitcode})", last_stage)
-                if now - worker.last_seen > self.policy.heartbeat_timeout:
-                    self._respawn(worker)
-                    return None, "heartbeat lost", last_stage
-                deadline = (self.policy.deadline_for(last_stage)
-                            if last_stage is not None else None)
-                if deadline is not None and now - stage_started > deadline:
-                    self._respawn(worker)
-                    return (None, f"stage {last_stage} exceeded "
-                            f"{deadline:.3f}s deadline", last_stage)
-                continue
-            msg = step[1]
-            worker.last_seen = now
-            kind = msg[0]
-            if kind == "hb":
-                continue
-            if kind == "stage":
-                _, digest, stage, stage_attempt = msg
-                last_stage = stage
-                stage_started = now
+            worker = await self._idle.get()
+            worker.send(unit, config)
+            while True:
+                event = await loop.run_in_executor(
+                    None, worker.step, self.policy.heartbeat_interval)
+                if event is None:
+                    continue
+                if event[0] != "stage":
+                    break
                 if on_stage is not None:
-                    on_stage(stage, stage_attempt)
-                continue
-            if kind == "done":
-                _, digest, payload = msg
+                    on_stage(event[1], event[2])
+            if event[0] == "done":
                 self._idle.put_nowait(worker)
-                return (decode_outcome(payload), payload), None, last_stage
-            if kind == "crash":
-                _, digest, worker_tb = msg
-                self._respawn(worker)
-                return None, f"worker raised:\n{worker_tb}", last_stage
-
-    def _synthesize_failure(self, unit, kwargs, reason, last_stage):
-        from repro.faults.report import FailureReport
-
-        timed_out = "deadline" in (reason or "")
-        report = FailureReport(
-            benchmark=unit.name,
-            config=config_name(
-                None if kwargs["sanitize"] else kwargs["jit"]),
-            error_type="StageTimeout" if timed_out else "WorkerCrashError",
-            message=f"service worker: {reason} "
-                    f"(attempt {self.policy.max_unit_attempts})",
-            phase=f"stage:{last_stage or '?'}",
-            schedule_seed=kwargs["schedule_seed"],
-            retries=self.policy.max_unit_attempts - 1,
-            extra={"stage": last_stage, "reason": reason})
-        outcome = {"kind": "failure", "failure": report,
-                   "plugins": None, "stages": ()}
-        return outcome, encode_outcome(outcome)
+                return decode_outcome(event[1]), event[1]
+            self._workers.pop(worker.wid, None)
+            if self.metrics is not None:
+                self.metrics.inc("serve_workers_respawned")
+            if not self._closed:
+                self._spawn()
+            attempt += 1
+            if attempt >= self.policy.max_unit_attempts:
+                outcome = lost_unit_failure(worker, config, attempt)
+                return outcome, encode_outcome(outcome)
 
     # ------------------------------------------------------------------
     async def close(self) -> None:
         """Stop every worker (in-flight units must already be drained)."""
         self._closed = True
-        for worker in list(self._workers.values()):
-            try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            worker.proc.join(timeout=2)
-            self._bury(worker)
+        for worker in self._workers.values():
+            worker.stop()
         self._workers.clear()
         while not self._idle.empty():               # drop stale handles
             self._idle.get_nowait()

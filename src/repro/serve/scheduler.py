@@ -334,7 +334,7 @@ class Scheduler:
 
         try:
             outcome, payload = await self.pool.run_unit(
-                unit, job.spec.run_kwargs(), on_stage)
+                unit, job.spec.config(), on_stage)
         except asyncio.CancelledError:  # drain timeout: unit is lost,
             job.running -= 1            # job stays open for recovery
             raise

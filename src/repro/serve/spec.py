@@ -1,10 +1,10 @@
 """Sweep specifications: the service's job-submission payload.
 
 A :class:`SweepSpec` is the JSON body of ``POST /jobs`` — the
-benchmarks × repetitions × engine/config matrix one job covers.  It
-deliberately mirrors the keyword surface of
-:func:`repro.faults.resilience.run_suite` (and therefore of
-:class:`repro.harness.durable.DurableSweep`), because the service's
+benchmarks × repetitions × engine/config matrix one job covers.  Its
+run parameters are a JSON rendering of the
+:class:`~repro.harness.config.SweepConfig` that
+:func:`repro.faults.resilience.run_suite` builds, because the service's
 whole value proposition rests on an identity: a spec expands to exactly
 the :class:`~repro.harness.durable.SweepUnit` digests a
 ``run_suite(durable_dir=...)`` call with the same parameters would
@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.errors import ServeError
-from repro.harness.durable import SweepUnit, _config_fingerprint, unit_digest
+from repro.harness.config import SweepConfig
+from repro.harness.durable import SweepUnit, unit_digest
 from repro.harness.store import canonical_digest
 
 #: Engines the service accepts (matches the harness CLI choices).
@@ -39,9 +40,9 @@ class SweepSpec:
     #: Benchmark subset (names within ``suite``); None = the whole suite.
     benchmarks: tuple | None = None
     repeat: int = 1
-    jit: str | None = "graal"
-    engine: str = "threaded"
-    cores: int = 8
+    jit: str | None = SweepConfig.jit
+    engine: str = SweepConfig.engine
+    cores: int = SweepConfig.cores
     schedule_seed: int = 0
     warmup: int | None = None
     measure: int | None = None
@@ -141,25 +142,19 @@ class SweepSpec:
         except Exception as exc:
             raise ServeError(str(exc)) from exc
 
-    def run_kwargs(self) -> dict:
-        """The exact kwargs dict :class:`DurableSweep` fingerprints.
-
-        Defaults must track ``run_suite``'s (iteration budget, retry
-        count): any drift here silently forks the digest space and
-        every cross-path cache hit disappears.
-        """
-        from repro.faults.resilience import DEFAULT_ITERATION_BUDGET
-
-        return dict(
+    def config(self) -> SweepConfig:
+        """The config :func:`run_suite` would build from the same
+        parameters; what the spec does not carry (iteration budget,
+        retry count) takes :class:`SweepConfig`'s own default."""
+        return SweepConfig(
             jit=self.jit, cores=self.cores,
             schedule_seed=self.schedule_seed,
             warmup=self.warmup, measure=self.measure,
-            iteration_budget=DEFAULT_ITERATION_BUDGET, max_retries=2,
             sanitize=True if self.sanitize else None,
             engine=self.engine, verify_ir=self.verify_ir)
 
     def fingerprint(self) -> dict:
-        return _config_fingerprint(self.run_kwargs(), None, ())
+        return self.config().fingerprint(None, ())
 
     def expand(self) -> list[SweepUnit]:
         """Every schedulable unit of this job, serial sweep order

@@ -66,9 +66,8 @@ def run_suite(suite="renaissance", **kwargs):
     Re-exported here so suite-level callers need only the registry:
     ``run_suite("renaissance", continue_on_error=True)`` completes the
     healthy workloads and returns a SuiteResult with one FailureReport
-    per quarantined benchmark.  ``jobs=N`` shards the sweep across N
-    worker processes with a byte-identical merged result
-    (:mod:`repro.harness.parallel`).
+    per quarantined benchmark.  ``jobs=N`` runs the units on N supervised
+    worker processes with a byte-identical merged result.
     """
     from repro.faults.resilience import run_suite as _run_suite
 

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.errors import SweepInterrupted, WorkerCrashError
+from repro.errors import ReproError, SweepInterrupted
 from repro.faults.resilience import Quarantine, run_suite
 from repro.harness.core import GuestBenchmark
 from repro.harness.durable import DurablePolicy, run_suite_durable
@@ -185,6 +185,33 @@ def test_resume_rejects_mismatched_spec(tmp_path):
     with pytest.raises(DurableSweepError, match="mismatch"):
         run_suite_durable([TINY_BENCHMARK], dir=tmp_path / "sweep",
                           resume=True, schedule_seed=7)
+
+
+def test_store_key_covers_compiler_config_contents(tmp_path):
+    # An ablated JitConfig still calls itself "graal"; what it computed
+    # must never be served to a plain jit="graal" sweep.
+    from repro.errors import DurableSweepError
+    from repro.jit.pipeline import graal_config
+
+    benches = workload(("philosophers",))
+    sweep_dir = tmp_path / "sweep"
+    ablated = graal_config(inline_depth=0, unroll_factor=1,
+                           flags={"EAWA": False, "LLC": False})
+    truth = run_suite(benches, jit="graal", warmup=2, measure=1)
+    first = run_suite_durable(benches, dir=sweep_dir, jit=ablated,
+                              warmup=2, measure=1)
+    assert first.config == truth.config == "graal"
+    assert fingerprints(first) != fingerprints(truth)
+    with pytest.raises(DurableSweepError, match="mismatch"):
+        run_suite_durable(benches, dir=sweep_dir, resume=True,
+                          jit="graal", warmup=2, measure=1)
+    # Without the journal's own check (a store shared between sweeps,
+    # as the service keeps one) the unit digests still differ.
+    os.remove(sweep_dir / "journal.wal")
+    second = run_suite_durable(benches, dir=sweep_dir, resume=True,
+                               jit="graal", warmup=2, measure=1)
+    assert second.durable["served_from_store"] == 0
+    assert fingerprints(second) == fingerprints(truth)
 
 
 def test_interrupted_serial_sweep_resumes_byte_identical(tmp_path):
@@ -360,14 +387,56 @@ def test_worker_sigkill_respawns_and_result_is_identical(tmp_path):
     assert "shard-exit" in kinds and "shard-respawn" in kinds
 
 
-def test_worker_traceback_surfaces_in_parallel_run(tmp_path):
-    with pytest.raises(WorkerCrashError) as excinfo:
-        run_suite([TINY_BENCHMARK, FAILING_BENCHMARK], jobs=2,
-                  warmup=0, measure=1, plugins=(BoomPlugin(),))
-    message = str(excinfo.value)
-    assert "boom-worker" in message
-    assert "after_run" in message        # the worker's real stack frame
-    assert "boom-worker" in excinfo.value.worker_traceback
+def test_worker_traceback_surfaces_in_parallel_run():
+    # The uniform contract of every supervised path: a host exception
+    # inside a unit is a quarantining FailureReport carrying the
+    # child's traceback, never a dead sweep.
+    suite = run_suite([TINY_BENCHMARK, FAILING_BENCHMARK], jobs=2,
+                      warmup=0, measure=1, plugins=(BoomPlugin(),),
+                      durable_policy=DurablePolicy(backoff_base=0.001))
+    assert suite.durable is None         # throwaway directory
+    boom = {f.benchmark: f for f in suite.failures}["fixture-tiny"]
+    assert boom.error_type == "RuntimeError"
+    assert boom.phase == "stage:run"
+    assert "boom-worker" in boom.extra["traceback"]
+    assert "after_run" in boom.extra["traceback"]   # the child's frame
+    assert "fixture-tiny" in suite.quarantine
+    # continue_on_error=False raises only after the merge.
+    with pytest.raises(ReproError, match="aborted on fixture-tiny"):
+        run_suite([TINY_BENCHMARK], jobs=2, warmup=0, measure=1,
+                  plugins=(BoomPlugin(),), continue_on_error=False,
+                  durable_policy=DurablePolicy(backoff_base=0.001))
+
+
+def test_jobs_sweep_survives_worker_sigkill():
+    # run_suite(jobs=N) without a durable_dir runs on the same
+    # supervised workers: kill one mid-sweep and the result still
+    # equals the serial sweep's.
+    import multiprocessing
+
+    benches = workload(WIDE_SLICE)
+    plain = run_suite(benches, warmup=0, measure=1, repeat=2)
+    before = set(multiprocessing.active_children())
+    outcome = {}
+
+    def controller():
+        outcome["suite"] = run_suite(
+            benches, jobs=2, warmup=0, measure=1, repeat=2,
+            durable_policy=DurablePolicy(max_unit_attempts=4))
+
+    thread = threading.Thread(target=controller)
+    thread.start()
+    victim = None
+    deadline = time.time() + 30
+    while victim is None and time.time() < deadline:
+        spawned = set(multiprocessing.active_children()) - before
+        victim = next(iter(spawned), None)
+        time.sleep(0.02)
+    assert victim is not None, "no worker spawned within 30s"
+    os.kill(victim.pid, signal.SIGKILL)
+    thread.join(timeout=180)
+    assert not thread.is_alive()
+    assert suite_key(plain) == suite_key(outcome["suite"])
 
 
 # ----------------------------------------------------------------------

@@ -96,3 +96,21 @@ def test_jmh_forks_use_distinct_seeds_and_aggregate():
 def test_benchmark_definitions_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         SIMPLE.name = "other"
+
+
+def test_sweep_and_service_imports_stay_light():
+    # scipy/numpy cost ~1.3 s and ~80 MB per process; a sweep, a worker
+    # or the service never calls the three statistics that need them.
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys; import repro.faults.resilience, "
+            "repro.suites.registry, repro.serve.scheduler, "
+            "repro.harness.__main__; "
+            "print([m for m in ('scipy', 'numpy') if m in sys.modules])")
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

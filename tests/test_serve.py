@@ -14,6 +14,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -22,6 +23,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.faults.resilience import run_suite
+from repro.harness.config import SweepConfig
 from repro.harness.durable import DurableSweep
 from repro.serve.client import ServeClient
 from repro.serve.spec import SweepSpec
@@ -53,8 +55,9 @@ def workload(names=SLICE):
 def test_spec_expands_to_durable_sweep_digests(tmp_path):
     spec = SweepSpec(benchmarks=SLICE, jit=None, warmup=1, measure=1,
                      repeat=2)
-    sweep = DurableSweep(workload(), dir=str(tmp_path), jit=None,
-                         warmup=1, measure=1, repeat=2)
+    sweep = DurableSweep(workload(),
+                         SweepConfig(jit=None, warmup=1, measure=1),
+                         dir=str(tmp_path), repeat=2)
     assert spec.fingerprint() == sweep.fingerprint
     assert sorted(u.digest for u in spec.expand()) == \
         sorted(u.digest for u in sweep.units.values())
@@ -64,6 +67,12 @@ def test_spec_expands_to_durable_sweep_digests(tmp_path):
                               max_concurrency=1)
     assert [u.digest for u in reprioritized.expand()] == \
         [u.digest for u in spec.expand()]
+    # Stores written before SweepConfig existed keep hitting: this
+    # digest was computed by the kwargs-forwarding code it replaced.
+    pinned = SweepSpec(benchmarks=("scrabble",), jit="graal")
+    assert [u.digest for u in pinned.expand()] == [
+        "2fae3290d72764c31a30741780df307b"
+        "0119dafb08632ac20285cd198e78a9a9"]
 
 
 def test_spec_validation():
@@ -224,9 +233,47 @@ def test_cancellation_drops_queued_units(tmp_path):
         assert m["serve_units_executed"] <= 2
 
 
-def test_http_error_handling(tmp_path):
+def _raw_status(port: int, request: bytes) -> int:
+    """Status code the service answers a hand-written request with."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
+
+
+def test_killed_worker_unit_retried_on_respawn(tmp_path):
+    plain = run_suite(workload(("scrabble",)), jit=None, warmup=1,
+                      measure=1)
+    with ServiceThread(str(tmp_path), workers=1) as svc:
+        client = svc.client()
+        job = client.submit({"benchmarks": ["scrabble"], "jit": "none",
+                             "warmup": 1, "measure": 1})
+        for event in client.events(job["id"]):
+            if event["kind"] == "unit-begin":
+                (worker,) = svc.service.scheduler.pool._workers.values()
+                os.kill(worker.pid, signal.SIGKILL)
+            if event["kind"] == "unit-done":
+                assert event["fingerprint"] == \
+                    plain.results[0].fingerprint()
+        assert client.job(job["id"])["units"]["done"] == 1
+        assert client.metrics()["serve_workers_respawned"] >= 1
+
+
+def test_http_error_handling(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.serve.api.READ_TIMEOUT", 0.3)
     with ServiceThread(str(tmp_path)) as svc:
         client = svc.client()
+        # A client that connects and sends nothing is timed out, a
+        # negative length and an over-long header line are refused.
+        assert _raw_status(svc.port, b"") == 408
+        assert _raw_status(
+            svc.port, b"POST /jobs HTTP/1.1\r\n"
+                      b"Content-Length: -5\r\n\r\n") == 400
+        assert _raw_status(
+            svc.port, b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                      + b"a" * 9000 + b"\r\n\r\n") == 400
         with pytest.raises(ServeError, match="not JSON"):
             client._json("POST", "/jobs", b"{nope")
         with pytest.raises(ServeError, match="unknown sweep spec"):
@@ -243,7 +290,7 @@ def test_http_error_handling(tmp_path):
         assert "# TYPE repro_serve_jobs_submitted counter" in text
         assert "repro_serve_http_errors" in text
         m = client.metrics()
-        assert m["serve_http_errors"] >= 4
+        assert m["serve_http_errors"] >= 7
 
 
 # ----------------------------------------------------------------------

@@ -344,12 +344,10 @@ def test_metrics_plugin_exports_tier1_counters():
 
 
 def test_durable_fingerprint_records_engine():
-    from repro.harness.durable import _config_fingerprint
+    from repro.harness.config import SweepConfig
 
-    base = dict(jit=None, sanitize=None, cores=8, schedule_seed=0,
-                warmup=1, measure=1, iteration_budget=None, max_retries=2)
-    tier1 = _config_fingerprint(dict(base, engine="tier1"), None, ())
-    default = _config_fingerprint(base, None, ())
+    tier1 = SweepConfig(engine="tier1").fingerprint(None, ())
+    default = SweepConfig().fingerprint(None, ())
     assert tier1["engine"] == "tier1"
     assert default["engine"] == "threaded"
     assert tier1 != default

@@ -484,13 +484,11 @@ def test_metrics_plugin_exports_tier2_counters():
 
 
 def test_durable_fingerprint_records_tier_ladder():
-    from repro.harness.durable import _config_fingerprint
+    from repro.harness.config import SweepConfig
 
-    base = dict(jit=None, sanitize=None, cores=8, schedule_seed=0,
-                warmup=1, measure=1, iteration_budget=None, max_retries=2)
-    tier2 = _config_fingerprint(dict(base, engine="tier2"), None, ())
-    tier1 = _config_fingerprint(dict(base, engine="tier1"), None, ())
-    default = _config_fingerprint(base, None, ())
+    tier2 = SweepConfig(engine="tier2").fingerprint(None, ())
+    tier1 = SweepConfig(engine="tier1").fingerprint(None, ())
+    default = SweepConfig().fingerprint(None, ())
     assert tier2["tier_ladder"] == ["threaded", "tier1", "tier2"]
     assert tier1["tier_ladder"] == ["threaded", "tier1"]
     assert default["tier_ladder"] == ["threaded"]
