@@ -308,6 +308,19 @@ class SuiteResult:
         }
 
 
+def _release_host_code(vm) -> None:
+    """Drop a finished unit's host-compiled code — threaded
+    translations, tier-1 dispatch tables, tier-2 closures and their
+    environments — through the interpreter's invalidation fan-out, so a
+    sweep's footprint is one unit's code, not every unit's.  Counters,
+    ``vm.jit`` and the cache hit/miss totals stay readable.  A stopgap:
+    once results are plain values (ROADMAP item 4) no VM outlives its
+    unit and this goes."""
+    invalidate_all = getattr(vm.interpreter, "invalidate_all", None)
+    if invalidate_all is not None:      # the reference engine has no code
+        invalidate_all()
+
+
 def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
               cores: int = SweepConfig.cores, schedule_seed: int = 0,
               warmup: int | None = None, measure: int | None = None,
@@ -365,7 +378,8 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
         return out
 
     # The in-process reference path: what the equivalence tests diff the
-    # supervised paths against, and the only one that keeps RunResult.vm.
+    # supervised paths against, and the only one that keeps RunResult.vm
+    # (minus its host code, see _release_host_code).
     benches, suite_name = resolve_suite(suite)
     plan_of = plans_of(faults, benches)
     out = SuiteResult(
@@ -380,6 +394,7 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
             outcome = runner.run(warmup=warmup, measure=measure)
             if outcome.ok:
                 out.results.append(outcome.result)
+                _release_host_code(outcome.result.vm)
                 if outcome.race_report is not None:
                     out.race_reports.append(outcome.race_report)
             else:

@@ -9,11 +9,11 @@ counters while recovering zero host wall-clock.  This module closes the
 gap: it lowers the already-optimized machine code into one Python
 function per *superblock* (a straight-line region of machine
 instructions, fused through fall-through jumps and branches, extended
-until a call/terminator or the region cap) and ``exec``s the generated
-source once.  Inside a block there is no dispatch: values flow through
-``regs`` (compiled code is already in register form — no operand
-stack), and the per-instruction bookkeeping of the interpretive machine
-is batched into the block's exit points.
+until a call/terminator or the region cap), generated and ``exec``'d
+the first time a frame enters it.  Inside a block there is no dispatch:
+values flow through ``regs`` (compiled code is already in register form
+— no operand stack), and the per-instruction bookkeeping of the
+interpretive machine is batched into the block's exit points.
 
 Byte-identity against :meth:`Machine.run_frame` is the contract.  The
 interpretive machine executes, per instruction: ``budget > 0`` check,
@@ -54,11 +54,13 @@ transfer to the interpretive machine at the exact machine pc via
 :func:`repro.jit.deopt.tier2_deopt` — a host-invisible transition,
 since both executors run the same ``CompiledCode``.
 
-On-stack replacement falls out of the entry-table design: any pc a
-frame parks on (budget exhaustion mid-block, contended monitor, slice
-end) can be promoted to a block entry after the fact via
-:func:`extend_tier2`, so hot loops enter tier-2 mid-run at their loop
-header without waiting for a fresh invocation.
+Emission is on demand: :func:`compile_tier2` only validates, and
+:func:`extend_tier2` emits a block when a frame first arrives at its pc,
+so code no frame reaches is never compiled.  On-stack replacement falls
+out of the same path: any pc a frame parks on (budget exhaustion
+mid-block, contended monitor, slice end) becomes a block entry like any
+leader, so hot loops enter tier-2 mid-run at their loop header without
+waiting for a fresh invocation.
 """
 
 from __future__ import annotations
@@ -144,32 +146,36 @@ def _const_cost(instr) -> int:
 class Tier2Code:
     """A compiled method's tier-2 superblocks plus the entry table.
 
-    ``entries`` is indexed by machine pc; slots start out populated at
-    region leaders and grow lazily (:func:`extend_tier2`) when a frame
-    parks mid-region — on-stack replacement.  ``blocks`` records, per
+    ``entries`` is indexed by machine pc and starts out all ``None``:
+    :func:`extend_tier2` fills a slot the first time a frame arrives at
+    that pc — region leaders, cap-split continuations and pcs parked
+    mid-region (on-stack replacement) alike.  ``blocks`` records, per
     emitted block, the compile-time ground truth
     ``(leader, sites, cum, end_pc, kind, self_loop)`` that
-    :mod:`repro.sanitize.blockverify` re-derives independently.
+    :mod:`repro.sanitize.blockverify` re-derives independently, and
+    ``source`` maps each leader to that block's generated text.
+    ``leaders`` is the static region-leader set: an entry anywhere else
+    is an on-stack replacement.
     """
 
     __slots__ = ("code", "method", "entries", "blocks", "nblocks",
                  "sites", "compile_cycles", "deopt_at", "source", "env",
-                 "cells", "jit_on", "trace_cas", "fault_calls")
+                 "leaders", "jit_on", "trace_cas", "fault_calls")
 
-    def __init__(self, code, entries, blocks, sites, deopt_at, source,
-                 env, cells, jit_on, trace_cas, fault_calls) -> None:
+    def __init__(self, code, deopt_at, env, jit_on, trace_cas,
+                 fault_calls) -> None:
         self.code = code
         self.method = code.method
-        self.entries = entries
-        self.blocks = blocks
-        self.nblocks = len(blocks)
-        self.sites = sites
-        self.compile_cycles = (sites * TIER2_COMPILE_SITE_COST
-                               + len(blocks) * TIER2_COMPILE_BLOCK_COST)
+        self.entries: list = [None] * len(code.instrs)
+        self.blocks: list[tuple] = []
+        self.nblocks = 0
+        self.sites = 0
+        self.compile_cycles = 0
         self.deopt_at = deopt_at
-        self.source = source
-        self.env = env                # retained: lazy OSR blocks exec here
-        self.cells = cells
+        self.source: dict[int, str] = {}
+        self.env = env                # blocks exec here and bind their
+        #                               per-site cells (classes, caches)
+        self.leaders = _leaders2(code.instrs)
         self.jit_on = jit_on
         self.trace_cas = trace_cas
         self.fault_calls = fault_calls
@@ -191,7 +197,7 @@ class _Block2Emitter:
         self.ops = ops                # [(pc, instr), ...]
         self.end_pc = end_pc
         self.kind = kind              # "term" | "split" | "deopt"
-        self.cells = cells            # shared (per-method) env bindings
+        self.cells = cells            # the method env: shared bindings
         self.jit_on = jit_on
         self.trace_cas = trace_cas
         self.fault_calls = fault_calls
@@ -905,8 +911,8 @@ def _leaders2(instrs) -> set[int]:
 
 
 def _validate(instrs) -> bool:
-    """Whole-method pre-validation: every op must be emittable, so the
-    lazy OSR extension path can never fail mid-run."""
+    """Whole-method pre-validation: every op must be emittable, so
+    emitting a block on first entry can never fail mid-run."""
     for instr in instrs:
         kind = instr[0]
         if kind not in _SUPPORTED:
@@ -921,20 +927,21 @@ def _validate(instrs) -> bool:
 
 
 def compile_tier2(engine, code, *, deopt_at: int | None = None):
-    """Compile ``code`` (a :class:`CompiledCode`) to tier-2 closures.
+    """Admit ``code`` (a :class:`CompiledCode`) to tier-2: validate the
+    whole method and build the environment its blocks will bind.
 
+    Nothing is emitted here — the returned :class:`Tier2Code` has an
+    empty entry table that :func:`extend_tier2` fills on first entry,
+    so a region no frame reaches costs no host ``compile()``.
     ``engine`` is the :class:`repro.jit.machine.Tier2Machine` that owns
     the compiled code (its stats receive the deopt counts).
     ``deopt_at`` plants a forced trap immediately before that machine
-    pc (the fuzz suite's uncommon-trap stand-in).  Returns a
-    :class:`Tier2Code` or None when the method is declined.
+    pc (the fuzz suite's uncommon-trap stand-in).  Returns None when
+    the method is declined.
     """
-    instrs = code.instrs
-    n = len(instrs)
-    if n == 0 or not _validate(instrs):
+    if not code.instrs or not _validate(code.instrs):
         return None
     vm = engine.vm
-    method = code.method
 
     def _forced(frame, pc, _engine=engine, _code=code):
         tier2_deopt(_engine, _code, frame, pc, reason="forced")
@@ -954,75 +961,35 @@ def compile_tier2(engine, code, *, deopt_at: int | None = None):
         "_Frame": Frame, "_machine": engine, "_jit": vm.jit,
         "_gto": vm.guest_thread_of, "_mkfn": vm.make_function,
     }
-    cells: dict = {}
-    jit_on = vm.jit is not None
-    fault_calls = vm._fault_calls
-
-    named: list[tuple[int, str]] = []
-    sources: list[str] = []
-    blocks: list[tuple] = []
-    sites = 0
-    pending = sorted(_leaders2(instrs))
-    seen = set(pending)
-    try:
-        while pending:
-            leader = pending.pop(0)
-            ops, end_pc, kind = _scan2(instrs, leader, deopt_at)
-            if kind == "split" and end_pc < n and end_pc not in seen:
-                seen.add(end_pc)
-                pending.append(end_pc)
-            emitter = _Block2Emitter(
-                code, leader, ops, end_pc, kind, cells,
-                jit_on=jit_on, trace_cas=trace_cas,
-                fault_calls=fault_calls)
-            name, source = emitter.render()
-            named.append((leader, name))
-            sources.append(source)
-            blocks.append((leader, emitter.sites, emitter.cum, end_pc,
-                           kind, emitter.self_loop))
-            sites += emitter.sites
-    except _EmitBail:                                 # pragma: no cover
-        return None
-    if not named:
-        return None
-
-    env.update(cells)
-    module = "\n\n".join(sources)
-    exec(compile(module, f"<tier2 {method.qualified}>", "exec"), env)
-    entries: list = [None] * n
-    for leader, name in named:
-        entries[leader] = env[name]
-    return Tier2Code(code, entries, blocks, sites, deopt_at, module,
-                     env, cells, jit_on, trace_cas, fault_calls)
+    return Tier2Code(code, deopt_at, env, vm.jit is not None, trace_cas,
+                     vm._fault_calls)
 
 
 def extend_tier2(t2: Tier2Code, pc: int):
-    """Emit one more block entering at a non-leader ``pc`` — on-stack
-    replacement for frames parked mid-region (budget exhaustion inside
-    a block, a resumed contended wait, a slice boundary).
+    """Emit the block entering at ``pc`` — the one place tier-2 code is
+    generated.  The driver calls it the first time a frame arrives at
+    an empty entry: a region leader, a cap-split continuation, or a pc
+    parked mid-region (budget exhaustion inside a block, a resumed
+    contended wait, a slice boundary — on-stack replacement).
 
-    The new function is ``exec``'d into the retained method environment
-    and installed in the entry table; returns ``(fn, sites)``.
+    The new function is ``exec``'d into the method environment and
+    installed in the entry table; returns ``(fn, sites)``.
     Pre-validation at :func:`compile_tier2` time guarantees this cannot
     fail for any in-range pc.
     """
-    instrs = t2.code.instrs
-    ops, end_pc, kind = _scan2(instrs, pc, t2.deopt_at)
+    ops, end_pc, kind = _scan2(t2.code.instrs, pc, t2.deopt_at)
     emitter = _Block2Emitter(
-        t2.code, pc, ops, end_pc, kind, t2.cells,
+        t2.code, pc, ops, end_pc, kind, t2.env,
         jit_on=t2.jit_on, trace_cas=t2.trace_cas,
         fault_calls=t2.fault_calls)
     name, source = emitter.render()
-    t2.env.update(t2.cells)
-    exec(compile(source, f"<tier2-osr {t2.method.qualified}>", "exec"),
-         t2.env)
-    fn = t2.env[name]
-    t2.entries[pc] = fn
+    exec(compile(source, f"<tier2 {t2.method.qualified}>", "exec"), t2.env)
+    fn = t2.entries[pc] = t2.env[name]
     t2.blocks.append((pc, emitter.sites, emitter.cum, end_pc, kind,
                       emitter.self_loop))
     t2.nblocks += 1
     t2.sites += emitter.sites
     t2.compile_cycles += (emitter.sites * TIER2_COMPILE_SITE_COST
                           + TIER2_COMPILE_BLOCK_COST)
-    t2.source = t2.source + "\n\n" + source
+    t2.source[pc] = source
     return fn, emitter.sites

@@ -371,18 +371,37 @@ def _collect_state_value(value, live: set[int]) -> None:
             _collect_state_value(node, live)
 
 
+def _mentions(values, node: Node) -> bool:
+    """Does any of ``values`` — or a recipe nested in one — reference
+    ``node``?"""
+    for v in values:
+        if v is node:
+            return True
+        if isinstance(v, VirtualObjectState) and _mentions(
+                [x for _, x in v.field_values], node):
+            return True
+    return False
+
+
 def _replace_in_state(state: FrameState, old: Node, new: Node) -> FrameState:
+    """``state`` with ``new`` substituted for ``old`` throughout — the
+    caller chain and recipes nested at any depth included.  A state or
+    recipe that does not mention ``old`` is returned itself, not a copy:
+    nearly every state of a graph is untouched by any one replacement."""
     def sub(v):
         if v is old:
             return new
-        if isinstance(v, VirtualObjectState):
+        if isinstance(v, VirtualObjectState) and _mentions((v,), old):
             return VirtualObjectState(
                 v.class_name,
-                tuple((n, new if x is old else x) for n, x in v.field_values))
+                tuple((n, sub(x)) for n, x in v.field_values))
         return v
 
     caller = (_replace_in_state(state.caller, old, new)
               if state.caller is not None else None)
+    if (caller is state.caller and not _mentions(state.locals, old)
+            and not _mentions(state.stack, old)):
+        return state
     return FrameState(state.bc_pc,
                       tuple(sub(v) for v in state.locals),
                       tuple(sub(v) for v in state.stack),

@@ -433,8 +433,9 @@ _DECLINED = object()
 class Tier2Stats:
     """Host-side tier-2 metrics (kept off the byte-identical Counters).
 
-    ``compile_seconds`` is host wall-clock spent inside the emitter —
-    the selfbench compile-pause budget gates on it.  Everything else is
+    ``compile_seconds`` is host wall-clock spent inside the emitter
+    (admission plus every block emitted on first entry) — the selfbench
+    compile-pause budget gates on it.  Everything else is
     simulated-bookkeeping, mirroring :class:`repro.jvm.tier1.Tier1Stats`.
     """
 
@@ -447,7 +448,7 @@ class Tier2Stats:
         self.sites = 0                # machine-op sites emitted
         self.compile_cycles = 0       # simulated-clock compile "time"
         self.osr_entries = 0          # mid-method entries (promotion at
-        #                               pc != 0 + lazily extended blocks)
+        #                               pc != 0 + blocks at non-leader pcs)
         self.deopts = {"budget": 0, "exception": 0, "fault": 0,
                        "forced": 0, "guard": 0}
         self.methods: dict = {}       # qualified -> per-method record
@@ -487,9 +488,11 @@ class Tier2Machine(Machine):
     *forced trap* or block-internal fault takes the host path
     (:class:`~repro.jit.deopt.Tier2Deopt`), which this driver catches to
     resume the same machine frame interpretively at the exact machine
-    pc.  Entry tables grow lazily: any pc a frame parks on (budget
-    boundary mid-block, contended monitor) becomes a compiled entry on
-    next arrival — on-stack replacement at loop headers falls out.
+    pc.  Promotion only validates; entry tables start empty and every
+    block is emitted the first time a frame arrives at its pc, so any
+    pc a frame parks on (budget boundary mid-block, contended monitor)
+    becomes a compiled entry exactly as a region leader does —
+    on-stack replacement at loop headers falls out.
 
     Artifacts are cached under ``("tier2", method, config-digest)`` keys
     — tier-2 code specializes the *optimized* output of one
@@ -576,27 +579,12 @@ class Tier2Machine(Machine):
         if t2 is None:
             self._memo[code] = _DECLINED
             return None
-        # Entry-table validation runs OUTSIDE the bail-out try above:
-        # a compile failure is a legitimate fallback, a verification
-        # failure never is.
-        if getattr(self.vm, "verify_ir", False):
-            from repro.sanitize.blockverify import (
-                BlockVerifyError, verify_tier2_code)
-
-            issues = verify_tier2_code(t2)
-            vstats = self.vm.irverify_stats
-            vstats["blocks"] = vstats.get("blocks", 0) + t2.nblocks
-            vstats["issues"] = vstats.get("issues", 0) + len(issues)
-            if issues:
-                raise BlockVerifyError(method.qualified, issues,
-                                       tier="tier-2")
         if forced is None:
             self.code_cache.install(self.tier, method, t2, self._digest)
+        # Promotion is admission only: blocks, sites and compile cycles
+        # are accounted by _entry_block as the empty table fills.
         stats = self.stats
         stats.promotions += 1
-        stats.blocks += t2.nblocks
-        stats.sites += t2.sites
-        stats.compile_cycles += t2.compile_cycles
         if frame.pc != 0:
             # The frame is mid-method (a hot loop crossing the slice
             # threshold): this promotion is an on-stack replacement.
@@ -605,29 +593,41 @@ class Tier2Machine(Machine):
             method.qualified, {"promotions": 0, "blocks": 0, "sites": 0,
                                "compile_cycles": 0})
         record["promotions"] += 1
-        record["blocks"] = t2.nblocks
-        record["sites"] = t2.sites
-        record["compile_cycles"] += t2.compile_cycles
+        record["blocks"] = record["sites"] = 0    # of the current code
         self._memo[code] = t2
         return t2
 
     def _entry_block(self, t2, pc: int):
-        """Grow the entry table at a parked pc (on-stack replacement)."""
+        """Emit the block entering at ``pc`` — every tier-2 block is
+        compiled here, the first time a frame arrives at its pc."""
         from repro.jit.emit2 import extend_tier2
 
+        started = time.perf_counter()
         fn, sites = extend_tier2(t2, pc)
         stats = self.stats
-        stats.osr_entries += 1
+        stats.compile_seconds += time.perf_counter() - started
+        # A verification failure is raised, never a fallback.
+        if getattr(self.vm, "verify_ir", False):
+            from repro.sanitize.blockverify import (
+                BlockVerifyError, verify_tier2_block)
+
+            issues = verify_tier2_block(t2, pc)
+            vstats = self.vm.irverify_stats
+            vstats["blocks"] = vstats.get("blocks", 0) + 1
+            vstats["issues"] = vstats.get("issues", 0) + len(issues)
+            if issues:
+                raise BlockVerifyError(t2.method.qualified, issues,
+                                       tier="tier-2")
+        if pc not in t2.leaders:
+            stats.osr_entries += 1    # parked mid-region, or a cap split
+        cycles = sites * TIER2_COMPILE_SITE_COST + TIER2_COMPILE_BLOCK_COST
         stats.blocks += 1
         stats.sites += sites
-        stats.compile_cycles += (sites * TIER2_COMPILE_SITE_COST
-                                 + TIER2_COMPILE_BLOCK_COST)
-        record = stats.methods.get(t2.method.qualified)
-        if record is not None:
-            record["blocks"] += 1
-            record["sites"] += sites
-            record["compile_cycles"] += (
-                sites * TIER2_COMPILE_SITE_COST + TIER2_COMPILE_BLOCK_COST)
+        stats.compile_cycles += cycles
+        record = stats.methods[t2.method.qualified]
+        record["blocks"] += 1
+        record["sites"] += sites
+        record["compile_cycles"] += cycles
         return fn
 
     # ------------------------------------------------------------------

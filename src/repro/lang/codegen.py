@@ -22,6 +22,8 @@ Chidamber–Kemerer metrics (Section 7.1 of the paper).
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import CompileError
 from repro.lang import ast_nodes as A
 from repro.lang.parser import BUILTINS, _BUILTIN_ARITY, parse
@@ -45,15 +47,22 @@ class Program:
         return f"<Program {len(self.classes)} classes>"
 
 
+@functools.cache
+def _stdlib_decls() -> tuple:
+    """The guest stdlib's class declarations, parsed once per process.
+
+    AST only — codegen reads the nodes and runs per program; the key set
+    is the fixed stdlib, so the cache has no size to manage."""
+    from repro.lang.stdlib import STDLIB_SOURCES
+    return tuple(decl for text in STDLIB_SOURCES for decl in parse(text))
+
+
 def compile_program(*sources: str, include_stdlib: bool = True) -> Program:
     """Compile JL ``sources`` (plus the guest stdlib) into a Program."""
-    texts: list[str] = []
-    if include_stdlib:
-        from repro.lang.stdlib import STDLIB_SOURCES
-        texts.extend(STDLIB_SOURCES)
-    texts.extend(sources)
     decls: list[A.ClassDecl] = []
-    for text in texts:
+    if include_stdlib:
+        decls.extend(_stdlib_decls())
+    for text in sources:
         decls.extend(parse(text))
     return _CodegenUnit(decls).compile()
 

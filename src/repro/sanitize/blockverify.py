@@ -52,7 +52,7 @@ from repro.jvm.costmodel import (
 from repro.sanitize.reports import StaticIssue
 
 __all__ = ["BlockVerifyError", "verify_tier1_code", "expected_regions",
-           "verify_tier2_code", "expected_tier2_regions"]
+           "verify_tier2_code", "verify_tier2_block"]
 
 
 class BlockVerifyError(VMError):
@@ -148,11 +148,15 @@ def verify_tier1_code(code_obj, method) -> list[StaticIssue]:
     # nodes, all dead by return; without this guard the burst trips the
     # gen-0 threshold repeatedly and every triggered collection rescans
     # the VM's young heap (see verify_graph, which does the same).
+    return _gc_paused(_BlockVerifier(code_obj, method).run)
+
+
+def _gc_paused(check, *args):
     enabled = gc.isenabled()
     if enabled:
         gc.disable()
     try:
-        return _BlockVerifier(code_obj, method).run()
+        return check(*args)
     finally:
         if enabled:
             gc.enable()
@@ -516,53 +520,21 @@ def _t2_scan(instrs, leader: int, deopt_at: int | None):
     return ops, pc, "split"
 
 
-def expected_tier2_regions(instrs, deopt_at: int | None = None) -> dict:
-    """Ground-truth tier-2 region table: ``leader -> (ops, end_pc,
-    kind)`` over lowered machine instructions, with the emitter's
-    fall-through fusion (jumps/one-armed branches continue the region)
-    re-derived independently."""
-    n = len(instrs)
-    leaders = {0}
-    for pc, instr in enumerate(instrs):
-        kind = instr[0]
-        if kind == "jump":
-            leaders.add(instr[2])
-        elif kind == "branch":
-            leaders.add(instr[3])
-            leaders.add(instr[4])
-        elif kind in ("callstatic", "callvirtual", "callhandle",
-                      "park", "wait"):
-            leaders.add(pc + 1)
-        elif kind == "monitorenter":
-            # Contended acquisition parks the pc here for re-execution.
-            leaders.add(pc)
-    pending = sorted(pc for pc in leaders if pc < n)
-    seen = set(pending)
-    regions: dict[int, tuple] = {}
-    while pending:
-        leader = pending.pop(0)
-        ops, end_pc, kind = _t2_scan(instrs, leader, deopt_at)
-        if kind == "split" and end_pc < n and end_pc not in seen:
-            seen.add(end_pc)
-            pending.append(end_pc)
-        regions[leader] = (ops, end_pc, kind)
-    return regions
-
-
 def verify_tier2_code(t2) -> list[StaticIssue]:
     """Check a :class:`repro.jit.emit2.Tier2Code` against the machine
-    code's ground truth: entry-table legitimacy (initial leaders and
-    lazily added OSR entries alike re-derive from an independent region
-    walk), per-block metadata, cost-model prefix sums in the generated
-    source, deopt flush discipline, and compile-cycle totals."""
-    enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
-    try:
-        return _Tier2Verifier(t2).run()
-    finally:
-        if enabled:
-            gc.enable()
+    code's ground truth: entry-table legitimacy (an entry at any pc —
+    region leader or parked mid-region — re-derives from an independent
+    region walk from that pc; an empty slot is a block no frame has
+    reached yet), per-block metadata, cost-model prefix sums in the
+    generated source, deopt flush discipline, and compile-cycle totals."""
+    return _gc_paused(_Tier2Verifier(t2).run)
+
+
+def verify_tier2_block(t2, pc: int) -> list[StaticIssue]:
+    """:func:`verify_tier2_code` for the one block entering at ``pc``
+    plus the table-wide totals — what the driver runs on every block
+    the moment it is emitted."""
+    return _gc_paused(_Tier2Verifier(t2).run, pc)
 
 
 class _Tier2Verifier:
@@ -580,14 +552,15 @@ class _Tier2Verifier:
             method=self.qualified, pc=pc, line=0, message=message))
 
     # ------------------------------------------------------------------
-    def run(self) -> list[StaticIssue]:
+    def run(self, only: int | None = None) -> list[StaticIssue]:
+        """Table-wide checks, then every emitted block re-derived from
+        its own pc — or just the block at ``only``."""
         t2, n = self.t2, self.n
         if len(t2.entries) != n:
             self.issue(
                 f"entry table has {len(t2.entries)} slots for {n} machine "
                 "instructions — parked pcs would lose their entries")
             return self.issues
-        static = expected_tier2_regions(self.instrs, t2.deopt_at)
 
         metas: dict[int, tuple] = {}
         for leader, sites, cum, end_pc, kind, self_loop in t2.blocks:
@@ -602,11 +575,9 @@ class _Tier2Verifier:
             self.issue(f"entry at pc {pc} has no block metadata", pc=pc)
         for pc in sorted(set(metas) - compiled):
             self.issue(f"block metadata at pc {pc} has no entry", pc=pc)
-        for pc in sorted(set(static) - set(metas)):
-            self.issue(
-                f"static region leader pc {pc} was never compiled — the "
-                "driver would extend it as OSR, hiding a leader-walk "
-                "mismatch", pc=pc)
+        for pc in sorted(set(metas) ^ set(t2.source)):
+            self.issue(f"block metadata and generated source disagree "
+                       f"about a block at pc {pc}", pc=pc)
         for pc in sorted(compiled):
             fn = t2.entries[pc]
             name = getattr(fn, "__name__", "?")
@@ -614,45 +585,6 @@ class _Tier2Verifier:
                 self.issue(
                     f"entry at pc {pc} is block function {name!r} "
                     f"(expected _m{pc}) — entry table miswired", pc=pc)
-
-        # Re-derive every block (initial leaders and OSR extensions
-        # alike) from its own pc: any in-range pc must scan to the same
-        # region the emitter recorded.
-        regions: dict[int, tuple] = {}
-        for leader, (sites, cum, end_pc, kind, self_loop) in \
-                sorted(metas.items()):
-            if not 0 <= leader < n:
-                self.issue(f"block leader {leader} outside the machine "
-                           f"code [0, {n})", pc=leader)
-                continue
-            ops, want_end, want_kind = _t2_scan(
-                self.instrs, leader, t2.deopt_at)
-            regions[leader] = (ops, want_end, want_kind)
-            if sites != len(ops):
-                self.issue(
-                    f"block at {leader} records {sites} sites, the region "
-                    f"walk consumes {len(ops)} ops", pc=leader)
-            if (end_pc, kind) != (want_end, want_kind):
-                self.issue(
-                    f"block at {leader} records end={end_pc}/{kind}, the "
-                    f"region walk says end={want_end}/{want_kind}",
-                    pc=leader)
-            want_cum = sum(_t2_const_cost(i) for _, i in ops)
-            if want_kind == "term" and ops:
-                want_cum -= _t2_const_cost(ops[-1][1])
-            if cum != want_cum:
-                self.issue(
-                    f"block at {leader} records charged prefix {cum}, the "
-                    f"cost model sums to {want_cum}", pc=leader)
-            want_loop = any(
-                (i[0] == "jump" and i[2] == leader)
-                or (i[0] == "branch" and (i[3] == leader
-                                          or i[4] == leader))
-                for _, i in ops)
-            if self_loop != want_loop:
-                self.issue(
-                    f"block at {leader} records self_loop={self_loop}, "
-                    f"the region walk says {want_loop}", pc=leader)
 
         # Totals: the simulated compile-time these feed is part of the
         # tier-metric contract.
@@ -671,25 +603,65 @@ class _Tier2Verifier:
                 f"sites*{TIER2_COMPILE_SITE_COST} + "
                 f"nblocks*{TIER2_COMPILE_BLOCK_COST} = {want_cycles}")
 
-        # Per-function source validation.
-        try:
-            module = ast.parse(t2.source)
-        except SyntaxError as exc:
-            self.issue(f"generated source does not parse: {exc}")
-            return self.issues
-        fns = {node.name: node for node in module.body
-               if isinstance(node, ast.FunctionDef)}
-        if len(fns) != t2.nblocks:
-            self.issue(f"source defines {len(fns)} block functions, "
-                       f"nblocks={t2.nblocks}")
-        for leader, region in sorted(regions.items()):
-            fn = fns.get(f"_m{leader}")
-            if fn is None:
-                self.issue(f"no generated function _m{leader} for block "
-                           f"at pc {leader}", pc=leader)
-                continue
-            self._check_function(fn, leader, *region)
+        if only is None:
+            for leader in sorted(metas):
+                self._check_block(leader, *metas[leader])
+        elif only in metas:
+            self._check_block(only, *metas[only])
+        else:
+            self.issue(f"no block was emitted at pc {only}", pc=only)
         return self.issues
+
+    def _check_block(self, leader, sites, cum, end_pc, kind,
+                     self_loop) -> None:
+        """Re-derive one block (a region leader and a pc parked
+        mid-region alike) from its own pc: any in-range pc must scan to
+        the region the emitter recorded and generated."""
+        if not 0 <= leader < self.n:
+            self.issue(f"block leader {leader} outside the machine "
+                       f"code [0, {self.n})", pc=leader)
+            return
+        ops, want_end, want_kind = _t2_scan(
+            self.instrs, leader, self.t2.deopt_at)
+        if sites != len(ops):
+            self.issue(
+                f"block at {leader} records {sites} sites, the region "
+                f"walk consumes {len(ops)} ops", pc=leader)
+        if (end_pc, kind) != (want_end, want_kind):
+            self.issue(
+                f"block at {leader} records end={end_pc}/{kind}, the "
+                f"region walk says end={want_end}/{want_kind}",
+                pc=leader)
+        want_cum = sum(_t2_const_cost(i) for _, i in ops)
+        if want_kind == "term" and ops:
+            want_cum -= _t2_const_cost(ops[-1][1])
+        if cum != want_cum:
+            self.issue(
+                f"block at {leader} records charged prefix {cum}, the "
+                f"cost model sums to {want_cum}", pc=leader)
+        want_loop = any(
+            (i[0] == "jump" and i[2] == leader)
+            or (i[0] == "branch" and (i[3] == leader
+                                      or i[4] == leader))
+            for _, i in ops)
+        if self_loop != want_loop:
+            self.issue(
+                f"block at {leader} records self_loop={self_loop}, "
+                f"the region walk says {want_loop}", pc=leader)
+
+        # The block's generated source: exactly its one function.
+        try:
+            body = ast.parse(self.t2.source.get(leader, "")).body
+        except SyntaxError as exc:
+            self.issue(f"generated source of the block at {leader} does "
+                       f"not parse: {exc}", pc=leader)
+            return
+        if (len(body) != 1 or not isinstance(body[0], ast.FunctionDef)
+                or body[0].name != f"_m{leader}"):
+            self.issue(f"source of the block at pc {leader} is not the "
+                       f"one generated function _m{leader}", pc=leader)
+            return
+        self._check_function(body[0], leader, ops, want_end, want_kind)
 
     # ------------------------------------------------------------------
     def _check_function(self, fn, leader, ops, end_pc, kind) -> None:

@@ -3,7 +3,7 @@
 from repro.jvm.bytecode import Instr, Op
 from repro.jvm.classfile import ClassPool, JClass, JMethod
 from repro.jit.graph_builder import build_graph
-from repro.jit.ir import FrameState, Graph, Node
+from repro.jit.ir import FrameState, Graph, Node, VirtualObjectState
 from repro.jit.loops import compute_dominators, dominates, find_loops
 from repro.lang import compile_program
 
@@ -111,6 +111,45 @@ def test_replace_all_uses_updates_framestates():
     graph.replace_all_uses(old, new)
     assert old not in guard.inputs or guard.inputs[0] is new
     assert all(v is not old for v in guard.extra.state.values())
+
+
+def test_replace_all_uses_reaches_nested_recipes_and_keeps_untouched_states():
+    # A two-deep rematerialization recipe (Outer -> Inner -> node), the
+    # shape escape analysis nests: the replaced node must not survive
+    # inside the inner recipe, and a state that never mentioned it must
+    # come back as the very same object (not a rebuilt copy).
+    from repro.jit.ir import _collect_state_value
+
+    graph, _ = build_from_source(
+        "class T { static def m(a, i) { return a[i]; } }", "T", "m")
+    guards = [n for b in graph.blocks for n in b.nodes if n.op == "guard"]
+    touched, untouched = guards[0], guards[1]
+    old, new, other = (Node("const", value=k) for k in (1, 2, 3))
+    inner = VirtualObjectState("Inner", (("v", old), ("w", other)))
+    outer = VirtualObjectState("Outer", (("inner", inner), ("k", other)))
+    bystander = VirtualObjectState("Inner", (("v", other),))
+    caller = FrameState(5, (other, bystander), (), method="caller")
+    touched.extra.state = FrameState(9, (outer, bystander), (other,),
+                                     method="callee", caller=caller, drop=1)
+    untouched.extra.state = kept = FrameState(
+        3, (other, bystander), (), method="callee", caller=caller)
+
+    graph.replace_all_uses(old, new)
+
+    state = touched.extra.state
+    live: set[int] = set()
+    for v in state.values():
+        _collect_state_value(v, live)
+    assert old.id not in live and new.id in live
+    got_outer = state.locals[0]
+    assert got_outer.field_values[0][1].field_values == (
+        ("v", new), ("w", other))
+    assert got_outer.field_values[1] == ("k", other)
+    # Identity is preserved wherever nothing changed.
+    assert state.locals[1] is bystander
+    assert state.caller is caller and state.drop == 1
+    assert untouched.extra.state is kept
+    assert inner.field_values[0][1] is old      # originals not mutated
 
 
 def test_dominators_of_diamond():

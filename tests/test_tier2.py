@@ -77,6 +77,25 @@ class Bench {
 """
 
 
+#: ``step`` with a branch arm no call ever takes (``i > n`` is false for
+#: every ``i < n``): the guest JIT still lowers both arms, but no frame
+#: arrives at the cold arm's leader, so tier-2 must never compile it.
+ARM_SRC = """
+class Bench {
+    static def run(n) {
+        var acc = 0;
+        var i = 0;
+        while (i < n) { acc = acc + Bench.step(i, n); i = i + 1; }
+        return acc;
+    }
+    static def step(i, n) {
+        if (i > n) { return i * 3 + 7; }
+        return i * 2 + 1;
+    }
+}
+"""
+
+
 def hot_bench(name: str, n: int = 80) -> GuestBenchmark:
     return GuestBenchmark(name=name, suite="tests", source=HOT_SRC,
                           args=(n,), expected=n * n, warmup=1, measure=1)
@@ -214,7 +233,73 @@ def test_osr_entries_at_loop_header():
     stats = vm.machine.stats
     assert stats.promotions > 0
     assert stats.osr_entries > 0
+    # Blocks entered at their static leaders are not OSR: the count is
+    # a strict subset of what was emitted.
+    assert stats.osr_entries < stats.blocks
     assert stats.compile_seconds > 0.0
+
+
+def tier2_codes(vm):
+    from repro.jit.emit2 import Tier2Code
+
+    return [t2 for t2 in vm.machine._memo.values()
+            if isinstance(t2, Tier2Code)]
+
+
+def test_never_entered_region_is_never_compiled():
+    # Promotion only validates; a block is emitted when a frame first
+    # arrives at its pc.  The arm no call takes stays an empty entry.
+    n = 80
+    bench = GuestBenchmark(name="coldarm", suite="tests", source=ARM_SRC,
+                           args=(n,), expected=n * n, warmup=1, measure=1)
+    vm = VM(engine="tier2", jit="graal")
+    vm.load(bench.compile())
+    assert vm.invoke(bench.entry, list(bench.args)) == bench.expected
+    step = vm.machine._memo[vm.resolve_static("Bench", "step").compiled]
+    branch = next(i for i in step.code.instrs if i[0] == "branch")
+    arms = {branch[3], branch[4]}
+    assert arms <= step.leaders
+    assert step.entries[0] is not None
+    assert sorted(step.entries[pc] is None for pc in arms) == [False, True]
+    codes = tier2_codes(vm)
+    emitted = sum(fn is not None for t2 in codes for fn in t2.entries)
+    stats = vm.machine.stats
+    assert stats.blocks == emitted == sum(t2.nblocks for t2 in codes)
+    assert emitted < sum(len(t2.leaders) for t2 in codes)
+    record = stats.methods["Bench.step"]
+    assert (record["blocks"], record["sites"]) == (step.nblocks, step.sites)
+    assert stats.compile_cycles == sum(t2.compile_cycles for t2 in codes)
+
+
+def test_generated_block_source_is_pinned(monkeypatch):
+    # The text extend_tier2 generates for a (code, pc, deopt_at) is the
+    # verifier's input and must not drift with *when* a block is
+    # emitted: SHA-256 of Bench.step's blocks at pc 0 (a leader, emitted
+    # on first entry) and pc 1 (mid-region, emitted on request), as
+    # computed before emission moved out of compile_tier2.
+    import hashlib
+    import itertools
+
+    from repro.jit.emit2 import extend_tier2
+    from repro.jit.ir import Node
+
+    # Machine registers are numbered by the process-wide IR node
+    # counter: restart it so the CompiledCode is the fresh-process one.
+    monkeypatch.setattr(Node, "_ids", itertools.count(1))
+    bench = hot_bench("pinned2")
+    vm = VM(engine="tier2", jit="graal")
+    vm.load(bench.compile())
+    vm.invoke(bench.entry, list(bench.args))
+    t2 = vm.machine._memo[vm.resolve_static("Bench", "step").compiled]
+    assert sorted(t2.source) == [0]
+    extend_tier2(t2, 1)
+    assert {pc: hashlib.sha256(text.encode()).hexdigest()
+            for pc, text in t2.source.items()} == {
+        0: "481dfe8d9c6c311c127f61cc94e7f2e2"
+           "9f5d39896850cb1ae67c5fc516dd5d5f",
+        1: "a1db09bf3952769642ecb3acd36d1af1"
+           "d317bb32258dfa7eedd4325a70069f63",
+    }
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +476,54 @@ def test_verify_ir_validates_tier2_entry_tables():
     assert vm.irverify_stats.get("issues", 0) == 0
 
 
+def test_verify_ir_verifies_every_block_at_emission():
+    # Leaders and OSR extensions alike are verified the moment they are
+    # emitted (a tiny quantum forces mid-region entries), and the
+    # lazily grown tables verify clean as a whole afterwards.
+    from repro.sanitize.blockverify import verify_tier2_code
+
+    bench = spin_bench("verifyosr2")
+    vm = VM(engine="tier2", jit="graal", quantum=200, verify_ir=True)
+    vm.load(bench.compile())
+    for _ in range(2):
+        assert vm.invoke(bench.entry, list(bench.args)) == bench.expected
+    stats = vm.machine.stats
+    assert stats.osr_entries > 0
+    # The counter is shared with the tier-1 promotions underneath.
+    assert stats.blocks > 0
+    assert vm.irverify_stats["blocks"] == (
+        stats.blocks + vm.interpreter.stats.blocks)
+    assert vm.irverify_stats.get("issues", 0) == 0
+    assert all(verify_tier2_code(t2) == [] for t2 in tier2_codes(vm))
+
+
+def test_verify_ir_rejects_block_tampered_after_emission(monkeypatch):
+    import re
+
+    import repro.jit.emit2 as emit2
+    from repro.sanitize.blockverify import BlockVerifyError
+
+    real = emit2.extend_tier2
+
+    def tampering(t2, pc):
+        out = real(t2, pc)
+        t2.source[pc], hits = re.subn(
+            r"thread\.budget = budget - (\d+)",
+            lambda m: f"thread.budget = budget - {int(m[1]) + 1000}",
+            t2.source[pc], count=1)
+        assert hits == 1
+        return out
+
+    monkeypatch.setattr(emit2, "extend_tier2", tampering)
+    bench = hot_bench("tamper2")
+    vm = VM(engine="tier2", jit="graal", verify_ir=True)
+    vm.load(bench.compile())
+    with pytest.raises(BlockVerifyError) as caught:
+        vm.invoke(bench.entry, list(bench.args))
+    assert caught.value.tier == "tier-2"
+    assert "budget flush" in str(caught.value)
+
+
 # ----------------------------------------------------------------------
 # Config-digest-keyed compiled-code cache.
 # ----------------------------------------------------------------------
@@ -508,3 +641,27 @@ def test_sharded_tier2_sweep_matches_serial():
                       engine="tier1")
     assert [r.fingerprint() for r in serial.results] == \
         [r.fingerprint() for r in tier1.results]
+
+
+def test_finished_sweep_units_release_host_code_but_stay_readable():
+    # The in-process sweep drops each finished unit's host code (its
+    # footprint is one unit's closures, not every unit's); what the
+    # ledger and the analysis modules read afterwards must survive.
+    benches = (hot_bench("release2-a", 60), spin_bench("release2-b", 120))
+    kwargs = dict(jit="graal", warmup=1, measure=1, engine="tier2")
+    suite = run_suite(benches, **kwargs)
+    assert suite.tier2_summary()["compiled_blocks"] > 0
+    for bench, result in zip(benches, suite.results):
+        vm = result.vm
+        assert vm.counters.instructions > 0
+        assert vm.jit.stats.compilations > 0
+        assert vm.jit.code_size_bytes() > 0
+        assert vm.jit.hot_method_count() > 0
+        info = vm.interpreter.cache_info()
+        assert info["hits"] > 0 and info["misses"] > 0
+        assert info["size"] == 0
+        assert info["tier1"]["size"] == info["tier2"]["size"] == 0
+        assert not vm.machine._memo
+        assert result.tier2["compiled_blocks"] == vm.machine.stats.blocks
+        alone = run_suite((bench,), **kwargs).results[0]
+        assert alone.fingerprint() == result.fingerprint()
