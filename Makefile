@@ -47,41 +47,19 @@ durable:
 serve:
 	PYTHONPATH=src python -m pytest -q -m "serve or not chaos" tests/test_serve.py -s
 
-# Tier-1 engine focus: the superblock-engine test suite plus the
-# selfbench check that gates tier1 at ≥2.5x threaded ops/sec.
+# Tier-1 engine focus: the superblock-engine test suite.
 tier1:
 	PYTHONPATH=src python -m pytest -q tests/test_tier1.py
-	python benchmarks/selfbench.py --check
 
 # Tier-2 engine focus: the three-tier-ladder test suite (equivalence
-# oracle, forced-deopt fuzz, OSR, rematerialization) plus the selfbench
-# check that gates tier2 at ≥1.5x tier1 ops/sec on the jitted slice
-# and its host compile pauses against the budget.
+# oracle, forced-deopt fuzz, OSR, rematerialization).
 tier2:
 	PYTHONPATH=src python -m pytest -q tests/test_tier2.py
-	python benchmarks/selfbench.py --check
-
-# Self-benchmark: time the simulator itself (reference, threaded,
-# tier-1 and tier-2 engines) over a fixed workload slice and (re)write
-# the committed BENCH_interpreter.json baseline.
-bench:
-	python benchmarks/selfbench.py
-
-# Tier-2: fail if threaded-engine ops/sec regressed >10% against the
-# committed BENCH_interpreter.json baseline, or if the flight recorder
-# blew its overhead budget (disabled ≤5%, enabled ≤15%), or if the
-# compiler-verification layer blew its budget (verify_ir disabled ≤5%,
-# enabled ≤10% on a standard-length compile-inclusive run), or if the
-# tier-1 engine fell below 2.5x threaded ops/sec, or if the tier-2
-# engine fell below 1.5x tier-1 on the jitted slice or blew its
-# compile-pause budget.  Never gates tier-1 (host timing is
-# machine-dependent).
-bench-check:
-	python benchmarks/selfbench.py --check
 
 # The end-to-end + per-layer ledger (benchmarks/e2e/README.md): all
 # four workloads in fresh subprocesses with their fingerprint oracle,
-# then the ledger's own span tests, which no other tier runs.
+# then the ledger's own span tests, which no other tier runs.  It is
+# the only performance gate (DESIGN.md §15).
 e2e:
 	python3 benchmarks/e2e/bench.py
 	PYTHONPATH=src python3 -m pytest benchmarks/e2e/test_spans.py -q
@@ -95,4 +73,4 @@ trace:
 		--out .trace-out --warmup 1 --measure 1
 	@ls -l .trace-out
 
-.PHONY: test chaos sanitize lint verify-ir tier1 tier2 bench bench-check e2e trace durable serve
+.PHONY: test chaos sanitize lint verify-ir tier1 tier2 e2e trace durable serve

@@ -25,6 +25,7 @@ from repro.errors import (
     DeadlockError,
     GuestRuntimeError,
     ReproError,
+    SweepInterrupted,
     WatchdogTimeout,
 )
 from repro.faults.plan import FaultPlan
@@ -269,19 +270,8 @@ class SuiteResult:
 
     def tier1_summary(self) -> dict | None:
         """Aggregate host tier-1 stats across results; None off-tier."""
-        snaps = [r.tier1 for r in self.results if r.tier1 is not None]
-        if not snaps:
-            return None
-        deopts: dict[str, int] = {}
-        for snap in snaps:
-            for reason, count in snap["deopts"].items():
-                deopts[reason] = deopts.get(reason, 0) + count
-        return {
-            "promotions": sum(s["promotions"] for s in snaps),
-            "compiled_blocks": sum(s["compiled_blocks"] for s in snaps),
-            "compile_cycles": sum(s["compile_cycles"] for s in snaps),
-            "deopts": deopts,
-        }
+        return self._tier_summary(
+            "tier1", ("promotions", "compiled_blocks", "compile_cycles"))
 
     def tier2_summary(self) -> dict | None:
         """Aggregate host tier-2 stats across results; None off-tier.
@@ -290,35 +280,27 @@ class SuiteResult:
         never promotes anything) still count as on-tier: the summary
         reports zeros rather than None so a sweep that *ran* tier-2
         is distinguishable from one that couldn't."""
-        snaps = [r.tier2 for r in self.results if r.tier2 is not None]
+        out = self._tier_summary(
+            "tier2", ("promotions", "compiled_blocks", "osr_entries",
+                      "compile_cycles", "compile_seconds"))
+        if out is not None:
+            out["compile_seconds"] = round(out["compile_seconds"], 6)
+        return out
+
+    def _tier_summary(self, tier: str, fields: tuple) -> dict | None:
+        """Sums of ``fields`` plus per-reason deopt totals over the
+        results' ``tier`` snapshots."""
+        snaps = [getattr(r, tier) for r in self.results
+                 if getattr(r, tier) is not None]
         if not snaps:
             return None
+        out = {name: sum(s[name] for s in snaps) for name in fields}
         deopts: dict[str, int] = {}
         for snap in snaps:
             for reason, count in snap["deopts"].items():
                 deopts[reason] = deopts.get(reason, 0) + count
-        return {
-            "promotions": sum(s["promotions"] for s in snaps),
-            "compiled_blocks": sum(s["compiled_blocks"] for s in snaps),
-            "osr_entries": sum(s["osr_entries"] for s in snaps),
-            "compile_cycles": sum(s["compile_cycles"] for s in snaps),
-            "compile_seconds": round(
-                sum(s["compile_seconds"] for s in snaps), 6),
-            "deopts": deopts,
-        }
-
-
-def _release_host_code(vm) -> None:
-    """Drop a finished unit's host-compiled code — threaded
-    translations, tier-1 dispatch tables, tier-2 closures and their
-    environments — through the interpreter's invalidation fan-out, so a
-    sweep's footprint is one unit's code, not every unit's.  Counters,
-    ``vm.jit`` and the cache hit/miss totals stay readable.  A stopgap:
-    once results are plain values (ROADMAP item 4) no VM outlives its
-    unit and this goes."""
-    invalidate_all = getattr(vm.interpreter, "invalidate_all", None)
-    if invalidate_all is not None:      # the reference engine has no code
-        invalidate_all()
+        out["deopts"] = deopts
+        return out
 
 
 def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
@@ -364,22 +346,34 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
     if durable_dir is not None or sharded:
         from repro.harness.durable import DurableSweep
 
-        with contextlib.ExitStack() as stack:
-            out = DurableSweep(
-                suite, config, resume=resume, jobs=jobs,
-                dir=durable_dir if durable_dir is not None
-                else stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro-sweep-")),
-                policy=durable_policy, continue_on_error=continue_on_error,
-                faults=faults, repeat=repeat, quarantine=quarantine,
-                plugins=plugins).run()
+        try:
+            with contextlib.ExitStack() as stack:
+                out = DurableSweep(
+                    suite, config, resume=resume, jobs=jobs,
+                    dir=durable_dir if durable_dir is not None
+                    else stack.enter_context(
+                        tempfile.TemporaryDirectory(prefix="repro-sweep-")),
+                    policy=durable_policy,
+                    continue_on_error=continue_on_error, faults=faults,
+                    repeat=repeat, quarantine=quarantine,
+                    plugins=plugins).run()
+        except SweepInterrupted as exc:
+            if durable_dir is not None:
+                raise
+            # The throwaway directory is gone: no resume hint.
+            raise SweepInterrupted(
+                f"sweep interrupted after {exc.stats['executed']} of "
+                f"{exc.stats['units']} units; nothing to resume "
+                f"(it ran without durable_dir)", stats=exc.stats) from None
         if durable_dir is None:
             out.durable = None          # nothing left to resume or inspect
         return out
 
     # The in-process reference path: what the equivalence tests diff the
-    # supervised paths against, and the only one that keeps RunResult.vm
-    # (minus its host code, see _release_host_code).
+    # supervised paths against, and the only one that keeps RunResult.vm.
+    # Each finished unit's host code is dropped, so a sweep's footprint
+    # is one unit's code; counters, vm.jit and cache hit/miss totals
+    # stay readable.  A stopgap until results are plain values.
     benches, suite_name = resolve_suite(suite)
     plan_of = plans_of(faults, benches)
     out = SuiteResult(
@@ -394,7 +388,7 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
             outcome = runner.run(warmup=warmup, measure=measure)
             if outcome.ok:
                 out.results.append(outcome.result)
-                _release_host_code(outcome.result.vm)
+                outcome.result.vm.drop_host_code()
                 if outcome.race_report is not None:
                     out.race_reports.append(outcome.race_report)
             else:

@@ -126,6 +126,8 @@ def store_maintenance(ls_dir: str | None, gc_dir: str | None) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.runtime.vm import TIER_LADDERS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Run a benchmark suite through the resilient harness")
@@ -144,7 +146,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jit", default="graal",
                         help='"graal", "c2" or "none" (interpreter only)')
     parser.add_argument("--engine", default="threaded",
-                        choices=("reference", "threaded", "tier1", "tier2"),
+                        choices=tuple(TIER_LADDERS),
                         help="host execution engine (byte-identical "
                              "results; tier1 compiles hot methods to "
                              "superblock closures, tier2 additionally "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.harness.core import config_name
 from repro.jit.pipeline import config_digest
-from repro.jvm.tier2 import TIER_LADDERS
+from repro.runtime.vm import TIER_LADDERS
 
 #: Default per-iteration cycle budget: generous (every suite workload
 #: finishes an iteration well under this), yet finite, so nothing hangs.

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 from repro.lang import compile_program
 from repro.runtime import VM
+from repro.runtime.vm import TIER_LADDERS
 
 
 @dataclass(frozen=True)
@@ -276,12 +277,17 @@ class Runner:
             self._iteration(vm, bench, result, i, warmup=False)
         result.counters = vm.counters.diff(steady_before)
         result.cpu = vm.interval_stats(timing_before)["cpu"]
-        snapshot = getattr(vm.interpreter, "tier1_snapshot", None)
-        if snapshot is not None:
-            result.tier1 = snapshot()
-        snapshot = getattr(vm.interpreter, "tier2_snapshot", None)
-        if snapshot is not None:
-            result.tier2 = snapshot()
+        ladder = TIER_LADDERS[vm.engine]
+        if "tier1" in ladder:
+            result.tier1 = vm.interpreter.stats.snapshot()
+        if "tier2" in ladder:
+            # No machine (jit=None, checked runs): a tier-2 run that
+            # could not promote reports zeros, not None.
+            from repro.jit.machine import Tier2Stats
+
+            stats = vm.machine.stats if vm.machine is not None \
+                else Tier2Stats()
+            result.tier2 = stats.snapshot()
 
         for plugin in self.plugins:
             plugin.after_run(vm, bench, result)

@@ -27,7 +27,6 @@ from repro.errors import (
     GuestNullPointerError,
     VMError,
 )
-from repro.jvm.cache import CompiledMethodCache
 from repro.jvm.costmodel import (
     TIER2_COMPILE_BLOCK_COST,
     TIER2_COMPILE_SITE_COST,
@@ -434,9 +433,9 @@ class Tier2Stats:
     """Host-side tier-2 metrics (kept off the byte-identical Counters).
 
     ``compile_seconds`` is host wall-clock spent inside the emitter
-    (admission plus every block emitted on first entry) — the selfbench
-    compile-pause budget gates on it.  Everything else is
-    simulated-bookkeeping, mirroring :class:`repro.jvm.tier1.Tier1Stats`.
+    (admission plus every block emitted on first entry).  Everything
+    else is simulated bookkeeping, mirroring
+    :class:`repro.jvm.tier1.Tier1Stats`.
     """
 
     __slots__ = ("promotions", "blocks", "sites", "compile_cycles",
@@ -494,30 +493,18 @@ class Tier2Machine(Machine):
     becomes a compiled entry exactly as a region leader does —
     on-stack replacement at loop headers falls out.
 
-    Artifacts are cached under ``("tier2", method, config-digest)`` keys
-    — tier-2 code specializes the *optimized* output of one
-    :class:`~repro.jit.pipeline.JitConfig`, so a selective-disable
-    experiment can never be served closures compiled under different
-    flags.
+    Compiled code lives in one table, the memo keyed by
+    :class:`CompiledCode`: every guest compile is a fresh object, so a
+    recompile (deopt, new profile) is never served closures of the code
+    it replaces.
     """
 
-    tier = "tier2"
-
-    def __init__(self, vm, *, threshold: int = TIER2_THRESHOLD) -> None:
+    def __init__(self, vm) -> None:
         super().__init__(vm)
-        self.threshold = threshold
-        self.code_cache = CompiledMethodCache()
         self.stats = Tier2Stats()
-        self._promotable = True
         self._memo: dict = {}         # CompiledCode -> Tier2Code|_DECLINED
         self._counts: dict = {}       # CompiledCode -> slice entries
         self._forced: dict = {}       # JMethod -> one-shot trap machine pc
-        if vm.jit is not None:
-            from repro.jit.pipeline import config_digest
-
-            self._digest = config_digest(vm.jit.config)
-        else:
-            self._digest = None
 
     # ------------------------------------------------------------------
     # Execution.
@@ -554,22 +541,12 @@ class Tier2Machine(Machine):
         counts = self._counts
         seen = counts.get(code, 0) + 1
         counts[code] = seen
-        if (not self._promotable or seen < self.threshold
-                or self.vm.sanitizer is not None):
+        if seen < TIER2_THRESHOLD or self.vm.sanitizer is not None:
             return None
         from repro.jit.emit2 import compile_tier2
 
         method = code.method
         forced = self._forced.pop(method, None)
-        if forced is None:
-            cached = self.code_cache.lookup(self.tier, method,
-                                            self._digest)
-            if cached is not None:
-                if cached.code is code and cached.deopt_at is None:
-                    self._memo[code] = cached
-                    return cached
-                # Stale: the guest JIT recompiled (deopt, new profile).
-                self.code_cache.invalidate(self.tier, method)
         started = time.perf_counter()
         try:
             t2 = compile_tier2(self, code, deopt_at=forced)
@@ -579,8 +556,6 @@ class Tier2Machine(Machine):
         if t2 is None:
             self._memo[code] = _DECLINED
             return None
-        if forced is None:
-            self.code_cache.install(self.tier, method, t2, self._digest)
         # Promotion is admission only: blocks, sites and compile cycles
         # are accounted by _entry_block as the empty table fills.
         stats = self.stats
@@ -637,27 +612,20 @@ class Tier2Machine(Machine):
         """Plant a one-shot deopt trap before machine pc ``pc``.
 
         The next promotion of ``method``'s machine code compiles with
-        the trap (and is never cached); hitting it transfers to the
-        interpretive machine at exactly that pc and drops the closures,
-        so the promotion after that compiles clean.  Used by the fuzz
-        suite to prove trap-at-every-index byte-identity.
+        the trap; hitting it transfers to the interpretive machine at
+        exactly that pc and drops the closures, so the promotion after
+        that compiles clean.  Used by the fuzz suite to prove
+        trap-at-every-index byte-identity.
         """
         self._forced[method] = pc
         self.drop_code(method)
 
     def drop_code(self, method) -> None:
-        """Forget ``method``'s tier-2 closures (memo + code cache)."""
+        """Forget ``method``'s tier-2 closures."""
         stale = [code for code in self._memo if code.method is method]
         for code in stale:
             del self._memo[code]
-        self.code_cache.invalidate(self.tier, method)
 
-    def invalidate_all(self) -> int:
+    def invalidate_all(self) -> None:
+        """Forget every tier-2 closure."""
         self._memo.clear()
-        return self.code_cache.invalidate(self.tier)
-
-    def on_sanitizer_attached(self) -> None:
-        """Emitted closures carry no access hooks: stop promoting and
-        drop compiled artifacts (checked runs stay interpretive)."""
-        self._promotable = False
-        self.invalidate_all()

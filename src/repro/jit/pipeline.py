@@ -77,13 +77,12 @@ def graal_config(**overrides) -> JitConfig:
 def config_digest(config: JitConfig) -> str:
     """Stable short digest of a compiler configuration.
 
-    Part of the tier-2 code-cache key (see
-    :class:`~repro.jvm.cache.CompiledMethodCache`): tier-2 closures are
-    host compilations of the *optimized* machine code one config
-    produces, so two configs that could lower a method differently must
-    never share cached artifacts.  Covers every :class:`JitConfig`
-    field, flags in sorted order, so equal configs digest equally
-    regardless of construction order.
+    The durable store key's ``compiler`` field
+    (:meth:`repro.harness.config.SweepConfig.fingerprint`): two configs
+    that could compile a method differently must never share stored
+    results, even when both call themselves ``"graal"``.  Covers every
+    :class:`JitConfig` field, flags in sorted order, so equal configs
+    digest equally regardless of construction order.
     """
     payload = asdict(config)
     payload["flags"] = {k: bool(v)

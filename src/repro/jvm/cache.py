@@ -75,75 +75,3 @@ class CacheModel:
         self.l1_misses = 0
         self.llc_misses = 0
 
-
-class CompiledMethodCache:
-    """Engine-aware cache of host-compiled guest method bodies.
-
-    Keys are ``(tier, method, digest)``, never the bare method: a
-    tier-1 superblock closure served to a ``VM(engine="reference")`` or
-    threaded run would execute with batched accounting the other tiers
-    don't perform, so a lookup for one tier can never observe another
-    tier's artifact.  ``digest`` (default None) further specializes the
-    key — tier-2 closures are compiled from the *optimized* output of
-    one :class:`~repro.jit.pipeline.JitConfig`, so the config digest is
-    part of their identity and a selective-disable experiment can never
-    be served code compiled under different flags; tier-1, which
-    compiles raw bytecode, keys with ``digest=None``.  :meth:`cache_info`
-    mirrors the threaded engine's translation-cache statistics
-    (``size``/``hits``/``misses``/``hit_rate``/``invalidations``) so
-    all compiled-code caches are inspectable through the same shape.
-    """
-
-    __slots__ = ("_store", "hits", "misses", "invalidations")
-
-    def __init__(self) -> None:
-        self._store: dict = {}     # (tier, JMethod, digest) -> code object
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def lookup(self, tier: str, method, digest: str | None = None):
-        code = self._store.get((tier, method, digest))
-        if code is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return code
-
-    def install(self, tier: str, method, code,
-                digest: str | None = None) -> None:
-        self._store[(tier, method, digest)] = code
-
-    def invalidate(self, tier: str | None = None, method=None) -> int:
-        """Drop entries; returns how many were removed.
-
-        ``invalidate(tier, method)`` drops one method's code under
-        every config digest, ``invalidate(tier)`` drops everything that
-        tier compiled, and ``invalidate()`` empties the cache.
-        """
-        if tier is not None and method is not None:
-            keys = [k for k in self._store
-                    if k[0] == tier and k[1] is method]
-            for key in keys:
-                del self._store[key]
-            dropped = len(keys)
-        elif tier is not None:
-            keys = [k for k in self._store if k[0] == tier]
-            for key in keys:
-                del self._store[key]
-            dropped = len(keys)
-        else:
-            dropped = len(self._store)
-            self._store.clear()
-        self.invalidations += dropped
-        return dropped
-
-    def cache_info(self) -> dict:
-        total = self.hits + self.misses
-        return {
-            "size": len(self._store),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / total if total else 0.0,
-            "invalidations": self.invalidations,
-        }

@@ -38,12 +38,12 @@ counter-snapshot and RaceReport equality across engines.
 Translation cache
 -----------------
 Translations are cached per VM and per method.  :meth:`cache_info`
-exposes hits/misses/hit-rate; :meth:`requicken` drops a method's
-translation (all its quickened sites revert to generic on the next
-execution) and counts an invalidation.  Attaching a race sanitizer
-invalidates *all* translations: handlers bind the sanitizer at
-translation time, so stale sanitizer-free handlers must never survive an
-``attach``.
+exposes hits/misses/hit-rate; :meth:`invalidate_all` drops every
+translation (all quickened sites revert to generic on the next
+execution) and counts the invalidations.  Attaching a race sanitizer or
+a flight recorder drops all host code through
+:meth:`~repro.runtime.vm.VM.drop_host_code`: handlers bind both at
+translation time, so stale handlers must never survive an ``attach``.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ class ThreadedInterpreter:
     def cache_info(self) -> dict:
         """Hit/miss statistics of the per-method translation cache.
 
-        A re-quickened (invalidated) method's next execution is a miss —
-        the hit-rate accounts for quickened bodies being thrown away.
+        An invalidated method's next execution is a miss — the hit-rate
+        accounts for quickened bodies being thrown away.
         """
         total = self.hits + self.misses
         return {
@@ -148,32 +148,13 @@ class ThreadedInterpreter:
             "fused": sum(tc.fused for tc in self._cache.values()),
         }
 
-    def requicken(self, method) -> bool:
-        """Drop ``method``'s translation (and its quickened sites).
-
-        The next execution re-translates from the generic handlers and
-        re-quickens against the current VM state.  Returns True if a
-        cached translation was actually invalidated.
-        """
-        if self._cache.pop(method, None) is not None:
-            self.invalidations += 1
-            return True
-        return False
-
     def invalidate_all(self) -> int:
-        """Drop every translation (e.g. a sanitizer was attached)."""
+        """Drop every translation; the next execution of each method
+        re-translates and re-quickens against the current VM state."""
         n = len(self._cache)
         self.invalidations += n
         self._cache.clear()
         return n
-
-    def on_sanitizer_attached(self) -> None:
-        """Handlers bind the sanitizer at translation time; retranslate."""
-        self.invalidate_all()
-
-    def on_trace_attached(self) -> None:
-        """Handlers bind the flight recorder at translation time too."""
-        self.invalidate_all()
 
     # ------------------------------------------------------------------
     # Execution.

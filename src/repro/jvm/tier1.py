@@ -22,18 +22,17 @@ leader.  A guard failure inside a block (forced trap, injected fault)
 deopts through :func:`repro.jit.deopt.tier1_deopt` back to the threaded
 tier at the exact bytecode index with the operand stack reconstructed.
 
-Compiled artifacts live in an engine-keyed
-:class:`~repro.jvm.cache.CompiledMethodCache` — keys are
-``("tier1", method)``, so a reference or threaded run can never be
-served a superblock body.  All tier bookkeeping (promotions, block
-counts, deopt reasons, simulated compile cycles) is host-side state on
-:class:`Tier1Stats`, never on :class:`~repro.jvm.counters.Counters`:
-counters, schedules, RaceReports and trace recordings stay
-byte-identical across all three engines.
+Compiled code lives in one table, the dispatch memo (method → merged
+dispatch table); forced deopts drop one entry, and
+:meth:`~repro.runtime.vm.VM.drop_host_code` drops them all.  All tier
+bookkeeping (promotions, block counts, deopt reasons, simulated compile
+cycles) is host-side state on :class:`Tier1Stats`, never on
+:class:`~repro.jvm.counters.Counters`: counters, schedules, RaceReports
+and trace recordings stay byte-identical across all three engines.
 
-When a sanitizer attaches, promotion is disabled and compiled code is
-dropped: emitted blocks carry no access hooks, and checked runs take
-the threaded tier whose handlers bind the sanitizer at translation
+Nothing is promoted while a sanitizer is attached (attaching one drops
+all host code): emitted blocks carry no access hooks, and checked runs
+take the threaded tier whose handlers bind the sanitizer at translation
 time.  RaceReport equivalence across engines is therefore structural.
 """
 
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 from repro.jit.deopt import Tier1Deopt
 from repro.jit.emit import compile_method
-from repro.jvm.cache import CompiledMethodCache
 from repro.jvm.interpreter import Frame
 from repro.jvm.scheduler import RUNNABLE
 from repro.jvm.threaded import ThreadedInterpreter
@@ -82,21 +80,12 @@ class Tier1Stats:
 class Tier1Interpreter(ThreadedInterpreter):
     """Executes interpreted frames: threaded tier-0 + tier-1 closures."""
 
-    tier = "tier1"
-
-    def __init__(self, vm, *, threshold: int = TIER1_THRESHOLD) -> None:
+    def __init__(self, vm) -> None:
         super().__init__(vm)
-        self.threshold = threshold
-        self.code_cache = CompiledMethodCache()
         self.stats = Tier1Stats()
-        self._promotable = True
         self._failed: set = set()     # methods the emitter declined
         self._forced: dict = {}       # JMethod -> one-shot deopt trap pc
-        # Hot-path memo: method -> merged dispatch table.  A plain dict
-        # keyed by the method object alone; the engine-keyed code cache
-        # stays authoritative, this only skips its tuple-key lookup on
-        # every frame entry (one per guest call/return).
-        self._dispatch: dict = {}
+        self._dispatch: dict = {}     # JMethod -> merged dispatch table
 
     # ------------------------------------------------------------------
     # Execution.
@@ -115,12 +104,10 @@ class Tier1Interpreter(ThreadedInterpreter):
             dispatch = memo.get(method)
             if dispatch is None:
                 code = None
-                if (self._promotable
-                        and method not in self._failed
-                        and method.invocation_count >= self.threshold
+                if (method not in self._failed
+                        and method.invocation_count >= TIER1_THRESHOLD
                         and self.vm.sanitizer is None):
-                    code = (self.code_cache.lookup(self.tier, method)
-                            or self._promote(method))
+                    code = self._promote(method)
                 if code is None:
                     self.execute(
                         thread, frame, self.translation(method).handlers)
@@ -182,7 +169,6 @@ class Tier1Interpreter(ThreadedInterpreter):
         # resume points, bail opcodes) dispatches its threaded handler.
         code.dispatch = [entry if entry is not None else handler
                          for entry, handler in zip(code.entries, handlers)]
-        self.code_cache.install(self.tier, method, code)
         stats = self.stats
         stats.promotions += 1
         stats.blocks += code.nblocks
@@ -209,48 +195,11 @@ class Tier1Interpreter(ThreadedInterpreter):
         self.drop_code(method)
 
     def drop_code(self, method) -> None:
-        """Forget ``method``'s tier-1 code (dispatch memo + code cache)."""
+        """Forget ``method``'s tier-1 code."""
         self._dispatch.pop(method, None)
-        self.code_cache.invalidate(self.tier, method)
-
-    # ------------------------------------------------------------------
-    # Introspection and invalidation.
-    # ------------------------------------------------------------------
-    def tier1_snapshot(self) -> dict:
-        """JSON-able tier metrics (promotions, blocks, deopt reasons)."""
-        return self.stats.snapshot()
-
-    def tier1_metrics(self) -> dict:
-        """Flat scalar metrics for the repro.metrics export."""
-        stats = self.stats
-        return {
-            "tier1_promotions": stats.promotions,
-            "tier1_compiled_blocks": stats.blocks,
-            "tier1_deopts": sum(stats.deopts.values()),
-            "tier1_compile_cycles": stats.compile_cycles,
-        }
-
-    def cache_info(self) -> dict:
-        """Translation-cache stats plus the tier-1 code cache's."""
-        info = super().cache_info()
-        info["tier1"] = self.code_cache.cache_info()
-        return info
 
     def invalidate_all(self) -> int:
-        dropped = super().invalidate_all()
+        """Drop every translation and every merged dispatch table (the
+        tables hold the threaded handlers being thrown away)."""
         self._dispatch.clear()
-        self.code_cache.invalidate(self.tier)
-        return dropped
-
-    def on_sanitizer_attached(self) -> None:
-        """Emitted blocks have no access hooks: stop promoting, drop
-        compiled code, and retranslate the threaded tier (which binds
-        the sanitizer per handler)."""
-        self._promotable = False
-        super().on_sanitizer_attached()   # invalidate_all drops tier1 too
-
-    def requicken(self, method) -> bool:
-        """Also drops the method's tier-1 code: its merged dispatch
-        table snapshots the threaded handlers being thrown away."""
-        self.drop_code(method)
-        return super().requicken(method)
+        return super().invalidate_all()

@@ -27,18 +27,20 @@ TRACE_METRIC_NAMES = ("trace_events", "trace_dropped", "trace_samples")
 
 #: Host tier-1 engine counters (repro.jvm.tier1): method promotions,
 #: emitted superblocks, deopts by any reason, and simulated compile
-#: cycles.  All zero unless the run used ``engine="tier1"``.  These are
-#: host-side bookkeeping, not guest counters — they never participate
-#: in the byte-identity contract.
+#: cycles, read from ``RunResult.tier1``.  All zero unless the run used
+#: ``engine="tier1"`` or ``"tier2"``.  These are host-side bookkeeping,
+#: not guest counters — they never participate in the byte-identity
+#: contract.
 TIER1_METRIC_NAMES = ("tier1_promotions", "tier1_compiled_blocks",
                       "tier1_deopts", "tier1_compile_cycles")
 
 #: Host tier-2 engine counters (repro.jit.machine.Tier2Machine):
 #: machine-code promotions to host closures, emitted superblocks, OSR
 #: entries compiled on demand, deopts by any reason, and simulated
-#: compile cycles.  All zero unless the run used ``engine="tier2"``
-#: with a JIT attached.  Host-side bookkeeping like the tier-1 set —
-#: never part of the byte-identity contract.
+#: compile cycles, read from ``RunResult.tier2``.  All zero unless the
+#: run used ``engine="tier2"`` with a JIT attached.  Host-side
+#: bookkeeping like the tier-1 set — never part of the byte-identity
+#: contract.
 TIER2_METRIC_NAMES = ("tier2_promotions", "tier2_compiled_blocks",
                       "tier2_osr_entries", "tier2_deopts",
                       "tier2_compile_cycles")
@@ -110,14 +112,15 @@ class MetricsPlugin(MergeablePlugin):
         self.raw["cpu"] = interval["cpu"] * 100.0
         for name in TRACE_METRIC_NAMES:
             self.raw[name] = delta.get(name, 0)
-        tier1 = getattr(vm.interpreter, "tier1_metrics", None)
-        tier1 = tier1() if tier1 is not None else {}
-        for name in TIER1_METRIC_NAMES:
-            self.raw[name] = tier1.get(name, 0)
-        tier2 = getattr(vm.interpreter, "tier2_metrics", None)
-        tier2 = tier2() if tier2 is not None else {}
-        for name in TIER2_METRIC_NAMES:
-            self.raw[name] = tier2.get(name, 0)
+        # tierN_<field> is the run's tierN snapshot field (deopts summed
+        # over reasons); zero when the engine has no such tier.
+        for tier, names in (("tier1", TIER1_METRIC_NAMES),
+                            ("tier2", TIER2_METRIC_NAMES)):
+            snap = getattr(result, tier) or {}
+            for name in names:
+                value = snap.get(name[len(tier) + 1:], 0)
+                self.raw[name] = sum(value.values()) \
+                    if isinstance(value, dict) else value
         irverify = getattr(vm, "irverify_stats", None) or {}
         for name in IRVERIFY_METRIC_NAMES:
             self.raw[name] = irverify.get(name[len("irverify_"):], 0)

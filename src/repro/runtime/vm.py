@@ -47,6 +47,17 @@ _BUILTIN_NATIVES: dict[str, list[tuple[str, int]]] = {
     "Arrays": [("copy", 5)],
 }
 
+#: The host engines, each with the tiers it may run a frame on, in
+#: promotion order.  Recorded in durable sweep unit digests: a resumed
+#: sweep must re-run its units under the same ladder the journal was
+#: written with, and serial == sharded fingerprints hold per ladder.
+TIER_LADDERS: dict[str, tuple[str, ...]] = {
+    "reference": ("reference",),
+    "threaded": ("threaded",),
+    "tier1": ("threaded", "tier1"),
+    "tier2": ("threaded", "tier1", "tier2"),
+}
+
 
 class VM:
     """One simulated JVM instance."""
@@ -90,24 +101,21 @@ class VM:
         # "tier1" (opt-in) adds compiled superblock closures for hot
         # methods on top of the threaded tier (repro.jvm.tier1);
         # "tier2" (opt-in) additionally host-compiles the guest JIT's
-        # optimized machine code (repro.jit.emit2 via repro.jvm.tier2).
-        # All four produce byte-identical counters and schedules.
-        if engine == "threaded":
-            from repro.jvm.threaded import ThreadedInterpreter
-
-            self.interpreter = ThreadedInterpreter(self)
-        elif engine == "tier1":
+        # optimized machine code (Tier2Machine, below).  All four
+        # produce byte-identical counters and schedules.
+        if engine not in TIER_LADDERS:
+            raise VMError(f"bad engine spec {engine!r}")
+        ladder = TIER_LADDERS[engine]
+        if "tier1" in ladder:
             from repro.jvm.tier1 import Tier1Interpreter
 
             self.interpreter = Tier1Interpreter(self)
-        elif engine == "tier2":
-            from repro.jvm.tier2 import Tier2Interpreter
+        elif "threaded" in ladder:
+            from repro.jvm.threaded import ThreadedInterpreter
 
-            self.interpreter = Tier2Interpreter(self)
-        elif engine == "reference":
-            self.interpreter = Interpreter(self)
+            self.interpreter = ThreadedInterpreter(self)
         else:
-            raise VMError(f"bad engine spec {engine!r}")
+            self.interpreter = Interpreter(self)
         self.engine = engine
         self.stdout: list[str] = []
         self._loaded_marks: set[str] = set()
@@ -116,7 +124,7 @@ class VM:
         self._bootstrap_builtins()
         self.jit = self._make_jit(jit)
         self.machine = self.jit.machine if self.jit is not None else None
-        if engine == "tier2" and self.jit is not None:
+        if "tier2" in ladder and self.jit is not None:
             # Swap the interpretive machine-frame executor for the
             # tier-2 one (same CompiledCode, host-compiled closures on
             # top); the interpretive Machine stays reachable through
@@ -180,6 +188,18 @@ class VM:
             raise VMError(f"bad faults spec {faults!r}")
         faults.attach(self)
         return faults
+
+    def drop_host_code(self) -> None:
+        """Forget every host-compiled artifact: threaded translations,
+        tier-1 dispatch tables and tier-2 closures.  Invisible to the
+        guest (the next entry re-translates and re-promotes); counters,
+        ``jit`` and the tier stats stay readable.  Attaching a sanitizer
+        or a flight recorder calls it, since host code binds both at
+        compile time, and so does a sweep once a unit has finished."""
+        for engine in (self.interpreter, self.machine):
+            drop = getattr(engine, "invalidate_all", None)
+            if drop is not None:      # the reference engines hold no code
+                drop()
 
     # ------------------------------------------------------------------
     # Construction.

@@ -100,17 +100,15 @@ class RaceSanitizer:
         Compiled code bypasses the interpreter's access hooks, so
         attaching disables the JIT — checked runs are instrumented
         interpreter runs, like the paper's DiSL profiling configuration.
+        Host code binds the sanitizer at translation time, so every
+        sanitizer-free translation and closure is dropped first.
         """
+        vm.drop_host_code()
         vm.sanitizer = self
         vm.scheduler.sanitizer = self
         vm.jit = None
         vm.machine = None
         self.counters = vm.counters
-        # The threaded engine binds the sanitizer into handler closures
-        # at translation time — drop stale sanitizer-free translations.
-        on_attached = getattr(vm.interpreter, "on_sanitizer_attached", None)
-        if on_attached is not None:
-            on_attached()
 
     # ------------------------------------------------------------------
     # Clock helpers.

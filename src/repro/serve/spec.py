@@ -27,9 +27,7 @@ from repro.errors import ServeError
 from repro.harness.config import SweepConfig
 from repro.harness.durable import SweepUnit, unit_digest
 from repro.harness.store import canonical_digest
-
-#: Engines the service accepts (matches the harness CLI choices).
-ENGINES = ("reference", "threaded", "tier1", "tier2")
+from repro.runtime.vm import TIER_LADDERS
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,9 @@ class SweepSpec:
 
         if self.suite not in SUITES:
             raise ServeError(f"unknown suite {self.suite!r}; have {SUITES}")
-        if self.engine not in ENGINES:
+        if self.engine not in TIER_LADDERS:
             raise ServeError(f"unknown engine {self.engine!r}; "
-                             f"have {ENGINES}")
+                             f"have {tuple(TIER_LADDERS)}")
         if not isinstance(self.repeat, int) or self.repeat < 1:
             raise ServeError(f"repeat must be a positive int, "
                              f"got {self.repeat!r}")

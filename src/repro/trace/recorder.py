@@ -36,13 +36,12 @@ Taxonomy (category → names):
 
 Overhead budget
 ---------------
-With no recorder attached every hook site is a single ``is None`` check
-(gated at ≤2% by ``make bench-check``); per-category flags are folded
-into the hook sites (the threaded engine binds them at translation
-time), so a disabled category costs nothing on its fast path.  The ring
-buffer bounds memory: past ``capacity`` events the oldest are dropped
-and counted (``dropped``, also exported via
-``Counters.trace_dropped``).
+With no recorder attached every hook site is a single ``is None`` check;
+per-category flags are folded into the hook sites (the threaded engine
+binds them at translation time), so a disabled category costs nothing
+on its fast path.  The ring buffer bounds memory: past ``capacity``
+events the oldest are dropped and counted (``dropped``, also exported
+via ``Counters.trace_dropped``).
 """
 
 from __future__ import annotations
@@ -127,12 +126,9 @@ class FlightRecorder:
 
             self.sampler = Sampler(self.config.sample_interval,
                                    counters=vm.counters)
-        # The threaded engine binds trace state into its handler
-        # closures at translation time; drop stale translations (same
-        # contract as attaching a race sanitizer).
-        hook = getattr(vm.interpreter, "on_trace_attached", None)
-        if hook is not None:
-            hook()
+        # Host code binds trace state at translation time; drop it
+        # (same contract as attaching a race sanitizer).
+        vm.drop_host_code()
         return self
 
     # ------------------------------------------------------------------

@@ -439,6 +439,25 @@ def test_jobs_sweep_survives_worker_sigkill():
     assert suite_key(plain) == suite_key(outcome["suite"])
 
 
+def test_interrupted_throwaway_sweep_offers_no_resume(tmp_path,
+                                                      monkeypatch):
+    # A jobs=N sweep without durable_dir journals into a temporary
+    # directory that is deleted on the way out: its interruption must
+    # not point at it.
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(SweepInterrupted) as caught:
+        run_suite([TINY_BENCHMARK, FAILING_BENCHMARK], jobs=2, warmup=0,
+                  measure=1, durable_policy=DurablePolicy(
+                      abort_after_units=1))
+    assert "--resume" not in str(caught.value)
+    assert "nothing to resume" in str(caught.value)
+    assert caught.value.stats["interrupted"] is True
+    assert caught.value.stats["executed"] >= 1
+    assert not list(tmp_path.glob("repro-sweep-*"))
+
+
 # ----------------------------------------------------------------------
 # The acceptance scenario: kill -9 a jobs=4 sweep, --resume, compare.
 # ----------------------------------------------------------------------

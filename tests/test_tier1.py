@@ -7,11 +7,12 @@ tier up: *byte-identical observable behavior* — results, counter
 snapshots, simulated clock, stdout, trace recordings, RaceReports —
 under any quantum, seed, JIT config, forced deopt, injected fault, and
 across serial vs sharded sweeps.  These tests pin that contract plus
-the promotion/deopt/invalidation mechanics and the engine-keyed
-compiled-code cache.
+the promotion/deopt/invalidation mechanics.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.harness.core import GuestBenchmark, Runner
 from repro.runtime import VM
 from repro.sanitize.plugin import build_report
 from repro.suites.registry import get_benchmark
+from tests import util
 from tests.fixtures import (
     GUARDED_BENCHMARK,
     LOCK_CYCLE_BENCHMARK,
@@ -32,7 +34,10 @@ EQUIV_SLICE = ("scrabble", "philosophers", "fj-kmeans", "streams-mnemonics")
 
 FIXTURES = (RACE_BENCHMARK, GUARDED_BENCHMARK, LOCK_CYCLE_BENCHMARK)
 
-ENGINES = ("reference", "threaded", "tier1")
+#: tests/test_threaded.py pins the threaded engine against the same
+#: reference runs (same benchmarks and knobs), so only tier1 is new here.
+assert_equivalent = functools.partial(util.assert_equivalent,
+                                      engines=("tier1",))
 
 #: Small two-method workload: ``step`` is called once per loop
 #: iteration, so it crosses the promotion threshold (16) inside a
@@ -55,33 +60,6 @@ def hot_bench(name: str, n: int = 40) -> GuestBenchmark:
                           args=(n,), expected=n * n, warmup=1, measure=1)
 
 
-def observe(bench, engine, *, jit=None, quantum=5000, cores=8, seed=0,
-            invocations=1, trace=None):
-    """Everything an engine run can observably produce."""
-    vm = VM(engine=engine, jit=jit, quantum=quantum, cores=cores,
-            schedule_seed=seed, trace=trace)
-    vm.load(bench.compile())
-    results = [vm.invoke(bench.entry, list(bench.args))
-               for _ in range(invocations)]
-    out = {
-        "results": results,
-        "counters": vm.counters.snapshot(),
-        "clock": vm.scheduler.clock,
-        "stdout": tuple(vm.stdout),
-    }
-    if trace is not None:
-        out["events"] = tuple(vm.trace.event_list())
-    return out, vm
-
-
-def assert_equivalent(bench, **kwargs):
-    ref, _ = observe(bench, "reference", **kwargs)
-    for engine in ("threaded", "tier1"):
-        got, _ = observe(bench, engine, **kwargs)
-        assert ref == got, {
-            k: (ref[k], got[k]) for k in ref if ref[k] != got[k]}
-
-
 # ----------------------------------------------------------------------
 # Three-way observable equivalence.
 # ----------------------------------------------------------------------
@@ -93,13 +71,6 @@ def test_fixtures_equivalent_interpreted(bench):
 @pytest.mark.parametrize("name", EQUIV_SLICE)
 def test_registry_equivalent_interpreted(name):
     assert_equivalent(get_benchmark(name), invocations=2)
-
-
-@pytest.mark.parametrize("name", ("scrabble", "fj-kmeans"))
-def test_registry_equivalent_jitted(name):
-    # The guest JIT must see identical profiles (invocation counts,
-    # backedges, receiver types) no matter which host tier feeds them.
-    assert_equivalent(get_benchmark(name), jit="graal", invocations=3)
 
 
 @pytest.mark.parametrize("quantum", (37, 127, 1001))
@@ -121,11 +92,11 @@ def test_trace_recordings_equivalent():
     # The flight recorder is part of the byte-identity contract: the
     # emitted blocks bind the recorder at compile time and must emit
     # the same events in the same order.
-    ref, _ = observe(get_benchmark("philosophers"), "reference",
-                     trace=True, invocations=2)
+    ref = util.reference(get_benchmark("philosophers"), trace=True,
+                         invocations=2)
     for engine in ("threaded", "tier1"):
-        got, _ = observe(get_benchmark("philosophers"), engine,
-                         trace=True, invocations=2)
+        got, _ = util.observe(get_benchmark("philosophers"), engine,
+                              trace=True, invocations=2)
         assert ref["events"] == got["events"]
         assert ref["counters"] == got["counters"]
 
@@ -155,16 +126,16 @@ def test_sanitizer_attach_drops_tier1_code_and_promotion():
     vm.invoke(bench.entry, list(bench.args))
     engine = vm.interpreter
     assert engine.stats.promotions > 0
-    assert engine.cache_info()["tier1"]["size"] > 0
+    assert engine._dispatch
 
     # Emitted blocks carry no access hooks; attaching a sanitizer must
     # drop them all and disable further promotion.
     RaceSanitizer().attach(vm)
-    assert engine.cache_info()["tier1"]["size"] == 0
+    assert not engine._dispatch
     promotions = engine.stats.promotions
     assert vm.invoke(bench.entry, list(bench.args)) == bench.expected
     assert engine.stats.promotions == promotions
-    assert engine.cache_info()["tier1"]["size"] == 0
+    assert not engine._dispatch
 
 
 # ----------------------------------------------------------------------
@@ -176,10 +147,12 @@ def test_tier1_engine_selected_and_promotes():
     bench = hot_bench("promote")
     vm = VM(engine="tier1", jit=None)
     assert isinstance(vm.interpreter, Tier1Interpreter)
-    assert vm.interpreter.threshold == TIER1_THRESHOLD
     vm.load(bench.compile())
     vm.invoke(bench.entry, list(bench.args))
-    snap = vm.interpreter.tier1_snapshot()
+    step = vm.resolve_static("Bench", "step")
+    assert step.invocation_count >= TIER1_THRESHOLD
+    assert step in vm.interpreter._dispatch
+    snap = vm.interpreter.stats.snapshot()
     assert snap["promotions"] > 0
     assert snap["compiled_blocks"] > 0
     assert snap["compiled_sites"] > 0
@@ -193,7 +166,7 @@ def test_forced_deopt_at_every_pc_is_byte_identical():
     # accounting and rebuilds the operand stack at the exact index
     # before handing the frame to the threaded tier.
     bench = hot_bench("deoptfuzz")
-    ref, _ = observe(bench, "reference", invocations=2)
+    ref = util.reference(bench, invocations=2)
     program = bench.compile()
     probe = VM(engine="tier1", jit=None)
     probe.load(program)
@@ -226,28 +199,13 @@ def test_forced_deopt_invalidates_then_recompiles_clean():
     method = vm.resolve_static("Bench", "step")
     promotions = engine.stats.promotions
     engine.force_deopt(method, 0)
-    assert engine.code_cache.lookup(engine.tier, method) is None
+    assert method not in engine._dispatch
     vm.invoke(bench.entry, list(bench.args))
     assert engine.stats.deopts["forced"] >= 1
     # Trap fired -> code dropped -> repromoted clean and reinstalled.
     vm.invoke(bench.entry, list(bench.args))
     assert engine.stats.promotions > promotions
-    assert engine.code_cache.lookup(engine.tier, method) is not None
-
-
-def test_requicken_drops_tier1_code():
-    bench = hot_bench("requicken")
-    vm = VM(engine="tier1", jit=None)
-    vm.load(bench.compile())
-    vm.invoke(bench.entry, list(bench.args))
-    engine = vm.interpreter
-    method = vm.resolve_static("Bench", "step")
-    assert engine.code_cache.lookup(engine.tier, method) is not None
-    assert engine.requicken(method) is True
-    # The merged dispatch table snapshots threaded handlers, so it
-    # must not survive their invalidation.
-    assert engine.code_cache.lookup(engine.tier, method) is None
-    assert vm.invoke(bench.entry, list(bench.args)) == bench.expected
+    assert method in engine._dispatch
 
 
 # ----------------------------------------------------------------------
@@ -281,42 +239,23 @@ def test_resilient_retry_on_tier1_matches_threaded():
 
 
 # ----------------------------------------------------------------------
-# Engine-keyed compiled-code cache.
+# Where compiled code lives.
 # ----------------------------------------------------------------------
-def test_compiled_method_cache_is_tier_keyed():
-    from repro.jvm.cache import CompiledMethodCache
-
-    cache = CompiledMethodCache()
-    method = object()
-    cache.install("tier1", method, "code")
-    assert cache.lookup("tier1", method) == "code"
-    # A different tier can never observe another tier's artifact.
-    assert cache.lookup("tier2", method) is None
-    assert cache.invalidate("tier2") == 0
-    assert cache.invalidate("tier1", method) == 1
-    assert cache.lookup("tier1", method) is None
-    info = cache.cache_info()
-    assert info["invalidations"] == 1
-    assert info["hits"] == 1 and info["misses"] == 2
-
-
 def test_cache_info_parity_with_threaded_shape():
     bench = hot_bench("cacheinfo")
     vm = VM(engine="tier1", jit=None)
     vm.load(bench.compile())
     vm.invoke(bench.entry, list(bench.args))
+    # cache_info is the threaded translation cache's, shape unchanged;
+    # tier-1 code lives in one table, the dispatch memo.
     info = vm.interpreter.cache_info()
-    # The tier-1 code cache reports through the same shape as the
-    # threaded translation cache it sits on top of.
-    for key in ("size", "hits", "misses", "hit_rate", "invalidations"):
-        assert key in info and key in info["tier1"]
-    assert info["tier1"]["size"] > 0
-    assert info["tier1"]["misses"] > 0      # one per first promotion
-    # Re-entry is served from the dispatch memo, never a fresh
-    # translation: the code cache sees no new misses.
+    assert set(info) == set(VM(engine="threaded").interpreter.cache_info())
+    assert info["size"] > 0
+    engine = vm.interpreter
+    assert len(engine._dispatch) == engine.stats.promotions > 0
+    # Re-entry is served from the memo: nothing is promoted twice.
     vm.invoke(bench.entry, list(bench.args))
-    assert vm.interpreter.cache_info()["tier1"]["misses"] == \
-        info["tier1"]["misses"]
+    assert len(engine._dispatch) == engine.stats.promotions
 
 
 # ----------------------------------------------------------------------

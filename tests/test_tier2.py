@@ -1,20 +1,21 @@
 """Golden equivalence: tier-2 host-compiled machine code vs the ladder.
 
-The tier-2 engine (repro.jvm.tier2 + repro.jit.machine.Tier2Machine +
-repro.jit.emit2) host-compiles the guest JIT's optimized CompiledCode
-into flat Python closures, with OSR entries at any parked machine pc
-and a two-path deopt chain (guest guard failures rematerialize frames
-through FrameState/VirtualObjectState recipes; host traps resume the
-interpretive machine at the exact machine pc).  Its contract is the
+The tier-2 engine (repro.jit.machine.Tier2Machine + repro.jit.emit2,
+on top of the tier-1 bytecode engine) host-compiles the guest JIT's
+optimized CompiledCode into flat Python closures, with OSR entries at
+any parked machine pc and a two-path deopt chain (guest guard failures
+rematerialize frames through FrameState/VirtualObjectState recipes;
+host traps resume the interpretive machine at the exact machine pc).  Its contract is the
 tier-1 contract one tier up: *byte-identical observable behavior* —
 results, counters, simulated clock, stdout, traces, RaceReports —
 under any quantum, seed, JIT config, forced trap at any machine index,
 injected fault, and across serial vs sharded sweeps.  These tests pin
-that contract plus the promotion/OSR/deopt/invalidation mechanics and
-the (tier, method, config-digest)-keyed code cache.
+that contract plus the promotion/OSR/deopt/invalidation mechanics.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.jit.pipeline import graal_config
 from repro.runtime import VM
 from repro.sanitize.plugin import build_report
 from repro.suites.registry import get_benchmark
+from tests import util
 from tests.fixtures import (
     GUARDED_BENCHMARK,
     LOCK_CYCLE_BENCHMARK,
@@ -37,7 +39,9 @@ JIT_SLICE = ("scrabble", "fj-kmeans", "par-mnemonics", "scala-kmeans")
 
 FIXTURES = (RACE_BENCHMARK, GUARDED_BENCHMARK, LOCK_CYCLE_BENCHMARK)
 
-ENGINES = ("reference", "threaded", "tier1", "tier2")
+assert_equivalent = functools.partial(
+    util.assert_equivalent, engines=("threaded", "tier1", "tier2"),
+    jit="graal")
 
 #: Two-method workload sized so the *guest* JIT compiles ``step``
 #: (invocation threshold 32) inside a single benchmark invocation; the
@@ -96,6 +100,28 @@ class Bench {
 """
 
 
+#: ``step`` CASes a field of an object that never escapes: with EAWA
+#: (escape analysis with atomics) the guest JIT folds the CAS and
+#: scalar-replaces the object, without it every call allocates and
+#: CASes, so the two configs' counters differ.
+CAS_SRC = """
+class Box { var s; def init() { this.s = 0; } }
+class Bench {
+    static def run(n) {
+        var acc = 0;
+        var i = 0;
+        while (i < n) { acc = acc + Bench.step(i); i = i + 1; }
+        return acc;
+    }
+    static def step(i) {
+        var b = new Box();
+        var ok = cas(b.s, 0, i);
+        return b.s * 2 + ok;
+    }
+}
+"""
+
+
 def hot_bench(name: str, n: int = 80) -> GuestBenchmark:
     return GuestBenchmark(name=name, suite="tests", source=HOT_SRC,
                           args=(n,), expected=n * n, warmup=1, measure=1)
@@ -107,40 +133,13 @@ def spin_bench(name: str, n: int = 300) -> GuestBenchmark:
                           warmup=1, measure=1)
 
 
-def observe(bench, engine, *, jit="graal", quantum=5000, cores=8, seed=0,
-            invocations=1, trace=None):
-    """Everything an engine run can observably produce."""
-    vm = VM(engine=engine, jit=jit, quantum=quantum, cores=cores,
-            schedule_seed=seed, trace=trace)
-    vm.load(bench.compile())
-    results = [vm.invoke(bench.entry, list(bench.args))
-               for _ in range(invocations)]
-    out = {
-        "results": results,
-        "counters": vm.counters.snapshot(),
-        "clock": vm.scheduler.clock,
-        "stdout": tuple(vm.stdout),
-    }
-    if trace is not None:
-        out["events"] = tuple(vm.trace.event_list())
-    return out, vm
-
-
-def assert_equivalent(bench, **kwargs):
-    ref, _ = observe(bench, "reference", **kwargs)
-    for engine in ("threaded", "tier1", "tier2"):
-        got, _ = observe(bench, engine, **kwargs)
-        assert ref == got, {
-            k: (ref[k], got[k]) for k in ref if ref[k] != got[k]}
-
-
 # ----------------------------------------------------------------------
 # Four-way observable equivalence.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bench", FIXTURES, ids=lambda b: b.name)
 def test_fixtures_equivalent_interpreted(bench):
     # jit=None means no machine frames: tier-2 must degrade to exactly
-    # tier-1 behaviour (the facade reports zeroed tier-2 metrics).
+    # tier-1 behaviour.
     assert_equivalent(bench, jit=None, invocations=2)
 
 
@@ -177,11 +176,11 @@ def test_trace_recordings_equivalent():
     # The flight recorder is part of the byte-identity contract one
     # tier up: emitted tier-2 blocks bind the recorder at compile time
     # and must emit the same events in the same order.
-    ref, _ = observe(get_benchmark("philosophers"), "reference",
-                     trace=True, invocations=2)
-    for engine in ("tier1", "tier2"):
-        got, _ = observe(get_benchmark("philosophers"), engine,
+    ref = util.reference(get_benchmark("philosophers"), jit="graal",
                          trace=True, invocations=2)
+    for engine in ("tier1", "tier2"):
+        got, _ = util.observe(get_benchmark("philosophers"), engine,
+                              jit="graal", trace=True, invocations=2)
         assert ref["events"] == got["events"]
         assert ref["counters"] == got["counters"]
 
@@ -190,35 +189,39 @@ def test_trace_recordings_equivalent():
 # Promotion, OSR and the tier ladder.
 # ----------------------------------------------------------------------
 def test_tier2_engine_selected_and_promotes():
-    from repro.jit.machine import TIER2_THRESHOLD, Tier2Machine
-    from repro.jvm.tier2 import TIER_LADDERS, Tier2Interpreter
+    from repro.jit.machine import Tier2Machine
+    from repro.jvm.tier1 import Tier1Interpreter
+    from repro.runtime.vm import TIER_LADDERS
 
     assert TIER_LADDERS["tier2"] == ("threaded", "tier1", "tier2")
     bench = hot_bench("promote2")
     vm = VM(engine="tier2", jit="graal")
-    assert isinstance(vm.interpreter, Tier2Interpreter)
+    # Bytecode frames run exactly as under engine="tier1".
+    assert type(vm.interpreter) is Tier1Interpreter
     assert isinstance(vm.machine, Tier2Machine)
-    assert vm.machine.threshold == TIER2_THRESHOLD
+    assert vm.jit.machine is vm.machine
     vm.load(bench.compile())
     vm.invoke(bench.entry, list(bench.args))
-    snap = vm.interpreter.tier2_snapshot()
+    snap = vm.machine.stats.snapshot()
     assert snap["promotions"] > 0
     assert snap["compiled_blocks"] > 0
     assert snap["compiled_sites"] > 0
     assert any(name.endswith("Bench.step") for name in snap["methods"])
     # Bytecode-side tier-1 promotion still happens underneath.
-    assert vm.interpreter.tier1_snapshot()["promotions"] > 0
+    assert vm.interpreter.stats.promotions > 0
 
 
 def test_interpreted_tier2_reports_zero_metrics():
-    bench = hot_bench("idle2")
-    vm = VM(engine="tier2", jit=None)
-    vm.load(bench.compile())
-    assert vm.invoke(bench.entry, list(bench.args)) == bench.expected
-    snap = vm.interpreter.tier2_snapshot()
-    assert snap["promotions"] == 0 and snap["compiled_blocks"] == 0
-    metrics = vm.interpreter.tier2_metrics()
-    assert all(v == 0 for v in metrics.values())
+    from repro.jit.machine import Tier2Stats
+    from repro.metrics.profiler import TIER2_METRIC_NAMES, MetricsPlugin
+
+    plugin = MetricsPlugin()
+    runner = Runner(hot_bench("idle2"), jit=None, engine="tier2",
+                    plugins=(plugin,))
+    result = runner.run()
+    assert runner.last_vm.machine is None
+    assert result.tier2 == Tier2Stats().snapshot()
+    assert all(plugin.raw[name] == 0 for name in TIER2_METRIC_NAMES)
 
 
 def test_osr_entries_at_loop_header():
@@ -312,7 +315,7 @@ def test_forced_deopt_at_every_machine_pc_is_byte_identical():
     # emitted block flushes batched accounting, parks frame.pc on the
     # trapped instruction, and the interpretive machine resumes there.
     bench = hot_bench("deoptfuzz2")
-    ref, _ = observe(bench, "reference", invocations=2)
+    ref = util.reference(bench, jit="graal", invocations=2)
     probe = VM(engine="tier2", jit="graal")
     probe.load(bench.compile())
     probe.invoke(bench.entry, list(bench.args))
@@ -344,20 +347,16 @@ def test_forced_deopt_invalidates_then_recompiles_clean():
     vm.invoke(bench.entry, list(bench.args))
     machine = vm.machine
     method = vm.resolve_static("Bench", "step")
-    assert machine.code_cache.lookup(
-        machine.tier, method, machine._digest) is not None
+    assert method.compiled in machine._memo
     promotions = machine.stats.promotions
     machine.force_deopt(method, 0)
-    # The trapped compile is never cached.
-    assert machine.code_cache.lookup(
-        machine.tier, method, machine._digest) is None
+    assert method.compiled not in machine._memo
     vm.invoke(bench.entry, list(bench.args))
     assert machine.stats.deopts["forced"] >= 1
-    # Trap fired -> closures dropped -> repromoted clean and cached.
+    # Trap fired -> closures dropped -> repromoted clean.
     vm.invoke(bench.entry, list(bench.args))
     assert machine.stats.promotions > promotions
-    assert machine.code_cache.lookup(
-        machine.tier, method, machine._digest) is not None
+    assert machine._memo[method.compiled].deopt_at is None
 
 
 def test_nested_recipe_rematerialization_through_guard_deopt():
@@ -446,21 +445,50 @@ def test_sanitizer_attach_drops_tier2_code_and_promotion():
     vm = VM(engine="tier2", jit="graal")
     vm.load(bench.compile())
     vm.invoke(bench.entry, list(bench.args))
-    engine = vm.interpreter
-    assert engine.cache_info()["tier2"]["size"] > 0
-
-    assert engine.tier2_snapshot()["promotions"] > 0
+    engine, machine = vm.interpreter, vm.machine
+    assert tier2_codes(vm)
+    promotions = machine.stats.promotions, engine.stats.promotions
+    assert promotions[0] > 0
 
     # Emitted closures carry no access hooks; attaching a sanitizer
     # must drop tier-1 AND tier-2 artifacts, disable promotion, and
     # detach the machine entirely (checked runs are interpreter-only).
     RaceSanitizer().attach(vm)
-    assert engine.cache_info()["tier1"]["size"] == 0
-    assert engine.cache_info()["tier2"]["size"] == 0
+    assert not engine._dispatch and not machine._memo
     assert vm.machine is None
     assert vm.invoke(bench.entry, list(bench.args)) == bench.expected
-    assert engine.tier2_snapshot()["promotions"] == 0
-    assert engine.cache_info()["tier2"]["size"] == 0
+    assert (machine.stats.promotions, engine.stats.promotions) == promotions
+    assert not engine._dispatch and not machine._memo
+
+
+@pytest.mark.parametrize("attach", ("sanitizer", "recorder"))
+def test_attach_drops_all_host_code(attach):
+    # Host code binds the sanitizer and the flight recorder when it is
+    # compiled: attaching either to a VM that already ran hot code must
+    # leave no tier-1 table and no tier-2 closure behind, and the runs
+    # after it must match the reference engine's.
+    from repro.sanitize.hb import RaceSanitizer
+    from repro.trace.recorder import FlightRecorder
+
+    bench = hot_bench("attach2")
+
+    def run(engine):
+        vm = VM(engine=engine, jit="graal")
+        vm.load(bench.compile())
+        results = [vm.invoke(bench.entry, list(bench.args))]
+        interp, machine = vm.interpreter, vm.machine
+        if engine == "tier2":
+            assert interp._dispatch and tier2_codes(vm)
+        (RaceSanitizer() if attach == "sanitizer" else
+         FlightRecorder()).attach(vm)
+        if engine == "tier2":
+            assert not interp._dispatch and not machine._memo
+        results += [vm.invoke(bench.entry, list(bench.args))
+                    for _ in range(2)]
+        events = vm.trace.event_list() if vm.trace is not None else None
+        return results, vm.counters.snapshot(), vm.scheduler.clock, events
+
+    assert run("tier2") == run("reference")
 
 
 def test_verify_ir_validates_tier2_entry_tables():
@@ -525,53 +553,22 @@ def test_verify_ir_rejects_block_tampered_after_emission(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Config-digest-keyed compiled-code cache.
+# Where compiled code lives.
 # ----------------------------------------------------------------------
-def test_compiled_method_cache_is_digest_keyed():
-    from repro.jvm.cache import CompiledMethodCache
-
-    cache = CompiledMethodCache()
-    method = object()
-    cache.install("tier2", method, "closuresA", "digestA")
-    assert cache.lookup("tier2", method, "digestA") == "closuresA"
-    # Same tier and method, different JIT config: never served.
-    assert cache.lookup("tier2", method, "digestB") is None
-    # Same method, different tier: never served either.
-    assert cache.lookup("tier1", method) is None
-    assert cache.invalidate("tier2", method) == 1
-    assert cache.lookup("tier2", method, "digestA") is None
-
-
-def test_tier2_cache_digest_tracks_jit_config():
-    from repro.jit.pipeline import config_digest
-
-    bench = hot_bench("digest2")
-    full = VM(engine="tier2", jit="graal")
-    noea = VM(engine="tier2", jit=graal_config().without("EAWA"))
-    assert full.machine._digest == config_digest(full.jit.config)
-    assert noea.machine._digest == config_digest(noea.jit.config)
-    assert full.machine._digest != noea.machine._digest
-    for vm in (full, noea):
-        vm.load(bench.compile())
-        assert vm.invoke(bench.entry, list(bench.args)) == bench.expected
-        method = vm.resolve_static("Bench", "step")
-        assert vm.machine.code_cache.lookup(
-            "tier2", method, vm.machine._digest) is not None
-
-
-def test_requicken_drops_tier2_code():
-    bench = hot_bench("requicken2")
-    vm = VM(engine="tier2", jit="graal")
-    vm.load(bench.compile())
-    vm.invoke(bench.entry, list(bench.args))
-    machine = vm.machine
-    method = vm.resolve_static("Bench", "step")
-    assert machine.code_cache.lookup(
-        machine.tier, method, machine._digest) is not None
-    assert vm.interpreter.requicken(method) is True
-    assert machine.code_cache.lookup(
-        machine.tier, method, machine._digest) is None
-    assert vm.invoke(bench.entry, list(bench.args)) == bench.expected
+def test_tier2_code_follows_jit_config():
+    # Tier-2 closures compile the *optimized* output of one JitConfig:
+    # under a config without EAWA the tier-2 engine must observe
+    # exactly what the reference engine observes under that same
+    # config, never what the full pipeline would produce.
+    bench = GuestBenchmark(name="cas2", suite="tests", source=CAS_SRC,
+                           args=(80,), expected=80 * 80, warmup=1,
+                           measure=1)
+    full, noea = graal_config(), graal_config().without("EAWA")
+    for config in (full, noea):
+        assert_equivalent(bench, engines=("tier2",), jit=config,
+                          invocations=2)
+    assert util.reference(bench, jit=full, invocations=2)["counters"] != \
+        util.reference(bench, jit=noea, invocations=2)["counters"]
 
 
 def test_cache_info_parity_with_tier1_shape():
@@ -579,15 +576,16 @@ def test_cache_info_parity_with_tier1_shape():
     vm = VM(engine="tier2", jit="graal")
     vm.load(bench.compile())
     vm.invoke(bench.entry, list(bench.args))
+    # One shape for every bytecode engine: the translation cache's.
     info = vm.interpreter.cache_info()
-    for key in ("size", "hits", "misses", "hit_rate", "invalidations"):
-        assert key in info and key in info["tier1"] and key in info["tier2"]
-    assert info["tier2"]["size"] > 0
-    # jit=None: the tier-2 slot is present but empty (shape parity).
+    assert set(info) == set(VM(engine="tier1").interpreter.cache_info())
+    # Tier-2 code lives in one table, the machine's memo.
+    assert len(tier2_codes(vm)) == vm.machine.stats.promotions > 0
+    # jit=None: no machine frames, so no machine and no tier-2 code.
     idle = VM(engine="tier2", jit=None)
     idle.load(bench.compile())
     idle.invoke(bench.entry, list(bench.args))
-    assert idle.interpreter.cache_info()["tier2"]["size"] == 0
+    assert idle.machine is None
 
 
 # ----------------------------------------------------------------------
@@ -614,6 +612,46 @@ def test_metrics_plugin_exports_tier2_counters():
     plugin2 = MetricsPlugin()
     Runner(hot_bench("metrics4"), jit="graal", plugins=(plugin2,)).run()
     assert all(plugin2.raw[name] == 0 for name in TIER2_METRIC_NAMES)
+
+
+def test_tier_snapshot_and_metric_keys_are_pinned():
+    # What an engine="tier2" run reports about its host tiers, in the
+    # RunResult snapshots, the --report roll-up and the metrics export.
+    from repro.metrics.profiler import (
+        TIER1_METRIC_NAMES,
+        TIER2_METRIC_NAMES,
+        MetricsPlugin,
+    )
+
+    plugin = MetricsPlugin()
+    suite = run_suite((hot_bench("keys2"),), jit="graal", warmup=1,
+                      measure=1, engine="tier2", plugins=(plugin,))
+    tier1, tier2 = suite.results[0].tier1, suite.results[0].tier2
+    snap = {"promotions", "compiled_blocks", "compiled_sites",
+            "compile_cycles", "deopts", "methods"}
+    assert set(tier1) == snap
+    assert set(tier2) == snap | {"osr_entries", "compile_seconds"}
+    reasons = {"budget", "exception", "fault", "forced"}
+    assert set(tier1["deopts"]) == reasons
+    assert set(tier2["deopts"]) == reasons | {"guard"}
+    for record in (*tier1["methods"].values(), *tier2["methods"].values()):
+        assert set(record) == {"promotions", "blocks", "sites",
+                               "compile_cycles"}
+    report = suite.to_report_dict()
+    assert list(report["tier1"]) == [
+        "promotions", "compiled_blocks", "compile_cycles", "deopts"]
+    assert list(report["tier2"]) == [
+        "promotions", "compiled_blocks", "osr_entries", "compile_cycles",
+        "compile_seconds", "deopts"]
+    flat = {name: value for name, value in plugin.raw.items()
+            if name.startswith("tier")}
+    assert set(flat) == set(TIER1_METRIC_NAMES + TIER2_METRIC_NAMES)
+    for tier, snapshot in (("tier1", tier1), ("tier2", tier2)):
+        assert flat[f"{tier}_promotions"] == snapshot["promotions"] > 0
+        assert flat[f"{tier}_compiled_blocks"] == snapshot["compiled_blocks"]
+        assert flat[f"{tier}_compile_cycles"] == snapshot["compile_cycles"]
+        assert flat[f"{tier}_deopts"] == sum(snapshot["deopts"].values())
+    assert flat["tier2_osr_entries"] == tier2["osr_entries"]
 
 
 def test_durable_fingerprint_records_tier_ladder():
@@ -660,7 +698,7 @@ def test_finished_sweep_units_release_host_code_but_stay_readable():
         info = vm.interpreter.cache_info()
         assert info["hits"] > 0 and info["misses"] > 0
         assert info["size"] == 0
-        assert info["tier1"]["size"] == info["tier2"]["size"] == 0
+        assert not vm.interpreter._dispatch
         assert not vm.machine._memo
         assert result.tier2["compiled_blocks"] == vm.machine.stats.blocks
         alone = run_suite((bench,), **kwargs).results[0]

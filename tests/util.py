@@ -42,3 +42,50 @@ def run_all_tiers(source: str, entry: str = "Main.main", args: tuple = (),
                       jit=c2_config(compile_threshold=3), repeat=repeat)
     assert interp == graal == c2, (interp, graal, c2)
     return interp, gvm
+
+
+# ----------------------------------------------------------------------
+# The engine-equivalence oracle (tests/test_threaded.py, test_tier1.py,
+# test_tier2.py): every host engine must observe exactly what the
+# reference interpreter does.
+# ----------------------------------------------------------------------
+def observe(bench, engine, *, jit=None, quantum=5000, cores=8, seed=0,
+            invocations=1, trace=None):
+    """Everything an engine run can observably produce, and its VM."""
+    vm = VM(engine=engine, jit=jit, quantum=quantum, cores=cores,
+            schedule_seed=seed, trace=trace)
+    vm.load(bench.compile())
+    results = [vm.invoke(bench.entry, list(bench.args))
+               for _ in range(invocations)]
+    out = {
+        "results": results,
+        "counters": vm.counters.snapshot(),
+        "clock": vm.scheduler.clock,
+        "stdout": tuple(vm.stdout),
+    }
+    if trace is not None:
+        out["events"] = tuple(vm.trace.event_list())
+    return out, vm
+
+
+_REFERENCE: dict = {}
+
+
+def reference(bench, **kwargs) -> dict:
+    """``observe(bench, "reference", **kwargs)``, computed once per
+    session: the oracle depends only on the program and the run knobs,
+    and several engine test files compare against the same runs."""
+    key = (bench.source, bench.entry, bench.args,
+           repr(sorted(kwargs.items())))
+    if key not in _REFERENCE:
+        _REFERENCE[key], _ = observe(bench, "reference", **kwargs)
+    return _REFERENCE[key]
+
+
+def assert_equivalent(bench, engines, **kwargs) -> None:
+    """Each of ``engines`` observes exactly what the reference does."""
+    ref = reference(bench, **kwargs)
+    for engine in engines:
+        got, _ = observe(bench, engine, **kwargs)
+        assert ref == got, (engine, {
+            k: (ref[k], got[k]) for k in ref if ref[k] != got[k]})
