@@ -57,12 +57,11 @@ tier2:
 	PYTHONPATH=src python -m pytest -q tests/test_tier2.py
 
 # The end-to-end + per-layer ledger (benchmarks/e2e/README.md): all
-# four workloads in fresh subprocesses with their fingerprint oracle,
-# then the ledger's own span tests, which no other tier runs.  It is
-# the only performance gate (DESIGN.md §15).
+# four workloads in fresh subprocesses with their fingerprint oracle.
+# Its span tests run in tier-1.  It is the only performance gate
+# (DESIGN.md §15).
 e2e:
 	python3 benchmarks/e2e/bench.py
-	PYTHONPATH=src python3 -m pytest benchmarks/e2e/test_spans.py -q
 
 # Tier-2: flight-record a contended benchmark end-to-end and
 # schema-validate the exported Chrome trace (the CLI validates before

@@ -17,6 +17,7 @@ back to the interpreter:
 from __future__ import annotations
 
 from repro.errors import VMError
+from repro.jit.lowering import UNWRITTEN
 from repro.jvm.costmodel import DEOPT_COST
 from repro.jvm.interpreter import Frame
 
@@ -136,11 +137,12 @@ def deoptimize(vm, thread, machine_frame, speculation_id, meta_index) -> None:
         if tag == "c":
             return payload
         if tag == "r":
-            if payload not in regs:
+            value = regs[payload]
+            if value is UNWRITTEN:
                 raise VMError(
                     f"deopt in {method.qualified}: register {payload} "
                     "not live")
-            return regs[payload]
+            return value
         if tag == "v":
             return rematerialize(payload)
         raise VMError(f"bad deopt value tag {tag}")

@@ -2,11 +2,11 @@
 
 The guest JIT's pipeline (inlining, escape analysis, lock coarsening,
 guard motion, vectorization, atomic coalescing) produces
-:class:`~repro.jit.lowering.CompiledCode`, but until this tier existed
-that register machine was executed by the per-instruction elif loop in
-:class:`~repro.jit.machine.Machine` — the phases changed *simulated*
-counters while recovering zero host wall-clock.  This module closes the
-gap: it lowers the already-optimized machine code into one Python
+:class:`~repro.jit.lowering.CompiledCode`, a register machine that the
+interpretive :class:`~repro.jit.machine.Machine` runs one instruction
+at a time, dispatching on each instruction's kind and accounting for
+it.  This module removes that per-instruction work: it lowers the
+already-optimized machine code into one Python
 function per *superblock* (a straight-line region of machine
 instructions, fused through fall-through jumps and branches, extended
 until a call/terminator or the region cap), generated and ``exec``'d

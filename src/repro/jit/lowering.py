@@ -1,11 +1,14 @@
 """IR lowering: graph → linear register-based compiled code.
 
-Registers are IR node ids (virtual registers, unlimited).  Constants are
-materialized into registers at frame entry; φ-nodes become parallel-copy
-"phimove" instructions on the incoming edges (critical edges are split
-first).  Guards carry an index into the code's deoptimization-metadata
-table; each entry is a processed framestate chain ready for
-:mod:`repro.jit.deopt` to evaluate against the register file.
+Registers are numbered densely per method: parameters first, then every
+other value (deopt-state references included) in order of first use, so
+a method's code does not depend on what was compiled before it.
+Constants are placed in a register-file template each frame copies;
+φ-nodes become parallel-copy "phimove" instructions on the incoming
+edges (critical edges are split first).  Guards carry an index into the
+code's deoptimization-metadata table; each entry is a processed
+framestate chain ready for :mod:`repro.jit.deopt` to evaluate against
+the register file.
 
 Cost model: each machine instruction carries its cycle cost, taken from
 :mod:`repro.jvm.costmodel` and scaled by the block's ``vector_factor``
@@ -64,18 +67,26 @@ _SIMPLE_COST = {
 }
 
 
+#: Register-file slot no instruction has written yet (never a guest
+#: value, unlike ``None``): deopt reports a recipe that reads one.
+UNWRITTEN = object()
+
+
 class CompiledCode:
     """Executable result of a compilation."""
 
-    __slots__ = ("method", "instrs", "consts", "param_regs", "deopt_meta",
+    __slots__ = ("method", "instrs", "consts", "regfile", "deopt_meta",
                  "virtual_objects", "nargs")
 
-    def __init__(self, method, instrs, consts, param_regs, deopt_meta,
+    def __init__(self, method, instrs, consts, nregs, deopt_meta,
                  virtual_objects) -> None:
         self.method = method
         self.instrs = instrs
         self.consts = consts            # list of (reg, value)
-        self.param_regs = param_regs
+        # A new frame's registers: parameters first, constants placed.
+        self.regfile = [UNWRITTEN] * nregs
+        for reg, value in consts:
+            self.regfile[reg] = value
         self.deopt_meta = deopt_meta    # list of processed state chains
         self.virtual_objects = virtual_objects
         self.nargs = method.nargs
@@ -99,16 +110,22 @@ class _Lowerer:
         self.config = config
         self.pool = pool
         self.instrs: list = []
-        self.consts: dict[int, object] = {}
+        self.regs: dict[int, int] = {}          # node id -> register
+        self.consts: dict[int, object] = {}     # register -> value
         self.deopt_meta: list = []
         self.virtual_objects: list = []
         self._vo_index: dict[int, int] = {}
+        for param in graph.params:
+            self.reg(param)
 
     # ------------------------------------------------------------------
     def reg(self, node: Node) -> int:
-        if node.op == "const" and node.id not in self.consts:
-            self.consts[node.id] = node.value
-        return node.id
+        reg = self.regs.get(node.id)
+        if reg is None:
+            reg = self.regs[node.id] = len(self.regs)
+            if node.op == "const":
+                self.consts[reg] = node.value
+        return reg
 
     def lower(self) -> CompiledCode:
         graph = self.graph
@@ -134,9 +151,8 @@ class _Lowerer:
                                   block_index[instr[3]],
                                   block_index[instr[4]])
 
-        param_regs = [p.id for p in graph.params]
         return CompiledCode(graph.method, self.instrs,
-                            list(self.consts.items()), param_regs,
+                            list(self.consts.items()), len(self.regs),
                             self.deopt_meta, self.virtual_objects)
 
     # ------------------------------------------------------------------
@@ -341,4 +357,4 @@ class _Lowerer:
             return ("v", index)
         if value.op == "const":
             return ("c", value.value)
-        return ("r", value.id)
+        return ("r", self.reg(value))

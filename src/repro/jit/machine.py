@@ -1,4 +1,4 @@
-"""The compiled-code executor (tier 1).
+"""The interpretive executor of guest-JIT machine code.
 
 Runs :class:`~repro.jit.lowering.CompiledCode`: a register machine whose
 per-instruction cycle costs were fixed at lowering time.  Semantics match
@@ -14,6 +14,11 @@ Runtime responsibilities specific to compiled code:
 - **coarsened monitors** (LLC): skip release/re-acquire inside a chunk
   of ``C`` iterations; ``monitorexit_if_held`` drains the held lock on
   loop exits.
+
+:meth:`Machine.run_frame` is the tier-2 closures' byte-identity oracle
+and the default engine's executor of guest-JIT code, so it is written
+for host speed: list registers, accounting in locals, and arms ordered
+by how often each kind executes.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.errors import (
     GuestNullPointerError,
     VMError,
 )
+from repro.jvm.cache import L1_LINES, WORDS_PER_LINE
 from repro.jvm.costmodel import (
     TIER2_COMPILE_BLOCK_COST,
     TIER2_COMPILE_SITE_COST,
@@ -44,11 +50,10 @@ class MachineFrame:
 
     def __init__(self, code, args: list) -> None:
         self.code = code
-        regs: dict[int, object] = {}
-        for reg, value in code.consts:
-            regs[reg] = value
-        for reg, arg in zip(code.param_regs, args):
-            regs[reg] = arg
+        # Parameters occupy the first registers; the template holds the
+        # constants and marks every other slot unwritten.
+        regs = code.regfile.copy()
+        regs[:len(args)] = args
         self.regs = regs
         self.pc = 0
         self.pending_dest: int | None = None
@@ -64,6 +69,15 @@ class MachineFrame:
         return f"<MachineFrame {self.code.method.qualified} pc={self.pc}>"
 
 
+def _return(thread, value) -> None:
+    frames = thread.frames
+    frames.pop()
+    if frames:
+        frames[-1].receive_result(value)
+    else:
+        thread.result = value
+
+
 class Machine:
     """Executes machine frames of one VM."""
 
@@ -75,9 +89,18 @@ class Machine:
 
     # ------------------------------------------------------------------
     def run_frame(self, thread, frame: MachineFrame) -> None:
+        """Per instruction: check the budget, count the instruction,
+        execute it (an op that raises is counted, not charged), advance
+        the pc and charge the cost.  The pc, the budget and the
+        instruction and guard counts live in locals until the
+        ``finally`` writes them back; the cycles charged equal the
+        budget spent.  Calls, deopts, waits and returns leave the loop
+        first and run after the write-back."""
         vm = self.vm
         counters = vm.counters
+        guard_kinds = counters.guard_kinds
         cache = vm.cache
+        cache_miss = cache.miss
         sched = vm.scheduler
         heap = vm.heap
         tr = vm.trace
@@ -85,337 +108,367 @@ class Machine:
         instrs = frame.code.instrs
         regs = frame.regs
         core = thread.core
+        l1 = cache.l1_tags[core]
 
-        while thread.budget > 0:
-            instr = instrs[frame.pc]
-            kind = instr[0]
-            cost = instr[1]
-            counters.instructions += 1
+        pc = frame.pc
+        budget = start = thread.budget
+        executed = guards = 0
+        handoff = None
+        try:
+            while budget > 0:
+                instr = instrs[pc]
+                kind = instr[0]
+                cost = instr[1]
+                executed += 1
 
-            if kind == "add":
-                a = regs[instr[3]]
-                b = regs[instr[4]]
-                if type(a) is str or type(b) is str:
-                    regs[instr[2]] = guest_str(a) + guest_str(b)
-                else:
-                    regs[instr[2]] = a + b
-            elif kind == "cmp":
-                regs[instr[2]] = (1 if _CMP[instr[3]](regs[instr[4]],
-                                                      regs[instr[5]]) else 0)
-            elif kind == "cmpz":
-                value = regs[instr[4]]
-                if value is None:
-                    value = 0
-                regs[instr[2]] = 1 if _CMP[instr[3]](value, 0) else 0
-            elif kind == "branch":
-                frame.pc = instr[3] if regs[instr[2]] else instr[4]
-                thread.budget -= cost
-                counters.reference_cycles += cost
-                continue
-            elif kind == "jump":
-                frame.pc = instr[2]
-                thread.budget -= cost
-                counters.reference_cycles += cost
-                continue
-            elif kind == "phimove":
-                pairs = instr[2]
-                values = [regs[src] for src, _ in pairs]
-                for (_, dst), value in zip(pairs, values):
-                    regs[dst] = value
-            elif kind == "sub":
-                regs[instr[2]] = regs[instr[3]] - regs[instr[4]]
-            elif kind == "mul":
-                regs[instr[2]] = regs[instr[3]] * regs[instr[4]]
-            elif kind == "div":
-                a = regs[instr[3]]
-                b = regs[instr[4]]
-                if b == 0:
-                    raise GuestArithmeticError("/ by zero")
-                if isinstance(a, int) and isinstance(b, int):
-                    regs[instr[2]] = _truediv_int(a, b)
-                else:
-                    regs[instr[2]] = a / b
-            elif kind == "rem":
-                a = regs[instr[3]]
-                b = regs[instr[4]]
-                if b == 0:
-                    raise GuestArithmeticError("% by zero")
-                if isinstance(a, int) and isinstance(b, int):
-                    regs[instr[2]] = _rem_int(a, b)
-                else:
-                    regs[instr[2]] = a - b * int(a / b)
-            elif kind == "shl":
-                regs[instr[2]] = regs[instr[3]] << regs[instr[4]]
-            elif kind == "shr":
-                regs[instr[2]] = regs[instr[3]] >> regs[instr[4]]
-            elif kind == "and":
-                regs[instr[2]] = regs[instr[3]] & regs[instr[4]]
-            elif kind == "or":
-                regs[instr[2]] = regs[instr[3]] | regs[instr[4]]
-            elif kind == "xor":
-                regs[instr[2]] = regs[instr[3]] ^ regs[instr[4]]
-            elif kind == "neg":
-                regs[instr[2]] = -regs[instr[3]]
-            elif kind == "not":
-                regs[instr[2]] = 0 if regs[instr[3]] else 1
-            elif kind == "i2d":
-                regs[instr[2]] = float(regs[instr[3]])
-            elif kind == "d2i":
-                regs[instr[2]] = int(regs[instr[3]])
-            elif kind == "getfield":
-                obj = regs[instr[3]]
-                if obj is None:
-                    raise GuestNullPointerError(f"getfield {instr[4]}")
-                slot = obj.jclass.field_layout[instr[4]]
-                cost += cache.access(core, obj.addr + slot)
-                regs[instr[2]] = obj.values[slot]
-            elif kind == "putfield":
-                obj = regs[instr[2]]
-                if obj is None:
-                    raise GuestNullPointerError(f"putfield {instr[3]}")
-                slot = obj.jclass.field_layout[instr[3]]
-                cost += cache.access(core, obj.addr + slot)
-                obj.values[slot] = regs[instr[4]]
-            elif kind == "aload":
-                arr = regs[instr[3]]
-                idx = regs[instr[4]]
-                cost += cache.access(core, arr.addr + idx)
-                try:
-                    if idx < 0:
-                        raise IndexError
-                    regs[instr[2]] = arr.data[idx]
-                except IndexError:
-                    raise GuestBoundsError(
-                        f"compiled aload OOB {idx}/{len(arr.data)}") from None
-            elif kind == "astore":
-                arr = regs[instr[2]]
-                idx = regs[instr[3]]
-                cost += cache.access(core, arr.addr + idx)
-                try:
-                    if idx < 0:
-                        raise IndexError
-                    arr.data[idx] = regs[instr[4]]
-                except IndexError:
-                    raise GuestBoundsError(
-                        f"compiled astore OOB {idx}/{len(arr.data)}") from None
-            elif kind == "arraylen":
-                regs[instr[2]] = len(regs[instr[3]].data)
-            elif kind == "guard":
-                _, _, label, test, operands, class_name, spec_id, meta = instr
-                counters.count_guard(label)
-                ok = True
-                if test == "nonnull":
-                    ok = regs[operands[0]] is not None
-                elif test == "bounds":
-                    idx = regs[operands[0]]
-                    arr = regs[operands[1]]
-                    ok = arr is not None and 0 <= idx < len(arr.data)
-                elif test == "bounds_range":
-                    lo = regs[operands[0]]
-                    hi = regs[operands[1]]
-                    arr = regs[operands[2]]
-                    ok = arr is not None and lo >= 0 and hi <= len(arr.data)
-                elif test == "type":
-                    obj = regs[operands[0]]
-                    ok = obj is not None and obj.jclass.name == class_name
-                else:
-                    raise VMError(f"unknown guard test {test}")
-                if not ok:
-                    thread.budget -= cost
-                    counters.reference_cycles += cost
-                    deopt_mod.deoptimize(vm, thread, frame, spec_id, meta)
-                    return
-            elif kind == "new":
-                jclass = instr[3]
-                obj = heap.new_object(jclass)
-                cost += cache.access(core, obj.addr)
-                regs[instr[2]] = obj
-            elif kind == "newarray":
-                length = regs[instr[4]]
-                cost += alloc_cost(length)
-                arr = heap.new_array(instr[3], length)
-                cost += cache.access(core, arr.addr)
-                regs[instr[2]] = arr
-            elif kind == "instanceof":
-                obj = regs[instr[3]]
-                regs[instr[2]] = (1 if obj is not None
-                                  and obj.jclass.is_subtype_of(instr[4])
-                                  else 0)
-            elif kind == "checkcast":
-                obj = regs[instr[3]]
-                if obj is not None and not obj.jclass.is_subtype_of(instr[4]):
-                    raise GuestCastError(
-                        f"cannot cast {obj.jclass.name} to {instr[4]}")
-                regs[instr[2]] = obj
-            elif kind == "getstatic":
-                regs[instr[2]] = instr[3].static_values[instr[4]]
-            elif kind == "putstatic":
-                instr[2].static_values[instr[3]] = regs[instr[4]]
-            elif kind == "callstatic":
-                frame.pending_dest = instr[2]
-                args = [regs[a] for a in instr[4]]
-                frame.pc += 1
-                thread.budget -= cost
-                counters.reference_cycles += cost
-                vm.call(thread, instr[3], args)
-                return
-            elif kind == "callvirtual":
-                counters.method += 1
-                args = [regs[a] for a in instr[4]]
-                receiver = args[0]
-                if receiver is None:
-                    raise GuestNullPointerError(f"invoke {instr[3]} on null")
-                target = receiver.jclass.resolve_method(instr[3])
-                frame.pending_dest = instr[2]
-                frame.pc += 1
-                thread.budget -= cost
-                counters.reference_cycles += cost
-                vm.call(thread, target, args)
-                return
-            elif kind == "indy":
-                counters.idynamic += 1
-                counters.method += 1
-                captured = [regs[a] for a in instr[4]]
-                regs[instr[2]] = vm.make_function(instr[3], captured)
-            elif kind == "callhandle":
-                counters.method += 1
-                handle = regs[instr[3]]
-                if handle is None:
-                    raise GuestNullPointerError("invoke on null function")
-                target, captured = handle.meta
-                args = list(captured) + [regs[a] for a in instr[4]]
-                frame.pending_dest = instr[2]
-                frame.pc += 1
-                thread.budget -= cost
-                counters.reference_cycles += cost
-                vm.call(thread, target, args)
-                return
-            elif kind == "monitorenter":
-                counters.synch += 1
-                obj = regs[instr[2]]
-                if obj is None:
-                    raise GuestNullPointerError("monitorenter")
-                coarsen = instr[3]
-                if coarsen is not None:
-                    held = frame.coarsen_held
-                    if held is not None and coarsen[1] in held:
-                        cost = 1        # lock still held from last chunk
-                        frame.pc += 1
-                        thread.budget -= cost
-                        counters.reference_cycles += cost
-                        continue
-                if sched.monitor_enter(thread, obj):
-                    pass
-                else:
-                    counters.monitor_contended += 1
-                    thread.budget -= cost
-                    counters.reference_cycles += cost
-                    return      # re-execute this pc once granted
-            elif kind == "monitorexit":
-                obj = regs[instr[2]]
-                coarsen = instr[3]
-                if coarsen is not None:
-                    _, site, chunk = coarsen
-                    counts = frame.coarsen_counts
-                    if counts is None:
-                        counts = frame.coarsen_counts = {}
-                        frame.coarsen_held = {}
-                    n = counts.get(site, 0) + 1
-                    counts[site] = n
-                    if n % chunk != 0:
-                        frame.coarsen_held[site] = obj
-                        cost = 1        # keep holding across the chunk
+                if kind == "add":
+                    a = regs[instr[3]]
+                    b = regs[instr[4]]
+                    try:
+                        regs[instr[2]] = a + b
+                    except TypeError:
+                        # String concatenation with a non-string operand.
+                        if type(a) is not str and type(b) is not str:
+                            raise
+                        regs[instr[2]] = guest_str(a) + guest_str(b)
+                elif kind == "guard":
+                    label = instr[2]
+                    guards += 1
+                    try:
+                        guard_kinds[label] += 1
+                    except KeyError:
+                        guard_kinds[label] = 1
+                    test = instr[3]
+                    operands = instr[4]
+                    if test == "nonnull":
+                        ok = regs[operands[0]] is not None
+                    elif test == "bounds":
+                        idx = regs[operands[0]]
+                        arr = regs[operands[1]]
+                        ok = arr is not None and 0 <= idx < len(arr.data)
+                    elif test == "bounds_range":
+                        lo = regs[operands[0]]
+                        hi = regs[operands[1]]
+                        arr = regs[operands[2]]
+                        ok = (arr is not None and lo >= 0
+                              and hi <= len(arr.data))
+                    elif test == "type":
+                        obj = regs[operands[0]]
+                        ok = obj is not None and obj.jclass.name == instr[5]
                     else:
-                        frame.coarsen_held.pop(site, None)
+                        raise VMError(f"unknown guard test {test}")
+                    if not ok:
+                        budget -= cost
+                        handoff = (deopt_mod.deoptimize,
+                                   (vm, thread, frame, instr[6], instr[7]))
+                        break
+                elif kind == "branch":
+                    pc = instr[3] if regs[instr[2]] else instr[4]
+                    budget -= cost
+                    continue
+                elif kind == "cmpz":
+                    value = regs[instr[4]]
+                    if value is None:
+                        value = 0
+                    if instr[3] == "==":
+                        regs[instr[2]] = 1 if value == 0 else 0
+                    else:
+                        regs[instr[2]] = 1 if _CMP[instr[3]](value, 0) else 0
+                elif kind == "cmp":
+                    a = regs[instr[4]]
+                    b = regs[instr[5]]
+                    if instr[3] == "<":
+                        regs[instr[2]] = 1 if a < b else 0
+                    else:
+                        regs[instr[2]] = 1 if _CMP[instr[3]](a, b) else 0
+                elif kind == "aload":
+                    arr = regs[instr[3]]
+                    idx = regs[instr[4]]
+                    line = (arr.addr + idx) // WORDS_PER_LINE
+                    if l1[line % L1_LINES] != line:
+                        cost += cache_miss(core, line)
+                    try:
+                        if idx < 0:
+                            raise IndexError
+                        regs[instr[2]] = arr.data[idx]
+                    except IndexError:
+                        raise GuestBoundsError(
+                            f"compiled aload OOB {idx}/{len(arr.data)}"
+                        ) from None
+                elif kind == "jump":
+                    pc = instr[2]
+                    budget -= cost
+                    continue
+                elif kind == "phimove":
+                    pairs = instr[2]
+                    n = len(pairs)
+                    if n == 1:
+                        src, dst = pairs[0]
+                        regs[dst] = regs[src]
+                    elif n == 2:
+                        (src, dst), (src2, dst2) = pairs
+                        a = regs[src]
+                        b = regs[src2]
+                        regs[dst] = a
+                        regs[dst2] = b
+                    else:
+                        values = [regs[src] for src, _ in pairs]
+                        for (_, dst), value in zip(pairs, values):
+                            regs[dst] = value
+                elif kind == "getfield":
+                    obj = regs[instr[3]]
+                    if obj is None:
+                        raise GuestNullPointerError(f"getfield {instr[4]}")
+                    slot = obj.jclass.field_layout[instr[4]]
+                    line = (obj.addr + slot) // WORDS_PER_LINE
+                    if l1[line % L1_LINES] != line:
+                        cost += cache_miss(core, line)
+                    regs[instr[2]] = obj.values[slot]
+                elif kind == "mul":
+                    regs[instr[2]] = regs[instr[3]] * regs[instr[4]]
+                elif kind == "putfield":
+                    obj = regs[instr[2]]
+                    if obj is None:
+                        raise GuestNullPointerError(f"putfield {instr[3]}")
+                    slot = obj.jclass.field_layout[instr[3]]
+                    cost += cache.access(core, obj.addr + slot)
+                    obj.values[slot] = regs[instr[4]]
+                elif kind == "astore":
+                    arr = regs[instr[2]]
+                    idx = regs[instr[3]]
+                    cost += cache.access(core, arr.addr + idx)
+                    try:
+                        if idx < 0:
+                            raise IndexError
+                        arr.data[idx] = regs[instr[4]]
+                    except IndexError:
+                        raise GuestBoundsError(
+                            f"compiled astore OOB {idx}/{len(arr.data)}"
+                        ) from None
+                elif kind == "ret":
+                    value = regs[instr[2]] if instr[2] is not None else None
+                    budget -= cost
+                    handoff = (_return, (thread, value))
+                    break
+                elif kind == "rem":
+                    a = regs[instr[3]]
+                    b = regs[instr[4]]
+                    if b == 0:
+                        raise GuestArithmeticError("% by zero")
+                    if isinstance(a, int) and isinstance(b, int):
+                        regs[instr[2]] = _rem_int(a, b)
+                    else:
+                        regs[instr[2]] = a - b * int(a / b)
+                elif kind == "callstatic":
+                    frame.pending_dest = instr[2]
+                    args = [regs[a] for a in instr[4]]
+                    pc += 1
+                    budget -= cost
+                    handoff = (vm.call, (thread, instr[3], args))
+                    break
+                elif kind == "checkcast":
+                    obj = regs[instr[3]]
+                    if obj is not None \
+                            and not obj.jclass.is_subtype_of(instr[4]):
+                        raise GuestCastError(
+                            f"cannot cast {obj.jclass.name} to {instr[4]}")
+                    regs[instr[2]] = obj
+                elif kind == "sub":
+                    regs[instr[2]] = regs[instr[3]] - regs[instr[4]]
+                elif kind == "new":
+                    obj = heap.new_object(instr[3])
+                    cost += cache.access(core, obj.addr)
+                    regs[instr[2]] = obj
+                elif kind == "arraylen":
+                    regs[instr[2]] = len(regs[instr[3]].data)
+                elif kind == "instanceof":
+                    obj = regs[instr[3]]
+                    regs[instr[2]] = (1 if obj is not None
+                                      and obj.jclass.is_subtype_of(instr[4])
+                                      else 0)
+                elif kind == "div":
+                    a = regs[instr[3]]
+                    b = regs[instr[4]]
+                    if b == 0:
+                        raise GuestArithmeticError("/ by zero")
+                    if isinstance(a, int) and isinstance(b, int):
+                        regs[instr[2]] = _truediv_int(a, b)
+                    else:
+                        regs[instr[2]] = a / b
+                elif kind == "atomicget":
+                    obj = regs[instr[3]]
+                    if obj is None:
+                        raise GuestNullPointerError(f"atomicget {instr[4]}")
+                    counters.atomic += 1
+                    slot = obj.jclass.field_layout[instr[4]]
+                    cost += cache.access(core, obj.addr + slot)
+                    regs[instr[2]] = obj.values[slot]
+                elif kind == "and":
+                    regs[instr[2]] = regs[instr[3]] & regs[instr[4]]
+                elif kind == "shr":
+                    regs[instr[2]] = regs[instr[3]] >> regs[instr[4]]
+                elif kind == "monitorenter":
+                    counters.synch += 1
+                    obj = regs[instr[2]]
+                    if obj is None:
+                        raise GuestNullPointerError("monitorenter")
+                    coarsen = instr[3]
+                    if coarsen is not None:
+                        held = frame.coarsen_held
+                        if held is not None and coarsen[1] in held:
+                            pc += 1     # lock still held from last chunk
+                            budget -= 1
+                            continue
+                    if not sched.monitor_enter(thread, obj):
+                        counters.monitor_contended += 1
+                        budget -= cost
+                        break           # re-execute this pc once granted
+                elif kind == "atomicadd":
+                    obj = regs[instr[3]]
+                    if obj is None:
+                        raise GuestNullPointerError(f"atomicadd {instr[4]}")
+                    counters.atomic += 1
+                    slot = obj.jclass.field_layout[instr[4]]
+                    cost += cache.access(core, obj.addr + slot)
+                    old = obj.values[slot]
+                    obj.values[slot] = old + regs[instr[5]]
+                    regs[instr[2]] = old
+                elif kind == "cas":
+                    obj = regs[instr[3]]
+                    if obj is None:
+                        raise GuestNullPointerError(f"cas {instr[4]}")
+                    counters.atomic += 1
+                    slot = obj.jclass.field_layout[instr[4]]
+                    cost += cache.access(core, obj.addr + slot)
+                    if obj.values[slot] == regs[instr[5]]:
+                        obj.values[slot] = regs[instr[6]]
+                        regs[instr[2]] = 1
+                    else:
+                        counters.cas_failures += 1
+                        if trace_cas is not None:
+                            trace_cas.emit("cas", "fail", thread.tid,
+                                           (instr[4],))
+                        regs[instr[2]] = 0
+                elif kind == "monitorexit":
+                    obj = regs[instr[2]]
+                    coarsen = instr[3]
+                    if coarsen is not None:
+                        _, site, chunk = coarsen
+                        counts = frame.coarsen_counts
+                        if counts is None:
+                            counts = frame.coarsen_counts = {}
+                            frame.coarsen_held = {}
+                        n = counts.get(site, 0) + 1
+                        counts[site] = n
+                        if n % chunk != 0:
+                            frame.coarsen_held[site] = obj
+                            cost = 1    # keep holding across the chunk
+                        else:
+                            frame.coarsen_held.pop(site, None)
+                            sched.monitor_exit(thread, obj)
+                    else:
                         sched.monitor_exit(thread, obj)
+                elif kind == "callhandle":
+                    counters.method += 1
+                    handle = regs[instr[3]]
+                    if handle is None:
+                        raise GuestNullPointerError("invoke on null function")
+                    target, captured = handle.meta
+                    args = list(captured) + [regs[a] for a in instr[4]]
+                    frame.pending_dest = instr[2]
+                    pc += 1
+                    budget -= cost
+                    handoff = (vm.call, (thread, target, args))
+                    break
+                elif kind == "i2d":
+                    regs[instr[2]] = float(regs[instr[3]])
+                elif kind == "notifyall":
+                    counters.notify += 1
+                    sched.monitor_notify(thread, regs[instr[2]],
+                                         all_waiters=True)
+                elif kind == "getstatic":
+                    regs[instr[2]] = instr[3].static_values[instr[4]]
+                elif kind == "wait":
+                    counters.wait += 1
+                    obj = regs[instr[2]]
+                    if obj is None:
+                        raise GuestNullPointerError("wait")
+                    pc += 1
+                    budget -= cost
+                    handoff = (sched.monitor_wait, (thread, obj))
+                    break
+                elif kind == "indy":
+                    counters.idynamic += 1
+                    counters.method += 1
+                    captured = [regs[a] for a in instr[4]]
+                    regs[instr[2]] = vm.make_function(instr[3], captured)
+                elif kind == "d2i":
+                    regs[instr[2]] = int(regs[instr[3]])
+                elif kind == "not":
+                    regs[instr[2]] = 0 if regs[instr[3]] else 1
+                elif kind == "newarray":
+                    length = regs[instr[4]]
+                    cost += alloc_cost(length)
+                    arr = heap.new_array(instr[3], length)
+                    cost += cache.access(core, arr.addr)
+                    regs[instr[2]] = arr
+                elif kind == "monitorexit_if_held":
+                    site = instr[3][1]
+                    held = frame.coarsen_held
+                    if held is not None and site in held:
+                        sched.monitor_exit(thread, held.pop(site))
+                        cost = 18
+                elif kind == "park":
+                    counters.park += 1
+                    pc += 1
+                    budget -= cost
+                    if sched.park(thread):
+                        break
+                    continue
+                elif kind == "unpark":
+                    counters.unpark += 1
+                    sched.unpark(vm.guest_thread_of(regs[instr[2]]))
+                elif kind == "callvirtual":
+                    counters.method += 1
+                    args = [regs[a] for a in instr[4]]
+                    receiver = args[0]
+                    if receiver is None:
+                        raise GuestNullPointerError(
+                            f"invoke {instr[3]} on null")
+                    target = receiver.jclass.resolve_method(instr[3])
+                    frame.pending_dest = instr[2]
+                    pc += 1
+                    budget -= cost
+                    handoff = (vm.call, (thread, target, args))
+                    break
+                elif kind == "shl":
+                    regs[instr[2]] = regs[instr[3]] << regs[instr[4]]
+                elif kind == "or":
+                    regs[instr[2]] = regs[instr[3]] | regs[instr[4]]
+                elif kind == "xor":
+                    regs[instr[2]] = regs[instr[3]] ^ regs[instr[4]]
+                elif kind == "neg":
+                    regs[instr[2]] = -regs[instr[3]]
+                elif kind == "putstatic":
+                    instr[2].static_values[instr[3]] = regs[instr[4]]
+                elif kind == "notify":
+                    counters.notify += 1
+                    sched.monitor_notify(thread, regs[instr[2]],
+                                         all_waiters=False)
                 else:
-                    sched.monitor_exit(thread, obj)
-            elif kind == "monitorexit_if_held":
-                coarsen = instr[3]
-                held = frame.coarsen_held
-                if held is not None and coarsen[1] in held:
-                    obj = held.pop(coarsen[1])
-                    sched.monitor_exit(thread, obj)
-                    cost = 18
-            elif kind == "cas":
-                obj = regs[instr[3]]
-                if obj is None:
-                    raise GuestNullPointerError(f"cas {instr[4]}")
-                counters.atomic += 1
-                slot = obj.jclass.field_layout[instr[4]]
-                cost += cache.access(core, obj.addr + slot)
-                if obj.values[slot] == regs[instr[5]]:
-                    obj.values[slot] = regs[instr[6]]
-                    regs[instr[2]] = 1
-                else:
-                    counters.cas_failures += 1
-                    if trace_cas is not None:
-                        trace_cas.emit("cas", "fail", thread.tid,
-                                       (instr[4],))
-                    regs[instr[2]] = 0
-            elif kind == "atomicget":
-                obj = regs[instr[3]]
-                if obj is None:
-                    raise GuestNullPointerError(f"atomicget {instr[4]}")
-                counters.atomic += 1
-                slot = obj.jclass.field_layout[instr[4]]
-                cost += cache.access(core, obj.addr + slot)
-                regs[instr[2]] = obj.values[slot]
-            elif kind == "atomicadd":
-                obj = regs[instr[3]]
-                if obj is None:
-                    raise GuestNullPointerError(f"atomicadd {instr[4]}")
-                counters.atomic += 1
-                slot = obj.jclass.field_layout[instr[4]]
-                cost += cache.access(core, obj.addr + slot)
-                old = obj.values[slot]
-                obj.values[slot] = old + regs[instr[5]]
-                regs[instr[2]] = old
-            elif kind == "park":
-                counters.park += 1
-                frame.pc += 1
-                thread.budget -= cost
-                counters.reference_cycles += cost
-                if sched.park(thread):
-                    return
-                continue
-            elif kind == "unpark":
-                counters.unpark += 1
-                sched.unpark(vm.guest_thread_of(regs[instr[2]]))
-            elif kind == "wait":
-                counters.wait += 1
-                obj = regs[instr[2]]
-                if obj is None:
-                    raise GuestNullPointerError("wait")
-                frame.pc += 1
-                thread.budget -= cost
-                counters.reference_cycles += cost
-                sched.monitor_wait(thread, obj)
-                return
-            elif kind == "notify":
-                counters.notify += 1
-                sched.monitor_notify(thread, regs[instr[2]],
-                                     all_waiters=False)
-            elif kind == "notifyall":
-                counters.notify += 1
-                sched.monitor_notify(thread, regs[instr[2]],
-                                     all_waiters=True)
-            elif kind == "ret":
-                value = regs[instr[2]] if instr[2] is not None else None
-                thread.frames.pop()
-                if thread.frames:
-                    thread.frames[-1].receive_result(value)
-                else:
-                    thread.result = value
-                thread.budget -= cost
-                counters.reference_cycles += cost
-                return
-            else:
-                raise VMError(f"machine: unhandled instruction {kind}")
+                    raise VMError(f"machine: unhandled instruction {kind}")
 
-            frame.pc += 1
-            thread.budget -= cost
-            counters.reference_cycles += cost
+                pc += 1
+                budget -= cost
+        finally:
+            frame.pc = pc
+            thread.budget = budget
+            counters.instructions += executed
+            counters.reference_cycles += start - budget
+            counters.guards_executed += guards
+        if handoff is not None:
+            fn, args = handoff
+            fn(*args)
 
 
 #: Machine-frame slice entries before a CompiledCode is host-compiled by

@@ -20,20 +20,23 @@ import itertools
 from repro.jit.ir import Graph, Node
 from repro.jit.loops import Loop, find_loops
 
-_site_counter = itertools.count(1)
-
 
 def run(graph: Graph, config, stats) -> None:
     processed = 0
     coarsened = 0
+    # Sites are numbered per graph: a frame's held-lock table is keyed
+    # by site, and the compiled code must not depend on earlier compiles.
+    sites = itertools.count(1)
     for loop in find_loops(graph):
         processed += len(loop.blocks) * 3
-        coarsened += _try_coarsen(graph, loop, config.lock_coarsen_chunk)
+        coarsened += _try_coarsen(graph, loop, config.lock_coarsen_chunk,
+                                  sites)
     stats.phase("lock-coarsen", graph.node_count() + processed
                 + coarsened * 30)
 
 
-def _try_coarsen(graph: Graph, loop: Loop, chunk: int) -> int:
+def _try_coarsen(graph: Graph, loop: Loop, chunk: int,
+                 sites) -> int:
     blocks = [loop._block_map[b] for b in loop.blocks
               if loop._block_map.get(b) in graph.blocks]
     by_lock: dict[int, list] = {}
@@ -54,7 +57,7 @@ def _try_coarsen(graph: Graph, loop: Loop, chunk: int) -> int:
         lock = enters[0].inputs[0]
         if lock.block is not None and lock.block.id in loop.blocks:
             continue
-        site = next(_site_counter)
+        site = next(sites)
         tag = ("coarsen", site, chunk)
         enters[0].extra = tag
         exits[0].extra = tag

@@ -13,6 +13,8 @@ or when the top of the frame stack becomes a compiled-code frame (which
 
 from __future__ import annotations
 
+import operator
+
 from repro.errors import (
     GuestArithmeticError,
     GuestCastError,
@@ -65,12 +67,8 @@ def guest_str(value) -> str:
 
 
 _CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
 

@@ -274,21 +274,16 @@ def test_never_entered_region_is_never_compiled():
     assert stats.compile_cycles == sum(t2.compile_cycles for t2 in codes)
 
 
-def test_generated_block_source_is_pinned(monkeypatch):
+def test_generated_block_source_is_pinned():
     # The text extend_tier2 generates for a (code, pc, deopt_at) is the
     # verifier's input and must not drift with *when* a block is
     # emitted: SHA-256 of Bench.step's blocks at pc 0 (a leader, emitted
-    # on first entry) and pc 1 (mid-region, emitted on request), as
-    # computed before emission moved out of compile_tier2.
+    # on first entry) and pc 1 (mid-region, emitted on request).
+    # Registers are numbered per method, so no process state is reset.
     import hashlib
-    import itertools
 
     from repro.jit.emit2 import extend_tier2
-    from repro.jit.ir import Node
 
-    # Machine registers are numbered by the process-wide IR node
-    # counter: restart it so the CompiledCode is the fresh-process one.
-    monkeypatch.setattr(Node, "_ids", itertools.count(1))
     bench = hot_bench("pinned2")
     vm = VM(engine="tier2", jit="graal")
     vm.load(bench.compile())
@@ -298,11 +293,61 @@ def test_generated_block_source_is_pinned(monkeypatch):
     extend_tier2(t2, 1)
     assert {pc: hashlib.sha256(text.encode()).hexdigest()
             for pc, text in t2.source.items()} == {
-        0: "481dfe8d9c6c311c127f61cc94e7f2e2"
-           "9f5d39896850cb1ae67c5fc516dd5d5f",
-        1: "a1db09bf3952769642ecb3acd36d1af1"
-           "d317bb32258dfa7eedd4325a70069f63",
+        0: "97e10018127e990a85f1cd59f2d90d51"
+           "0311b2f039eb94fc54e93da434b069ee",
+        1: "d0c24b19ce66be1bc26c3df5dfe52a20"
+           "c3d96045cbcd629140fe689b1590c392",
     }
+
+
+#: ``hammer`` locks a loop-invariant object every iteration, so lock
+#: coarsening tags its monitor pair with a site number.
+LOCK_LOOP_SRC = """
+class Box { var n; def init() { this.n = 0; } }
+class Bench {
+    static def run(n) {
+        var lock = new Box();
+        var i = 0;
+        while (i < n) { Bench.hammer(lock, 20); i = i + 1; }
+        return lock.n;
+    }
+    static def hammer(lock, k) {
+        var i = 0;
+        while (i < k) {
+            synchronized (lock) { lock.n = lock.n + 1; }
+            i = i + 1;
+        }
+        return k;
+    }
+}
+"""
+
+
+def test_compiled_code_does_not_depend_on_earlier_compiles():
+    # Registers and coarsening sites are numbered per method, so the
+    # same method compiles to the same machine code and the same tier-2
+    # text whatever the process compiled before it.
+    from repro.jit.emit2 import extend_tier2
+    from repro.lang import compile_program
+
+    def compile_hammer():
+        vm = VM(engine="tier2", jit="graal")
+        vm.load(compile_program(LOCK_LOOP_SRC))
+        assert vm.invoke("Bench.run", [40]) == 800
+        code = vm.resolve_static("Bench", "hammer").compiled
+        t2 = vm.machine._memo[code]
+        for pc in (0, 1):
+            if t2.entries[pc] is None:
+                extend_tier2(t2, pc)
+        assert any(i[0] == "monitorenter" and i[3] for i in code.instrs)
+        return code.instrs, {pc: t2.source[pc] for pc in (0, 1)}
+
+    before = compile_hammer()
+    # An unrelated program that also coarsens a lock.
+    other = VM(jit="graal")
+    other.load(compile_program(LOCK_LOOP_SRC.replace("Bench", "Other")))
+    other.invoke("Other.run", [40])
+    assert before == compile_hammer()
 
 
 # ----------------------------------------------------------------------
