@@ -52,7 +52,7 @@ tier1:
 	PYTHONPATH=src python -m pytest -q tests/test_tier1.py
 
 # Tier-2 engine focus: the three-tier-ladder test suite (equivalence
-# oracle, forced-deopt fuzz, OSR, rematerialization).
+# oracle, budget-exit fuzz, OSR, rematerialization).
 tier2:
 	PYTHONPATH=src python -m pytest -q tests/test_tier2.py
 

@@ -33,10 +33,6 @@ class ParseError(ReproError):
         self.col = col
 
 
-class TypeCheckError(ReproError):
-    """Raised by the guest-language type checker."""
-
-
 class CompileError(ReproError):
     """Raised by bytecode codegen or the JIT on an internal inconsistency."""
 

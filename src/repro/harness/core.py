@@ -206,8 +206,8 @@ class Runner:
 
     ``engine`` selects the host execution engine — ``"threaded"`` (the
     default), ``"reference"`` (the oracle), ``"tier1"`` (superblock
-    closures with deopt fallback) or ``"tier2"`` (tier-1 plus host
-    compilation of guest-JIT machine code, with OSR and a deopt chain).
+    closures over threaded handlers) or ``"tier2"`` (tier-1 plus host
+    compilation of guest-JIT machine code, with OSR and guest deopt).
     The choice is pure host-side speed: counters, schedules, results
     and fingerprints are byte-identical across engines.
 

@@ -21,85 +21,7 @@ from repro.jit.lowering import UNWRITTEN
 from repro.jvm.costmodel import DEOPT_COST
 from repro.jvm.interpreter import Frame
 
-
-class Tier1Deopt(Exception):
-    """Host-level control transfer: a tier-1 superblock bails out.
-
-    Raised by :func:`tier1_deopt` from inside an emitted superblock
-    (see :mod:`repro.jit.emit`) after the block has flushed its batched
-    counters and reconstructed ``frame.stack``/``frame.pc`` at the
-    exact bytecode index.  The tier-1 driver catches it and resumes the
-    frame on the threaded tier-0 engine.  Unlike :func:`deoptimize`
-    (the *guest* JIT's deopt), this is a simulator-internal transition:
-    it must not touch :class:`~repro.jvm.counters.Counters`, charge
-    simulated cycles, or emit trace events — the reference interpreter
-    has no notion of host tiers, and byte-identity is the contract.
-    """
-
-    def __init__(self, method, pc: int, reason: str) -> None:
-        super().__init__(f"tier1 deopt {method.qualified}@{pc}: {reason}")
-        self.method = method
-        self.pc = pc
-        self.reason = reason
-
-
-def tier1_deopt(engine, method, frame, pc: int, reason: str = "forced"):
-    """Deopt a tier-1 compiled method back to the threaded engine.
-
-    The emitted superblock has already flushed batched accounting and
-    materialized the operand stack, so ``frame`` is byte-identical to
-    what the reference interpreter would hold immediately before
-    executing bytecode ``pc``.  This helper records the deopt on the
-    engine's host-side stats, invalidates the method's tier-1 code
-    (the next promotion recompiles without the failed guard), and
-    raises :class:`Tier1Deopt` to unwind into the threaded dispatch
-    loop.  Never returns.
-    """
-    deopts = engine.stats.deopts
-    deopts[reason] = deopts.get(reason, 0) + 1
-    engine.drop_code(method)
-    raise Tier1Deopt(method, pc, reason)
-
-
-class Tier2Deopt(Exception):
-    """Host-level control transfer: a tier-2 superblock bails out.
-
-    The tier-2 analogue of :class:`Tier1Deopt`: raised by
-    :func:`tier2_deopt` from inside a closure emitted by
-    :mod:`repro.jit.emit2` after the block has flushed its batched
-    counters and parked ``frame.pc`` at the exact machine-code index.
-    The tier-2 driver catches it and resumes the *same*
-    :class:`~repro.jit.machine.MachineFrame` on the interpretive
-    :class:`~repro.jit.machine.Machine`, which re-executes the trapped
-    instruction identically — the transition is invisible to the guest.
-    Real guard failures do NOT use this path: they go through
-    :func:`deoptimize` below, exactly as the interpretive machine does.
-    """
-
-    def __init__(self, method, pc: int, reason: str) -> None:
-        super().__init__(f"tier2 deopt {method.qualified}@{pc}: {reason}")
-        self.method = method
-        self.pc = pc
-        self.reason = reason
-
-
-def tier2_deopt(engine, code, frame, pc: int, reason: str = "forced"):
-    """Deopt tier-2 host code back to the interpretive machine.
-
-    The emitted block has already flushed batched accounting and parked
-    ``frame.pc`` on the trapped machine instruction, so ``frame`` is
-    byte-identical to the interpretive machine's state immediately
-    before executing that instruction.  Records the deopt on the
-    engine's host-side stats, invalidates the method's tier-2 closures
-    (the next promotion recompiles without the trap), and raises
-    :class:`Tier2Deopt` to unwind into the tier-2 dispatch loop.
-    Never returns.
-    """
-    deopts = engine.stats.deopts
-    deopts[reason] = deopts.get(reason, 0) + 1
-    engine.drop_code(code.method)
-    raise Tier2Deopt(code.method, pc, reason)
-
+__all__ = ["deoptimize"]
 
 def deoptimize(vm, thread, machine_frame, speculation_id, meta_index) -> None:
     counters = vm.counters

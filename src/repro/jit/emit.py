@@ -38,11 +38,11 @@ only at exits:
   already carries the exact reference semantics (quickening, receiver
   profiles, contention accounting).
 
-Guard failures — a forced deopt trap (``deopt_at``, used by the fuzz
-suite), an injected fault or guest exception inside a block, or a
-budget boundary landing mid-block — transfer back to the threaded
-engine at the exact bytecode index via :func:`repro.jit.deopt.tier1_deopt`
-or simply by returning with ``frame.pc`` parked inside the region.
+A block exits in one of three ways: a budget boundary landing mid-block
+returns with ``frame.pc`` parked inside the region (the threaded
+handler at that pc resumes it next slice); a guest exception or an
+injected fault raises after the flush; a terminator, invoke or the
+region's end hands control to the next pc.
 
 Why bytecode and not the post-phase ``repro.jit`` graph IR: the guest
 JIT's optimization phases change *simulated* costs and counters by
@@ -62,7 +62,6 @@ from repro.errors import (
     GuestCastError,
     GuestNullPointerError,
 )
-from repro.jit.deopt import tier1_deopt
 from repro.jvm.bytecode import Op
 from repro.jvm.cache import L1_LINES, WORDS_PER_LINE
 from repro.jvm.costmodel import (
@@ -119,9 +118,9 @@ class Tier1Code:
     """A method's compiled superblocks plus the merged dispatch table."""
 
     __slots__ = ("method", "entries", "dispatch", "nblocks", "sites",
-                 "compile_cycles", "deopt_at", "source")
+                 "compile_cycles", "source")
 
-    def __init__(self, method, entries, nblocks, sites, deopt_at, source):
+    def __init__(self, method, entries, nblocks, sites, source):
         self.method = method
         self.entries = entries        # pc -> block fn (None off-leaders)
         self.dispatch = None          # merged with threaded handlers
@@ -129,7 +128,6 @@ class Tier1Code:
         self.sites = sites            # instruction sites emitted
         self.compile_cycles = (sites * TIER1_COMPILE_SITE_COST
                                + nblocks * TIER1_COMPILE_BLOCK_COST)
-        self.deopt_at = deopt_at
         self.source = source          # generated module, for debugging
 
 
@@ -166,7 +164,7 @@ class _BlockEmitter:
         self.fault_calls = fault_calls  # fault hook wants call events
         self.ops = ops                # [(pc, instr), ...] executable ops
         self.end_pc = end_pc
-        self.kind = kind              # "term" | "bail" | "split" | "deopt"
+        self.kind = kind              # "term" | "bail" | "split"
         self.cells = cells            # shared (per-method) env cells
         self.consts = consts          # shared non-literal CONST bindings
         self.used = set()             # env names this block binds
@@ -306,7 +304,7 @@ class _BlockEmitter:
     # -- per-op emission -----------------------------------------------
     def emit_op(self, pc: int, instr) -> bool:
         """Emit one op; returns False when the block ended (terminator
-        or deopt trap) and emission must stop."""
+        or invoke) and emission must stop."""
         if self.k:
             self.budget_guard(pc)
         op = instr.op
@@ -816,11 +814,6 @@ class _BlockEmitter:
             f'for length {{_len({data})}}")')
         return data
 
-    def dyn_charge(self, expr: str) -> None:
-        penalty = self.tmp()
-        self.emit(f"{penalty} = {expr}")
-        self.emit(f"budget -= {penalty}")
-
     def cache_charge(self, addr_expr: str) -> None:
         """Inline ``CacheModel.access``'s hit path (one list compare);
         only a miss pays the ``_cmiss`` call.  ``_l1c`` is this core's
@@ -844,7 +837,7 @@ class _BlockEmitter:
 
     def alloc_call(self, pc: int, call: str) -> str:
         """Allocation guarded for heap pressure / injected faults: a
-        raise inside the heap deopts with prior ops flushed and the
+        raise inside the heap re-raises with prior ops flushed and the
         faulting instruction counted but uncharged."""
         result = self.tmp()
         self.emit("try:")
@@ -874,24 +867,17 @@ class _BlockEmitter:
             if not self.emit_op(pc, instr):
                 break
         else:
-            if self.kind == "deopt":
-                # Forced trap: flush *before* the trapped op executes,
-                # then transfer to the threaded tier via jit.deopt.
-                for part in self.flush_parts(pc=self.end_pc):
-                    self.emit(part)
-                self.emit(f"_deopt(frame, {self.end_pc})")
-            else:
-                # "bail"/"split": park the pc on the boundary op; the
-                # driver dispatches its threaded handler next.
-                for part in self.flush_parts(pc=self.end_pc):
-                    self.emit(part)
-                self.emit("return True")
+            # "bail"/"split": park the pc on the boundary op; the
+            # dispatch loop runs its threaded handler next.
+            for part in self.flush_parts(pc=self.end_pc):
+                self.emit(part)
+            self.emit("return True")
         name = f"_b{self.leader}"
         defaults = [
             "_ct=_ct", "_md=_md", "_vm=_vm", "_cm=_cm", "_heap=_heap",
             "_gs=_gs", "_l1=_l1", "_cmiss=_cmiss", "_GAE=_GAE",
             "_GNPE=_GNPE", "_GBE=_GBE", "_GCE=_GCE", "_dp=_dp",
-            "_deopt=_deopt", "_pr=_pr", "_tcas=_tcas", "_Frame=_Frame",
+            "_pr=_pr", "_tcas=_tcas", "_Frame=_Frame",
             "_machine=_machine", "_jit=_jit", "_type=type",
             "_len=len", "_float=float", "_int=int", "_isin=isinstance",
             "_abs=abs", "_list=list",
@@ -915,12 +901,12 @@ class _EmitBail(Exception):
     """The emitter declines this method; the caller falls back."""
 
 
-def _scan(code, leader: int, n: int, deopt_at: int | None):
+def _scan(code, leader: int, n: int):
     """Collect the superblock's executable ops starting at ``leader``.
 
     Returns ``(ops, end_pc, kind)``: ops run inside the block;
     ``end_pc`` is the bytecode the block stops *at* (exclusive for
-    "bail"/"split"/"deopt", the terminator's own pc for "term").
+    "bail"/"split", the terminator's own pc for "term").
     """
     ops = []
     pc = leader
@@ -928,8 +914,6 @@ def _scan(code, leader: int, n: int, deopt_at: int | None):
         instr = code[pc]
         if instr.op in BAIL_OPS:
             return ops, pc, "bail"
-        if deopt_at is not None and pc == deopt_at:
-            return ops, pc, "deopt"
         ops.append((pc, instr))
         if instr.op in _TERMINATORS or instr.op in _INVOKE_OPS:
             return ops, pc, "term"
@@ -950,14 +934,13 @@ def _leaders(code, n: int) -> set[int]:
     return {pc for pc in out if pc < n}
 
 
-def compile_method(engine, method, *, deopt_at: int | None = None):
+def compile_method(engine, method):
     """Compile ``method`` to superblock closures for ``engine``.
 
     ``engine`` is the :class:`repro.jvm.tier1.Tier1Interpreter` that
-    owns the compiled code (its stats receive the deopt counts).
-    ``deopt_at`` plants a forced deopt trap immediately before that
-    bytecode index (the fuzz suite's uncommon-trap stand-in).  Returns
-    a :class:`Tier1Code` or None when nothing is worth compiling.
+    owns the compiled code (its stats receive the block exit counts).
+    Returns a :class:`Tier1Code` or None when nothing is worth
+    compiling.
     """
     code = method.code
     if code is None:
@@ -966,10 +949,6 @@ def compile_method(engine, method, *, deopt_at: int | None = None):
     if n == 0:
         return None
     vm = engine.vm
-
-    def _forced_deopt(frame, pc, _engine=engine, _method=method):
-        tier1_deopt(_engine, _method, frame, pc, reason="forced")
-
     env = {
         "_ct": vm.counters, "_md": method, "_vm": vm, "_cm": vm.cache,
         "_heap": vm.heap, "_gs": guest_str,
@@ -977,7 +956,7 @@ def compile_method(engine, method, *, deopt_at: int | None = None):
         "_GAE": GuestArithmeticError,
         "_GNPE": GuestNullPointerError, "_GBE": GuestBoundsError,
         "_GCE": GuestCastError, "_dp": engine.stats.deopts,
-        "_deopt": _forced_deopt, "_pr": _profile_receiver,
+        "_pr": _profile_receiver,
         "_tcas": (vm.trace if vm.trace is not None and vm.trace.cas_on
                   else None),
         "_Frame": Frame, "_machine": vm.machine, "_jit": vm.jit,
@@ -993,11 +972,11 @@ def compile_method(engine, method, *, deopt_at: int | None = None):
     try:
         while pending:
             leader = pending.pop(0)
-            ops, end_pc, kind = _scan(code, leader, n, deopt_at)
+            ops, end_pc, kind = _scan(code, leader, n)
             if kind == "split" and end_pc < n and end_pc not in seen:
                 seen.add(end_pc)
                 pending.append(end_pc)
-            if not ops and kind != "deopt":
+            if not ops:
                 continue          # leader sits on a bail op: threaded
             emitter = _BlockEmitter(
                 method, leader, ops, end_pc, kind, cells, consts,
@@ -1020,4 +999,4 @@ def compile_method(engine, method, *, deopt_at: int | None = None):
     entries: list = [None] * n
     for leader, name in blocks:
         entries[leader] = env[name]
-    return Tier1Code(method, entries, len(blocks), sites, deopt_at, module)
+    return Tier1Code(method, entries, len(blocks), sites, module)

@@ -48,11 +48,9 @@ Guard failures take the *guest* deopt path —
 :func:`repro.jit.deopt.deoptimize` rematerializes interpreter frames
 from FrameState/VirtualObjectState recipes exactly as the interpretive
 machine would, falling back to the tier-1/threaded bytecode ladder at
-the exact bytecode index.  Forced traps (``deopt_at``, the fuzz
-suite's uncommon-trap stand-in) and block-internal faults instead
-transfer to the interpretive machine at the exact machine pc via
-:func:`repro.jit.deopt.tier2_deopt` — a host-invisible transition,
-since both executors run the same ``CompiledCode``.
+the exact bytecode index.  Faults inside a block (heap pressure,
+scheduler misuse, an injected fault) flush and re-raise, exactly as the
+interpretive machine raises them.
 
 Emission is on demand: :func:`compile_tier2` only validates, and
 :func:`extend_tier2` emits a block when a frame first arrives at its pc,
@@ -72,7 +70,6 @@ from repro.errors import (
     GuestNullPointerError,
 )
 from repro.jit import deopt as deopt_mod
-from repro.jit.deopt import tier2_deopt
 from repro.jvm.cache import L1_LINES, WORDS_PER_LINE
 from repro.jvm.costmodel import (
     TIER2_COMPILE_BLOCK_COST,
@@ -159,11 +156,10 @@ class Tier2Code:
     """
 
     __slots__ = ("code", "method", "entries", "blocks", "nblocks",
-                 "sites", "compile_cycles", "deopt_at", "source", "env",
+                 "sites", "compile_cycles", "source", "env",
                  "leaders", "jit_on", "trace_cas", "fault_calls")
 
-    def __init__(self, code, deopt_at, env, jit_on, trace_cas,
-                 fault_calls) -> None:
+    def __init__(self, code, env, jit_on, trace_cas, fault_calls) -> None:
         self.code = code
         self.method = code.method
         self.entries: list = [None] * len(code.instrs)
@@ -171,7 +167,6 @@ class Tier2Code:
         self.nblocks = 0
         self.sites = 0
         self.compile_cycles = 0
-        self.deopt_at = deopt_at
         self.source: dict[int, str] = {}
         self.env = env                # blocks exec here and bind their
         #                               per-site cells (classes, caches)
@@ -196,7 +191,7 @@ class _Block2Emitter:
         self.leader = leader
         self.ops = ops                # [(pc, instr), ...]
         self.end_pc = end_pc
-        self.kind = kind              # "term" | "split" | "deopt"
+        self.kind = kind              # "term" | "split"
         self.cells = cells            # the method env: shared bindings
         self.jit_on = jit_on
         self.trace_cas = trace_cas
@@ -400,8 +395,8 @@ class _Block2Emitter:
 
     # -- per-op emission -----------------------------------------------
     def emit_op(self, pc: int, instr) -> bool:
-        """Emit one op; returns False when the block ended (terminator,
-        call hand-off, or deopt trap) and emission must stop."""
+        """Emit one op; returns False when the block ended (terminator
+        or call hand-off) and emission must stop."""
         if self.k:
             self.budget_guard(pc)
         self.sites += 1
@@ -819,24 +814,17 @@ class _Block2Emitter:
             if not self.emit_op(pc, instr):
                 break
         else:
-            if self.kind == "deopt":
-                # Forced trap: flush *before* the trapped op executes,
-                # then transfer to the interpretive machine.
-                for part in self.flush_parts(pc=self.end_pc):
-                    self.emit(part)
-                self.emit(f"_deopt2(frame, {self.end_pc})")
-            else:
-                # "split": park the pc on the cap boundary; the driver
-                # re-enters through the next entry (extending lazily).
-                for part in self.flush_parts(pc=self.end_pc):
-                    self.emit(part)
-                self.emit("return True")
+            # "split": park the pc on the cap boundary; run_frame
+            # re-enters through the next entry (extending lazily).
+            for part in self.flush_parts(pc=self.end_pc):
+                self.emit(part)
+            self.emit("return True")
         name = f"_m{self.leader}"
         defaults = [
             "_ct=_ct", "_vm=_vm", "_heap=_heap", "_sched=_sched",
             "_gs=_gs", "_l1=_l1", "_cmiss=_cmiss", "_alloc=_alloc",
             "_GAE=_GAE", "_GNPE=_GNPE", "_GBE=_GBE", "_GCE=_GCE",
-            "_IE=_IE", "_dp=_dp", "_deopt2=_deopt2",
+            "_IE=_IE", "_dp=_dp",
             "_deoptimize=_deoptimize", "_cg=_cg", "_tcas=_tcas",
             "_Frame=_Frame", "_machine=_machine", "_jit=_jit",
             "_gto=_gto", "_mkfn=_mkfn", "_type=type", "_len=len",
@@ -859,21 +847,18 @@ class _Block2Emitter:
 
 
 # ----------------------------------------------------------------------
-def _scan2(instrs, leader: int, deopt_at: int | None):
+def _scan2(instrs, leader: int):
     """Collect the superblock's ops starting at ``leader``.
 
     Regions fuse through fall-through jumps and one-armed branches (the
     other arm exits), which is what lets a whole loop body — vectorized,
     unrolled, coarsened by the pipeline — become one self-looping block.
-    Returns ``(ops, end_pc, kind)`` with ``kind`` in
-    ``"term" | "split" | "deopt"``.
+    Returns ``(ops, end_pc, kind)`` with ``kind`` in ``"term" | "split"``.
     """
     ops: list[tuple] = []
     pc = leader
     n = len(instrs)
     while pc < n and len(ops) < MAX_BLOCK_OPS:
-        if deopt_at is not None and pc == deopt_at:
-            return ops, pc, "deopt"
         instr = instrs[pc]
         kind = instr[0]
         ops.append((pc, instr))
@@ -926,7 +911,7 @@ def _validate(instrs) -> bool:
     return True
 
 
-def compile_tier2(engine, code, *, deopt_at: int | None = None):
+def compile_tier2(engine, code):
     """Admit ``code`` (a :class:`CompiledCode`) to tier-2: validate the
     whole method and build the environment its blocks will bind.
 
@@ -934,18 +919,12 @@ def compile_tier2(engine, code, *, deopt_at: int | None = None):
     empty entry table that :func:`extend_tier2` fills on first entry,
     so a region no frame reaches costs no host ``compile()``.
     ``engine`` is the :class:`repro.jit.machine.Tier2Machine` that owns
-    the compiled code (its stats receive the deopt counts).
-    ``deopt_at`` plants a forced trap immediately before that machine
-    pc (the fuzz suite's uncommon-trap stand-in).  Returns None when
-    the method is declined.
+    the compiled code (its stats receive the block exit counts).
+    Returns None when the method is declined.
     """
     if not code.instrs or not _validate(code.instrs):
         return None
     vm = engine.vm
-
-    def _forced(frame, pc, _engine=engine, _code=code):
-        tier2_deopt(_engine, _code, frame, pc, reason="forced")
-
     trace_cas = vm.trace is not None and vm.trace.cas_on
     env = {
         "_ct": vm.counters, "_vm": vm, "_heap": vm.heap,
@@ -954,14 +933,13 @@ def compile_tier2(engine, code, *, deopt_at: int | None = None):
         "_alloc": alloc_cost, "_GAE": GuestArithmeticError,
         "_GNPE": GuestNullPointerError, "_GBE": GuestBoundsError,
         "_GCE": GuestCastError, "_IE": IndexError,
-        "_dp": engine.stats.deopts, "_deopt2": _forced,
-        "_deoptimize": deopt_mod.deoptimize,
+        "_dp": engine.stats.deopts, "_deoptimize": deopt_mod.deoptimize,
         "_cg": vm.counters.count_guard,
         "_tcas": vm.trace if trace_cas else None,
         "_Frame": Frame, "_machine": engine, "_jit": vm.jit,
         "_gto": vm.guest_thread_of, "_mkfn": vm.make_function,
     }
-    return Tier2Code(code, deopt_at, env, vm.jit is not None, trace_cas,
+    return Tier2Code(code, env, vm.jit is not None, trace_cas,
                      vm._fault_calls)
 
 
@@ -977,7 +955,7 @@ def extend_tier2(t2: Tier2Code, pc: int):
     Pre-validation at :func:`compile_tier2` time guarantees this cannot
     fail for any in-range pc.
     """
-    ops, end_pc, kind = _scan2(t2.code.instrs, pc, t2.deopt_at)
+    ops, end_pc, kind = _scan2(t2.code.instrs, pc)
     emitter = _Block2Emitter(
         t2.code, pc, ops, end_pc, kind, t2.env,
         jit_on=t2.jit_on, trace_cas=t2.trace_cas,

@@ -27,7 +27,7 @@ Node ``op`` vocabulary:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CompileError
 
@@ -146,14 +146,6 @@ class Node:
         self.value = value       # constants: the value; invokes: arg count
         self.extra = extra       # op-specific payload
         self.block: Block | None = None
-
-    @property
-    def is_pure(self) -> bool:
-        return self.op in PURE_OPS
-
-    @property
-    def has_effect(self) -> bool:
-        return self.op in EFFECT_OPS
 
     def replace_input(self, old: "Node", new: "Node") -> None:
         for i, node in enumerate(self.inputs):
@@ -317,11 +309,6 @@ class Graph:
                     self.replace_all_uses(phi, distinct.pop())
         if self.entry not in self.blocks:
             raise CompileError("entry block unreachable")
-
-    def all_nodes(self):
-        for block in self.blocks:
-            yield from block.phis
-            yield from block.nodes
 
     def node_count(self) -> int:
         return sum(len(b.phis) + len(b.nodes) for b in self.blocks)

@@ -502,7 +502,7 @@ class Tier2Stats:
         self.osr_entries = 0          # mid-method entries (promotion at
         #                               pc != 0 + blocks at non-leader pcs)
         self.deopts = {"budget": 0, "exception": 0, "fault": 0,
-                       "forced": 0, "guard": 0}
+                       "guard": 0}
         self.methods: dict = {}       # qualified -> per-method record
         self.compile_seconds = 0.0    # host wall-clock in the emitter
 
@@ -528,23 +528,21 @@ class Tier2Machine(Machine):
     (invocation threshold 32) its :class:`CompiledCode` lands here —
     interpretively at first, then host-compiled by
     :mod:`repro.jit.emit2` after :data:`TIER2_THRESHOLD` slice entries.
-    Promotion, execution and deopt are pure host-side concerns: the
+    Promotion and execution are pure host-side concerns: the
     interpretive :meth:`Machine.run_frame` remains the byte-identity
     oracle, and every exit from emitted code restores exactly the
     counter/budget/pc state the oracle would hold.
 
-    Deopt chain: a *guard* failure inside emitted code takes the guest
-    path (:func:`repro.jit.deopt.deoptimize` — frames rematerialized
-    from FrameState/VirtualObjectState recipes, fall back to the
-    tier-1/threaded bytecode ladder at the exact bytecode index); a
-    *forced trap* or block-internal fault takes the host path
-    (:class:`~repro.jit.deopt.Tier2Deopt`), which this driver catches to
-    resume the same machine frame interpretively at the exact machine
-    pc.  Promotion only validates; entry tables start empty and every
-    block is emitted the first time a frame arrives at its pc, so any
-    pc a frame parks on (budget boundary mid-block, contended monitor)
-    becomes a compiled entry exactly as a region leader does —
-    on-stack replacement at loop headers falls out.
+    The only deopt is the guest's: a *guard* failure inside emitted code
+    takes :func:`repro.jit.deopt.deoptimize` (frames rematerialized from
+    FrameState/VirtualObjectState recipes, fall back to the
+    tier-1/threaded bytecode ladder at the exact bytecode index).  A
+    block-internal fault re-raises after flushing, exactly as the
+    interpretive machine raises it.  Promotion only validates; entry
+    tables start empty and every block is emitted the first time a
+    frame arrives at its pc, so any pc a frame parks on (budget boundary
+    mid-block, contended monitor) becomes a compiled entry exactly as a
+    region leader does — on-stack replacement at loop headers falls out.
 
     Compiled code lives in one table, the memo keyed by
     :class:`CompiledCode`: every guest compile is a fresh object, so a
@@ -557,7 +555,6 @@ class Tier2Machine(Machine):
         self.stats = Tier2Stats()
         self._memo: dict = {}         # CompiledCode -> Tier2Code|_DECLINED
         self._counts: dict = {}       # CompiledCode -> slice entries
-        self._forced: dict = {}       # JMethod -> one-shot trap machine pc
 
     # ------------------------------------------------------------------
     # Execution.
@@ -574,18 +571,12 @@ class Tier2Machine(Machine):
             Machine.run_frame(self, thread, frame)
             return
         entries = t2.entries
-        try:
-            while thread.budget > 0:
-                fn = entries[frame.pc]
-                if fn is None:
-                    fn = self._entry_block(t2, frame.pc)
-                if not fn(thread, frame):
-                    return
-        except deopt_mod.Tier2Deopt:
-            # The block flushed batched accounting and parked frame.pc
-            # on the trapped machine instruction; finish the slice
-            # interpretively (the code's tier-2 closures are dropped).
-            Machine.run_frame(self, thread, frame)
+        while thread.budget > 0:
+            fn = entries[frame.pc]
+            if fn is None:
+                fn = self._entry_block(t2, frame.pc)
+            if not fn(thread, frame):
+                return
 
     # ------------------------------------------------------------------
     # Promotion.
@@ -599,10 +590,9 @@ class Tier2Machine(Machine):
         from repro.jit.emit2 import compile_tier2
 
         method = code.method
-        forced = self._forced.pop(method, None)
         started = time.perf_counter()
         try:
-            t2 = compile_tier2(self, code, deopt_at=forced)
+            t2 = compile_tier2(self, code)
         except Exception:
             t2 = None
         self.stats.compile_seconds += time.perf_counter() - started
@@ -659,22 +649,11 @@ class Tier2Machine(Machine):
         return fn
 
     # ------------------------------------------------------------------
-    # Invalidation and fuzz hooks.
+    # Invalidation.
     # ------------------------------------------------------------------
-    def force_deopt(self, method, pc: int) -> None:
-        """Plant a one-shot deopt trap before machine pc ``pc``.
-
-        The next promotion of ``method``'s machine code compiles with
-        the trap; hitting it transfers to the interpretive machine at
-        exactly that pc and drops the closures, so the promotion after
-        that compiles clean.  Used by the fuzz suite to prove
-        trap-at-every-index byte-identity.
-        """
-        self._forced[method] = pc
-        self.drop_code(method)
-
     def drop_code(self, method) -> None:
-        """Forget ``method``'s tier-2 closures."""
+        """Forget ``method``'s tier-2 closures (a guest deopt
+        invalidated the machine code they specialize)."""
         stale = [code for code in self._memo if code.method is method]
         for code in stale:
             del self._memo[code]

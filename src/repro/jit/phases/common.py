@@ -46,35 +46,6 @@ def const_node(value) -> Node:
     return Node("const", value=value)
 
 
-def users_of(graph: Graph, target: Node) -> list[tuple[Node, Block]]:
-    """All (node, block) pairs whose inputs include ``target``.
-
-    Terminator and framestate uses are NOT included — callers that need
-    full liveness should consult :meth:`Graph.framestate_values`.
-    """
-    out = []
-    for block in graph.blocks:
-        for node in block.phis:
-            if target in node.inputs:
-                out.append((node, block))
-        for node in block.nodes:
-            if target in node.inputs:
-                out.append((node, block))
-    return out
-
-
-def terminator_uses(graph: Graph, target: Node) -> bool:
-    for block in graph.blocks:
-        t = block.terminator
-        if t is None:
-            continue
-        if t[0] == "branch" and t[1] is target:
-            return True
-        if t[0] == "return" and t[1] is target:
-            return True
-    return False
-
-
 def state_uses(graph: Graph) -> set[int]:
     """Node ids referenced by any framestate in the graph (guards, call
     sites, and block entry states)."""

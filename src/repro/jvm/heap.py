@@ -47,9 +47,6 @@ class JObject:
     def put(self, name: str, value: object) -> None:
         self.values[self.jclass.field_layout[name]] = value
 
-    def field_addr(self, name: str) -> int:
-        return self.addr + self.jclass.field_layout[name]
-
     def __repr__(self) -> str:
         return f"<{self.jclass.name}@{self.addr:x}>"
 
@@ -84,9 +81,6 @@ class JArray:
                 f"index {index} out of bounds for length {len(self.data)}"
             )
         return index
-
-    def elem_addr(self, index: int) -> int:
-        return self.addr + index
 
     def __repr__(self) -> str:
         return f"<{self.kind}[{len(self.data)}]@{self.addr:x}>"
@@ -169,9 +163,6 @@ class Heap:
         if self.trace is not None:
             self.trace.on_alloc("array", kind, max(length, 1))
         return arr
-
-    def words_allocated(self) -> int:
-        return self.counters.allocated_words
 
 
 def null_check(ref: object) -> object:

@@ -171,9 +171,9 @@ class ThreadedInterpreter:
     def execute(self, thread, frame, handlers) -> None:
         """Dispatch loop over a per-pc handler table.
 
-        Also the tier-1 engine's OSR entry/exit point: after a deopt or
-        a mid-block budget boundary, the tier-1 driver resumes the frame
-        here at the exact bytecode index — ``frame.pc`` can land on any
+        Also the tier-1 engine's OSR entry/exit point: after a mid-block
+        budget boundary, the tier-1 engine resumes the frame on these
+        handlers at the exact bytecode index — ``frame.pc`` can land on any
         instruction, and every handler carries the full reference
         semantics, so re-entry anywhere is safe.
         """

@@ -18,13 +18,13 @@ any pc that is a block leader runs compiled, every other pc — an OSR
 resume mid-block after a budget boundary, a monitor wake-up, or an
 opcode the emitter bails on (invokes, monitors, atomics, park/wait) —
 runs its threaded handler, re-entering compiled code at the next
-leader.  A guard failure inside a block (forced trap, injected fault)
-deopts through :func:`repro.jit.deopt.tier1_deopt` back to the threaded
-tier at the exact bytecode index with the operand stack reconstructed.
+leader.  A block exits by parking ``frame.pc`` when the budget runs out,
+by raising after flushing its accounting (a guest exception or an
+injected fault), or at its terminator.
 
 Compiled code lives in one table, the dispatch memo (method → merged
-dispatch table); forced deopts drop one entry, and
-:meth:`~repro.runtime.vm.VM.drop_host_code` drops them all.  All tier
+dispatch table), which
+:meth:`~repro.runtime.vm.VM.drop_host_code` drops whole.  All tier
 bookkeeping (promotions, block counts, deopt reasons, simulated compile
 cycles) is host-side state on :class:`Tier1Stats`, never on
 :class:`~repro.jvm.counters.Counters`: counters, schedules, RaceReports
@@ -38,7 +38,6 @@ time.  RaceReport equivalence across engines is therefore structural.
 
 from __future__ import annotations
 
-from repro.jit.deopt import Tier1Deopt
 from repro.jit.emit import compile_method
 from repro.jvm.interpreter import Frame
 from repro.jvm.scheduler import RUNNABLE
@@ -61,8 +60,7 @@ class Tier1Stats:
         self.blocks = 0               # superblocks currently emitted
         self.sites = 0                # instruction sites emitted
         self.compile_cycles = 0       # simulated-clock compile "time"
-        self.deopts = {"budget": 0, "exception": 0, "fault": 0,
-                       "forced": 0}
+        self.deopts = {"budget": 0, "exception": 0, "fault": 0}
         self.methods: dict = {}       # qualified -> per-method record
 
     def snapshot(self) -> dict:
@@ -84,7 +82,6 @@ class Tier1Interpreter(ThreadedInterpreter):
         super().__init__(vm)
         self.stats = Tier1Stats()
         self._failed: set = set()     # methods the emitter declined
-        self._forced: dict = {}       # JMethod -> one-shot deopt trap pc
         self._dispatch: dict = {}     # JMethod -> merged dispatch table
 
     # ------------------------------------------------------------------
@@ -116,18 +113,9 @@ class Tier1Interpreter(ThreadedInterpreter):
             if dispatch is not None:
                 stack = frame.stack
                 locals_ = frame.locals
-                try:
-                    while thread.budget > 0:
-                        if not dispatch[frame.pc](
-                                thread, frame, stack, locals_):
-                            break
-                except Tier1Deopt:
-                    # The block flushed counters/budget and rebuilt the
-                    # operand stack at the exact bytecode index; finish
-                    # the slice on the threaded tier (the method's
-                    # tier-1 code is invalidated).
-                    self.execute(
-                        thread, frame, self.translation(method).handlers)
+                while thread.budget > 0:
+                    if not dispatch[frame.pc](thread, frame, stack, locals_):
+                        break
             if thread.budget <= 0 or thread.state != RUNNABLE or not frames:
                 return
             top = frames[-1]
@@ -143,9 +131,8 @@ class Tier1Interpreter(ThreadedInterpreter):
             self._failed.add(method)
             return None
         handlers = self.translation(method).handlers
-        forced = self._forced.pop(method, None)
         try:
-            code = compile_method(self, method, deopt_at=forced)
+            code = compile_method(self, method)
         except Exception:
             code = None
         if code is None:
@@ -182,21 +169,6 @@ class Tier1Interpreter(ThreadedInterpreter):
         record["sites"] = code.sites
         record["compile_cycles"] += code.compile_cycles
         return code
-
-    def force_deopt(self, method, pc: int) -> None:
-        """Plant a one-shot deopt trap before bytecode ``pc``.
-
-        The next promotion of ``method`` compiles with the trap; hitting
-        it deopts to the threaded tier and invalidates the code, and the
-        promotion after that compiles clean.  Used by the fuzz suite to
-        prove deopt-at-every-index byte-identity.
-        """
-        self._forced[method] = pc
-        self.drop_code(method)
-
-    def drop_code(self, method) -> None:
-        """Forget ``method``'s tier-1 code."""
-        self._dispatch.pop(method, None)
 
     def invalidate_all(self) -> int:
         """Drop every translation and every merged dispatch table (the

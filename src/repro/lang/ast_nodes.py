@@ -6,7 +6,7 @@ consumes them.  Every node carries a source line for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # ----------------------------------------------------------------------
@@ -229,14 +229,4 @@ class Lambda(Expr):
 class InstanceOf(Expr):
     obj: Expr
     class_name: str
-    line: int = 0
-
-
-@dataclass
-class Builtin(Expr):
-    """A language intrinsic: cas, atomicGet, atomicAdd, park, unpark,
-    wait, notify, notifyAll, len, cast, i2d, d2i."""
-
-    name: str
-    args: list[Expr]
     line: int = 0

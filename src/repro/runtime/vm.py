@@ -129,7 +129,7 @@ class VM:
             # tier-2 one (same CompiledCode, host-compiled closures on
             # top); the interpretive Machine stays reachable through
             # Machine.run_frame as the byte-identity oracle and the
-            # deopt fallback.
+            # executor of code tier-2 has not promoted.
             from repro.jit.machine import Tier2Machine
 
             self.machine = Tier2Machine(self)

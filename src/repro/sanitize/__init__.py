@@ -28,7 +28,7 @@ Compiler verification layer (static, over JIT artifacts)
       attributed to the offending phase,
     - :mod:`repro.sanitize.blockverify` — tier-1 superblock validation:
       entry-table legitimacy, cost/instruction accounting against the
-      cost model, deopt-metadata completeness,
+      cost model, flush-before-raise completeness,
     - :mod:`repro.sanitize.mutations` — the corpus of deliberately
       broken compiles proving both verifiers actually detect breakage
       (``python -m repro.sanitize --mutations``, ``make verify-ir``).

@@ -13,18 +13,17 @@ generated source via ``ast``) against the ground truth:
   bytecode, and compiled entries sit exactly on the region leaders the
   bytecode CFG defines (branch targets, post-bail/post-invoke resume
   points, cap-split continuations) — everything else must stay on the
-  threaded tier so every non-leader pc remains an OSR/deopt resume
-  point;
+  threaded tier so every non-leader pc remains a resume point after a
+  budget exit;
 - **cost accounting**: every ``budget <= K`` guard, ``thread.budget =
   budget - K`` flush, ``budget -= K`` fold and ``reference_cycles``
   constant in the generated source must be a prefix sum of the per-op
   interpreter cost model over that region; instruction-count bumps must
   not exceed the region's op count;
-- **deopt metadata**: every ``raise`` and every forced ``_deopt``
-  transfer must be preceded (in its statement suite) by a budget flush
-  and an in-range ``frame.pc`` assignment — the ``Tier1Deopt``
-  reconstruction contract — and every flushed pc must be a valid
-  interpreter resume index;
+- **exit state**: every ``raise`` must be preceded (in its statement
+  suite) by a budget flush and an in-range ``frame.pc`` assignment, so
+  the failure the guest observes carries reference-identical counters,
+  and every flushed pc must be a valid interpreter resume index;
 - **totals**: ``sites``/``nblocks``/``compile_cycles`` must match the
   region walk exactly (the simulated compile-time these feed is part of
   the byte-identity contract).
@@ -85,11 +84,11 @@ _REGION_CAP = 64
 _CONST_COST = {op: cost + INTERP_DISPATCH for op, cost in BASE_COST.items()}
 
 
-def expected_regions(code, deopt_at: int | None = None) -> dict:
+def expected_regions(code) -> dict:
     """Ground-truth region table: ``leader -> (ops, end_pc, kind)``.
 
     ``ops`` is the ``[(pc, instr), ...]`` list the region executes,
-    ``kind`` one of ``"term" | "bail" | "split" | "deopt"``.  Leaders
+    ``kind`` one of ``"term" | "bail" | "split"``.  Leaders
     whose region would be empty (the leader pc holds a bail op) are
     omitted — those pcs stay on the threaded tier.
     """
@@ -115,9 +114,6 @@ def expected_regions(code, deopt_at: int | None = None) -> dict:
             if instr.op in _BAIL_OPS:
                 kind = "bail"
                 break
-            if deopt_at is not None and pc == deopt_at:
-                kind = "deopt"
-                break
             ops.append((pc, instr))
             if instr.op in _TERMINATOR_OPS or instr.op in _INVOKE_OPS:
                 kind = "term"
@@ -129,7 +125,7 @@ def expected_regions(code, deopt_at: int | None = None) -> dict:
         if kind == "split" and end_pc < n and end_pc not in seen:
             seen.add(end_pc)
             pending.append(end_pc)
-        if not ops and kind != "deopt":
+        if not ops:
             continue
         regions[leader] = (ops, end_pc, kind)
     return regions
@@ -179,7 +175,7 @@ class _BlockVerifier:
     # ------------------------------------------------------------------
     def run(self) -> list[StaticIssue]:
         code_obj, n = self.code_obj, self.n
-        regions = expected_regions(self.method.code, code_obj.deopt_at)
+        regions = expected_regions(self.method.code)
         entries = code_obj.entries
         if len(entries) != n:
             self.issue(
@@ -231,17 +227,17 @@ class _BlockVerifier:
         if len(fns) != code_obj.nblocks:
             self.issue(f"source defines {len(fns)} block functions, "
                        f"nblocks={code_obj.nblocks}")
-        for leader, (ops, end_pc, kind) in sorted(regions.items()):
+        for leader, (ops, _end, kind) in sorted(regions.items()):
             fn = fns.get(f"_b{leader}")
             if fn is None:
                 self.issue(f"no generated function _b{leader} for region "
                            f"at pc {leader}", pc=leader)
                 continue
-            self._check_function(fn, leader, ops, end_pc, kind)
+            self._check_function(fn, leader, ops, kind)
         return self.issues
 
     # ------------------------------------------------------------------
-    def _check_function(self, fn, leader, ops, end_pc, kind) -> None:
+    def _check_function(self, fn, leader, ops, kind) -> None:
         # Prefix sums of the constant per-op cost over the region: the
         # only legal constants in budget guards and flushes.
         prefix = {0}
@@ -268,9 +264,8 @@ class _BlockVerifier:
         # pass per check — would multiply the cost of every verified
         # tier-1 promotion for nothing.  Per suite we track, position-
         # sensitively, whether budget/pc have been flushed yet (the
-        # deopt-metadata checks) and, whole-suite, the count/charge
+        # exit-state checks) and, whole-suite, the count/charge
         # constants (the pairing check after the loop).
-        saw_deopt = False
         for body in _suites(fn):
             counted = charged = None
             has_raise = returns_false = False
@@ -368,43 +363,21 @@ class _BlockVerifier:
                                     f"cycle charge {k} is not a "
                                     "cost-model prefix sum of the region")
                 elif cls is ast.Raise:
-                    # Deopt-metadata completeness: every transfer out of
-                    # compiled code must have flushed budget + pc first.
+                    # Exit-state completeness: a raise out of compiled
+                    # code must have flushed budget + pc first.
                     has_raise = True
                     if not flushed_budget:
                         complain(stmt, "raise without a preceding "
                                        "thread.budget flush in its suite")
                     if not flushed_pc:
                         complain(stmt, "raise without a preceding "
-                                       "frame.pc flush — deopt would "
-                                       "resume at a stale index")
+                                       "frame.pc flush — the failure "
+                                       "would record a stale index")
                 elif cls is ast.Return:
                     v = stmt.value
                     if v is not None and v.__class__ is ast.Constant \
                             and v.value is False:
                         returns_false = True
-                elif cls is ast.Expr:
-                    call = stmt.value
-                    if call.__class__ is ast.Call \
-                            and call.func.__class__ is ast.Name \
-                            and call.func.id == "_deopt":
-                        saw_deopt = True
-                        if (len(call.args) == 2
-                                and call.args[1].__class__ is ast.Constant
-                                and call.args[1].value != end_pc):
-                            complain(
-                                stmt,
-                                f"forced deopt transfers to pc "
-                                f"{call.args[1].value}, region ends at "
-                                f"{end_pc}")
-                        if not flushed_budget:
-                            complain(stmt,
-                                     "forced deopt without a preceding "
-                                     "thread.budget flush")
-                        if not flushed_pc:
-                            complain(stmt,
-                                     "forced deopt without a preceding "
-                                     "frame.pc flush")
                 elif cls is ast.If or cls is ast.While:
                     test = stmt.test
                     if (test.__class__ is ast.Compare
@@ -440,10 +413,6 @@ class _BlockVerifier:
                     f"_b{leader}: flush counts {counted} instruction(s) "
                     f"but charges {charged} cycles — the cost model says "
                     f"{want} for this exit", pc=leader)
-
-        if kind == "deopt" and not saw_deopt:
-            complain(fn, "region carries the forced-deopt trap but never "
-                         "calls _deopt")
 
 
 # ----------------------------------------------------------------------
@@ -498,13 +467,11 @@ def _t2_const_cost(instr) -> int:
     return instr[1]
 
 
-def _t2_scan(instrs, leader: int, deopt_at: int | None):
+def _t2_scan(instrs, leader: int):
     ops: list[tuple] = []
     pc = leader
     n = len(instrs)
     while pc < n and len(ops) < _T2_REGION_CAP:
-        if deopt_at is not None and pc == deopt_at:
-            return ops, pc, "deopt"
         instr = instrs[pc]
         kind = instr[0]
         ops.append((pc, instr))
@@ -526,7 +493,7 @@ def verify_tier2_code(t2) -> list[StaticIssue]:
     region leader or parked mid-region — re-derives from an independent
     region walk from that pc; an empty slot is a block no frame has
     reached yet), per-block metadata, cost-model prefix sums in the
-    generated source, deopt flush discipline, and compile-cycle totals."""
+    generated source, exit flush discipline, and compile-cycle totals."""
     return _gc_paused(_Tier2Verifier(t2).run)
 
 
@@ -621,8 +588,7 @@ class _Tier2Verifier:
             self.issue(f"block leader {leader} outside the machine "
                        f"code [0, {self.n})", pc=leader)
             return
-        ops, want_end, want_kind = _t2_scan(
-            self.instrs, leader, self.t2.deopt_at)
+        ops, want_end, want_kind = _t2_scan(self.instrs, leader)
         if sites != len(ops):
             self.issue(
                 f"block at {leader} records {sites} sites, the region "
@@ -661,10 +627,10 @@ class _Tier2Verifier:
             self.issue(f"source of the block at pc {leader} is not the "
                        f"one generated function _m{leader}", pc=leader)
             return
-        self._check_function(body[0], leader, ops, want_end, want_kind)
+        self._check_function(body[0], leader, ops, want_kind)
 
     # ------------------------------------------------------------------
-    def _check_function(self, fn, leader, ops, end_pc, kind) -> None:
+    def _check_function(self, fn, leader, ops, kind) -> None:
         # Prefix sums of the constant per-op cost over the region body
         # (a terminator's cost is charged at its exit, never folded).
         body_ops = ops[:-1] if kind == "term" else ops
@@ -700,7 +666,6 @@ class _Tier2Verifier:
         def complain(msg):
             self.issue(f"_m{leader}: {msg}", pc=leader)
 
-        saw_trap = False
         for body in _suites(fn):
             flushed_budget = flushed_pc = False
             for stmt in body:
@@ -783,22 +748,6 @@ class _Tier2Verifier:
                         complain("raise without a preceding frame.pc "
                                  "flush — the machine would resume at a "
                                  "stale index")
-                elif cls is ast.Expr:
-                    call = stmt.value
-                    if call.__class__ is ast.Call \
-                            and call.func.__class__ is ast.Name \
-                            and call.func.id == "_deopt2":
-                        saw_trap = True
-                        if (len(call.args) == 2
-                                and call.args[1].__class__ is ast.Constant
-                                and call.args[1].value != end_pc):
-                            complain(
-                                f"forced trap transfers to pc "
-                                f"{call.args[1].value}, region ends at "
-                                f"{end_pc}")
-                        if not flushed_budget or not flushed_pc:
-                            complain("forced trap without a preceding "
-                                     "budget + pc flush")
                 elif cls is ast.If or cls is ast.While:
                     test = stmt.test
                     if (test.__class__ is ast.Compare
@@ -813,9 +762,6 @@ class _Tier2Verifier:
                             complain(
                                 f"budget guard constant {k} is not a "
                                 "cost-model prefix sum of the region")
-        if kind == "deopt" and not saw_trap:
-            complain("region carries the forced trap but never calls "
-                     "_deopt2")
 
 
 def _suites(fn) -> list:

@@ -171,11 +171,6 @@ class FlightRecorder:
         self.emit("alloc", what, current.tid if current is not None else 0,
                   (detail, words))
 
-    def current_tid(self) -> int:
-        """Scheduler-local id of the thread now executing (0 if none)."""
-        current = self._sched.current if self._sched is not None else None
-        return current.tid if current is not None else 0
-
     # ------------------------------------------------------------------
     # Results.
     # ------------------------------------------------------------------

@@ -5,9 +5,9 @@ methods into Python superblock closures with batched counter/cost
 accounting.  Its contract is the same as the threaded engine's, one
 tier up: *byte-identical observable behavior* — results, counter
 snapshots, simulated clock, stdout, trace recordings, RaceReports —
-under any quantum, seed, JIT config, forced deopt, injected fault, and
-across serial vs sharded sweeps.  These tests pin that contract plus
-the promotion/deopt/invalidation mechanics.
+under any quantum, seed, JIT config, budget exit at any guarded pc,
+injected fault, and across serial vs sharded sweeps.  These tests pin
+that contract plus the promotion and invalidation mechanics.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ assert_equivalent = functools.partial(util.assert_equivalent,
 
 #: Small two-method workload: ``step`` is called once per loop
 #: iteration, so it crosses the promotion threshold (16) inside a
-#: single invocation and is the natural forced-deopt target.
+#: single invocation and is the natural budget-exit fuzz target.
 HOT_SRC = """
 class Bench {
     static def run(n) {
@@ -58,6 +58,12 @@ class Bench {
 def hot_bench(name: str, n: int = 40) -> GuestBenchmark:
     return GuestBenchmark(name=name, suite="tests", source=HOT_SRC,
                           args=(n,), expected=n * n, warmup=1, measure=1)
+
+
+#: Quanta for the budget-exit fuzz: slices short enough to end inside
+#: ``step``'s superblock, varied enough that each of its budget guards
+#: fires under at least one of them (the last first fires at 27).
+BUDGET_QUANTA = range(3, 64)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +145,7 @@ def test_sanitizer_attach_drops_tier1_code_and_promotion():
 
 
 # ----------------------------------------------------------------------
-# Promotion, deopt and invalidation mechanics.
+# Promotion and budget-exit mechanics.
 # ----------------------------------------------------------------------
 def test_tier1_engine_selected_and_promotes():
     from repro.jvm.tier1 import TIER1_THRESHOLD, Tier1Interpreter
@@ -159,53 +165,28 @@ def test_tier1_engine_selected_and_promotes():
     assert any(name.endswith("Bench.step") for name in snap["methods"])
 
 
-def test_forced_deopt_at_every_pc_is_byte_identical():
-    # Fuzz the deopt machinery: plant a one-shot trap before *every*
-    # bytecode index of the hot method.  Each trapped run must stay
-    # byte-identical to the reference — the block flushes batched
-    # accounting and rebuilds the operand stack at the exact index
-    # before handing the frame to the threaded tier.
-    bench = hot_bench("deoptfuzz")
-    ref = util.reference(bench, invocations=2)
-    program = bench.compile()
-    probe = VM(engine="tier1", jit=None)
-    probe.load(program)
-    method = probe.resolve_static("Bench", "step")
-    fired = 0
-    for pc in range(len(method.code)):
-        vm = VM(engine="tier1", jit=None)
-        vm.load(bench.compile())
-        results = [vm.invoke(bench.entry, list(bench.args))]
-        target = vm.resolve_static("Bench", "step")
-        vm.interpreter.force_deopt(target, pc)
-        results.append(vm.invoke(bench.entry, list(bench.args)))
-        got = {
-            "results": results,
-            "counters": vm.counters.snapshot(),
-            "clock": vm.scheduler.clock,
-            "stdout": tuple(vm.stdout),
-        }
-        assert ref == got, f"deopt trap at pc {pc} diverged"
-        fired += vm.interpreter.stats.deopts["forced"]
-    assert fired > 0       # the traps actually triggered somewhere
+def test_budget_exit_at_every_guarded_pc_is_byte_identical():
+    # Fuzz the block exits real runs take: sweep the scheduler quantum
+    # until the budget guard has parked ``step``'s frame at every pc its
+    # superblock guards.  The block flushes batched accounting and
+    # rebuilds the operand stack there, and the threaded handler at that
+    # pc resumes the frame next slice.  Every run must equal the
+    # reference run at the same quantum.
+    from repro.jit.emit import compile_method
 
-
-def test_forced_deopt_invalidates_then_recompiles_clean():
-    bench = hot_bench("deoptcycle")
-    vm = VM(engine="tier1", jit=None)
-    vm.load(bench.compile())
-    vm.invoke(bench.entry, list(bench.args))
-    engine = vm.interpreter
-    method = vm.resolve_static("Bench", "step")
-    promotions = engine.stats.promotions
-    engine.force_deopt(method, 0)
-    assert method not in engine._dispatch
-    vm.invoke(bench.entry, list(bench.args))
-    assert engine.stats.deopts["forced"] >= 1
-    # Trap fired -> code dropped -> repromoted clean and reinstalled.
-    vm.invoke(bench.entry, list(bench.args))
-    assert engine.stats.promotions > promotions
-    assert method in engine._dispatch
+    bench = hot_bench("budgetfuzz")
+    parked = set()
+    for quantum in BUDGET_QUANTA:
+        got, vm = util.observe(
+            bench, "tier1", quantum=quantum, invocations=2,
+            setup=lambda vm: util.record_budget_exits(vm.interpreter, parked))
+        ref = util.reference(bench, quantum=quantum, invocations=2)
+        assert got == ref, f"budget exits diverge at quantum {quantum}"
+    step = vm.resolve_static("Bench", "step")
+    guarded = util.budget_guarded_pcs(
+        compile_method(vm.interpreter, step).source)
+    assert guarded
+    assert {pc for name, pc in parked if name == "Bench.step"} == guarded
 
 
 # ----------------------------------------------------------------------

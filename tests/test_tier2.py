@@ -3,14 +3,14 @@
 The tier-2 engine (repro.jit.machine.Tier2Machine + repro.jit.emit2,
 on top of the tier-1 bytecode engine) host-compiles the guest JIT's
 optimized CompiledCode into flat Python closures, with OSR entries at
-any parked machine pc and a two-path deopt chain (guest guard failures
-rematerialize frames through FrameState/VirtualObjectState recipes;
-host traps resume the interpretive machine at the exact machine pc).  Its contract is the
-tier-1 contract one tier up: *byte-identical observable behavior* —
-results, counters, simulated clock, stdout, traces, RaceReports —
-under any quantum, seed, JIT config, forced trap at any machine index,
-injected fault, and across serial vs sharded sweeps.  These tests pin
-that contract plus the promotion/OSR/deopt/invalidation mechanics.
+any parked machine pc; a guest guard failure inside a block
+rematerializes frames through FrameState/VirtualObjectState recipes.
+Its contract is the tier-1 contract one tier up: *byte-identical
+observable behavior* — results, counters, simulated clock, stdout,
+traces, RaceReports — under any quantum, seed, JIT config, budget exit
+at any guarded machine pc, injected fault, and across serial vs sharded
+sweeps.  These tests pin that contract plus the promotion/OSR/deopt/
+invalidation mechanics.
 """
 
 from __future__ import annotations
@@ -131,6 +131,12 @@ def spin_bench(name: str, n: int = 300) -> GuestBenchmark:
     return GuestBenchmark(name=name, suite="tests", source=SPIN_SRC,
                           args=(n,), expected=40 * (n * (n - 1) // 2),
                           warmup=1, measure=1)
+
+
+#: Quanta for the budget-exit fuzz: slices short enough to end inside
+#: ``spin``'s loop block, varied enough that each of its budget guards
+#: fires under at least one of them (the last first fires at 34).
+BUDGET_QUANTA = range(3, 48)
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +281,7 @@ def test_never_entered_region_is_never_compiled():
 
 
 def test_generated_block_source_is_pinned():
-    # The text extend_tier2 generates for a (code, pc, deopt_at) is the
+    # The text extend_tier2 generates for a (code, pc) is the
     # verifier's input and must not drift with *when* a block is
     # emitted: SHA-256 of Bench.step's blocks at pc 0 (a leader, emitted
     # on first entry) and pc 1 (mid-region, emitted on request).
@@ -293,10 +299,10 @@ def test_generated_block_source_is_pinned():
     extend_tier2(t2, 1)
     assert {pc: hashlib.sha256(text.encode()).hexdigest()
             for pc, text in t2.source.items()} == {
-        0: "97e10018127e990a85f1cd59f2d90d51"
-           "0311b2f039eb94fc54e93da434b069ee",
-        1: "d0c24b19ce66be1bc26c3df5dfe52a20"
-           "c3d96045cbcd629140fe689b1590c392",
+        0: "2bf885a54db67038d1c8b8a6a0f787d8"
+           "f64447d5ea8210f1a2ed4e1e0056ae9a",
+        1: "6cecef643c1b077731f9a0c0c46b778e"
+           "1b0757e69f7cea1d7fc0a290d6b15d50",
     }
 
 
@@ -351,57 +357,29 @@ def test_compiled_code_does_not_depend_on_earlier_compiles():
 
 
 # ----------------------------------------------------------------------
-# The deopt chain.
+# Block exits: the budget exit and the guest deopt.
 # ----------------------------------------------------------------------
-def test_forced_deopt_at_every_machine_pc_is_byte_identical():
-    # Fuzz the host side of the deopt chain: plant a one-shot trap
-    # before *every* machine-code index of the hot method.  Each
-    # trapped run must stay byte-identical to the reference — the
-    # emitted block flushes batched accounting, parks frame.pc on the
-    # trapped instruction, and the interpretive machine resumes there.
-    bench = hot_bench("deoptfuzz2")
-    ref = util.reference(bench, jit="graal", invocations=2)
-    probe = VM(engine="tier2", jit="graal")
-    probe.load(bench.compile())
-    probe.invoke(bench.entry, list(bench.args))
-    npcs = len(probe.resolve_static("Bench", "step").compiled.instrs)
-    assert npcs > 0
-    fired = 0
-    for pc in range(npcs):
-        vm = VM(engine="tier2", jit="graal")
-        vm.load(bench.compile())
-        results = [vm.invoke(bench.entry, list(bench.args))]
-        target = vm.resolve_static("Bench", "step")
-        vm.machine.force_deopt(target, pc)
-        results.append(vm.invoke(bench.entry, list(bench.args)))
-        got = {
-            "results": results,
-            "counters": vm.counters.snapshot(),
-            "clock": vm.scheduler.clock,
-            "stdout": tuple(vm.stdout),
-        }
-        assert ref == got, f"tier-2 trap at machine pc {pc} diverged"
-        fired += vm.machine.stats.deopts["forced"]
-    assert fired > 0       # the traps actually triggered somewhere
-
-
-def test_forced_deopt_invalidates_then_recompiles_clean():
-    bench = hot_bench("deoptcycle2")
-    vm = VM(engine="tier2", jit="graal")
-    vm.load(bench.compile())
-    vm.invoke(bench.entry, list(bench.args))
-    machine = vm.machine
-    method = vm.resolve_static("Bench", "step")
-    assert method.compiled in machine._memo
-    promotions = machine.stats.promotions
-    machine.force_deopt(method, 0)
-    assert method.compiled not in machine._memo
-    vm.invoke(bench.entry, list(bench.args))
-    assert machine.stats.deopts["forced"] >= 1
-    # Trap fired -> closures dropped -> repromoted clean.
-    vm.invoke(bench.entry, list(bench.args))
-    assert machine.stats.promotions > promotions
-    assert machine._memo[method.compiled].deopt_at is None
+def test_budget_exit_at_every_guarded_pc_is_byte_identical():
+    # Fuzz the block exits real runs take: sweep the scheduler quantum
+    # until the budget guard has parked ``spin``'s machine frame at
+    # every pc its blocks guard.  The block flushes batched accounting
+    # there, and the next slice enters a block emitted at that pc.
+    # Every run must equal the reference run at the same quantum.
+    bench = spin_bench("budgetfuzz2", 30)
+    parked, guarded = set(), set()
+    for quantum in BUDGET_QUANTA:
+        got, vm = util.observe(
+            bench, "tier2", jit="graal", quantum=quantum, invocations=2,
+            setup=lambda vm: util.record_budget_exits(vm.machine, parked))
+        # Read before the reference run: VMs loading one program share
+        # its methods, and load() resets ``compiled``.
+        t2 = vm.machine._memo[vm.resolve_static("Bench", "spin").compiled]
+        guarded |= util.budget_guarded_pcs(*t2.source.values())
+        ref = util.reference(bench, jit="graal", quantum=quantum,
+                             invocations=2)
+        assert got == ref, f"budget exits diverge at quantum {quantum}"
+    assert guarded
+    assert {pc for name, pc in parked if name == "Bench.spin"} == guarded
 
 
 def test_nested_recipe_rematerialization_through_guard_deopt():
@@ -676,7 +654,7 @@ def test_tier_snapshot_and_metric_keys_are_pinned():
             "compile_cycles", "deopts", "methods"}
     assert set(tier1) == snap
     assert set(tier2) == snap | {"osr_entries", "compile_seconds"}
-    reasons = {"budget", "exception", "fault", "forced"}
+    reasons = {"budget", "exception", "fault"}
     assert set(tier1["deopts"]) == reasons
     assert set(tier2["deopts"]) == reasons | {"guard"}
     for record in (*tier1["methods"].values(), *tier2["methods"].values()):

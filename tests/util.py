@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from repro.lang import compile_program
@@ -50,10 +51,14 @@ def run_all_tiers(source: str, entry: str = "Main.main", args: tuple = (),
 # reference interpreter does.
 # ----------------------------------------------------------------------
 def observe(bench, engine, *, jit=None, quantum=5000, cores=8, seed=0,
-            invocations=1, trace=None):
-    """Everything an engine run can observably produce, and its VM."""
+            invocations=1, trace=None, setup=None):
+    """Everything an engine run can observably produce, and its VM.
+
+    ``setup`` is called with the fresh VM before the program loads."""
     vm = VM(engine=engine, jit=jit, quantum=quantum, cores=cores,
             schedule_seed=seed, trace=trace)
+    if setup is not None:
+        setup(vm)
     vm.load(bench.compile())
     results = [vm.invoke(bench.entry, list(bench.args))
                for _ in range(invocations)]
@@ -89,3 +94,39 @@ def assert_equivalent(bench, engines, **kwargs) -> None:
         got, _ = observe(bench, engine, **kwargs)
         assert ref == got, (engine, {
             k: (ref[k], got[k]) for k in ref if ref[k] != got[k]})
+
+
+# ----------------------------------------------------------------------
+# The budget-exit fuzz (tests/test_tier1.py, test_tier2.py): sweeping the
+# scheduler quantum makes a host tier's production budget exit park a
+# frame at every pc its emitted blocks guard.
+# ----------------------------------------------------------------------
+#: One emitted budget guard, written on one line by both emitters:
+#: ``if budget <= K: thread.budget = ...; frame.pc = P; ...``.
+_BUDGET_GUARD = re.compile(r"^ *if budget <= \d+: .*?\bframe\.pc = (\d+);",
+                           re.MULTILINE)
+
+
+def budget_guarded_pcs(*sources: str) -> set[int]:
+    """The pcs the budget guards in generated block ``sources`` park at."""
+    return {int(pc) for source in sources
+            for pc in _BUDGET_GUARD.findall(source)}
+
+
+def record_budget_exits(engine, parked: set) -> None:
+    """Add ``(method, pc)`` to ``parked`` whenever a block run by
+    ``engine`` (a Tier1Interpreter or Tier2Machine) leaves through its
+    budget guard: ``run_frame`` then returns with the parked frame on
+    top."""
+    run_frame = engine.run_frame
+    exits = engine.stats.deopts
+
+    def recording(thread, frame) -> None:
+        before = exits["budget"]
+        run_frame(thread, frame)
+        if exits["budget"] != before:
+            top = thread.frames[-1]
+            method = getattr(top, "method", None) or top.code.method
+            parked.add((method.qualified, top.pc))
+
+    engine.run_frame = recording
