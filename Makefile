@@ -52,9 +52,10 @@ tier1:
 	PYTHONPATH=src python -m pytest -q tests/test_tier1.py
 
 # Tier-2 engine focus: the three-tier-ladder test suite (equivalence
-# oracle, budget-exit fuzz, OSR, rematerialization).
+# oracle, budget-exit fuzz, interpreted resumes, rematerialization),
+# plus the interpretive Machine that parked tier-2 frames resume on.
 tier2:
-	PYTHONPATH=src python -m pytest -q tests/test_tier2.py
+	PYTHONPATH=src python -m pytest -q tests/test_tier2.py tests/test_machine.py
 
 # The end-to-end + per-layer ledger (benchmarks/e2e/README.md): all
 # four workloads in fresh subprocesses with their fingerprint oracle.

@@ -150,8 +150,9 @@ def main(argv=None) -> int:
                         help="host execution engine (byte-identical "
                              "results; tier1 compiles hot methods to "
                              "superblock closures, tier2 additionally "
-                             "host-compiles guest-JIT machine code with "
-                             "OSR and a deopt chain)")
+                             "host-compiles guest-JIT machine code at "
+                             "region leaders, with interpreted resumes "
+                             "and a deopt chain)")
     parser.add_argument("--cores", type=int, default=8,
                         help="simulated cores per VM")
     parser.add_argument("--seed", type=int, default=0,
@@ -249,7 +250,8 @@ def main(argv=None) -> int:
         deopts = sum(tier2["deopts"].values())
         print(f"tier2: {tier2['promotions']} promotions, "
               f"{tier2['compiled_blocks']} superblocks, "
-              f"{tier2['osr_entries']} OSR entries, {deopts} deopts, "
+              f"{tier2['osr_entries']} interpreted resumes, "
+              f"{deopts} deopts, "
               f"{tier2['compile_cycles']} compile cycles "
               f"({tier2['compile_seconds']:.3f}s host compile)")
     print(f"host wall time: {host_seconds:.2f}s (jobs={args.jobs})")

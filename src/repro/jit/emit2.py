@@ -53,12 +53,14 @@ scheduler misuse, an injected fault) flush and re-raise, exactly as the
 interpretive machine raises them.
 
 Emission is on demand: :func:`compile_tier2` only validates, and
-:func:`extend_tier2` emits a block when a frame first arrives at its pc,
-so code no frame reaches is never compiled.  On-stack replacement falls
-out of the same path: any pc a frame parks on (budget exhaustion
-mid-block, contended monitor, slice end) becomes a block entry like any
-leader, so hot loops enter tier-2 mid-run at their loop header without
-waiting for a fresh invocation.
+:func:`extend_tier2` emits a block when a frame first arrives at its
+region leader, so code no frame reaches is never compiled.  Blocks
+exist at static leaders only (control-flow targets, resume points,
+monitors and cap-split continuations).  A frame parked anywhere else —
+a budget boundary inside a block, a slice that ended on the
+interpretive machine — runs interpreted over :attr:`Tier2Code.stops`
+up to the next leader, so a hot loop enters tier-2 mid-run at its loop
+header without waiting for a fresh invocation.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ from repro.jvm.interpreter import Frame, guest_str
 #: Region cap: bounds generated-code size and exit-point fan-out; the
 #: split point becomes a fresh leader so hot tails stay compiled.
 MAX_BLOCK_OPS = 64
+
+#: What :attr:`Tier2Code.stops` holds at every leader: the interpretive
+#: machine ends an interpreted stretch there, executing nothing.
+_STOP = ("stop", 0)
 
 #: Machine kinds that end a superblock *with* the op (control leaves the
 #: region: a call hand-off, a scheduler suspension, or a return).
@@ -144,20 +150,21 @@ class Tier2Code:
     """A compiled method's tier-2 superblocks plus the entry table.
 
     ``entries`` is indexed by machine pc and starts out all ``None``:
-    :func:`extend_tier2` fills a slot the first time a frame arrives at
-    that pc — region leaders, cap-split continuations and pcs parked
-    mid-region (on-stack replacement) alike.  ``blocks`` records, per
+    :func:`extend_tier2` fills a leader's slot the first time a frame
+    arrives there.  ``leaders`` is the static region-leader set, closed
+    under cap splits; no other slot is ever filled.  ``stops`` is
+    ``code.instrs`` with every leader slot replaced by ``("stop", 0)``:
+    the interpretive machine runs a frame parked at a non-leader pc
+    over it and stops at the next leader.  ``blocks`` records, per
     emitted block, the compile-time ground truth
     ``(leader, sites, cum, end_pc, kind, self_loop)`` that
     :mod:`repro.sanitize.blockverify` re-derives independently, and
     ``source`` maps each leader to that block's generated text.
-    ``leaders`` is the static region-leader set: an entry anywhere else
-    is an on-stack replacement.
     """
 
     __slots__ = ("code", "method", "entries", "blocks", "nblocks",
                  "sites", "compile_cycles", "source", "env",
-                 "leaders", "jit_on", "trace_cas", "fault_calls")
+                 "leaders", "stops", "jit_on", "trace_cas", "fault_calls")
 
     def __init__(self, code, env, jit_on, trace_cas, fault_calls) -> None:
         self.code = code
@@ -171,6 +178,9 @@ class Tier2Code:
         self.env = env                # blocks exec here and bind their
         #                               per-site cells (classes, caches)
         self.leaders = _leaders2(code.instrs)
+        self.stops = stops = list(code.instrs)
+        for pc in self.leaders:
+            stops[pc] = _STOP
         self.jit_on = jit_on
         self.trace_cas = trace_cas
         self.fault_calls = fault_calls
@@ -272,7 +282,7 @@ class _Block2Emitter:
 
     def budget_guard(self, pc: int) -> None:
         """``if budget <= CUM_k`` → exit with the pc parked mid-region
-        (the driver re-enters through a lazily extended OSR entry)."""
+        (the next slice runs it interpreted up to the next leader)."""
         parts = self.flush_parts(pc=pc)
         parts.append("_dp['budget'] = _dp['budget'] + 1")
         parts.append("return True")
@@ -814,8 +824,8 @@ class _Block2Emitter:
             if not self.emit_op(pc, instr):
                 break
         else:
-            # "split": park the pc on the cap boundary; run_frame
-            # re-enters through the next entry (extending lazily).
+            # "split": park the pc on the cap boundary, itself a leader;
+            # run_frame enters the block there (emitting it lazily).
             for part in self.flush_parts(pc=self.end_pc):
                 self.emit(part)
             self.emit("return True")
@@ -876,8 +886,9 @@ def _scan2(instrs, leader: int):
 
 def _leaders2(instrs) -> set[int]:
     """Static region leaders: entry, control-flow targets, post-call
-    resume points, and every ``monitorenter`` (contended acquisition
-    parks the pc there for re-execution once the monitor is granted)."""
+    resume points, every ``monitorenter`` (contended acquisition parks
+    the pc there for re-execution once the monitor is granted), and —
+    closing the set — the continuation of every region the cap splits."""
     n = len(instrs)
     out = {0}
     for pc, instr in enumerate(instrs):
@@ -892,7 +903,14 @@ def _leaders2(instrs) -> set[int]:
             out.add(pc + 1)
         elif kind == "monitorenter":
             out.add(pc)
-    return {pc for pc in out if pc < n}
+    leaders = {pc for pc in out if pc < n}
+    pending = list(leaders)
+    while pending:
+        _, end_pc, kind = _scan2(instrs, pending.pop())
+        if kind == "split" and end_pc < n and end_pc not in leaders:
+            leaders.add(end_pc)
+            pending.append(end_pc)
+    return leaders
 
 
 def _validate(instrs) -> bool:
@@ -946,9 +964,8 @@ def compile_tier2(engine, code):
 def extend_tier2(t2: Tier2Code, pc: int):
     """Emit the block entering at ``pc`` — the one place tier-2 code is
     generated.  The driver calls it the first time a frame arrives at
-    an empty entry: a region leader, a cap-split continuation, or a pc
-    parked mid-region (budget exhaustion inside a block, a resumed
-    contended wait, a slice boundary — on-stack replacement).
+    the empty entry of a region leader (``pc in t2.leaders``); a frame
+    at any other pc runs interpreted up to the next leader instead.
 
     The new function is ``exec``'d into the method environment and
     installed in the entry table; returns ``(fn, sites)``.

@@ -39,6 +39,7 @@ from repro.jvm.costmodel import (
     alloc_cost,
 )
 from repro.jvm.interpreter import _CMP, _rem_int, _truediv_int, guest_str
+from repro.jvm.scheduler import RUNNABLE
 from repro.jit import deopt as deopt_mod
 
 
@@ -88,14 +89,18 @@ class Machine:
         return MachineFrame(code, args)
 
     # ------------------------------------------------------------------
-    def run_frame(self, thread, frame: MachineFrame) -> None:
+    def run_frame(self, thread, frame: MachineFrame, instrs=None) -> None:
         """Per instruction: check the budget, count the instruction,
         execute it (an op that raises is counted, not charged), advance
         the pc and charge the cost.  The pc, the budget and the
         instruction and guard counts live in locals until the
         ``finally`` writes them back; the cycles charged equal the
         budget spent.  Calls, deopts, waits and returns leave the loop
-        first and run after the write-back."""
+        first and run after the write-back.
+
+        ``instrs`` replaces the frame's instruction list: tier-2 passes
+        :attr:`~repro.jit.emit2.Tier2Code.stops`, whose ``("stop", 0)``
+        slots end the run at a region leader without executing it."""
         vm = self.vm
         counters = vm.counters
         guard_kinds = counters.guard_kinds
@@ -105,7 +110,8 @@ class Machine:
         heap = vm.heap
         tr = vm.trace
         trace_cas = tr if (tr is not None and tr.cas_on) else None
-        instrs = frame.code.instrs
+        if instrs is None:
+            instrs = frame.code.instrs
         regs = frame.regs
         core = thread.core
         l1 = cache.l1_tags[core]
@@ -455,6 +461,9 @@ class Machine:
                     counters.notify += 1
                     sched.monitor_notify(thread, regs[instr[2]],
                                          all_waiters=False)
+                elif kind == "stop":
+                    executed -= 1       # a leader: tier-2 code runs it
+                    break
                 else:
                     raise VMError(f"machine: unhandled instruction {kind}")
 
@@ -475,7 +484,8 @@ class Machine:
 #: tier-2.  Deliberately tiny: a method only acquires guest-JIT machine
 #: code once it is already hot (32 invocations), and each scheduler
 #: slice that lands on the frame counts — so a hot loop crosses this on
-#: its second slice and promotes mid-run (on-stack replacement).
+#: its second slice and promotes mid-run, entering compiled code at the
+#: next region leader it reaches.
 TIER2_THRESHOLD = 2
 
 #: Memo sentinel: the tier-2 emitter declined this CompiledCode.
@@ -499,8 +509,9 @@ class Tier2Stats:
         self.blocks = 0               # superblocks currently emitted
         self.sites = 0                # machine-op sites emitted
         self.compile_cycles = 0       # simulated-clock compile "time"
-        self.osr_entries = 0          # mid-method entries (promotion at
-        #                               pc != 0 + blocks at non-leader pcs)
+        self.osr_entries = 0          # interpreted resumes: frames found
+        #                               at a non-leader pc, run on the
+        #                               Machine up to the next leader
         self.deopts = {"budget": 0, "exception": 0, "fault": 0,
                        "guard": 0}
         self.methods: dict = {}       # qualified -> per-method record
@@ -539,10 +550,17 @@ class Tier2Machine(Machine):
     tier-1/threaded bytecode ladder at the exact bytecode index).  A
     block-internal fault re-raises after flushing, exactly as the
     interpretive machine raises it.  Promotion only validates; entry
-    tables start empty and every block is emitted the first time a
-    frame arrives at its pc, so any pc a frame parks on (budget boundary
-    mid-block, contended monitor) becomes a compiled entry exactly as a
-    region leader does — on-stack replacement at loop headers falls out.
+    tables start empty and a block is emitted the first time a frame
+    arrives at its region leader.  Entries exist at leaders only, as
+    in tier-1: a frame parked anywhere else (a budget boundary
+    mid-block, a slice that ended before promotion) runs on the
+    interpretive machine over :attr:`Tier2Code.stops` up to the next
+    leader, then compiled code takes over.
+
+    The driver folds :meth:`VM._execute_slice`'s loop for machine
+    frames: calls and returns between machine frames stay here, under
+    the exit conditions ``_execute_slice`` itself uses, so every frame
+    that lands on top is counted toward promotion exactly as before.
 
     Compiled code lives in one table, the memo keyed by
     :class:`CompiledCode`: every guest compile is a fresh object, so a
@@ -560,28 +578,39 @@ class Tier2Machine(Machine):
     # Execution.
     # ------------------------------------------------------------------
     def run_frame(self, thread, frame: MachineFrame) -> None:
-        code = frame.code
-        t2 = self._memo.get(code)
-        if t2 is None:
-            t2 = self._maybe_promote(code, frame)
+        frames = thread.frames
+        memo = self._memo
+        while True:
+            code = frame.code
+            t2 = memo.get(code)
             if t2 is None:
+                t2 = self._maybe_promote(code)
+            if t2 is None or t2 is _DECLINED:
                 Machine.run_frame(self, thread, frame)
+            else:
+                entries = t2.entries
+                while thread.budget > 0:
+                    pc = frame.pc
+                    fn = entries[pc]
+                    if fn is None:
+                        if pc not in t2.leaders:
+                            self.stats.osr_entries += 1
+                            Machine.run_frame(self, thread, frame, t2.stops)
+                            break
+                        fn = self._entry_block(t2, pc)
+                    if not fn(thread, frame):
+                        break
+            if thread.budget <= 0 or thread.state != RUNNABLE or not frames:
                 return
-        elif t2 is _DECLINED:
-            Machine.run_frame(self, thread, frame)
-            return
-        entries = t2.entries
-        while thread.budget > 0:
-            fn = entries[frame.pc]
-            if fn is None:
-                fn = self._entry_block(t2, frame.pc)
-            if not fn(thread, frame):
+            top = frames[-1]
+            if type(top) is not MachineFrame:
                 return
+            frame = top
 
     # ------------------------------------------------------------------
     # Promotion.
     # ------------------------------------------------------------------
-    def _maybe_promote(self, code, frame: MachineFrame):
+    def _maybe_promote(self, code):
         counts = self._counts
         seen = counts.get(code, 0) + 1
         counts[code] = seen
@@ -603,10 +632,6 @@ class Tier2Machine(Machine):
         # are accounted by _entry_block as the empty table fills.
         stats = self.stats
         stats.promotions += 1
-        if frame.pc != 0:
-            # The frame is mid-method (a hot loop crossing the slice
-            # threshold): this promotion is an on-stack replacement.
-            stats.osr_entries += 1
         record = stats.methods.setdefault(
             method.qualified, {"promotions": 0, "blocks": 0, "sites": 0,
                                "compile_cycles": 0})
@@ -616,8 +641,8 @@ class Tier2Machine(Machine):
         return t2
 
     def _entry_block(self, t2, pc: int):
-        """Emit the block entering at ``pc`` — every tier-2 block is
-        compiled here, the first time a frame arrives at its pc."""
+        """Emit the block entering at the leader ``pc`` — every tier-2
+        block is compiled here, the first time a frame arrives there."""
         from repro.jit.emit2 import extend_tier2
 
         started = time.perf_counter()
@@ -636,8 +661,6 @@ class Tier2Machine(Machine):
             if issues:
                 raise BlockVerifyError(t2.method.qualified, issues,
                                        tier="tier-2")
-        if pc not in t2.leaders:
-            stats.osr_entries += 1    # parked mid-region, or a cap split
         cycles = sites * TIER2_COMPILE_SITE_COST + TIER2_COMPILE_BLOCK_COST
         stats.blocks += 1
         stats.sites += sites

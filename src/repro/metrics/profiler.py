@@ -35,8 +35,10 @@ TIER1_METRIC_NAMES = ("tier1_promotions", "tier1_compiled_blocks",
                       "tier1_deopts", "tier1_compile_cycles")
 
 #: Host tier-2 engine counters (repro.jit.machine.Tier2Machine):
-#: machine-code promotions to host closures, emitted superblocks, OSR
-#: entries compiled on demand, deopts by any reason, and simulated
+#: machine-code promotions to host closures, emitted superblocks,
+#: interpreted resumes (frames parked at a non-leader pc, run on the
+#: interpretive Machine up to the next leader; key ``osr_entries``),
+#: deopts by any reason, and simulated
 #: compile cycles, read from ``RunResult.tier2``.  All zero unless the
 #: run used ``engine="tier2"`` with a JIT attached.  Host-side
 #: bookkeeping like the tier-1 set — never part of the byte-identity

@@ -487,13 +487,41 @@ def _t2_scan(instrs, leader: int):
     return ops, pc, "split"
 
 
+def _t2_leaders(instrs) -> set[int]:
+    """Tier-2 region leaders: entry, jump/branch targets, the pc after
+    every call, park and wait, every ``monitorenter``, closed under the
+    region walk's cap splits."""
+    n = len(instrs)
+    leaders = {0}
+    for pc, instr in enumerate(instrs):
+        kind = instr[0]
+        if kind == "jump":
+            leaders.add(instr[2])
+        elif kind == "branch":
+            leaders.update((instr[3], instr[4]))
+        elif kind in ("callstatic", "callvirtual", "callhandle", "park",
+                      "wait"):
+            leaders.add(pc + 1)
+        elif kind == "monitorenter":
+            leaders.add(pc)
+    leaders = {pc for pc in leaders if pc < n}
+    pending = list(leaders)
+    while pending:
+        _, end_pc, kind = _t2_scan(instrs, pending.pop())
+        if kind == "split" and end_pc < n and end_pc not in leaders:
+            leaders.add(end_pc)
+            pending.append(end_pc)
+    return leaders
+
+
 def verify_tier2_code(t2) -> list[StaticIssue]:
     """Check a :class:`repro.jit.emit2.Tier2Code` against the machine
-    code's ground truth: entry-table legitimacy (an entry at any pc —
-    region leader or parked mid-region — re-derives from an independent
-    region walk from that pc; an empty slot is a block no frame has
-    reached yet), per-block metadata, cost-model prefix sums in the
-    generated source, exit flush discipline, and compile-cycle totals."""
+    code's ground truth: entry-table legitimacy (entries, block records
+    and sources sit on independently re-derived region leaders only; an
+    empty slot is a block no frame has reached yet), the ``stops`` list
+    the interpreted stretches run over, per-block metadata, cost-model
+    prefix sums in the generated source, exit flush discipline, and
+    compile-cycle totals."""
     return _gc_paused(_Tier2Verifier(t2).run)
 
 
@@ -526,8 +554,14 @@ class _Tier2Verifier:
         if len(t2.entries) != n:
             self.issue(
                 f"entry table has {len(t2.entries)} slots for {n} machine "
-                "instructions — parked pcs would lose their entries")
+                "instructions")
             return self.issues
+        leaders = _t2_leaders(self.instrs)
+        if t2.stops != [("stop", 0) if pc in leaders else instr
+                        for pc, instr in enumerate(self.instrs)]:
+            self.issue("stops differs from the machine code with a stop "
+                       "at exactly the region leaders — an interpreted "
+                       "resume would not end at the next leader")
 
         metas: dict[int, tuple] = {}
         for leader, sites, cum, end_pc, kind, self_loop in t2.blocks:
@@ -545,6 +579,11 @@ class _Tier2Verifier:
         for pc in sorted(set(metas) ^ set(t2.source)):
             self.issue(f"block metadata and generated source disagree "
                        f"about a block at pc {pc}", pc=pc)
+        for pc in sorted((compiled | set(metas) | set(t2.source))
+                         - leaders):
+            self.issue(f"block at pc {pc}, which is not a region leader "
+                       "— a frame parked there must resume interpreted",
+                       pc=pc)
         for pc in sorted(compiled):
             fn = t2.entries[pc]
             name = getattr(fn, "__name__", "?")
@@ -581,9 +620,8 @@ class _Tier2Verifier:
 
     def _check_block(self, leader, sites, cum, end_pc, kind,
                      self_loop) -> None:
-        """Re-derive one block (a region leader and a pc parked
-        mid-region alike) from its own pc: any in-range pc must scan to
-        the region the emitter recorded and generated."""
+        """Re-derive one block from its leader: the region walk from
+        that pc must give what the emitter recorded and generated."""
         if not 0 <= leader < self.n:
             self.issue(f"block leader {leader} outside the machine "
                        f"code [0, {self.n})", pc=leader)

@@ -300,6 +300,63 @@ def test_scenarios_reach_the_exits_they_pin():
             == EXPECTED["loop-q5000"]["counters"]["instructions"])
 
 
+def test_run_over_stops_ends_at_the_next_leader():
+    # Tier-2 resumes a frame parked at a non-leader pc by running it
+    # over Tier2Code.stops.  From inside ``step``'s loop body the run
+    # must stop exactly at the loop header, having done what the plain
+    # loop does when its budget runs out there.
+    from types import SimpleNamespace
+
+    from repro.jit.emit2 import compile_tier2
+    from repro.jit.machine import Machine
+
+    vm = VM(engine="tier2", jit="graal")
+    vm.load(compile_program(LOOP_SRC))
+    vm.invoke("Bench.run", [24])
+    machine = vm.machine
+    code = vm.resolve_static("Bench", "step").compiled
+    t2 = compile_tier2(machine, code)
+    instrs = code.instrs
+    start = next(pc for pc, i in enumerate(instrs) if i[0] == "div")
+    back = next(pc for pc in range(start, len(instrs))
+                if instrs[pc][0] == "jump")
+    header = instrs[back][2]
+    assert start not in t2.leaders and header in t2.leaders
+    assert t2.leaders.isdisjoint(range(start + 1, back + 1))
+
+    # Single-step the plain loop from entry to ``start``.
+    frame = machine.new_frame(code, [24, 3, None])
+    thread = SimpleNamespace(frames=[frame], tid=0, core=0, budget=0)
+    for _ in range(200):
+        if frame.pc == start:
+            break
+        thread.budget = 1
+        Machine.run_frame(machine, thread, frame)
+    assert frame.pc == start
+
+    def stretch(budget, stops):
+        copy = machine.new_frame(code, [])
+        copy.regs, copy.pc = list(frame.regs), frame.pc
+        counters = vm.counters
+        before = (counters.instructions, counters.reference_cycles,
+                  counters.guards_executed)
+        thread.budget = budget
+        Machine.run_frame(machine, thread, copy, stops)
+        after = (counters.instructions, counters.reference_cycles,
+                 counters.guards_executed)
+        spent = budget - thread.budget
+        return copy, spent, tuple(b - a for a, b in zip(before, after))
+
+    stopped, spent, delta = stretch(10_000, t2.stops)
+    assert stopped.pc == header
+    assert delta[0] == back - start + 1
+    assert delta[1] == spent > 0
+    plain, plain_spent, plain_delta = stretch(spent, None)
+    assert thread.budget == 0
+    assert (plain.pc, plain.regs, plain_spent, plain_delta) == (
+        stopped.pc, stopped.regs, spent, delta)
+
+
 def test_deopt_of_an_unwritten_register_names_it():
     # A recipe naming a register nothing wrote is a compiler bug; the
     # deopt must say which register, not read a stale or None value.

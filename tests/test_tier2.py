@@ -2,15 +2,16 @@
 
 The tier-2 engine (repro.jit.machine.Tier2Machine + repro.jit.emit2,
 on top of the tier-1 bytecode engine) host-compiles the guest JIT's
-optimized CompiledCode into flat Python closures, with OSR entries at
-any parked machine pc; a guest guard failure inside a block
+optimized CompiledCode into flat Python closures at region leaders; a
+frame parked anywhere else resumes on the interpretive Machine up to
+the next leader, and a guest guard failure inside a block
 rematerializes frames through FrameState/VirtualObjectState recipes.
 Its contract is the tier-1 contract one tier up: *byte-identical
 observable behavior* — results, counters, simulated clock, stdout,
 traces, RaceReports — under any quantum, seed, JIT config, budget exit
 at any guarded machine pc, injected fault, and across serial vs sharded
-sweeps.  These tests pin that contract plus the promotion/OSR/deopt/
-invalidation mechanics.
+sweeps.  These tests pin that contract plus the promotion, resume,
+deopt and invalidation mechanics.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class Bench {
 
 #: Loop-heavy inner method: each call burns ~5 * n cycles, so a tiny
 #: scheduler quantum parks the machine frame mid-loop — the promotion
-#: then happens at pc != 0 (on-stack replacement) and lazily extended
-#: entry blocks get exercised.
+#: then happens at pc != 0 and parked frames resume interpreted up to
+#: the loop header.
 SPIN_SRC = """
 class Bench {
     static def run(n) {
@@ -167,7 +168,7 @@ def test_budget_boundary_equivalence(quantum):
     # Tiny quanta exhaust the slice budget *inside* emitted tier-2
     # blocks: the folded budget guard must park frame.pc on the exact
     # machine instruction with reference-identical counters, and the
-    # lazily grown entry table must resume there next slice.
+    # next slice must resume there on the interpretive Machine.
     assert_equivalent(spin_bench("budget"), quantum=quantum,
                       invocations=2)
 
@@ -192,7 +193,7 @@ def test_trace_recordings_equivalent():
 
 
 # ----------------------------------------------------------------------
-# Promotion, OSR and the tier ladder.
+# Promotion, interpreted resumes and the tier ladder.
 # ----------------------------------------------------------------------
 def test_tier2_engine_selected_and_promotes():
     from repro.jit.machine import Tier2Machine
@@ -230,29 +231,134 @@ def test_interpreted_tier2_reports_zero_metrics():
     assert all(plugin.raw[name] == 0 for name in TIER2_METRIC_NAMES)
 
 
-def test_osr_entries_at_loop_header():
-    # A tiny quantum parks the hot spin loop mid-method; the promotion
-    # then lands at pc != 0 and/or the entry table grows at the parked
-    # pc — both are on-stack replacement and must be observable.
-    bench = spin_bench("osr")
-    vm = VM(engine="tier2", jit="graal", quantum=200)
-    vm.load(bench.compile())
-    for _ in range(2):
-        assert vm.invoke(bench.entry, list(bench.args)) == bench.expected
-    stats = vm.machine.stats
-    assert stats.promotions > 0
-    assert stats.osr_entries > 0
-    # Blocks entered at their static leaders are not OSR: the count is
-    # a strict subset of what was emitted.
-    assert stats.osr_entries < stats.blocks
-    assert stats.compile_seconds > 0.0
-
-
 def tier2_codes(vm):
     from repro.jit.emit2 import Tier2Code
 
     return [t2 for t2 in vm.machine._memo.values()
             if isinstance(t2, Tier2Code)]
+
+
+def assert_leader_entries_only(vm):
+    for t2 in tier2_codes(vm):
+        filled = {pc for pc, fn in enumerate(t2.entries) if fn is not None}
+        assert filled <= t2.leaders, (t2.method.qualified,
+                                      filled - t2.leaders)
+
+
+def test_osr_entries_at_loop_header(monkeypatch):
+    # A tiny quantum parks the hot spin loop mid-region.  Entries exist
+    # at region leaders only: the next slice runs the parked frame on
+    # the interpretive Machine up to the loop header, and osr_entries
+    # counts exactly those interpreted resumes.
+    from repro.jit.machine import Machine
+
+    resumes = []
+    run_frame = Machine.run_frame
+
+    def recording(self, thread, frame, instrs=None):
+        if instrs is not None:
+            resumes.append((frame.code, frame.pc))
+        run_frame(self, thread, frame, instrs)
+
+    bench = spin_bench("osr")
+    monkeypatch.setattr(Machine, "run_frame", recording)
+    got, vm = util.observe(bench, "tier2", jit="graal", quantum=200,
+                           invocations=2)
+    monkeypatch.undo()
+    stats = vm.machine.stats
+    assert stats.promotions > 0
+    assert stats.osr_entries == len(resumes) > 0
+    assert all(pc not in vm.machine._memo[code].leaders
+               for code, pc in resumes)
+    assert_leader_entries_only(vm)
+    assert stats.compile_seconds > 0.0
+    assert got == util.reference(bench, jit="graal", quantum=200,
+                                 invocations=2)
+
+
+#: ``mix`` is one straight line of 80 machine ops: its entry region is
+#: cut at the 64-op cap, and the continuation is a leader of its own.
+LONG_SRC = """
+class Bench {
+    static def run(n) {
+        var acc = 0;
+        var i = 0;
+        while (i < n) { acc = acc + Bench.mix(i, acc % 7); i = i + 1; }
+        return acc;
+    }
+    static def mix(a, b) {
+        BODY
+        return a;
+    }
+}
+""".replace("BODY", "\n        ".join(f"a = (a ^ {k}) + b;"
+                                      for k in range(1, 41)))
+
+
+def test_cap_split_continuation_is_a_compiled_leader():
+    from repro.jit.emit2 import MAX_BLOCK_OPS, _scan2
+
+    bench = GuestBenchmark(name="capsplit2", suite="tests",
+                           source=LONG_SRC, args=(60,))
+    got, vm = util.observe(bench, "tier2", jit="graal", invocations=2)
+    t2 =vm.machine._memo[vm.resolve_static("Bench", "mix").compiled]
+    ops, split, kind = _scan2(t2.code.instrs, 0)
+    assert (len(ops), kind) == (MAX_BLOCK_OPS, "split")
+    # The split exit parks the frame on the continuation, which is a
+    # leader: the driver enters a block emitted there.
+    assert split in t2.leaders
+    assert t2.entries[split] is not None
+    assert_leader_entries_only(vm)
+    assert got == util.reference(bench, jit="graal", invocations=2)
+
+
+#: ``outer`` calls ``inner``; with inlining off both stay separate
+#: compiled methods, so the call and the return cross machine frames.
+CALL_SRC = """
+class Bench {
+    static def run(n) {
+        var acc = 0;
+        var i = 0;
+        while (i < n) { acc = acc + Bench.outer(i); i = i + 1; }
+        return acc;
+    }
+    static def outer(i) { return Bench.inner(i) * 2 + 1; }
+    static def inner(i) { return i + 3; }
+}
+"""
+
+
+@pytest.mark.parametrize("quantum", (37, 200, 5000))
+def test_compiled_calls_and_returns_stay_in_the_driver(quantum):
+    # Tier2Machine.run_frame keeps driving when a block hands off to
+    # another machine frame: a slice that enters compiled ``outer``
+    # runs its call into compiled ``inner`` and both returns in one
+    # run_frame call from VM._execute_slice.
+    from repro.jit.emit2 import Tier2Code
+
+    jit = graal_config(inline_depth=0)
+    bench = GuestBenchmark(name="calls2", suite="tests", source=CALL_SRC,
+                           args=(80,), expected=2 * 3160 + 7 * 80,
+                           warmup=1, measure=1)
+    got, vm = util.observe(bench, "tier2", jit=jit, quantum=quantum,
+                           invocations=2)
+    memo = vm.machine._memo
+    for name in ("outer", "inner"):
+        code = vm.resolve_static("Bench", name).compiled
+        assert isinstance(memo[code], Tier2Code)
+    if quantum == 5000:
+        entered = []
+        run_frame = vm.machine.run_frame
+
+        def counting(thread, frame):
+            entered.append(frame.code.method.name)
+            run_frame(thread, frame)
+
+        vm.machine.run_frame = counting
+        assert vm.invoke("Bench.outer", [4]) == 15
+        assert entered == ["outer"]
+    assert got == util.reference(bench, jit=jit, quantum=quantum,
+                                 invocations=2)
 
 
 def test_never_entered_region_is_never_compiled():
@@ -363,8 +469,9 @@ def test_budget_exit_at_every_guarded_pc_is_byte_identical():
     # Fuzz the block exits real runs take: sweep the scheduler quantum
     # until the budget guard has parked ``spin``'s machine frame at
     # every pc its blocks guard.  The block flushes batched accounting
-    # there, and the next slice enters a block emitted at that pc.
-    # Every run must equal the reference run at the same quantum.
+    # there, and the next slice resumes interpreted up to the next
+    # leader, so no entry is ever filled anywhere else.  Every run must
+    # equal the reference run at the same quantum.
     bench = spin_bench("budgetfuzz2", 30)
     parked, guarded = set(), set()
     for quantum in BUDGET_QUANTA:
@@ -373,6 +480,7 @@ def test_budget_exit_at_every_guarded_pc_is_byte_identical():
             setup=lambda vm: util.record_budget_exits(vm.machine, parked))
         # Read before the reference run: VMs loading one program share
         # its methods, and load() resets ``compiled``.
+        assert_leader_entries_only(vm)
         t2 = vm.machine._memo[vm.resolve_static("Bench", "spin").compiled]
         guarded |= util.budget_guarded_pcs(*t2.source.values())
         ref = util.reference(bench, jit="graal", quantum=quantum,
@@ -528,9 +636,9 @@ def test_verify_ir_validates_tier2_entry_tables():
 
 
 def test_verify_ir_verifies_every_block_at_emission():
-    # Leaders and OSR extensions alike are verified the moment they are
-    # emitted (a tiny quantum forces mid-region entries), and the
-    # lazily grown tables verify clean as a whole afterwards.
+    # Every block is verified the moment it is emitted (a tiny quantum
+    # forces interpreted resumes between them), and the lazily grown
+    # tables verify clean as a whole afterwards.
     from repro.sanitize.blockverify import verify_tier2_code
 
     bench = spin_bench("verifyosr2")
@@ -546,6 +654,25 @@ def test_verify_ir_verifies_every_block_at_emission():
         stats.blocks + vm.interpreter.stats.blocks)
     assert vm.irverify_stats.get("issues", 0) == 0
     assert all(verify_tier2_code(t2) == [] for t2 in tier2_codes(vm))
+
+
+def test_verifier_rejects_a_block_at_a_non_leader_pc():
+    # Pc 1 of ``step`` is mid-region.  A block emitted there is
+    # otherwise well-formed, so the leader rule is the one issue.
+    from repro.jit.emit2 import extend_tier2
+    from repro.sanitize.blockverify import verify_tier2_code
+
+    bench = hot_bench("nonleader2")
+    vm = VM(engine="tier2", jit="graal")
+    vm.load(bench.compile())
+    vm.invoke(bench.entry, list(bench.args))
+    t2 = vm.machine._memo[vm.resolve_static("Bench", "step").compiled]
+    assert verify_tier2_code(t2) == []
+    assert 1 not in t2.leaders
+    extend_tier2(t2, 1)
+    issues = verify_tier2_code(t2)
+    assert [(i.pc, "not a region leader" in i.message)
+            for i in issues] == [(1, True)]
 
 
 def test_verify_ir_rejects_block_tampered_after_emission(monkeypatch):
