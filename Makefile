@@ -47,15 +47,19 @@ durable:
 serve:
 	PYTHONPATH=src python -m pytest -q -m "serve or not chaos" tests/test_serve.py -s
 
-# Tier-1 engine focus: the superblock-engine test suite.
+# Tier-1 engine focus: the superblock-engine test suite, plus the
+# verifier and mutation corpus that check the exit protocol and the
+# block walker it shares with tier 2.
 tier1:
-	PYTHONPATH=src python -m pytest -q tests/test_tier1.py
+	PYTHONPATH=src python -m pytest -q tests/test_tier1.py tests/test_irverify.py
 
 # Tier-2 engine focus: the three-tier-ladder test suite (equivalence
 # oracle, budget-exit fuzz, interpreted resumes, rematerialization),
-# plus the interpretive Machine that parked tier-2 frames resume on.
+# plus the interpretive Machine that parked tier-2 frames resume on and
+# the verifier and mutation corpus shared with tier 1.
 tier2:
-	PYTHONPATH=src python -m pytest -q tests/test_tier2.py tests/test_machine.py
+	PYTHONPATH=src python -m pytest -q tests/test_tier2.py tests/test_machine.py \
+		tests/test_irverify.py
 
 # The end-to-end + per-layer ledger (benchmarks/e2e/README.md): all
 # four workloads in fresh subprocesses with their fingerprint oracle.

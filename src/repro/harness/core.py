@@ -112,7 +112,7 @@ class RunResult:
     cpu: float = 0.0
     vm: object = None
     trace: object = None      # summary dict set by repro.trace.TracePlugin
-    tier1: object = None      # host tier-1 snapshot when engine="tier1"
+    tier1: object = None      # host tier-1 snapshot: engine tier1 or tier2
     tier2: object = None      # host tier-2 snapshot when engine="tier2"
 
     @property
@@ -207,14 +207,17 @@ class Runner:
     ``engine`` selects the host execution engine — ``"threaded"`` (the
     default), ``"reference"`` (the oracle), ``"tier1"`` (superblock
     closures over threaded handlers) or ``"tier2"`` (tier-1 plus host
-    compilation of guest-JIT machine code, with OSR and guest deopt).
+    compilation of guest-JIT machine code at region leaders, with guest
+    deopt; a frame parked elsewhere resumes on the interpretive
+    machine).
     The choice is pure host-side speed: counters, schedules, results
     and fingerprints are byte-identical across engines.
 
     ``verify_ir`` turns on the compiler verification layer
     (:mod:`repro.sanitize.irverify`): every guest-JIT compile re-checks
-    the IR after each pipeline phase, and every tier-1 promotion
-    validates its superblocks (:mod:`repro.sanitize.blockverify`).  A
+    the IR after each pipeline phase, and every tier-1 promotion and
+    tier-2 block validates its superblocks
+    (:mod:`repro.sanitize.blockverify`).  A
     violation raises instead of silently falling back — results are
     unchanged when everything is sound.
     """

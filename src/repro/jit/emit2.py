@@ -39,6 +39,9 @@ state only at exits:
   True``), which is where the tier pays off: a vectorized or unrolled
   hot loop becomes one native Python loop.
 
+That exit protocol is written once, in :class:`_BlockWriter`; tier-1's
+bytecode emitter (:mod:`repro.jit.emit`) subclasses it too.
+
 Unlike tier-1 (:mod:`repro.jit.emit`), scheduler ops are compiled too:
 the machine's own semantics for monitors/park/wait are replicated
 inline, with contended acquisition parking ``frame.pc`` on the
@@ -190,37 +193,59 @@ class _EmitBail(Exception):
     """The emitter declines this method; the caller falls back."""
 
 
-class _Block2Emitter:
-    """Emits one tier-2 superblock function's source."""
+_IDENT_OK = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
-    def __init__(self, code, leader: int, ops, end_pc: int, kind: str,
-                 cells: dict, jit_on: bool, trace_cas: bool,
-                 fault_calls: bool) -> None:
-        self.code = code
-        self.method = code.method
+
+def _is_name(expr: str) -> bool:
+    return bool(expr) and not expr[0].isdigit() and set(expr) <= _IDENT_OK
+
+
+class _BlockWriter:
+    """The exit protocol every host superblock follows, written once.
+
+    A block keeps the engine's per-instruction bookkeeping in locals —
+    the running ``budget``, the ops emitted so far (``k``) and their
+    constant cost (``cum``), ``b0`` for dynamic cycles, ``_ai`` for
+    completed self-loop passes — and only this class turns them into
+    shared state: budget guards, flushes before a raise or a transfer,
+    the self-loop, the inlined ``VM.call`` and the function frame.
+
+    Tier-2's :class:`_Block2Emitter` and tier-1's
+    :class:`repro.jit.emit._BlockEmitter` subclass it with their region
+    walk and op bodies (``emit_op``, ``const_cost``) and the function
+    shape (``PREFIX``, ``PARAMS``, ``DEFAULTS``, ``PROLOGUE``).  Tier-1
+    also fills the two hooks: ``spill`` rebuilds its virtual operand
+    stack at an exit, ``on_branch`` counts backedges.
+    """
+
+    PREFIX = ""             # block function name: PREFIX + leader pc
+    PARAMS = ""             # its positional parameters
+    DEFAULTS: tuple = ()    # env names every block binds as defaults
+    PROLOGUE: tuple = ()    # tier-specific lines before ``budget``
+
+    def __init__(self, leader: int, ops, end_pc: int, cells: dict, *,
+                 has_dyn: bool, self_loop: bool,
+                 jit_on: bool, trace_cas: bool, fault_calls: bool) -> None:
         self.leader = leader
         self.ops = ops                # [(pc, instr), ...]
         self.end_pc = end_pc
-        self.kind = kind              # "term" | "split"
         self.cells = cells            # the method env: shared bindings
-        self.jit_on = jit_on
-        self.trace_cas = trace_cas
-        self.fault_calls = fault_calls
+        self.has_dyn = has_dyn        # some op charges cycles at run time
+        # A branch back to this block's own leader (a hot loop whose
+        # body is one superblock) is chained: the emitted function
+        # loops in place instead of round-tripping through the driver.
+        self.self_loop = self_loop
+        self.jit_on = jit_on          # VM has a guest JIT attached
+        self.trace_cas = trace_cas    # recorder wants CAS-failure events
+        self.fault_calls = fault_calls  # fault hook wants call events
         self.used = set()             # env names this block binds
         self.lines: list[str] = []
         self.ntmp = 0
         self.k = 0                    # ops emitted so far
         self.cum = 0                  # their constant cost sum
         self.sites = 0                # ops consumed (incl. terminators)
-        self.has_dyn = any(_is_dynamic(i) for _, i in ops)
-        # A branch back to this block's own leader (a hot loop whose
-        # body is one superblock) is chained: the emitted function
-        # loops in place instead of round-tripping through the driver.
-        self.self_loop = any(
-            (i[0] == "jump" and i[2] == leader)
-            or (i[0] == "branch" and (i[3] == leader or i[4] == leader))
-            for _, i in ops)
-        self._base = 1 if self.self_loop else 0
+        self._base = 1 if self_loop else 0
 
     # -- low-level helpers ---------------------------------------------
     def emit(self, line: str, depth: int = 0) -> None:
@@ -230,72 +255,102 @@ class _Block2Emitter:
         self.ntmp += 1
         return f"s{self.ntmp}"
 
+    def as_name(self, expr: str) -> str:
+        """Expr as a bare identifier (for safe f-string interpolation)."""
+        if _is_name(expr):
+            return expr
+        t = self.tmp()
+        self.emit(f"{t} = {expr}")
+        return t
+
     def bind(self, name: str, value) -> str:
         if name not in self.cells:
             self.cells[name] = value
         self.used.add(name)
         return name
 
-    def load(self, reg: int) -> str:
-        t = self.tmp()
-        self.emit(f"{t} = regs[{reg}]")
-        return t
+    # -- subclass hooks ------------------------------------------------
+    def emit_op(self, pc: int, instr) -> bool:
+        """Emit one op's body; False when the block ended with it."""
+        raise NotImplementedError
+
+    def const_cost(self, instr) -> int:
+        """The part of ``instr``'s cost folded into ``cum``."""
+        raise NotImplementedError
+
+    def spill(self) -> list:
+        """Statements rebuilding state the block keeps in locals beyond
+        the accounting (tier-1's operand stack) at a resumable exit."""
+        return []
+
+    def on_branch(self, pc: int, target: int, depth: int) -> None:
+        """A taken branch from ``pc`` to ``target`` is about to exit."""
 
     # -- exit-point construction ---------------------------------------
     def flush_parts(self, *, pc: int | None, extra_cost: int = 0,
-                    count_extra: int = 0) -> list:
-        """Statements restoring machine-identical shared state.
+                    count_extra: int = 0, materialize: bool = True) -> list:
+        """Statements restoring engine-identical shared state.
 
         ``extra_cost``/``count_extra`` fold the current op in (taken
         branches, calls and returns charge it; raises and guard-failure
-        exits count it per the machine's raise-time state, charging
-        only what the machine charged)."""
+        exits count it per the engine's raise-time state, charging only
+        what the engine charged).  ``materialize`` adds the ``spill``;
+        a dying frame (raise, return) does not need it."""
         charged = self.cum + extra_cost
         counted = self.k + count_extra
         parts = [f"thread.budget = budget - {charged}" if charged
                  else "thread.budget = budget"]
         if pc is not None:
             parts.append(f"frame.pc = {pc}")
+        # Completed self-loop passes live in ``_ai`` (instructions) and
+        # in ``budget`` itself (their constant cost was subtracted at
+        # each loop-around), so ``b0 - budget`` recovers their constant
+        # and dynamic cycles together.  Dynamic cycles can accrue even
+        # when the constant prefix is zero (tier-2's monitor ops fold
+        # constant 0): always recover them from the local-budget delta.
         if self.self_loop:
-            # Completed loop passes live in ``_ai`` (instructions) and
-            # in ``budget`` itself (their constant cost was subtracted
-            # at each loop-around, so ``b0 - budget`` recovers constant
-            # and dynamic cycles together).
             parts.append(f"_ct.instructions += _ai + {counted}"
                          if counted else "_ct.instructions += _ai")
+        elif counted:
+            parts.append(f"_ct.instructions += {counted}")
+        if self.self_loop or self.has_dyn:
             cyc = f"{charged} + (b0 - budget)" if charged \
                 else "b0 - budget"
             parts.append(f"_ct.reference_cycles += {cyc}")
-        else:
-            if counted:
-                parts.append(f"_ct.instructions += {counted}")
-            if self.has_dyn:
-                # Dynamic cycles can accrue even when the constant
-                # prefix is zero (monitor ops fold constant 0): always
-                # recover them from the local-budget delta.
-                cyc = f"{charged} + (b0 - budget)" if charged \
-                    else "b0 - budget"
-                parts.append(f"_ct.reference_cycles += {cyc}")
-            elif charged:
-                parts.append(f"_ct.reference_cycles += {charged}")
+        elif charged:
+            parts.append(f"_ct.reference_cycles += {charged}")
+        if materialize:
+            parts += self.spill()
         return parts
+
+    def flush(self, pc: int | None, depth: int = 0, **fold) -> None:
+        for part in self.flush_parts(pc=pc, **fold):
+            self.emit(part, depth)
+
+    @staticmethod
+    def bump(reason: str) -> str:
+        """The exit-reason count the driver's stats read."""
+        return f"_dp[{reason!r}] = _dp[{reason!r}] + 1"
 
     def budget_guard(self, pc: int) -> None:
         """``if budget <= CUM_k`` → exit with the pc parked mid-region
-        (the next slice runs it interpreted up to the next leader)."""
+        (the next slice resumes it on the engine below)."""
         parts = self.flush_parts(pc=pc)
-        parts.append("_dp['budget'] = _dp['budget'] + 1")
+        parts.append(self.bump("budget"))
         parts.append("return True")
         self.emit(f"if budget <= {self.cum}: " + "; ".join(parts))
 
     def raise_exit(self, pc: int, raise_stmt: str, depth: int = 1,
                    extra: tuple = ()) -> None:
-        """Flush then raise: instruction counted, cost uncharged."""
-        for part in self.flush_parts(pc=pc, count_extra=1):
-            self.emit(part, depth)
+        """Flush then raise: instruction counted, cost uncharged.
+
+        The exception kills the guest thread, so no ``spill``.
+        ``extra`` statements (tier-1's invoke ``method`` count, bumped
+        before the reference's null check) follow the flush."""
+        self.flush(pc, depth, count_extra=1, materialize=False)
         for stmt in extra:
             self.emit(stmt, depth)
-        self.emit("_dp['exception'] = _dp['exception'] + 1", depth)
+        self.emit(self.bump("exception"), depth)
         self.emit(raise_stmt, depth)
 
     def null_check(self, expr: str, pc: int, message: str) -> None:
@@ -304,16 +359,16 @@ class _Block2Emitter:
 
     def guard_host(self, pc: int, stmts, depth: int = 0,
                    reason: str = "fault") -> None:
-        """Wrap host calls that can raise mid-block (heap, scheduler,
-        resolution): the machine raises with the instruction counted
-        and nothing charged, so the handler flushes exactly that."""
+        """Wrap host calls that can raise mid-block (heap pressure, an
+        injected fault, scheduler misuse, resolution): the engine
+        raises with the instruction counted and nothing charged, so the
+        handler flushes exactly that."""
         self.emit("try:", depth)
         for stmt in stmts:
             self.emit(stmt, depth + 1)
         self.emit("except Exception:", depth)
-        for part in self.flush_parts(pc=pc, count_extra=1):
-            self.emit(part, depth + 1)
-        self.emit(f"_dp[{reason!r}] = _dp[{reason!r}] + 1", depth + 1)
+        self.flush(pc, depth + 1, count_extra=1, materialize=False)
+        self.emit(self.bump(reason), depth + 1)
         self.emit("raise", depth + 1)
 
     def alloc_call(self, pc: int, call: str, depth: int = 0) -> str:
@@ -323,21 +378,23 @@ class _Block2Emitter:
 
     def cache_charge(self, addr_expr: str, depth: int = 0) -> None:
         """Inline ``CacheModel.access``'s hit path (one list compare);
-        only a miss pays the ``_cmiss`` call."""
+        only a miss pays the ``_cmiss`` call.  ``_l1c`` is this core's
+        L1 tag row, bound once in the prologue."""
         t = self.tmp()
         self.emit(f"{t} = ({addr_expr}) // {WORDS_PER_LINE}", depth)
         self.emit(f"if _l1c[{t} % {L1_LINES}] != {t}: "
                   f"budget -= _cmiss(core, {t})", depth)
 
-    def exit_to(self, target: int, cost: int, depth: int = 0) -> None:
-        """Control leaves the region for ``target``: charge the branch
-        cost, flush, and return to the driver (or loop in place)."""
+    def exit_to(self, pc: int, target: int, cost: int,
+                depth: int = 0) -> None:
+        """Taken branch at ``pc`` leaves the region for ``target``:
+        charge the branch, flush, and return to the driver — or loop in
+        place when ``target`` is this block's own leader."""
+        self.on_branch(pc, target, depth)
         if target == self.leader and self.self_loop:
             self.loop_around(cost, depth)
             return
-        for part in self.flush_parts(pc=target, extra_cost=cost,
-                                     count_extra=1):
-            self.emit(part, depth)
+        self.flush(target, depth, extra_cost=cost, count_extra=1)
         self.emit("return True", depth)
 
     def loop_around(self, cost: int, depth: int) -> None:
@@ -346,10 +403,11 @@ class _Block2Emitter:
         The iteration's constant cost folds into the local ``budget``
         and its instruction count into ``_ai``; ``if budget > 0``
         replays the driver's slice check, and exhaustion parks the pc
-        on the leader — exactly where the interpretive machine's slice
-        would stop."""
+        on the leader — exactly where the engine's slice would stop."""
         self.emit(f"budget -= {self.cum + cost}", depth)
         self.emit(f"_ai += {self.k + 1}", depth)
+        for part in self.spill():
+            self.emit(part, depth)
         self.emit("if budget > 0: continue", depth)
         self.emit("thread.budget = budget", depth)
         self.emit(f"frame.pc = {self.leader}", depth)
@@ -357,13 +415,36 @@ class _Block2Emitter:
         self.emit("_ct.reference_cycles += b0 - budget", depth)
         self.emit("return True", depth)
 
+    def return_exit(self, value: str | None, cost: int) -> None:
+        """Charge the return, pop the frame and hand ``value`` to the
+        caller (None: a void return, which sets no thread result)."""
+        self.flush(None, extra_cost=cost, count_extra=1, materialize=False)
+        self.emit("_fs = thread.frames")
+        self.emit("_fs.pop()")
+        self.emit("if _fs:")
+        self.emit(f"_fs[-1].receive_result({value or 'None'})", 1)
+        if value is not None:
+            self.emit("else:")
+            self.emit(f"thread.result = {value}", 1)
+        self.emit("return False")
+
     # -- calls ----------------------------------------------------------
     def emit_call(self, tgt: str, args: str) -> None:
-        """``VM.call`` with its interpreted-frame fast path inlined;
-        mirrors :meth:`repro.jit.emit._BlockEmitter.emit_call`."""
+        """``VM.call`` with its interpreted-frame fast path inlined.
+
+        ``VM._fault_calls`` is fixed at VM construction, so when no
+        fault hook wants call events the only dynamic cases are natives
+        and abstract targets — both take the real ``VM.call`` (natives
+        charge ``thread.budget`` directly, which is why the caller has
+        flushed before this).  The common case — push an interpreter
+        frame — runs without any host call, including
+        ``Frame.__init__``, whose field stores are emitted directly.
+        The guest-JIT hand-off mirrors ``VM.call`` statement for
+        statement when a JIT is attached."""
         if self.fault_calls:
             self.emit(f"_vm.call(thread, {tgt}, {args})")
             return
+        args = self.as_name(args)
         self.emit(f"if {tgt}.native or {tgt}.abstract:")
         self.emit(f"_vm.call(thread, {tgt}, {args})", 1)
         self.emit("else:")
@@ -390,6 +471,163 @@ class _Block2Emitter:
         self.emit(f"{nf}.pc = 0", depth)
         self.emit(f"thread.frames.append({nf})", depth)
 
+    def call_then_charge(self, next_pc: int, tgt: str, args: str,
+                         cost: int) -> None:
+        """Tier-1's call tail: the caller already flushed the invoke
+        counted but uncharged at its own pc; advance the pc, call, then
+        charge the invoke's cost with a read-modify-write (a native
+        callee charged ``thread.budget`` itself meanwhile)."""
+        self.emit(f"frame.pc = {next_pc}")
+        self.emit_call(tgt, args)
+        self.charge_after_call(cost)
+
+    def charge_after_call(self, cost: int) -> None:
+        self.emit(f"thread.budget -= {cost}")
+        self.emit(f"_ct.reference_cycles += {cost}")
+        self.emit("return False")
+
+    # -- op bodies both tiers share ------------------------------------
+    def add(self, lhs: str, rhs: str, dst: str) -> None:
+        """Guest ``+``: string concatenation when either side is one."""
+        self.emit(f"if _type({lhs}) is str or _type({rhs}) is str:")
+        self.emit(f"{dst} = _gs({lhs}) + _gs({rhs})", 1)
+        self.emit("else:")
+        self.emit(f"{dst} = {lhs} + {rhs}", 1)
+
+    def divrem(self, kind: str, lhs: str, rhs: str, dst: str | None,
+               pc: int) -> str:
+        """``_truediv_int``/``_rem_int`` inlined: a zero divisor raises,
+        ints truncate toward zero and a remainder's sign follows the
+        dividend.  ``dst`` None allocates a fresh temporary."""
+        self.emit(f"if {rhs} == 0:")
+        sym = "/" if kind == "div" else "%"
+        self.raise_exit(pc, f"raise _GAE('{sym} by zero')")
+        if dst is None:
+            dst = self.tmp()
+        q = self.tmp()
+        self.emit(f"if _isin({lhs}, _int) and _isin({rhs}, _int):")
+        self.emit(f"{q} = _abs({lhs}) // _abs({rhs})", 1)
+        if kind == "div":
+            self.emit(f"{dst} = {q} if ({lhs} >= 0) == ({rhs} >= 0) "
+                      f"else -{q}", 1)
+            self.emit("else:")
+            self.emit(f"{dst} = {lhs} / {rhs}", 1)
+        else:
+            self.emit(f"{dst} = {lhs} - ({q} if ({lhs} >= 0) == "
+                      f"({rhs} >= 0) else -{q}) * {rhs}", 1)
+            self.emit("else:")
+            self.emit(f"{dst} = {lhs} - {rhs} * _int({lhs} / {rhs})", 1)
+        return dst
+
+    def field_slot(self, obj: str, field: str, pc: int, what: str,
+                   atomic: bool = False) -> str:
+        """Null-check ``obj``, count an atomic op, resolve ``field``'s
+        slot and charge its cache line; returns the slot."""
+        self.null_check(obj, pc, f"{what} {field}")
+        if atomic:
+            self.emit("_ct.atomic += 1")
+        slot = self.tmp()
+        self.emit(f"{slot} = {obj}.jclass.field_layout[{field!r}]")
+        self.cache_charge(f"{obj}.addr + {slot}")
+        return slot
+
+    def cas(self, obj: str, slot: str, field: str, expect: str,
+            update: str, dst: str) -> None:
+        # References compare by identity (JObject has no __eq__),
+        # numbers by value — matching the interpreters' CAS.
+        self.emit(f"if {obj}.values[{slot}] == {expect}:")
+        self.emit(f"{obj}.values[{slot}] = {update}", 1)
+        self.emit(f"{dst} = 1", 1)
+        self.emit("else:")
+        self.emit("_ct.cas_failures += 1", 1)
+        if self.trace_cas:
+            self.emit(f"_tcas.emit('cas', 'fail', thread.tid, "
+                      f"({field!r},))", 1)
+        self.emit(f"{dst} = 0", 1)
+
+    def atomic_add(self, obj: str, slot: str, delta: str) -> str:
+        old = self.tmp()
+        self.emit(f"{old} = {obj}.values[{slot}]")
+        self.emit(f"{obj}.values[{slot}] = {old} + {delta}")
+        return old
+
+    def checkcast(self, obj: str, cls: str, pc: int) -> None:
+        self.emit(f"if {obj} is not None and not "
+                  f"{obj}.jclass.is_subtype_of({cls!r}):")
+        self.raise_exit(
+            pc, f'raise _GCE(f"cannot cast {{{obj}.jclass.name}} '
+                f'to {cls}")')
+
+    # -- whole-block assembly ------------------------------------------
+    def render(self) -> tuple[str, str]:
+        """Emit all ops + the end-of-region exit; return (name, source)."""
+        for pc, instr in self.ops:
+            if self.k:
+                self.budget_guard(pc)
+            self.sites += 1
+            if not self.emit_op(pc, instr):
+                break
+            self.k += 1
+            self.cum += self.const_cost(instr)
+        else:
+            # The region ran off its end (the cap, or a tier-1 bail op):
+            # park the pc there; the driver resumes it next.
+            self.flush(self.end_pc)
+            self.emit("return True")
+        name = f"{self.PREFIX}{self.leader}"
+        defaults = list(self.DEFAULTS)
+        defaults += [f"{n}={n}" for n in sorted(self.used)]
+        header = (f"def {name}({self.PARAMS}, "
+                  + ", ".join(defaults) + "):")
+        prologue = [f"    {line}" for line in self.PROLOGUE]
+        prologue.append("    budget = thread.budget")
+        if self.has_dyn or self.self_loop:
+            prologue.append("    b0 = budget")
+        if self.has_dyn:
+            prologue.append("    core = thread.core")
+            prologue.append("    _l1c = _l1[core]")
+        if self.self_loop:
+            prologue.append("    _ai = 0")
+            prologue.append("    while True:")
+        return name, "\n".join([header] + prologue + self.lines)
+
+
+class _Block2Emitter(_BlockWriter):
+    """Emits one tier-2 superblock function's source."""
+
+    PREFIX = "_m"
+    PARAMS = "thread, frame"
+    DEFAULTS = (
+        "_ct=_ct", "_vm=_vm", "_heap=_heap", "_sched=_sched",
+        "_gs=_gs", "_l1=_l1", "_cmiss=_cmiss", "_alloc=_alloc",
+        "_GAE=_GAE", "_GNPE=_GNPE", "_GBE=_GBE", "_GCE=_GCE",
+        "_IE=_IE", "_dp=_dp",
+        "_deoptimize=_deoptimize", "_cg=_cg", "_tcas=_tcas",
+        "_Frame=_Frame", "_machine=_machine", "_jit=_jit",
+        "_gto=_gto", "_mkfn=_mkfn", "_type=type", "_len=len",
+        "_float=float", "_int=int", "_isin=isinstance", "_abs=abs",
+        "_list=list",
+    )
+    PROLOGUE = ("regs = frame.regs",)
+
+    def __init__(self, leader: int, ops, end_pc: int, cells: dict,
+                 **flags) -> None:
+        super().__init__(
+            leader, ops, end_pc, cells,
+            has_dyn=any(_is_dynamic(i) for _, i in ops),
+            self_loop=any(
+                (i[0] == "jump" and i[2] == leader)
+                or (i[0] == "branch" and (i[3] == leader or i[4] == leader))
+                for _, i in ops),
+            **flags)
+
+    const_cost = staticmethod(_const_cost)
+
+    def load(self, reg: int) -> str:
+        t = self.tmp()
+        self.emit(f"{t} = regs[{reg}]")
+        return t
+
     def call_exit(self, pc: int, cost: int, dest, tgt: str,
                   args: str) -> None:
         """Shared tail of the call family: pending dest, pc advance and
@@ -397,9 +635,7 @@ class _Block2Emitter:
         ``thread.budget`` directly; a raise inside the callee must see
         machine-identical caller state)."""
         self.emit(f"frame.pending_dest = {dest!r}")
-        for part in self.flush_parts(pc=pc + 1, extra_cost=cost,
-                                     count_extra=1):
-            self.emit(part)
+        self.flush(pc + 1, extra_cost=cost, count_extra=1)
         self.emit_call(tgt, args)
         self.emit("return False")
 
@@ -407,45 +643,18 @@ class _Block2Emitter:
     def emit_op(self, pc: int, instr) -> bool:
         """Emit one op; returns False when the block ended (terminator
         or call hand-off) and emission must stop."""
-        if self.k:
-            self.budget_guard(pc)
-        self.sites += 1
         kind = instr[0]
         cost = instr[1]
 
         if kind == "add":
-            a, b = self.load(instr[3]), self.load(instr[4])
-            self.emit(f"if _type({a}) is str or _type({b}) is str:")
-            self.emit(f"regs[{instr[2]}] = _gs({a}) + _gs({b})", 1)
-            self.emit("else:")
-            self.emit(f"regs[{instr[2]}] = {a} + {b}", 1)
+            self.add(self.load(instr[3]), self.load(instr[4]),
+                     f"regs[{instr[2]}]")
         elif kind in _BINOPS:
             self.emit(f"regs[{instr[2]}] = regs[{instr[3]}] "
                       f"{_BINOPS[kind]} regs[{instr[4]}]")
-        elif kind == "div":
-            a, b = self.load(instr[3]), self.load(instr[4])
-            self.emit(f"if {b} == 0:")
-            self.raise_exit(pc, "raise _GAE('/ by zero')")
-            q = self.tmp()
-            # _truediv_int inlined: truncate toward zero.
-            self.emit(f"if _isin({a}, _int) and _isin({b}, _int):")
-            self.emit(f"{q} = _abs({a}) // _abs({b})", 1)
-            self.emit(f"regs[{instr[2]}] = {q} if ({a} >= 0) == ({b} >= 0) "
-                      f"else -{q}", 1)
-            self.emit("else:")
-            self.emit(f"regs[{instr[2]}] = {a} / {b}", 1)
-        elif kind == "rem":
-            a, b = self.load(instr[3]), self.load(instr[4])
-            self.emit(f"if {b} == 0:")
-            self.raise_exit(pc, "raise _GAE('% by zero')")
-            q = self.tmp()
-            # _rem_int inlined: sign follows the dividend.
-            self.emit(f"if _isin({a}, _int) and _isin({b}, _int):")
-            self.emit(f"{q} = _abs({a}) // _abs({b})", 1)
-            self.emit(f"regs[{instr[2]}] = {a} - ({q} if ({a} >= 0) == "
-                      f"({b} >= 0) else -{q}) * {b}", 1)
-            self.emit("else:")
-            self.emit(f"regs[{instr[2]}] = {a} - {b} * _int({a} / {b})", 1)
+        elif kind == "div" or kind == "rem":
+            self.divrem(kind, self.load(instr[3]), self.load(instr[4]),
+                        f"regs[{instr[2]}]", pc)
         elif kind == "neg":
             self.emit(f"regs[{instr[2]}] = -regs[{instr[3]}]")
         elif kind == "not":
@@ -467,27 +676,20 @@ class _Block2Emitter:
                 pass                          # degenerate: pure fall-through
             elif f_pc == pc + 1:
                 self.emit(f"if regs[{instr[2]}]:")
-                self.exit_to(t_pc, cost, 1)
+                self.exit_to(pc, t_pc, cost, 1)
             elif t_pc == pc + 1:
                 self.emit(f"if not regs[{instr[2]}]:")
-                self.exit_to(f_pc, cost, 1)
+                self.exit_to(pc, f_pc, cost, 1)
             else:
                 self.emit(f"if regs[{instr[2]}]:")
-                self.exit_to(t_pc, cost, 1)
+                self.exit_to(pc, t_pc, cost, 1)
                 self.emit("else:")
-                self.exit_to(f_pc, cost, 1)
+                self.exit_to(pc, f_pc, cost, 1)
                 return False
         elif kind == "jump":
             target = instr[2]
             if target != pc + 1:
-                if target == self.leader and self.self_loop:
-                    self.loop_around(cost, 0)
-                else:
-                    for part in self.flush_parts(pc=target,
-                                                 extra_cost=cost,
-                                                 count_extra=1):
-                        self.emit(part)
-                    self.emit("return True")
+                self.exit_to(pc, target, cost)
                 return False
             # Fused fall-through: charge only.
         elif kind == "phimove":
@@ -503,17 +705,11 @@ class _Block2Emitter:
                     self.emit(f"regs[{dst}] = {t}")
         elif kind == "getfield":
             obj = self.load(instr[3])
-            self.null_check(obj, pc, f"getfield {instr[4]}")
-            slot = self.tmp()
-            self.emit(f"{slot} = {obj}.jclass.field_layout[{instr[4]!r}]")
-            self.cache_charge(f"{obj}.addr + {slot}")
+            slot = self.field_slot(obj, instr[4], pc, "getfield")
             self.emit(f"regs[{instr[2]}] = {obj}.values[{slot}]")
         elif kind == "putfield":
             obj = self.load(instr[2])
-            self.null_check(obj, pc, f"putfield {instr[3]}")
-            slot = self.tmp()
-            self.emit(f"{slot} = {obj}.jclass.field_layout[{instr[3]!r}]")
-            self.cache_charge(f"{obj}.addr + {slot}")
+            slot = self.field_slot(obj, instr[3], pc, "putfield")
             self.emit(f"{obj}.values[{slot}] = regs[{instr[4]}]")
         elif kind == "aload" or kind == "astore":
             arr = self.load(instr[3] if kind == "aload" else instr[2])
@@ -571,10 +767,8 @@ class _Block2Emitter:
             # The machine charges the guard's cost, then hands the frame
             # to the guest deopt machinery (counters/trace/frame
             # rematerialization happen in there, identically).
-            for part in self.flush_parts(pc=pc, extra_cost=cost,
-                                         count_extra=1):
-                self.emit(part, 1)
-            self.emit("_dp['guard'] = _dp['guard'] + 1", 1)
+            self.flush(pc, 1, extra_cost=cost, count_extra=1)
+            self.emit(self.bump("guard"), 1)
             self.emit(f"_deoptimize(_vm, thread, frame, {spec_id!r}, "
                       f"{meta!r})", 1)
             self.emit("return False", 1)
@@ -598,12 +792,7 @@ class _Block2Emitter:
                       f"{obj}.jclass.is_subtype_of({instr[4]!r}) else 0")
         elif kind == "checkcast":
             obj = self.load(instr[3])
-            self.emit(f"if {obj} is not None and not "
-                      f"{obj}.jclass.is_subtype_of({instr[4]!r}):")
-            self.raise_exit(
-                pc,
-                f'raise _GCE(f"cannot cast {{{obj}.jclass.name}} '
-                f'to {instr[4]}")')
+            self.checkcast(obj, instr[4], pc)
             self.emit(f"regs[{instr[2]}] = {obj}")
         elif kind == "getstatic":
             cls = self.bind(f"_sc{pc}", instr[3])
@@ -690,8 +879,7 @@ class _Block2Emitter:
             self.emit("_ct.monitor_contended += 1", depth + 1)
             self.emit(f"budget -= {cost}", depth + 1)
             # Re-execute this pc once granted: it is a registered entry.
-            for part in self.flush_parts(pc=pc, count_extra=1):
-                self.emit(part, depth + 1)
+            self.flush(pc, depth + 1, count_extra=1)
             self.emit("return False", depth + 1)
         elif kind == "monitorexit":
             obj = self.load(instr[2])
@@ -731,44 +919,23 @@ class _Block2Emitter:
             self.emit(f"budget -= {cost}", 1)
         elif kind == "cas":
             obj = self.load(instr[3])
-            self.null_check(obj, pc, f"cas {instr[4]}")
-            self.emit("_ct.atomic += 1")
-            slot = self.tmp()
-            self.emit(f"{slot} = {obj}.jclass.field_layout[{instr[4]!r}]")
-            self.cache_charge(f"{obj}.addr + {slot}")
-            self.emit(f"if {obj}.values[{slot}] == regs[{instr[5]}]:")
-            self.emit(f"{obj}.values[{slot}] = regs[{instr[6]}]", 1)
-            self.emit(f"regs[{instr[2]}] = 1", 1)
-            self.emit("else:")
-            self.emit("_ct.cas_failures += 1", 1)
-            if self.trace_cas:
-                self.emit(f"_tcas.emit('cas', 'fail', thread.tid, "
-                          f"({instr[4]!r},))", 1)
-            self.emit(f"regs[{instr[2]}] = 0", 1)
+            slot = self.field_slot(obj, instr[4], pc, "cas", atomic=True)
+            self.cas(obj, slot, instr[4], f"regs[{instr[5]}]",
+                     f"regs[{instr[6]}]", f"regs[{instr[2]}]")
         elif kind == "atomicget":
             obj = self.load(instr[3])
-            self.null_check(obj, pc, f"atomicget {instr[4]}")
-            self.emit("_ct.atomic += 1")
-            slot = self.tmp()
-            self.emit(f"{slot} = {obj}.jclass.field_layout[{instr[4]!r}]")
-            self.cache_charge(f"{obj}.addr + {slot}")
+            slot = self.field_slot(obj, instr[4], pc, "atomicget",
+                                   atomic=True)
             self.emit(f"regs[{instr[2]}] = {obj}.values[{slot}]")
         elif kind == "atomicadd":
             obj = self.load(instr[3])
-            self.null_check(obj, pc, f"atomicadd {instr[4]}")
-            self.emit("_ct.atomic += 1")
-            slot = self.tmp()
-            self.emit(f"{slot} = {obj}.jclass.field_layout[{instr[4]!r}]")
-            self.cache_charge(f"{obj}.addr + {slot}")
-            old = self.tmp()
-            self.emit(f"{old} = {obj}.values[{slot}]")
-            self.emit(f"{obj}.values[{slot}] = {old} + regs[{instr[5]}]")
+            slot = self.field_slot(obj, instr[4], pc, "atomicadd",
+                                   atomic=True)
+            old = self.atomic_add(obj, slot, f"regs[{instr[5]}]")
             self.emit(f"regs[{instr[2]}] = {old}")
         elif kind == "park":
             self.emit("_ct.park += 1")
-            for part in self.flush_parts(pc=pc + 1, extra_cost=cost,
-                                         count_extra=1):
-                self.emit(part)
+            self.flush(pc + 1, extra_cost=cost, count_extra=1)
             self.emit("if _sched.park(thread):")
             self.emit("return False", 1)
             self.emit("return True")
@@ -782,9 +949,7 @@ class _Block2Emitter:
             self.emit("_ct.wait += 1")
             obj = self.load(instr[2])
             self.null_check(obj, pc, "wait")
-            for part in self.flush_parts(pc=pc + 1, extra_cost=cost,
-                                         count_extra=1):
-                self.emit(part)
+            self.flush(pc + 1, extra_cost=cost, count_extra=1)
             self.emit(f"_sched.monitor_wait(thread, {obj})")
             self.emit("return False")
             return False
@@ -799,61 +964,11 @@ class _Block2Emitter:
             value = f"regs[{instr[2]}]" if instr[2] is not None else "None"
             t = self.tmp()
             self.emit(f"{t} = {value}")
-            for part in self.flush_parts(pc=None, extra_cost=cost,
-                                         count_extra=1):
-                self.emit(part)
-            self.emit("_fs = thread.frames")
-            self.emit("_fs.pop()")
-            self.emit("if _fs:")
-            self.emit(f"_fs[-1].receive_result({t})", 1)
-            self.emit("else:")
-            self.emit(f"thread.result = {t}", 1)
-            self.emit("return False")
+            self.return_exit(t, cost)
             return False
         else:                                         # pragma: no cover
             raise _EmitBail(f"unhandled machine kind {kind}")
-
-        self.k += 1
-        self.cum += _const_cost(instr)
         return True
-
-    # -- whole-block assembly ------------------------------------------
-    def render(self) -> tuple[str, str]:
-        """Emit all ops + the end-of-region exit; return (name, source)."""
-        for pc, instr in self.ops:
-            if not self.emit_op(pc, instr):
-                break
-        else:
-            # "split": park the pc on the cap boundary, itself a leader;
-            # run_frame enters the block there (emitting it lazily).
-            for part in self.flush_parts(pc=self.end_pc):
-                self.emit(part)
-            self.emit("return True")
-        name = f"_m{self.leader}"
-        defaults = [
-            "_ct=_ct", "_vm=_vm", "_heap=_heap", "_sched=_sched",
-            "_gs=_gs", "_l1=_l1", "_cmiss=_cmiss", "_alloc=_alloc",
-            "_GAE=_GAE", "_GNPE=_GNPE", "_GBE=_GBE", "_GCE=_GCE",
-            "_IE=_IE", "_dp=_dp",
-            "_deoptimize=_deoptimize", "_cg=_cg", "_tcas=_tcas",
-            "_Frame=_Frame", "_machine=_machine", "_jit=_jit",
-            "_gto=_gto", "_mkfn=_mkfn", "_type=type", "_len=len",
-            "_float=float", "_int=int", "_isin=isinstance", "_abs=abs",
-            "_list=list",
-        ]
-        defaults += [f"{n}={n}" for n in sorted(self.used)]
-        header = (f"def {name}(thread, frame, "
-                  + ", ".join(defaults) + "):")
-        prologue = ["    regs = frame.regs", "    budget = thread.budget"]
-        if self.has_dyn or self.self_loop:
-            prologue.append("    b0 = budget")
-        if self.has_dyn:
-            prologue.append("    core = thread.core")
-            prologue.append("    _l1c = _l1[core]")
-        if self.self_loop:
-            prologue.append("    _ai = 0")
-            prologue.append("    while True:")
-        return name, "\n".join([header] + prologue + self.lines)
 
 
 # ----------------------------------------------------------------------
@@ -974,7 +1089,7 @@ def extend_tier2(t2: Tier2Code, pc: int):
     """
     ops, end_pc, kind = _scan2(t2.code.instrs, pc)
     emitter = _Block2Emitter(
-        t2.code, pc, ops, end_pc, kind, t2.env,
+        pc, ops, end_pc, t2.env,
         jit_on=t2.jit_on, trace_cas=t2.trace_cas,
         fault_calls=t2.fault_calls)
     name, source = emitter.render()

@@ -649,18 +649,10 @@ class Tier2Machine(Machine):
         fn, sites = extend_tier2(t2, pc)
         stats = self.stats
         stats.compile_seconds += time.perf_counter() - started
-        # A verification failure is raised, never a fallback.
         if getattr(self.vm, "verify_ir", False):
-            from repro.sanitize.blockverify import (
-                BlockVerifyError, verify_tier2_block)
+            from repro.sanitize.blockverify import check_emitted
 
-            issues = verify_tier2_block(t2, pc)
-            vstats = self.vm.irverify_stats
-            vstats["blocks"] = vstats.get("blocks", 0) + 1
-            vstats["issues"] = vstats.get("issues", 0) + len(issues)
-            if issues:
-                raise BlockVerifyError(t2.method.qualified, issues,
-                                       tier="tier-2")
+            check_emitted(self.vm, t2, pc)
         cycles = sites * TIER2_COMPILE_SITE_COST + TIER2_COMPILE_BLOCK_COST
         stats.blocks += 1
         stats.sites += sites

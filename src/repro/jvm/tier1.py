@@ -14,12 +14,12 @@ the *guest* JIT's hotness policy (``method.invocation_count``, bumped
 by ``VM.call``); the engine never mutates guest-visible state, so the
 decision is a pure host-side optimization.  The driver merges the
 compiled block entries with the method's threaded handler table:
-any pc that is a block leader runs compiled, every other pc — an OSR
+any pc that is a block leader runs compiled, every other pc — a
 resume mid-block after a budget boundary, a monitor wake-up, or an
-opcode the emitter bails on (invokes, monitors, atomics, park/wait) —
-runs its threaded handler, re-entering compiled code at the next
-leader.  A block exits by parking ``frame.pc`` when the budget runs out,
-by raising after flushing its accounting (a guest exception or an
+opcode the emitter bails on (monitors, park/wait/notify) — runs its
+threaded handler, re-entering compiled code at the next leader.  A
+block exits by parking ``frame.pc`` when the budget runs out, by
+raising after flushing its accounting (a guest exception or an
 injected fault), or at its terminator.
 
 Compiled code lives in one table, the dispatch memo (method → merged
@@ -143,17 +143,11 @@ class Tier1Interpreter(ThreadedInterpreter):
         # failure never is (masking it is the miscompile-hiding behavior
         # verify_ir exists to remove).
         if getattr(self.vm, "verify_ir", False):
-            from repro.sanitize.blockverify import (
-                BlockVerifyError, verify_tier1_code)
+            from repro.sanitize.blockverify import check_emitted
 
-            issues = verify_tier1_code(code, method)
-            stats = self.vm.irverify_stats
-            stats["blocks"] = stats.get("blocks", 0) + code.nblocks
-            stats["issues"] = stats.get("issues", 0) + len(issues)
-            if issues:
-                raise BlockVerifyError(method.qualified, issues)
-        # Merge: block leaders run compiled, everything else (OSR
-        # resume points, bail opcodes) dispatches its threaded handler.
+            check_emitted(self.vm, code)
+        # Merge: block leaders run compiled, everything else (resume
+        # points, bail opcodes) dispatches its threaded handler.
         code.dispatch = [entry if entry is not None else handler
                          for entry, handler in zip(code.entries, handlers)]
         stats = self.stats

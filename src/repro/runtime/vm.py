@@ -77,11 +77,11 @@ class VM:
     ) -> None:
         self.counters = Counters()
         # Compiler verification (repro.sanitize.irverify/blockverify):
-        # when on, every JIT pipeline phase and every emitted tier-1
-        # superblock is statically re-checked; violations raise instead
-        # of silently falling back.  Stats live outside Counters — they
-        # are host-side observability and must not perturb the
-        # byte-identity fingerprint.
+        # when on, every JIT pipeline phase and every emitted host
+        # superblock (tier-1 and tier-2) is statically re-checked;
+        # violations raise instead of silently falling back.  Stats live
+        # outside Counters — they are host-side observability and must
+        # not perturb the byte-identity fingerprint.
         self.verify_ir = bool(verify_ir)
         self.irverify_stats: dict[str, int] = {
             "graphs": 0, "phase_checks": 0, "issues": 0, "blocks": 0,

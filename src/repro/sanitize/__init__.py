@@ -26,9 +26,10 @@ Compiler verification layer (static, over JIT artifacts)
       run after every pipeline phase (``run_pipeline(verify=True)``,
       ``VM(verify_ir=True)``); violations raise :class:`IRVerifyError`
       attributed to the offending phase,
-    - :mod:`repro.sanitize.blockverify` — tier-1 superblock validation:
-      entry-table legitimacy, cost/instruction accounting against the
-      cost model, flush-before-raise completeness,
+    - :mod:`repro.sanitize.blockverify` — tier-1 and tier-2 superblock
+      validation: entry-table legitimacy, cost/instruction accounting
+      against the cost model (one walker for both tiers),
+      flush-before-raise completeness,
     - :mod:`repro.sanitize.mutations` — the corpus of deliberately
       broken compiles proving both verifiers actually detect breakage
       (``python -m repro.sanitize --mutations``, ``make verify-ir``).

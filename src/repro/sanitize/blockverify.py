@@ -1,34 +1,37 @@
-"""Static validation of tier-1 superblocks against the bytecode CFG.
+"""Static validation of host superblocks against their ground truth.
 
-:mod:`repro.jit.emit` compiles hot methods into flat Python closures
-whose correctness rests on compile-time accounting: batched budget
-comparisons, instruction/cycle constants, and ``frame.pc`` flushes that
-must land on registered resume points.  This module re-derives all of
-that *independently* — its own region walk over the method bytecode and
-its own prefix sums over :mod:`repro.jvm.costmodel` — then checks the
-emitted :class:`repro.jit.emit.Tier1Code` (entry table, totals, and the
-generated source via ``ast``) against the ground truth:
+Both host tiers compile guest code into flat Python closures —
+:mod:`repro.jit.emit` (tier-1) from method bytecode,
+:mod:`repro.jit.emit2` (tier-2) from guest-JIT machine code — and both
+follow one exit protocol: batched budget comparisons,
+instruction/cycle constants, and ``frame.pc`` flushes that must land on
+resumable indices.  This module re-derives all of that *independently*
+— its own region walks and its own prefix sums over
+:mod:`repro.jvm.costmodel` and the machine code's costs — then checks
+the emitted :class:`~repro.jit.emit.Tier1Code` or
+:class:`~repro.jit.emit2.Tier2Code` (entry table, totals, and the
+generated source via ``ast``) against that ground truth:
 
-- **entry legitimacy**: the dispatch table has exactly one slot per
-  bytecode, and compiled entries sit exactly on the region leaders the
-  bytecode CFG defines (branch targets, post-bail/post-invoke resume
-  points, cap-split continuations) — everything else must stay on the
-  threaded tier so every non-leader pc remains a resume point after a
-  budget exit;
-- **cost accounting**: every ``budget <= K`` guard, ``thread.budget =
-  budget - K`` flush, ``budget -= K`` fold and ``reference_cycles``
-  constant in the generated source must be a prefix sum of the per-op
-  interpreter cost model over that region; instruction-count bumps must
-  not exceed the region's op count;
+- **entry legitimacy**: the entry table has exactly one slot per
+  instruction, and compiled entries sit exactly on the region leaders
+  the code's CFG defines (branch targets, resume points after calls and
+  bails, monitors, cap-split continuations); every other pc resumes on
+  the engine below after a budget exit;
+- **cost accounting** (one walker, :meth:`_Verifier.check_function`,
+  with each tier's legal constants): every ``budget <= K`` guard,
+  ``thread.budget = budget - K`` flush, ``budget -= K`` fold and
+  ``reference_cycles`` constant must be a prefix sum of the region's
+  costs (or a prefix plus the exiting op's cost); instruction bumps must
+  not exceed the region's op count, and each flush's instruction count
+  must pair with the cycles it charges;
 - **exit state**: every ``raise`` must be preceded (in its statement
   suite) by a budget flush and an in-range ``frame.pc`` assignment, so
-  the failure the guest observes carries reference-identical counters,
-  and every flushed pc must be a valid interpreter resume index;
+  the failure the guest observes carries engine-identical counters;
 - **totals**: ``sites``/``nblocks``/``compile_cycles`` must match the
   region walk exactly (the simulated compile-time these feed is part of
   the byte-identity contract).
 
-The op categories below deliberately *duplicate* the emitter's rather
+The op categories below deliberately *duplicate* the emitters' rather
 than import them: drift between emitter and verifier is precisely the
 class of bug this pass exists to surface.
 """
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import ast
 import gc
+from typing import NamedTuple
 
 from repro.errors import VMError
 from repro.jvm.bytecode import Op
@@ -51,7 +55,7 @@ from repro.jvm.costmodel import (
 from repro.sanitize.reports import StaticIssue
 
 __all__ = ["BlockVerifyError", "verify_tier1_code", "expected_regions",
-           "verify_tier2_code", "verify_tier2_block"]
+           "verify_tier2_code", "verify_tier2_block", "check_emitted"]
 
 
 class BlockVerifyError(VMError):
@@ -68,7 +72,313 @@ class BlockVerifyError(VMError):
             f"({len(issues)} issue(s)); first: {first}")
 
 
-# Independent re-statement of the emitter's op classes (see module doc).
+def check_emitted(vm, code, pc: int | None = None) -> None:
+    """The drivers' ``verify_ir`` hook for host code just emitted:
+    a whole :class:`Tier1Code` (``pc`` None) or the one tier-2 block
+    entering at ``pc``.  Counts into ``vm.irverify_stats``; any issue
+    raises — a verification failure is never a fallback."""
+    if pc is None:
+        issues, blocks = verify_tier1_code(code, code.method), code.nblocks
+    else:
+        issues, blocks = verify_tier2_block(code, pc), 1
+    stats = vm.irverify_stats
+    stats["blocks"] = stats.get("blocks", 0) + blocks
+    stats["issues"] = stats.get("issues", 0) + len(issues)
+    if issues:
+        raise BlockVerifyError(code.method.qualified, issues,
+                               tier="tier-1" if pc is None else "tier-2")
+
+
+def _gc_paused(check, *args):
+    # Parsing emitted source allocates tens of thousands of AST nodes,
+    # all dead by return; without this guard the burst trips the gen-0
+    # threshold repeatedly and every triggered collection rescans the
+    # VM's young heap (see verify_graph, which does the same).
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        return check(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# ======================================================================
+# The exit protocol's legal constants, and the one walker checking them.
+# ======================================================================
+class _Accounting(NamedTuple):
+    """The constants one region's generated code may contain."""
+
+    cum: list               # cum[k]: constant cost of the first k ops
+    guards: frozenset       # ``budget <= K``: a prefix before a body op
+    charges: frozenset      # ``thread.budget = budget - K``: a prefix,
+    #                         or a prefix plus the exiting op's cost
+    folds: frozenset        # local ``budget -= K``
+    cycles: frozenset       # ``reference_cycles += K``
+    post_call: int | None   # ``thread.budget -= K`` after an ending
+    #                         call; a tier charging calls after the call
+    #                         flushes them uncharged (tier-1 only)
+    internal: frozenset     # raised names the block catches itself
+
+
+def _accounting(ops, kind: str, const_cost, cost, *, folds=(),
+                post_call: int | None = None,
+                internal=frozenset()) -> _Accounting:
+    """Legal constants of the region ``ops`` (ending as ``kind``):
+    ``const_cost`` is what the emitter folds into prefix sums, ``cost``
+    what an exit charges for the op it leaves through."""
+    cum = [0]
+    for _pc, instr in ops:
+        cum.append(cum[-1] + const_cost(instr))
+    # A terminator's cost is charged at its exit, never guarded.
+    body = len(ops) - 1 if kind == "term" else len(ops)
+    guards = frozenset(cum[:body + 1])
+    charges = guards | {cum[i] + cost(instr)
+                        for i, (_pc, instr) in enumerate(ops)}
+    cycles = charges - {0}
+    if post_call is not None:
+        cycles |= {post_call}
+    return _Accounting(cum, guards, charges, charges | set(folds),
+                       cycles, post_call, frozenset(internal))
+
+
+class _Verifier:
+    def __init__(self, qualified: str, n: int) -> None:
+        self.qualified = qualified
+        self.n = n                    # resumable pcs are [0, n)
+        self.issues: list[StaticIssue] = []
+
+    def issue(self, message: str, *, pc: int = -1,
+              severity: str = "error") -> None:
+        self.issues.append(StaticIssue(
+            pass_name="blockverify", severity=severity,
+            method=self.qualified, pc=pc, line=0, message=message))
+
+    def check_function(self, fn, leader: int, acct: _Accounting) -> None:
+        """The one accounting walker over a block function.
+
+        A single statement-level dispatch serves every check: the
+        emitters only ever place budget guards in if/while tests and
+        accounting in top-level assignments, so descending into
+        expression trees (what ``ast.walk`` does) — or making a
+        separate pass per check — would multiply the cost of every
+        verified block for nothing.  Per suite we track,
+        position-sensitively, whether budget/pc have been flushed yet
+        (the exit-state checks) and, whole-suite, the count/charge
+        constants (the pairing check after the loop)."""
+        cum = acct.cum
+        nops = len(cum) - 1
+
+        def complain(msg):
+            self.issue(f"{fn.name}: {msg}", pc=leader)
+
+        for body in _suites(fn):
+            counted = charged = None
+            has_raise = returns_false = False
+            flushed_budget = flushed_pc = False
+            for stmt in body:
+                cls = stmt.__class__
+                if cls is ast.Assign:
+                    target = stmt.targets[0]
+                    if target.__class__ is not ast.Attribute \
+                            or target.value.__class__ is not ast.Name:
+                        continue
+                    owner, attr = target.value.id, target.attr
+                    v = stmt.value
+                    if owner == "thread" and attr == "budget":
+                        flushed_budget = True
+                        if v.__class__ is ast.Name and v.id == "budget":
+                            if charged is None:
+                                charged = 0
+                            continue
+                        if (v.__class__ is ast.BinOp
+                                and v.op.__class__ is ast.Sub
+                                and v.left.__class__ is ast.Name
+                                and v.left.id == "budget"
+                                and v.right.__class__ is ast.Constant):
+                            k = v.right.value
+                            if charged is None:
+                                charged = k
+                            if k not in acct.charges or k == 0:
+                                complain(
+                                    f"budget flush charges {k}, not a "
+                                    "cost-model prefix/exit sum of the "
+                                    "region")
+                            continue
+                        complain("budget flush has unexpected shape")
+                    elif owner == "frame" and attr == "pc":
+                        flushed_pc = True
+                        if v.__class__ is ast.Constant \
+                                and not 0 <= v.value < self.n:
+                            complain(
+                                f"frame.pc flushed to {v.value}, outside "
+                                f"[0, {self.n}) — not a resumable index")
+                elif cls is ast.AugAssign:
+                    target = stmt.target
+                    op_cls = stmt.op.__class__
+                    arith = op_cls is ast.Sub or op_cls is ast.Add
+                    v = stmt.value
+                    const = v.__class__ is ast.Constant
+                    if target.__class__ is ast.Name:
+                        if not arith or not const:
+                            continue
+                        if target.id == "budget":
+                            if v.value not in acct.folds:
+                                complain(
+                                    f"local budget fold {v.value} is not "
+                                    "a cost-model prefix/exit sum")
+                        elif target.id == "_ai":
+                            if not 1 <= v.value <= nops:
+                                complain(
+                                    f"loop instruction fold {v.value} "
+                                    f"exceeds the region's {nops} ops")
+                    elif target.__class__ is ast.Attribute \
+                            and target.value.__class__ is ast.Name:
+                        owner, attr = target.value.id, target.attr
+                        if owner == "thread" and attr == "budget":
+                            flushed_budget = True
+                            if arith and const \
+                                    and v.value != acct.post_call:
+                                complain(
+                                    f"post-call budget charge {v.value} "
+                                    "!= the ending op's cost "
+                                    f"{acct.post_call}")
+                        elif owner == "frame" and attr == "pc":
+                            flushed_pc = True
+                        elif owner == "_ct" and attr == "instructions":
+                            k = _count_constant(v)
+                            if counted is None:
+                                counted = k
+                            if arith and k is not None \
+                                    and not 1 <= k <= nops:
+                                complain(
+                                    f"instruction bump {k} exceeds "
+                                    f"the region's {nops} ops")
+                        elif owner == "_ct" and attr == "reference_cycles" \
+                                and arith:
+                            k = _cycles_constant(v)
+                            if k is not None and k not in acct.cycles:
+                                complain(
+                                    f"cycle charge {k} is not a "
+                                    "cost-model prefix/exit sum of the "
+                                    "region")
+                elif cls is ast.Raise:
+                    exc = stmt.exc
+                    if exc is not None and exc.__class__ is ast.Name \
+                            and exc.id in acct.internal:
+                        continue
+                    # Exit-state completeness: a raise out of compiled
+                    # code must have flushed budget + pc first.
+                    has_raise = True
+                    if not flushed_budget:
+                        complain("raise without a preceding "
+                                 "thread.budget flush in its suite")
+                    if not flushed_pc:
+                        complain("raise without a preceding frame.pc "
+                                 "flush — the failure would record a "
+                                 "stale index")
+                elif cls is ast.Return:
+                    v = stmt.value
+                    if v is not None and v.__class__ is ast.Constant \
+                            and v.value is False:
+                        returns_false = True
+                elif cls is ast.If or cls is ast.While:
+                    test = stmt.test
+                    if (test.__class__ is ast.Compare
+                            and test.left.__class__ is ast.Name
+                            and test.left.id == "budget"
+                            and len(test.ops) == 1
+                            and test.ops[0].__class__ is ast.LtE
+                            and test.comparators[0].__class__
+                            is ast.Constant):
+                        k = test.comparators[0].value
+                        if k not in acct.guards:
+                            complain(
+                                f"budget guard constant {k} is not a "
+                                "cost-model prefix sum of the region")
+            # Count/charge pairing: a flush's instruction constant K and
+            # its charged-cost constant C must describe the same exit
+            # point.  A suite leaving via ``raise`` counts the faulting
+            # op without charging it (the engine raises with the
+            # instruction counted, cost uncharged), and so does a
+            # tier-1 call transfer (``return False`` after a ``frame.pc``
+            # flush — a popped return frame has none), whose invoke
+            # charges its own cost post-call: C == CUM[K-1].  Every
+            # other flush charges exactly the ops it counts, C == CUM[K]
+            # (tier-2's monitors fold a constant 0 and charge at run
+            # time).
+            if counted is None or charged is None \
+                    or not 1 <= counted <= nops:
+                continue    # range violations are reported above
+            uncharged = has_raise or (acct.post_call is not None
+                                      and returns_false and flushed_pc)
+            want = cum[counted - 1] if uncharged else cum[counted]
+            if charged != want:
+                complain(f"flush counts {counted} instruction(s) but "
+                         f"charges {charged} cycles — the cost model "
+                         f"says {want} for this exit")
+
+
+def _count_constant(value) -> int | None:
+    """Constant part of an ``instructions +=`` expression, if any."""
+    if isinstance(value, ast.Constant):
+        return value.value
+    if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add):
+        # `_ai + K`: the constant is the in-flight tail count.
+        if isinstance(value.right, ast.Constant) \
+                and isinstance(value.left, ast.Name) \
+                and value.left.id == "_ai":
+            return value.right.value
+    return None
+
+
+def _cycles_constant(value) -> int | None:
+    """Constant part of a ``reference_cycles +=`` expression, if any."""
+    if isinstance(value, ast.Constant):
+        return value.value
+    if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add) \
+            and isinstance(value.left, ast.Constant):
+        # `K + (b0 - budget)`: K is the constant charge.
+        return value.left.value
+    return None
+
+
+def _suites(fn) -> list:
+    """Every statement suite of ``fn``: any list-of-statements field
+    (``body`` / ``orelse`` / ``finalbody`` / handler bodies), nested
+    suites included.  Only statements are traversed — never expression
+    trees — because every accounting construct the checks care about
+    sits at statement level in the emitted source; this runs on every
+    verified block, where the repeated full-tree ``ast.walk``
+    generators it replaces dominated the cost.
+    """
+    suites = [fn.body]
+    index = 0
+    while index < len(suites):
+        for stmt in suites[index]:
+            # Every compound statement (if/while/for/try/with) has a
+            # .body; simple statements — the vast majority — cost one
+            # getattr and move on.
+            body = getattr(stmt, "body", None)
+            if body is None:
+                continue
+            suites.append(body)
+            orelse = getattr(stmt, "orelse", None)
+            if orelse:
+                suites.append(orelse)
+            finalbody = getattr(stmt, "finalbody", None)
+            if finalbody:
+                suites.append(finalbody)
+            for handler in getattr(stmt, "handlers", ()) or ():
+                suites.append(handler.body)
+        index += 1
+    return suites
+
+
+# ======================================================================
+# Tier-1: emitted bytecode superblocks (repro.jit.emit).
+# ======================================================================
 _BAIL_OPS = frozenset({
     Op.MONITORENTER, Op.MONITOREXIT,
     Op.PARK, Op.UNPARK, Op.WAIT, Op.NOTIFY, Op.NOTIFYALL,
@@ -82,6 +392,10 @@ _REGION_CAP = 64
 
 #: Constant (compile-time) interpreter cost per op: base + dispatch.
 _CONST_COST = {op: cost + INTERP_DISPATCH for op, cost in BASE_COST.items()}
+
+
+def _t1_cost(instr) -> int:
+    return _CONST_COST[instr.op]
 
 
 def expected_regions(code) -> dict:
@@ -140,42 +454,19 @@ def _region_sites(ops, kind: str) -> int:
 
 def verify_tier1_code(code_obj, method) -> list[StaticIssue]:
     """Check a :class:`Tier1Code` against the bytecode ground truth."""
-    # Parsing the emitted module allocates tens of thousands of AST
-    # nodes, all dead by return; without this guard the burst trips the
-    # gen-0 threshold repeatedly and every triggered collection rescans
-    # the VM's young heap (see verify_graph, which does the same).
-    return _gc_paused(_BlockVerifier(code_obj, method).run)
+    return _gc_paused(
+        _Tier1Verifier(code_obj, method.qualified, len(method.code)).run,
+        method.code)
 
 
-def _gc_paused(check, *args):
-    enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
-    try:
-        return check(*args)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-class _BlockVerifier:
-    def __init__(self, code_obj, method) -> None:
+class _Tier1Verifier(_Verifier):
+    def __init__(self, code_obj, qualified: str, n: int) -> None:
+        super().__init__(qualified, n)
         self.code_obj = code_obj
-        self.method = method
-        self.qualified = method.qualified
-        self.n = len(method.code)
-        self.issues: list[StaticIssue] = []
 
-    def issue(self, message: str, *, pc: int = -1,
-              severity: str = "error") -> None:
-        self.issues.append(StaticIssue(
-            pass_name="blockverify", severity=severity,
-            method=self.qualified, pc=pc, line=0, message=message))
-
-    # ------------------------------------------------------------------
-    def run(self) -> list[StaticIssue]:
+    def run(self, bytecode) -> list[StaticIssue]:
         code_obj, n = self.code_obj, self.n
-        regions = expected_regions(self.method.code)
+        regions = expected_regions(bytecode)
         entries = code_obj.entries
         if len(entries) != n:
             self.issue(
@@ -233,220 +524,15 @@ class _BlockVerifier:
                 self.issue(f"no generated function _b{leader} for region "
                            f"at pc {leader}", pc=leader)
                 continue
-            self._check_function(fn, leader, ops, kind)
+            # The region-ending invoke charges its own cost post-call.
+            self.check_function(fn, leader, _accounting(
+                ops, kind, _t1_cost, _t1_cost,
+                post_call=_t1_cost(ops[-1][1]) if kind == "term" else None))
         return self.issues
-
-    # ------------------------------------------------------------------
-    def _check_function(self, fn, leader, ops, kind) -> None:
-        # Prefix sums of the constant per-op cost over the region: the
-        # only legal constants in budget guards and flushes.
-        prefix = {0}
-        cum_list = [0]
-        cum = 0
-        for _pc, instr in ops:
-            cum += _CONST_COST[instr.op]
-            prefix.add(cum)
-            cum_list.append(cum)
-        nops = len(ops)
-        # The region-ending invoke charges its own cost post-call.
-        tail_cost = (_CONST_COST[ops[-1][1].op]
-                     if kind == "term" and ops else None)
-        cycle_consts = (prefix - {0}) | (
-            {tail_cost} if tail_cost is not None else set())
-
-        def complain(node, msg):
-            self.issue(f"_b{leader}: {msg}", pc=leader)
-
-        # A single statement-level dispatch serves every check below:
-        # the emitter only ever places budget guards in if/while tests
-        # and accounting in top-level assignments, so descending into
-        # expression trees (what ast.walk does) — or making a separate
-        # pass per check — would multiply the cost of every verified
-        # tier-1 promotion for nothing.  Per suite we track, position-
-        # sensitively, whether budget/pc have been flushed yet (the
-        # exit-state checks) and, whole-suite, the count/charge
-        # constants (the pairing check after the loop).
-        for body in _suites(fn):
-            counted = charged = None
-            has_raise = returns_false = False
-            flushed_budget = flushed_pc = False
-            for stmt in body:
-                cls = stmt.__class__
-                if cls is ast.Assign:
-                    target = stmt.targets[0]
-                    if target.__class__ is not ast.Attribute \
-                            or target.value.__class__ is not ast.Name:
-                        continue
-                    owner, attr = target.value.id, target.attr
-                    v = stmt.value
-                    if owner == "thread" and attr == "budget":
-                        flushed_budget = True
-                        if v.__class__ is ast.Name and v.id == "budget":
-                            if charged is None:
-                                charged = 0
-                            continue
-                        if (v.__class__ is ast.BinOp
-                                and v.op.__class__ is ast.Sub
-                                and v.right.__class__ is ast.Constant):
-                            if charged is None:
-                                charged = v.right.value
-                            if (v.left.__class__ is ast.Name
-                                    and v.left.id == "budget"):
-                                k = v.right.value
-                                if k not in prefix or k == 0:
-                                    complain(
-                                        stmt,
-                                        f"budget flush charges {k}, not a "
-                                        "cost-model prefix sum of the "
-                                        "region")
-                                continue
-                        complain(stmt, "budget flush has unexpected shape")
-                    elif owner == "frame" and attr == "pc":
-                        flushed_pc = True
-                        if v.__class__ is ast.Constant \
-                                and not 0 <= v.value < self.n:
-                            complain(
-                                stmt,
-                                f"frame.pc flushed to {v.value}, outside "
-                                f"the dispatchable range [0, {self.n}) — "
-                                "not a registered resume point")
-                elif cls is ast.AugAssign:
-                    target = stmt.target
-                    op_cls = stmt.op.__class__
-                    arith = op_cls is ast.Sub or op_cls is ast.Add
-                    v = stmt.value
-                    if target.__class__ is ast.Name:
-                        if not arith or v.__class__ is not ast.Constant:
-                            continue
-                        if target.id == "budget":
-                            if v.value not in prefix:
-                                complain(
-                                    stmt,
-                                    f"local budget fold {v.value} is not "
-                                    "a cost-model prefix sum")
-                        elif target.id == "_ai":
-                            if not 1 <= v.value <= nops:
-                                complain(
-                                    stmt,
-                                    f"loop instruction fold {v.value} "
-                                    f"exceeds the region's {nops} ops")
-                    elif target.__class__ is ast.Attribute \
-                            and target.value.__class__ is ast.Name:
-                        owner, attr = target.value.id, target.attr
-                        if owner == "thread" and attr == "budget":
-                            flushed_budget = True
-                            if arith and v.__class__ is ast.Constant \
-                                    and v.value != tail_cost:
-                                complain(
-                                    stmt,
-                                    f"post-call budget charge {v.value} "
-                                    "!= the ending op's cost "
-                                    f"{tail_cost}")
-                        elif owner == "frame" and attr == "pc":
-                            flushed_pc = True
-                        elif owner == "_ct" and attr == "instructions":
-                            if counted is None:
-                                counted = _count_constant(v)
-                            if arith:
-                                k = _count_constant(v)
-                                if k is not None and not 1 <= k <= nops:
-                                    complain(
-                                        stmt,
-                                        f"instruction bump {k} exceeds "
-                                        f"the region's {nops} ops")
-                        elif owner == "_ct" and attr == "reference_cycles" \
-                                and arith:
-                            k = _cycles_constant(v)
-                            if k is not None and k not in cycle_consts:
-                                complain(
-                                    stmt,
-                                    f"cycle charge {k} is not a "
-                                    "cost-model prefix sum of the region")
-                elif cls is ast.Raise:
-                    # Exit-state completeness: a raise out of compiled
-                    # code must have flushed budget + pc first.
-                    has_raise = True
-                    if not flushed_budget:
-                        complain(stmt, "raise without a preceding "
-                                       "thread.budget flush in its suite")
-                    if not flushed_pc:
-                        complain(stmt, "raise without a preceding "
-                                       "frame.pc flush — the failure "
-                                       "would record a stale index")
-                elif cls is ast.Return:
-                    v = stmt.value
-                    if v is not None and v.__class__ is ast.Constant \
-                            and v.value is False:
-                        returns_false = True
-                elif cls is ast.If or cls is ast.While:
-                    test = stmt.test
-                    if (test.__class__ is ast.Compare
-                            and test.left.__class__ is ast.Name
-                            and test.left.id == "budget"
-                            and len(test.ops) == 1
-                            and test.ops[0].__class__ is ast.LtE
-                            and test.comparators[0].__class__
-                            is ast.Constant):
-                        k = test.comparators[0].value
-                        if k not in prefix:
-                            complain(
-                                stmt,
-                                f"budget guard constant {k} is not a "
-                                "cost-model prefix sum of the region")
-            # Count/charge pairing: a flush's instruction constant K and
-            # its charged-cost constant C must describe the same exit
-            # point.  A suite leaving via ``raise`` or a call transfer
-            # (``return False`` with a ``frame.pc`` flush — a popped
-            # return frame has none) counts the boundary op without
-            # charging it (the reference raises with the instruction
-            # counted, cost uncharged; invokes charge their own cost
-            # post-call), so C == CUM[K-1]; every other flush charges
-            # exactly the ops it counts, C == CUM[K].
-            if counted is None or charged is None \
-                    or not 1 <= counted <= nops:
-                continue    # range violations are reported above
-            uncharged_exit = has_raise or (returns_false and flushed_pc)
-            want = cum_list[counted - 1] if uncharged_exit \
-                else cum_list[counted]
-            if charged != want:
-                self.issue(
-                    f"_b{leader}: flush counts {counted} instruction(s) "
-                    f"but charges {charged} cycles — the cost model says "
-                    f"{want} for this exit", pc=leader)
-
-
-# ----------------------------------------------------------------------
-def _count_constant(value) -> int | None:
-    """Constant part of an ``instructions +=`` expression, if any."""
-    if isinstance(value, ast.Constant):
-        return value.value
-    if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add):
-        # `_ai + K`: the constant is the in-flight tail count.
-        if isinstance(value.right, ast.Constant) \
-                and isinstance(value.left, ast.Name) \
-                and value.left.id == "_ai":
-            return value.right.value
-    return None
-
-
-def _cycles_constant(value) -> int | None:
-    """Constant part of a ``reference_cycles +=`` expression, if any."""
-    if isinstance(value, ast.Constant):
-        return value.value
-    if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add) \
-            and isinstance(value.left, ast.Constant):
-        # `K + (b0 - budget)`: K is the constant charge.
-        return value.left.value
-    return None
 
 
 # ======================================================================
 # Tier-2: emitted machine-code superblocks (repro.jit.emit2).
-#
-# Same philosophy as the tier-1 pass: the region walk, fusion rules and
-# cost classification below deliberately *duplicate* the tier-2
-# emitter's rather than import them — drift between emitter and
-# verifier is the bug class this pass exists to surface.
 # ======================================================================
 
 #: Machine kinds that end a tier-2 region with the op included.
@@ -465,6 +551,25 @@ def _t2_const_cost(instr) -> int:
     if kind == "monitorexit" and instr[3] is not None:
         return 0
     return instr[1]
+
+
+def _t2_cost(instr) -> int:
+    return instr[1]
+
+
+def _t2_monitor_folds(ops) -> set:
+    """Run-time charges of the variable-cost monitor ops: coarsening's
+    held-chunk fast path (1), a drained chunk's real release (18), or
+    the op's full cost."""
+    folds = set()
+    for _pc, instr in ops:
+        kind = instr[0]
+        if kind == "monitorenter" or (kind == "monitorexit"
+                                      and instr[3] is not None):
+            folds.update((1, instr[1]))
+        elif kind == "monitorexit_if_held":
+            folds.update((18, instr[1]))
+    return folds
 
 
 def _t2_scan(instrs, leader: int):
@@ -532,19 +637,11 @@ def verify_tier2_block(t2, pc: int) -> list[StaticIssue]:
     return _gc_paused(_Tier2Verifier(t2).run, pc)
 
 
-class _Tier2Verifier:
+class _Tier2Verifier(_Verifier):
     def __init__(self, t2) -> None:
+        super().__init__(t2.method.qualified, len(t2.code.instrs))
         self.t2 = t2
-        self.qualified = t2.method.qualified
         self.instrs = t2.code.instrs
-        self.n = len(self.instrs)
-        self.issues: list[StaticIssue] = []
-
-    def issue(self, message: str, *, pc: int = -1,
-              severity: str = "error") -> None:
-        self.issues.append(StaticIssue(
-            pass_name="blockverify", severity=severity,
-            method=self.qualified, pc=pc, line=0, message=message))
 
     # ------------------------------------------------------------------
     def run(self, only: int | None = None) -> list[StaticIssue]:
@@ -665,171 +762,7 @@ class _Tier2Verifier:
             self.issue(f"source of the block at pc {leader} is not the "
                        f"one generated function _m{leader}", pc=leader)
             return
-        self._check_function(body[0], leader, ops, want_kind)
-
-    # ------------------------------------------------------------------
-    def _check_function(self, fn, leader, ops, kind) -> None:
-        # Prefix sums of the constant per-op cost over the region body
-        # (a terminator's cost is charged at its exit, never folded).
-        body_ops = ops[:-1] if kind == "term" else ops
-        prefix = {0}
-        cum = 0
-        for _pc, instr in body_ops:
-            cum += _t2_const_cost(instr)
-            prefix.add(cum)
-        # Exit charges: a flush may charge the running prefix alone (a
-        # raise counts the op but charges nothing) or prefix + the
-        # exiting op's full cost (taken branches, calls, guards, park).
-        charges = set(prefix)
-        folds = set(charges)
-        running = 0
-        nops = len(ops)
-        for index, (_pc, instr) in enumerate(ops):
-            charges.add(running + instr[1])
-            kind_i = instr[0]
-            if kind_i == "monitorenter":
-                # Coarsened held-chunk fast path / real acquisition.
-                folds.add(1)
-                folds.add(instr[1])
-            elif kind_i == "monitorexit" and instr[3] is not None:
-                folds.add(1)
-                folds.add(instr[1])
-            elif kind_i == "monitorexit_if_held":
-                folds.add(18)       # drained chunk pays a real release
-                folds.add(instr[1])
-            if index < len(body_ops):
-                running += _t2_const_cost(instr)
-        folds |= charges
-
-        def complain(msg):
-            self.issue(f"_m{leader}: {msg}", pc=leader)
-
-        for body in _suites(fn):
-            flushed_budget = flushed_pc = False
-            for stmt in body:
-                cls = stmt.__class__
-                if cls is ast.Assign:
-                    target = stmt.targets[0]
-                    if target.__class__ is not ast.Attribute \
-                            or target.value.__class__ is not ast.Name:
-                        continue
-                    owner, attr = target.value.id, target.attr
-                    v = stmt.value
-                    if owner == "thread" and attr == "budget":
-                        flushed_budget = True
-                        if v.__class__ is ast.Name and v.id == "budget":
-                            continue
-                        if (v.__class__ is ast.BinOp
-                                and v.op.__class__ is ast.Sub
-                                and v.left.__class__ is ast.Name
-                                and v.left.id == "budget"
-                                and v.right.__class__ is ast.Constant):
-                            k = v.right.value
-                            if k not in charges or k == 0:
-                                complain(
-                                    f"budget flush charges {k}, not a "
-                                    "cost-model prefix/exit sum of the "
-                                    "region")
-                            continue
-                        complain("budget flush has unexpected shape")
-                    elif owner == "frame" and attr == "pc":
-                        flushed_pc = True
-                        if v.__class__ is ast.Constant \
-                                and not 0 <= v.value < self.n:
-                            complain(
-                                f"frame.pc flushed to {v.value}, outside "
-                                f"the machine code [0, {self.n}) — not a "
-                                "resumable index")
-                elif cls is ast.AugAssign:
-                    target = stmt.target
-                    op_cls = stmt.op.__class__
-                    arith = op_cls is ast.Sub or op_cls is ast.Add
-                    v = stmt.value
-                    if not arith or v.__class__ is not ast.Constant:
-                        continue
-                    if target.__class__ is ast.Name:
-                        if target.id == "budget":
-                            if v.value not in folds:
-                                complain(
-                                    f"local budget fold {v.value} is not "
-                                    "a cost-model prefix/exit sum")
-                        elif target.id == "_ai":
-                            if not 1 <= v.value <= nops:
-                                complain(
-                                    f"loop instruction fold {v.value} "
-                                    f"exceeds the region's {nops} ops")
-                    elif target.__class__ is ast.Attribute \
-                            and target.value.__class__ is ast.Name \
-                            and target.value.id == "_ct":
-                        if target.attr == "instructions":
-                            k = _count_constant(v)
-                            if k is not None and not 0 <= k <= nops:
-                                complain(
-                                    f"instruction bump {k} exceeds the "
-                                    f"region's {nops} ops")
-                        elif target.attr == "reference_cycles":
-                            k = _cycles_constant(v)
-                            if k is not None and k not in charges:
-                                complain(
-                                    f"cycle charge {k} is not a "
-                                    "cost-model prefix/exit sum of the "
-                                    "region")
-                elif cls is ast.Raise:
-                    exc = stmt.exc
-                    if exc is not None and exc.__class__ is ast.Name \
-                            and exc.id == "_IE":
-                        continue    # internal bounds-probe, caught inline
-                    if not flushed_budget:
-                        complain("raise without a preceding thread.budget "
-                                 "flush in its suite")
-                    if not flushed_pc:
-                        complain("raise without a preceding frame.pc "
-                                 "flush — the machine would resume at a "
-                                 "stale index")
-                elif cls is ast.If or cls is ast.While:
-                    test = stmt.test
-                    if (test.__class__ is ast.Compare
-                            and test.left.__class__ is ast.Name
-                            and test.left.id == "budget"
-                            and len(test.ops) == 1
-                            and test.ops[0].__class__ is ast.LtE
-                            and test.comparators[0].__class__
-                            is ast.Constant):
-                        k = test.comparators[0].value
-                        if k not in prefix:
-                            complain(
-                                f"budget guard constant {k} is not a "
-                                "cost-model prefix sum of the region")
-
-
-def _suites(fn) -> list:
-    """Every statement suite of ``fn``: any list-of-statements field
-    (``body`` / ``orelse`` / ``finalbody`` / handler bodies), nested
-    suites included.  Only statements are traversed — never expression
-    trees — because every accounting construct the checks care about
-    sits at statement level in the emitted source; this runs on every
-    block function of every verified tier-1 promotion, where the
-    repeated full-tree ``ast.walk`` generators it replaces dominated
-    the cost.
-    """
-    suites = [fn.body]
-    index = 0
-    while index < len(suites):
-        for stmt in suites[index]:
-            # Every compound statement (if/while/for/try/with) has a
-            # .body; simple statements — the vast majority — cost one
-            # getattr and move on.
-            body = getattr(stmt, "body", None)
-            if body is None:
-                continue
-            suites.append(body)
-            orelse = getattr(stmt, "orelse", None)
-            if orelse:
-                suites.append(orelse)
-            finalbody = getattr(stmt, "finalbody", None)
-            if finalbody:
-                suites.append(finalbody)
-            for handler in getattr(stmt, "handlers", ()) or ():
-                suites.append(handler.body)
-        index += 1
-    return suites
+        # ``_IE`` is the aload/astore bounds probe, caught inline.
+        self.check_function(body[0], leader, _accounting(
+            ops, want_kind, _t2_const_cost, _t2_cost,
+            folds=_t2_monitor_folds(ops), internal={"_IE"}))

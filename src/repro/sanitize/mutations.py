@@ -4,10 +4,10 @@ The verifier's own test harness.  Each mutator takes a freshly built,
 *correct* compilation of the corpus program and breaks exactly one
 invariant — a dropped operand, a cleared terminator, a monitorexit
 deleted, a tampered budget flush — at a chosen pipeline phase (via
-``run_pipeline``'s ``mutate`` hook) or on the emitted tier-1 code.  A
-healthy verifier detects every variant and attributes it to the phase
-whose checkpoint observed it; a verifier that misses one has a hole
-exactly where a real phase bug could hide.
+``run_pipeline``'s ``mutate`` hook) or on the emitted tier-1 and tier-2
+code.  A healthy verifier detects every variant and attributes it to
+the phase whose checkpoint observed it; a verifier that misses one has
+a hole exactly where a real phase bug could hide.
 
 ``run_corpus()`` executes every variant and returns one
 :class:`MutationResult` per mutation; the ``repro.sanitize --mutations``
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.jit.ir import FrameState, Node, Block
 
 __all__ = ["MutationResult", "run_corpus", "IR_MUTATIONS", "EMIT_MUTATIONS",
-           "CORPUS_SOURCE"]
+           "CORPUS_SOURCE", "DRIVER_SOURCE"]
 
 
 #: Guest program every variant compiles: a bounds-guarded reduction loop
@@ -56,6 +56,20 @@ class T {
 }
 """
 
+#: The corpus plus an entry point: run hot under a guest JIT, ``T.m`` is
+#: inlined into ``Main.main``, whose machine code tier-2 emits.
+DRIVER_SOURCE = CORPUS_SOURCE + """
+class Lock { }
+class Main {
+    static def main() {
+        var a = new int[4];
+        var i = 0;
+        while (i < 4) { a[i] = i + 1; i = i + 1; }
+        return T.m(a, 4, new Lock());
+    }
+}
+"""
+
 
 @dataclass(frozen=True)
 class MutationResult:
@@ -63,7 +77,7 @@ class MutationResult:
 
     name: str         # mutator name
     layer: str        # "ir" (pipeline checkpoint) or "emit" (superblock)
-    phase: str        # phase the break is planted after ("emit" for emit)
+    phase: str        # phase the break is planted after (emit: the tier)
     detected: bool    # did the verifier flag it at all?
     attributed: bool  # ...and blame the right phase?
     message: str      # the verifier's first finding (or why not)
@@ -228,8 +242,9 @@ IR_MUTATIONS = {
 
 
 # ----------------------------------------------------------------------
-# Emit-level mutators: tamper with a correct Tier1Code; blockverify must
-# notice the artifact no longer matches the independent ground truth.
+# Emit-level mutators: tamper with a correct Tier1Code or Tier2Code;
+# blockverify must notice the artifact no longer matches the independent
+# ground truth.
 # ----------------------------------------------------------------------
 def _shift_entry(code):
     entries = list(code.entries)
@@ -256,14 +271,22 @@ def _tamper_cycles(code):
 
 
 def _tamper_source(pattern, what):
+    """Bump the first ``what`` constant in the generated text: tier-1's
+    one module, or the first tier-2 block (by leader) that has one."""
+    rx = re.compile(pattern)
+
     def mutate(code):
-        rx = re.compile(pattern)
-        match = rx.search(code.source)
-        if match is None:
-            raise CannotApply(f"emitted source has no {what}")
-        tampered = match.group(1) + str(int(match.group(2)) + 1)
-        code.source = (code.source[:match.start()] + tampered
-                       + code.source[match.end():])
+        texts = code.source
+        for key in ([None] if isinstance(texts, str) else sorted(texts)):
+            text = texts if key is None else texts[key]
+            match = rx.search(text)
+            if match is None:
+                continue
+            text = (text[:match.start()] + match.group(1)
+                    + str(int(match.group(2)) + 1) + text[match.end():])
+            code.source = text if key is None else {**texts, key: text}
+            return
+        raise CannotApply(f"emitted source has no {what}")
     return mutate
 
 
@@ -330,23 +353,50 @@ def _compile_tier1():
     return code, method
 
 
-def _run_emit_variant(name: str, mutator) -> MutationResult:
-    from repro.sanitize.blockverify import verify_tier1_code
+def _compile_tier2():
+    """A correct Tier2Code for the corpus driver: tier-2 emits blocks as
+    frames reach them, so the driver runs hot until its machine code has
+    blocks."""
+    from repro.jit.emit2 import Tier2Code
+    from repro.jit.pipeline import graal_config
+    from repro.lang import compile_program
+    from repro.runtime.vm import VM
 
-    code, method = _compile_tier1()
-    baseline = verify_tier1_code(code, method)
+    vm = VM(jit=graal_config(compile_threshold=1), engine="tier2")
+    vm.load(compile_program(DRIVER_SOURCE))
+    for _ in range(5):
+        vm.invoke("Main.main")
+    t2 = vm.machine._memo.get(vm.resolve_static("Main", "main").compiled)
+    if not isinstance(t2, Tier2Code) or not t2.nblocks:
+        raise CannotApply("tier-2 emitted no blocks for the corpus driver")
+    return t2
+
+
+def _verify_emitted(tier: str):
+    """``(artifact, verify)`` for a fresh, correct compile of ``tier``."""
+    from repro.sanitize.blockverify import verify_tier1_code, verify_tier2_code
+
+    if tier == "tier-1":
+        code, method = _compile_tier1()
+        return code, lambda c: verify_tier1_code(c, method)
+    return _compile_tier2(), verify_tier2_code
+
+
+def _run_emit_variant(name: str, mutator, tier: str) -> MutationResult:
+    code, verify = _verify_emitted(tier)
+    baseline = verify(code)
     if baseline:
-        return MutationResult(name, "emit", "emit", False, False,
+        return MutationResult(name, "emit", tier, False, False,
                               f"corpus artifact not clean: "
                               f"{baseline[0].message}")
     tampered = copy.copy(code)
     tampered.entries = list(code.entries)
     mutator(tampered)
-    issues = verify_tier1_code(tampered, method)
+    issues = verify(tampered)
     if issues:
-        return MutationResult(name, "emit", "emit", True, True,
+        return MutationResult(name, "emit", tier, True, True,
                               issues[0].message)
-    return MutationResult(name, "emit", "emit", False, False,
+    return MutationResult(name, "emit", tier, False, False,
                           "verified clean — mutation not detected")
 
 
@@ -357,6 +407,7 @@ def run_corpus(*, ir: bool = True, emit: bool = True) -> list[MutationResult]:
         for name, (phase, mutator) in IR_MUTATIONS.items():
             results.append(_run_ir_variant(name, phase, mutator))
     if emit:
-        for name, mutator in EMIT_MUTATIONS.items():
-            results.append(_run_emit_variant(name, mutator))
+        for tier in ("tier-1", "tier-2"):
+            for name, mutator in EMIT_MUTATIONS.items():
+                results.append(_run_emit_variant(name, mutator, tier))
     return results

@@ -19,12 +19,14 @@ from repro.sanitize import (
     verify_graph,
     verify_tier1_code,
 )
+from repro.sanitize.blockverify import verify_tier2_code
 from repro.sanitize.mutations import (
-    CORPUS_SOURCE,
+    DRIVER_SOURCE,
     EMIT_MUTATIONS,
     IR_MUTATIONS,
     _build_graph,
     _compile_tier1,
+    _compile_tier2,
 )
 from tests.fixtures import GUARDED_BENCHMARK
 
@@ -43,9 +45,12 @@ def test_corpus_every_variant_detected_and_attributed():
 
 def test_corpus_covers_both_layers():
     assert len(IR_MUTATIONS) >= 10
-    assert len(EMIT_MUTATIONS) >= 4
-    layers = {r.layer for r in run_corpus()}
-    assert layers == {"ir", "emit"}
+    results = run_corpus()
+    assert {r.layer for r in results} == {"ir", "emit"}
+    # Every emit mutant runs against each host tier's artifact.
+    for tier in ("tier-1", "tier-2"):
+        assert len([r for r in results
+                    if r.layer == "emit" and r.phase == tier]) >= 6
 
 
 # ----------------------------------------------------------------------
@@ -120,19 +125,6 @@ def test_verifier_rejects_recipe_field_defined_after_guard():
 # VM integration: verify_ir=True re-checks every compile, transparently.
 # ----------------------------------------------------------------------
 
-DRIVER_SOURCE = CORPUS_SOURCE + """
-class Lock { }
-class Main {
-    static def main() {
-        var a = new int[4];
-        var i = 0;
-        while (i < 4) { a[i] = i + 1; i = i + 1; }
-        return T.m(a, 4, new Lock());
-    }
-}
-"""
-
-
 def _hot_vm(verify_ir):
     vm = VM(jit=graal_config(compile_threshold=1), verify_ir=verify_ir)
     vm.load(compile_program(DRIVER_SOURCE))
@@ -154,7 +146,7 @@ def test_vm_verify_ir_counts_and_preserves_semantics():
 
 
 # ----------------------------------------------------------------------
-# Superblock validation (tier-1 emit layer).
+# Superblock validation (both host tiers' emit layer).
 # ----------------------------------------------------------------------
 
 def test_clean_tier1_artifact_verifies():
@@ -168,6 +160,15 @@ def test_tampered_tier1_artifact_flagged():
     tampered.entries = list(code.entries)
     tampered.sites += 3
     issues = verify_tier1_code(tampered, method)
+    assert issues and all(i.pass_name == "blockverify" for i in issues)
+
+
+def test_clean_tier2_artifact_verifies_and_tampered_is_flagged():
+    t2 = _compile_tier2()
+    assert verify_tier2_code(t2) == []
+    tampered = copy.copy(t2)
+    tampered.sites += 3
+    issues = verify_tier2_code(tampered)
     assert issues and all(i.pass_name == "blockverify" for i in issues)
 
 

@@ -189,6 +189,23 @@ def test_budget_exit_at_every_guarded_pc_is_byte_identical():
     assert {pc for name, pc in parked if name == "Bench.step"} == guarded
 
 
+def test_generated_block_source_is_pinned():
+    # The text compile_method generates is the verifier's input and
+    # shares its exit protocol with tier-2's emitter: SHA-256 of
+    # Bench.step's module (one block, pc 0) pins it against drift.
+    import hashlib
+
+    from repro.jit.emit import compile_method
+
+    bench = hot_bench("pinned1")
+    vm = VM(engine="tier1", jit=None)
+    vm.load(bench.compile())
+    vm.invoke(bench.entry, list(bench.args))
+    code = compile_method(vm.interpreter, vm.resolve_static("Bench", "step"))
+    assert hashlib.sha256(code.source.encode()).hexdigest() == (
+        "ccf20401bf914732d6db1943007613560250ca6b73b1fbc86badb47aca8fcfbc")
+
+
 # ----------------------------------------------------------------------
 # Faults and resilience.
 # ----------------------------------------------------------------------
