@@ -61,6 +61,13 @@ tier2:
 	PYTHONPATH=src python -m pytest -q tests/test_tier2.py tests/test_machine.py \
 		tests/test_irverify.py
 
+# Guest-JIT focus: IR, phases, lowering, the interpretive Machine and
+# deoptimization (tests/jit/), plus the IR verifier and mutation corpus
+# that check every phase's output — the guest-JIT counterpart of
+# `make tier1`/`make tier2`.
+jit:
+	PYTHONPATH=src python -m pytest -q tests/jit/ tests/test_irverify.py
+
 # The end-to-end + per-layer ledger (benchmarks/e2e/README.md): all
 # four workloads in fresh subprocesses with their fingerprint oracle.
 # Its span tests run in tier-1.  It is the only performance gate
@@ -77,4 +84,4 @@ trace:
 		--out .trace-out --warmup 1 --measure 1
 	@ls -l .trace-out
 
-.PHONY: test chaos sanitize lint verify-ir tier1 tier2 e2e trace durable serve
+.PHONY: test chaos sanitize lint verify-ir tier1 tier2 jit e2e trace durable serve

@@ -4,8 +4,11 @@ Attributes simulated cycles to the method whose frame is executing —
 the reproduction of the Oracle Developer Studio per-method profile the
 paper uses to show where method-handle simplification saves time.
 
-The profiler wraps the interpreter/machine frame executors for the
-duration of the run (a context-managed hook, restored afterwards).
+The profiler wraps the reference interpreter's and the interpretive
+Machine's frame executors for the duration of the run (a context-managed
+hook, restored afterwards).  Only ``engine="reference"`` runs every frame
+on those two, so that is the engine the profile runs on: the host tiers
+of the other engines would leave their frames unattributed.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def hot_methods(benchmark, *, with_mhs: bool = True, warmup: int = 5,
     config = graal_config() if with_mhs else graal_config().without("MHS")
     profile: Counter = Counter()
     with method_profiler(profile):
-        runner = Runner(benchmark, jit=config,
+        runner = Runner(benchmark, jit=config, engine="reference",
                         plugins=(_SteadyStateReset(profile),))
         runner.run(warmup=warmup, measure=measure)
     return profile.most_common(top)

@@ -84,6 +84,8 @@ class FrameState:
     drop: int = 0               # stack slots the call consumed at the site
 
     def values(self):
+        """The non-empty slots of every frame in the caller chain: Nodes
+        and :class:`VirtualObjectState` recipes."""
         state = self
         while state is not None:
             for v in state.locals:
@@ -93,6 +95,34 @@ class FrameState:
                 if v is not None:
                     yield v
             state = state.caller
+
+    def nodes(self):
+        """Every Node the chain references, inside recipes nested at any
+        depth included: what a deopt at this state reads."""
+        return _nodes_in(self.values())
+
+    def substitute(self, mapping: dict) -> "FrameState":
+        """This state with ``mapping[n]`` in place of every key ``n``, along
+        the caller chain and inside recipes nested at any depth.  A value
+        may be a Node or a :class:`VirtualObjectState`.
+
+        A state or recipe that mentions no key is returned itself, not a
+        copy: nearly every state of a graph is untouched by any one
+        substitution.  A recipe that occurs twice in the chain comes back
+        as one object, so deopt still rebuilds one guest object."""
+        return self._substitute(mapping, {})
+
+    def _substitute(self, mapping: dict, memo: dict) -> "FrameState":
+        caller = self.caller
+        if caller is not None:
+            caller = caller._substitute(mapping, memo)
+        locals_ = _substitute_values(self.locals, mapping, memo)
+        stack = _substitute_values(self.stack, mapping, memo)
+        if caller is self.caller and locals_ is self.locals \
+                and stack is self.stack:
+            return self
+        return FrameState(self.bc_pc, locals_, stack, self.method, caller,
+                          self.drop)
 
     def with_caller(self, caller: "FrameState", drop: int) -> "FrameState":
         """Re-root this state chain under ``caller`` (used by inlining)."""
@@ -108,7 +138,39 @@ class VirtualObjectState:
     """Rematerialization recipe for a scalar-replaced object."""
 
     class_name: str
-    field_values: tuple     # (field name, Node) pairs in layout order
+    field_values: tuple     # (field name, Node or nested recipe) pairs
+
+    def _substitute(self, mapping: dict, memo: dict) -> "VirtualObjectState":
+        done = memo.get(id(self))
+        if done is None:
+            values = tuple(v for _, v in self.field_values)
+            new = _substitute_values(values, mapping, memo)
+            done = memo[id(self)] = self if new is values else \
+                VirtualObjectState(self.class_name, tuple(
+                    (name, v) for (name, _), v in zip(self.field_values, new)))
+        return done
+
+
+def _nodes_in(values):
+    for v in values:
+        if type(v) is VirtualObjectState:
+            yield from _nodes_in(x for _, x in v.field_values)
+        else:
+            yield v
+
+
+def _substitute_values(values: tuple, mapping: dict, memo: dict):
+    """``values`` with the substitution applied, or ``values`` itself
+    when nothing in it changes."""
+    out = None
+    for i, v in enumerate(values):
+        new = (v._substitute(mapping, memo)
+               if type(v) is VirtualObjectState else mapping.get(v, v))
+        if new is not v:
+            if out is None:
+                out = list(values)
+            out[i] = new
+    return values if out is None else tuple(out)
 
 
 @dataclass
@@ -314,85 +376,52 @@ class Graph:
         return sum(len(b.phis) + len(b.nodes) for b in self.blocks)
 
     # ------------------------------------------------------------------
-    # Use replacement.
+    # Deopt states and use replacement.
     # ------------------------------------------------------------------
+    def map_states(self, fn, blocks=None) -> None:
+        """Store ``fn(state, node)`` into every deopt-state slot of the
+        graph, or of ``blocks`` only: a block's ``entry_state`` (``node``
+        is None), a guard's ``GuardInfo.state`` and a call site's
+        FrameState in ``node.value``.  The only code that knows where a
+        graph keeps its states."""
+        for block in self.blocks if blocks is None else blocks:
+            if block.entry_state is not None:
+                block.entry_state = fn(block.entry_state, None)
+            for node in block.nodes:
+                if node.op == "guard":
+                    info = node.extra
+                    if info.state is not None:
+                        info.state = fn(info.state, node)
+                elif type(node.value) is FrameState:
+                    node.value = fn(node.value, node)
+
+    def states(self) -> list[FrameState]:
+        """Every deopt state of the graph, in :meth:`map_states` order."""
+        found: list[FrameState] = []
+
+        def keep(state, _node):
+            found.append(state)
+            return state
+
+        self.map_states(keep)
+        return found
+
     def replace_all_uses(self, old: Node, new: Node) -> None:
-        """Replace every use of ``old`` (inputs, φ, terminators,
-        framestates, guard payloads) with ``new``."""
+        """Replace every use of ``old`` (inputs, φ, terminators, deopt
+        states) with ``new``."""
         for block in self.blocks:
             for node in itertools.chain(block.phis, block.nodes):
                 node.replace_input(old, new)
-                if node.op == "guard":
-                    info: GuardInfo = node.extra
-                    if info.state is not None:
-                        info.state = _replace_in_state(info.state, old, new)
-                elif isinstance(node.value, FrameState):
-                    node.value = _replace_in_state(node.value, old, new)
             t = block.terminator
             if t is not None and t[0] == "branch" and t[1] is old:
                 block.terminator = ("branch", new, t[2], t[3])
             elif t is not None and t[0] == "return" and t[1] is old:
                 block.terminator = ("return", new)
-            if block.entry_state is not None:
-                block.entry_state = _replace_in_state(block.entry_state, old, new)
-
-    def framestate_values(self) -> set[int]:
-        """Ids of nodes referenced by any live framestate (kept by DCE)."""
-        live: set[int] = set()
-        for block in self.blocks:
-            for node in block.nodes:
-                if node.op == "guard" and node.extra.state is not None:
-                    for v in node.extra.state.values():
-                        _collect_state_value(v, live)
-        return live
+        mapping = {old: new}
+        self.map_states(lambda state, _node: state.substitute(mapping))
 
     def __repr__(self) -> str:
         return f"<Graph {self.method.qualified} {len(self.blocks)} blocks>"
-
-
-def _collect_state_value(value, live: set[int]) -> None:
-    if isinstance(value, Node):
-        live.add(value.id)
-    elif isinstance(value, VirtualObjectState):
-        for _, node in value.field_values:
-            _collect_state_value(node, live)
-
-
-def _mentions(values, node: Node) -> bool:
-    """Does any of ``values`` — or a recipe nested in one — reference
-    ``node``?"""
-    for v in values:
-        if v is node:
-            return True
-        if isinstance(v, VirtualObjectState) and _mentions(
-                [x for _, x in v.field_values], node):
-            return True
-    return False
-
-
-def _replace_in_state(state: FrameState, old: Node, new: Node) -> FrameState:
-    """``state`` with ``new`` substituted for ``old`` throughout — the
-    caller chain and recipes nested at any depth included.  A state or
-    recipe that does not mention ``old`` is returned itself, not a copy:
-    nearly every state of a graph is untouched by any one replacement."""
-    def sub(v):
-        if v is old:
-            return new
-        if isinstance(v, VirtualObjectState) and _mentions((v,), old):
-            return VirtualObjectState(
-                v.class_name,
-                tuple((n, sub(x)) for n, x in v.field_values))
-        return v
-
-    caller = (_replace_in_state(state.caller, old, new)
-              if state.caller is not None else None)
-    if (caller is state.caller and not _mentions(state.locals, old)
-            and not _mentions(state.stack, old)):
-        return state
-    return FrameState(state.bc_pc,
-                      tuple(sub(v) for v in state.locals),
-                      tuple(sub(v) for v in state.stack),
-                      state.method, caller, state.drop)
 
 
 def format_graph(graph: Graph) -> str:

@@ -348,12 +348,12 @@ class _Lowerer:
             key = id(value)
             index = self._vo_index.get(key)
             if index is None:
-                index = len(self.virtual_objects)
-                self._vo_index[key] = index
-                self.virtual_objects.append(
-                    (value.class_name,
-                     tuple((f, self._state_value(v))
-                           for f, v in value.field_values)))
+                # Fields first: a nested recipe takes its own index
+                # before this one is appended.
+                fields = tuple((f, self._state_value(v))
+                               for f, v in value.field_values)
+                index = self._vo_index[key] = len(self.virtual_objects)
+                self.virtual_objects.append((value.class_name, fields))
             return ("v", index)
         if value.op == "const":
             return ("c", value.value)

@@ -8,10 +8,8 @@ correctly is worth more than the last dead store.
 
 from __future__ import annotations
 
-import itertools
-
-from repro.jit.ir import FrameState, Graph, Node, PURE_OPS, READ_OPS, TRAPPING_OPS
-from repro.jit.phases.common import state_uses
+from repro.jit.ir import Graph, Node, PURE_OPS, READ_OPS, TRAPPING_OPS
+from repro.jit.phases.common import used_ids
 from repro.jvm.interpreter import _CMP, _rem_int, _truediv_int, guest_str
 
 
@@ -256,18 +254,7 @@ def dce(graph: Graph) -> None:
     """Remove unused pure and read nodes (framestate values stay alive)."""
     removable = PURE_OPS | READ_OPS
     for _ in range(6):
-        used: set[int] = state_uses(graph)
-        for block in graph.blocks:
-            for node in itertools.chain(block.phis, block.nodes):
-                for inp in node.inputs:
-                    if inp is not node:
-                        used.add(inp.id)
-            t = block.terminator
-            if t is not None:
-                if t[0] == "branch":
-                    used.add(t[1].id)
-                elif t[0] == "return" and t[1] is not None:
-                    used.add(t[1].id)
+        used = used_ids(graph)
         removed = False
         for block in graph.blocks:
             keep_nodes = []

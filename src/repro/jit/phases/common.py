@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from repro.jit.ir import Block, Graph, Node
 
 
@@ -46,21 +48,18 @@ def const_node(value) -> Node:
     return Node("const", value=value)
 
 
-def state_uses(graph: Graph) -> set[int]:
-    """Node ids referenced by any framestate in the graph (guards, call
-    sites, and block entry states)."""
-    from repro.jit.ir import FrameState, _collect_state_value
-
-    live: set[int] = set()
+def used_ids(graph: Graph) -> set[int]:
+    """Ids of the nodes something still reads: an input (a φ reading
+    itself does not count), a branch condition, a return value, or a
+    deopt state."""
+    used = {node.id for state in graph.states() for node in state.nodes()}
     for block in graph.blocks:
-        if block.entry_state is not None:
-            for v in block.entry_state.values():
-                _collect_state_value(v, live)
-        for node in block.nodes:
-            if node.op == "guard" and node.extra.state is not None:
-                for v in node.extra.state.values():
-                    _collect_state_value(v, live)
-            elif isinstance(node.value, FrameState):
-                for v in node.value.values():
-                    _collect_state_value(v, live)
-    return live
+        for node in itertools.chain(block.phis, block.nodes):
+            for inp in node.inputs:
+                if inp is not node:
+                    used.add(inp.id)
+        t = block.terminator
+        if t is not None and t[0] in ("branch", "return") \
+                and t[1] is not None:
+            used.add(t[1].id)
+    return used

@@ -24,14 +24,8 @@ from __future__ import annotations
 
 import itertools
 
-from repro.jit.ir import (
-    FrameState,
-    Graph,
-    GuardInfo,
-    Node,
-    VirtualObjectState,
-)
-from repro.jit.phases.common import const_node
+from repro.jit.ir import Graph, Node, VirtualObjectState
+from repro.jit.phases.common import const_node, used_ids
 
 
 def run(graph: Graph, config, stats, pool=None) -> None:
@@ -51,42 +45,10 @@ def run(graph: Graph, config, stats, pool=None) -> None:
 def _remove_unused_closures(graph: Graph) -> None:
     """Drop invokedynamic allocations whose closure is never used (the
     handle was devirtualized by MHS and nothing else reads it)."""
-    used: set[int] = set()
-    for block in graph.blocks:
-        for node in itertools.chain(block.phis, block.nodes):
-            for inp in node.inputs:
-                used.add(inp.id)
-            if node.op == "guard" and node.extra.state is not None:
-                for v in node.extra.state.values():
-                    _mark_used(v, used)
-        t = block.terminator
-        if t is not None and t[0] in ("branch", "return") and t[1] is not None:
-            if isinstance(t[1], Node):
-                used.add(t[1].id)
+    used = used_ids(graph)
     for block in graph.blocks:
         block.nodes = [n for n in block.nodes
-                       if not (n.op == "invokedynamic" and n.id not in used
-                               and not _in_any_state(graph, n))]
-
-
-def _mark_used(value, used: set[int]) -> None:
-    if isinstance(value, Node):
-        used.add(value.id)
-    elif isinstance(value, VirtualObjectState):
-        for _, v in value.field_values:
-            _mark_used(v, used)
-
-
-def _in_any_state(graph: Graph, node: Node) -> bool:
-    for block in graph.blocks:
-        if block.entry_state is not None:
-            if _state_mentions(block.entry_state, node):
-                return True
-        for n in block.nodes:
-            if isinstance(n.value, FrameState):
-                if _state_mentions(n.value, node):
-                    return True
-    return False
+                       if not (n.op == "invokedynamic" and n.id not in used)]
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +81,9 @@ def _try_virtualize(graph: Graph, block, alloc: Node, atomics_ok: bool,
     # Walk the allocation's block. Track virtual field state; stop at the
     # first escaping use (materialize there if partial EA is allowed).
     fields: dict[str, Node] = {}
+    # Nodes of the block passed before the first escape -> the fields
+    # written by then: the recipe a deopt state there must carry.
+    written_at: dict[Node, tuple] = {}
     removed: list[Node] = []
     replacements: list[tuple[Node, Node]] = []
     inserts: list[tuple[int, Node]] = []
@@ -130,16 +95,7 @@ def _try_virtualize(graph: Graph, block, alloc: Node, atomics_ok: bool,
     while index < len(nodes):
         node = nodes[index]
         if alloc not in node.inputs:
-            if node.op == "guard" and _state_mentions(node.extra.state, alloc):
-                # Substitute a rematerialization recipe into the state.
-                node.extra.state = _virtualize_state(
-                    node.extra.state, alloc, fields)
-            elif isinstance(node.value, FrameState) and \
-                    _state_mentions(node.value, alloc):
-                # Callsite states too: a deopt at this call precedes any
-                # materialization point, so it must rematerialize from
-                # the recipe rather than reference the (later) new.
-                node.value = _virtualize_state(node.value, alloc, fields)
+            written_at[node] = tuple(fields.items())
             index += 1
             continue
         op = node.op
@@ -212,11 +168,26 @@ def _try_virtualize(graph: Graph, block, alloc: Node, atomics_ok: bool,
             break
         index += 1
 
+    if ok and materialize_at is None and uses_elsewhere:
+        materialize_at = len(nodes)     # materialize at block end
+    virtual = ok and materialize_at is None
+
+    # A deopt state before the first escape rebuilds the object from the
+    # fields written by then: any later materialization has not run yet.
+    # Once the allocation is gone, every other state gets the final
+    # fields; otherwise they keep naming the (re)materialized object.
+    final = tuple(fields.items()) if virtual else None
+
+    def to_recipe(state, node):
+        written = written_at.get(node, final)
+        if written is None:
+            return state
+        return state.substitute(
+            {alloc: VirtualObjectState(alloc.value, written)})
+
+    graph.map_states(to_recipe, None if virtual else [block])
     if not ok:
         return index - start
-    if materialize_at is None and uses_elsewhere:
-        materialize_at = len(nodes)     # materialize at block end
-
     if materialize_at is not None:
         if not partial:
             return index - start        # full EA only: give up on escapes
@@ -227,7 +198,6 @@ def _try_virtualize(graph: Graph, block, alloc: Node, atomics_ok: bool,
     # Fully virtual: delete the allocation and all folded uses.
     _apply(graph, block, removed, replacements, inserts)
     block.nodes.remove(alloc)
-    _virtualize_states_everywhere(graph, alloc, fields)
     return index - start
 
 
@@ -294,62 +264,3 @@ def _definitely_different(current: Node | None, expect: Node) -> bool:
         return expect.op == "const" and expect.value not in (0, None)
     return (current.op == "const" and expect.op == "const"
             and current.value != expect.value)
-
-
-def _state_mentions(state, alloc: Node) -> bool:
-    """True if ``alloc`` appears in the state directly or nested inside
-    another scalar-replaced object's rematerialization recipe."""
-    if state is None:
-        return False
-    for v in state.values():
-        if v is alloc:
-            return True
-        if isinstance(v, VirtualObjectState) and \
-                any(x is alloc for _, x in v.field_values):
-            return True
-    return False
-
-
-def _virtualize_state(state: FrameState, alloc: Node,
-                      fields: dict[str, Node]) -> FrameState:
-    vos = VirtualObjectState(alloc.value, tuple(fields.items()))
-
-    def sub(v):
-        if v is alloc:
-            return vos
-        if isinstance(v, VirtualObjectState) and \
-                any(x is alloc for _, x in v.field_values):
-            # ``alloc`` is a field of another scalar-replaced object
-            # (e.g. reactor.mailbox = new Deque()).  Nest the recipe:
-            # lowering flattens VirtualObjectState recursively and deopt
-            # rematerializes inner objects on demand, so the outer
-            # recipe must not keep a raw reference that a later
-            # materialization would rewrite to a not-yet-executed new.
-            return VirtualObjectState(
-                v.class_name,
-                tuple((f, vos if x is alloc else x)
-                      for f, x in v.field_values))
-        return v
-
-    caller = (_virtualize_state(state.caller, alloc, fields)
-              if state.caller is not None else None)
-    return FrameState(state.bc_pc,
-                      tuple(sub(v) for v in state.locals),
-                      tuple(sub(v) for v in state.stack),
-                      state.method, caller, state.drop)
-
-
-def _virtualize_states_everywhere(graph: Graph, alloc: Node,
-                                  fields: dict[str, Node]) -> None:
-    for block in graph.blocks:
-        if block.entry_state is not None and \
-                _state_mentions(block.entry_state, alloc):
-            block.entry_state = _virtualize_state(block.entry_state,
-                                                  alloc, fields)
-        for node in block.nodes:
-            if node.op == "guard" and _state_mentions(node.extra.state, alloc):
-                node.extra.state = _virtualize_state(node.extra.state,
-                                                     alloc, fields)
-            elif isinstance(node.value, FrameState) and \
-                    _state_mentions(node.value, alloc):
-                node.value = _virtualize_state(node.value, alloc, fields)

@@ -104,21 +104,8 @@ def _preheader_state(loop: Loop) -> FrameState | None:
     state = loop.header.entry_state
     if state is None:
         return None
-    phi_map = {phi: phi.inputs[0] for phi in loop.header.phis
-               if phi.inputs}
-
-    def sub(v):
-        return phi_map.get(v, v) if isinstance(v, Node) else v
-
-    def sub_state(s: FrameState) -> FrameState:
-        caller = sub_state(s.caller) if s.caller is not None else None
-        return FrameState(
-            s.bc_pc,
-            tuple(sub(v) for v in s.locals),
-            tuple(sub(v) for v in s.stack),
-            s.method, caller, s.drop)
-
-    return sub_state(state)
+    return state.substitute({phi: phi.inputs[0] for phi in loop.header.phis
+                             if phi.inputs})
 
 
 def _hoist_loop(graph: Graph, loop: Loop) -> int:

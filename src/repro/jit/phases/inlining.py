@@ -122,24 +122,14 @@ def inline_call(graph: Graph, block, invoke: Node, callee: Graph) -> list[Node]:
             f"inline {callee.method.qualified}: arity mismatch "
             f"{len(args)} vs {len(callee.params)}")
     for param, arg in zip(callee.params, args):
-        callee_replace_all(callee, param, arg)
+        callee.replace_all_uses(param, arg)
 
     # Re-root framestates under the call-site state.
-    site_state: FrameState | None = (invoke.value
-                                     if isinstance(invoke.value, FrameState)
-                                     else None)
-    drop = len(args)
-    if site_state is not None:
-        for cblock in callee.blocks:
-            if cblock.entry_state is not None:
-                cblock.entry_state = cblock.entry_state.with_caller(
-                    site_state, drop)
-            for cnode in cblock.nodes:
-                if cnode.op == "guard" and cnode.extra.state is not None:
-                    cnode.extra.state = cnode.extra.state.with_caller(
-                        site_state, drop)
-                elif isinstance(cnode.value, FrameState):
-                    cnode.value = cnode.value.with_caller(site_state, drop)
+    site_state = invoke.value
+    if isinstance(site_state, FrameState):
+        drop = len(args)
+        callee.map_states(
+            lambda state, _node: state.with_caller(site_state, drop))
 
     # Split the caller block at the invoke.
     index = block.nodes.index(invoke)
@@ -181,7 +171,3 @@ def inline_call(graph: Graph, block, invoke: Node, callee: Graph) -> list[Node]:
     return [n for cblock in callee.blocks
             for n in list(cblock.phis) + list(cblock.nodes)]
 
-
-def callee_replace_all(callee: Graph, old: Node, new: Node) -> None:
-    """replace_all_uses over a detached callee graph (params -> args)."""
-    Graph.replace_all_uses(callee, old, new)

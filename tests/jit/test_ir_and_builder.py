@@ -118,8 +118,6 @@ def test_replace_all_uses_reaches_nested_recipes_and_keeps_untouched_states():
     # shape escape analysis nests: the replaced node must not survive
     # inside the inner recipe, and a state that never mentioned it must
     # come back as the very same object (not a rebuilt copy).
-    from repro.jit.ir import _collect_state_value
-
     graph, _ = build_from_source(
         "class T { static def m(a, i) { return a[i]; } }", "T", "m")
     guards = [n for b in graph.blocks for n in b.nodes if n.op == "guard"]
@@ -137,9 +135,7 @@ def test_replace_all_uses_reaches_nested_recipes_and_keeps_untouched_states():
     graph.replace_all_uses(old, new)
 
     state = touched.extra.state
-    live: set[int] = set()
-    for v in state.values():
-        _collect_state_value(v, live)
+    live = {n.id for n in state.nodes()}
     assert old.id not in live and new.id in live
     got_outer = state.locals[0]
     assert got_outer.field_values[0][1].field_values == (
@@ -150,6 +146,20 @@ def test_replace_all_uses_reaches_nested_recipes_and_keeps_untouched_states():
     assert state.caller is caller and state.drop == 1
     assert untouched.extra.state is kept
     assert inner.field_values[0][1] is old      # originals not mutated
+
+    # Three deep (Top -> Outer -> Inner -> node), with the inner recipe
+    # shared by two slots: the node goes at every depth and the shared
+    # recipe stays one object, so deopt rebuilds one guest object.
+    top = VirtualObjectState("Top", (("o", outer),))
+    touched.extra.state = FrameState(9, (top, inner), (), method="callee",
+                                     caller=caller)
+    graph.replace_all_uses(old, new)
+    state = touched.extra.state
+    assert old not in set(state.nodes()) and new in set(state.nodes())
+    got_top, got_inner = state.locals
+    assert got_top.field_values[0][1].field_values[0][1] is got_inner
+    assert got_inner.field_values == (("v", new), ("w", other))
+    assert state.caller is caller
 
 
 def test_dominators_of_diamond():

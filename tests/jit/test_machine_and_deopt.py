@@ -1,5 +1,7 @@
 """Compiled-code execution, tiering, and deoptimization tests."""
 
+import pytest
+
 from repro.jit.pipeline import graal_config
 from tests.util import run_all_tiers, run_guest
 
@@ -254,3 +256,80 @@ def test_compile_bailout_falls_back_to_interpreter(monkeypatch):
         assert vm.invoke("Main.main") == 9
     assert vm.jit.stats.failures >= 1
     assert vm.jit.compiled_methods == []
+
+
+
+#: Drives ``Main.step(s, i)`` with a monomorphic receiver, then (``flip``
+#: = 1) with a subclass receiver that fails the devirtualization guard.
+_FLIP_DRIVER = """
+    class S { def init() { } def k() { return 1; } }
+    class T extends S { def init() { } def k() { return 2; } }
+    class Main {
+        %s
+        static def run(flip) {
+            var acc = 0;
+            var i = 0;
+            while (i < 12) {
+                var s = new S();
+                if (flip == 1 && i >= 8) { s = new T(); }
+                acc = acc * 7 + Main.step(s, i);
+                i = i + 1;
+            }
+            return acc;
+        }
+    }"""
+
+
+def _assert_deopt_matches_interpreter(source: str) -> None:
+    """Every engine, JIT-compiling with the IR verifier on and
+    deoptimizing when the receiver flips, returns what ``jit=None``
+    does."""
+    from repro.lang import compile_program
+    from repro.runtime import VM
+
+    program = compile_program(source)
+    want = []
+    for flip in (0, 1, 0):
+        vm = VM(jit=None)
+        vm.load(program)
+        want.append(vm.invoke("Main.run", [flip]))
+    for engine in ("reference", "threaded", "tier2"):
+        vm = VM(engine=engine, jit=graal_config(compile_threshold=3),
+                verify_ir=True)
+        vm.load(program)
+        got = [vm.invoke("Main.run", [flip]) for flip in (0, 1, 0)]
+        assert got == want, engine
+        assert vm.counters.deopts >= 1, engine
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_deopt_rebuilds_chains_of_scalar_replaced_objects(k):
+    # k objects, each stored in a field of the previous one, live across
+    # the devirtualized ``s.k()``: escape analysis scalar-replaces the
+    # whole chain, so the guard's state holds a recipe nested k deep and
+    # deopt must rebuild every object of it.
+    allocs = "\n".join(f"var o{i} = new Node({i}0 + x);"
+                       + (f" o{i - 1}.next = o{i};" if i > 1 else "")
+                       for i in range(1, k + 1))
+    _assert_deopt_matches_interpreter(
+        "class Node { var next; var v; def init(v) { this.v = v; } }"
+        + _FLIP_DRIVER % f"""static def step(s, x) {{
+            {allocs}
+            var r = s.k();
+            return r * 1000 + o1{".next" * (k - 1)}.v;
+        }}""")
+
+
+def test_deopt_rebuilds_one_object_seen_by_caller_and_inlined_callee():
+    # The guard sits in the inlined ``bump``, whose frame and its
+    # caller's both hold the scalar-replaced box: deopt must rebuild one
+    # object, or the caller reads a box the callee never wrote.
+    _assert_deopt_matches_interpreter(
+        "class Box { var v; def init(v) { this.v = v; } }"
+        + _FLIP_DRIVER % """
+        static def bump(b, s) { var r = s.k(); b.v = b.v + r; return r; }
+        static def step(s, x) {
+            var b = new Box(x);
+            var r = Main.bump(b, s);
+            return b.v * 10 + r;
+        }""")

@@ -11,6 +11,7 @@ from repro.analysis.code_size import code_size_table, suite_geomeans
 from repro.analysis.compile_time import compile_time_shares
 from repro.analysis.compiler_compare import compare, summarize as cc_summarize
 from repro.analysis.guard_counts import guard_table
+from repro.analysis import hot_methods as hm
 from repro.analysis.hot_methods import mhs_method_table
 from repro.analysis.impact import (
     format_table,
@@ -86,6 +87,26 @@ def test_guard_table_shows_speculative_shift():
     # from devirtualization exist in both configurations.
     assert "Speculative BoundsCheckException" in table["with"]
     assert "Speculative BoundsCheckException" not in table["without"]
+
+
+def test_hot_method_profile_attributes_every_measured_cycle(monkeypatch):
+    # Every frame must run on one of the two wrapped executors, or its
+    # cycles go to no method: the attributed total equals the VM's own
+    # reference-cycle count over the measured span.
+    seen = {}
+    reset = hm._SteadyStateReset.before_iteration
+
+    def spy(self, vm, benchmark, index, warmup):
+        reset(self, vm, benchmark, index, warmup)
+        if not warmup and index == 0:
+            seen["vm"], seen["start"] = vm, vm.counters.reference_cycles
+
+    monkeypatch.setattr(hm._SteadyStateReset, "before_iteration", spy)
+    rows = hm.hot_methods(small("scrabble", warmup=1), warmup=1, measure=1,
+                          top=None)
+    spent = seen["vm"].counters.reference_cycles - seen["start"]
+    assert spent > 0
+    assert sum(cycles for _, cycles in rows) == spent
 
 
 def test_hot_method_table_for_scrabble():

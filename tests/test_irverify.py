@@ -92,20 +92,27 @@ def test_virtualize_state_nests_recipes():
     # When the scalar-replaced object is itself a field of another
     # scalar-replaced object, the substitution must nest the recipe
     # instead of leaving a raw node a later materialization would
-    # rewrite to a not-yet-executed new.
-    from repro.jit.phases.escape_analysis import _virtualize_state
-
+    # rewrite to a not-yet-executed new — at any depth.
     inner = Node("new", value="Inner")
     seven = Node("const", value=7)
+    recipe = VirtualObjectState("Inner", (("v", seven),))
     outer = VirtualObjectState("Outer", (("f", inner),))
-    state = FrameState(0, (outer, inner), ())
-    out = _virtualize_state(state, inner, {"v": seven})
-    rewritten_outer, direct = out.locals
+    top = VirtualObjectState("Top", (("g", outer),))
+    state = FrameState(0, (outer, inner, top), ())
+    out = state.substitute({inner: recipe})
+    rewritten_outer, direct, rewritten_top = out.locals
     assert isinstance(direct, VirtualObjectState)
     nested = dict(rewritten_outer.field_values)["f"]
     assert isinstance(nested, VirtualObjectState)
     assert nested.class_name == "Inner"
     assert dict(nested.field_values)["v"] is seven
+    # Three deep: Top -> Outer -> Inner is rewritten too, and the outer
+    # recipe it shares with local 0 stays the same object.
+    assert dict(rewritten_top.field_values)["g"] is rewritten_outer
+    assert inner not in set(out.nodes())
+    # A state that never mentioned the node comes back as itself.
+    untouched = FrameState(1, (seven,), ())
+    assert untouched.substitute({inner: recipe}) is untouched
 
 
 def test_verifier_rejects_recipe_field_defined_after_guard():

@@ -230,18 +230,22 @@ _LOOP = {
 EXPECTED = {
     "loop-q5000": _LOOP,
     "loop-q7": _LOOP,
+    # Deopt rebuilds both objects: Outer and the Inner in its field.
+    # (Until lowering indexed nested recipes correctly it rebuilt one
+    # Inner in Outer's place: object 8, cachemiss 26, allocated_words
+    # 72, reference_cycles 2094, clock 1618.)
     "nested-deopt": {
         "outcomes": [7] * 6 + [("GuestBoundsError",
                                 "index 9 out of bounds for length 8"), 7],
         "faults": [("main", "GuestBoundsError",
                     "index 9 out of bounds for length 8")],
         "counters": {
-            "object": 8, "array": 8, "cachemiss": 26,
-            "reference_cycles": 2094, "instructions": 133,
-            "guards_executed": 12, "deopts": 1, "allocated_words": 72,
+            "object": 9, "array": 8, "cachemiss": 24,
+            "reference_cycles": 2046, "instructions": 133,
+            "guards_executed": 12, "deopts": 1, "allocated_words": 73,
             "guard_kinds": {"NullCheckException": 6,
                             "BoundsCheckException": 6}},
-        "clock": 1618,
+        "clock": 1570,
     },
     "coarsened-contended": {
         "outcomes": [1601, 1601],
