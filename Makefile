@@ -64,9 +64,11 @@ tier2:
 # Guest-JIT focus: IR, phases, lowering, the interpretive Machine and
 # deoptimization (tests/jit/), plus the IR verifier and mutation corpus
 # that check every phase's output — the guest-JIT counterpart of
-# `make tier1`/`make tier2`.
+# `make tier1`/`make tier2` — and the ISA closure tests, since the
+# graph builder reads the shared op declarations of jvm/bytecode.py.
 jit:
-	PYTHONPATH=src python -m pytest -q tests/jit/ tests/test_irverify.py
+	PYTHONPATH=src python -m pytest -q tests/jit/ tests/test_irverify.py \
+		tests/jvm/test_bytecode.py
 
 # The end-to-end + per-layer ledger (benchmarks/e2e/README.md): all
 # four workloads in fresh subprocesses with their fingerprint oracle.

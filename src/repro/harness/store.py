@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 
 from repro.errors import StoreLockedError
 
@@ -32,6 +33,10 @@ try:                                                 # POSIX only; the
     import fcntl                                     # lock degrades to
 except ImportError:                                  # pragma: no cover
     fcntl = None                                     # a no-op elsewhere
+
+
+#: What :func:`canonical_digest` returns; nothing else names an object.
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def canonical_digest(key: dict) -> str:
@@ -111,13 +116,20 @@ class ResultStore:
         #: Corrupt objects encountered by :meth:`get` (digest, reason).
         self.corrupt: list[tuple[str, str]] = []
 
-    def _path(self, digest: str) -> str:
+    def _path(self, digest: str) -> str | None:
+        """The object file of ``digest``; None unless ``digest`` is a
+        SHA-256 hex digest, so a caller's string (a URL segment) never
+        becomes a path outside the object directory."""
+        if not _DIGEST.fullmatch(digest):
+            return None
         return os.path.join(self.objects, digest[:2], digest)
 
     # ------------------------------------------------------------------
     def put(self, digest: str, payload: bytes) -> str:
         """Atomically store ``payload`` under ``digest``; returns path."""
         path = self._path(digest)
+        if path is None:
+            raise ValueError(f"not a SHA-256 hex digest: {digest!r}")
         os.makedirs(os.path.dirname(path), exist_ok=True)
         header = hashlib.sha256(payload).hexdigest().encode() + b"\n"
         tmp = path + ".tmp"
@@ -135,6 +147,8 @@ class ResultStore:
         the unit re-runs and the next ``put`` rewrites it cleanly.
         """
         path = self._path(digest)
+        if path is None:
+            return None
         try:
             with open(path, "rb") as fh:
                 header = fh.readline().strip()
@@ -180,6 +194,8 @@ class ResultStore:
         the read-only half that ``--store-ls`` and :meth:`gc` share.
         """
         path = self._path(digest)
+        if path is None:
+            return False, 0, "absent"
         try:
             with open(path, "rb") as fh:
                 header = fh.readline().strip()

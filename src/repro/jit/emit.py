@@ -55,18 +55,14 @@ from repro.jit.emit2 import (
     _EmitBail,
     _is_name,
 )
-from repro.jvm.bytecode import Op
+from repro.jvm.bytecode import INVOKES, TERMINATORS, Op
 from repro.jvm.costmodel import (
-    BASE_COST,
-    INTERP_DISPATCH,
+    INTERP_COST,
     TIER1_COMPILE_BLOCK_COST,
     TIER1_COMPILE_SITE_COST,
 )
 from repro.jvm.interpreter import Frame, guest_str
 from repro.jvm.threaded import _profile_receiver
-
-#: Full per-op interpreter cost (base + dispatch), folded at emit time.
-_COST = {op: cost + INTERP_DISPATCH for op, cost in BASE_COST.items()}
 
 #: Opcodes a superblock never contains: they call into the scheduler
 #: (contention re-execution, wake-ups), whose exact semantics the
@@ -74,17 +70,6 @@ _COST = {op: cost + INTERP_DISPATCH for op, cost in BASE_COST.items()}
 BAIL_OPS = frozenset({
     Op.MONITORENTER, Op.MONITOREXIT,
     Op.PARK, Op.UNPARK, Op.WAIT, Op.NOTIFY, Op.NOTIFYALL,
-})
-
-#: Ops that end a superblock after executing (control leaves the region).
-_TERMINATORS = frozenset({Op.GOTO, Op.RETURN, Op.RETVAL})
-
-#: The invoke family is compiled too — a block ends *with* the invoke
-#: (the callee frame runs next), inlining the argument transfer, the
-#: monomorphic inline cache, and the receiver profile.
-_INVOKE_OPS = frozenset({
-    Op.INVOKESTATIC, Op.INVOKESPECIAL, Op.INVOKEVIRTUAL,
-    Op.INVOKEINTERFACE, Op.INVOKEDYNAMIC, Op.INVOKEHANDLE,
 })
 
 #: Ops whose cycle cost has a run-time component (cache penalties,
@@ -157,15 +142,14 @@ class _BlockEmitter(_BlockWriter):
             has_dyn=any(i.op in _DYNAMIC_OPS for _, i in ops),
             self_loop=any(
                 (i.op is Op.GOTO and i.arg == leader)
-                or ((i.op is Op.IF or i.op is Op.IFZ)
-                    and i.arg[1] == leader)
+                or (i.op is Op.IFZ and i.arg[1] == leader)
                 for _, i in ops),
             **flags)
         self.v: list[str] = []        # virtual operand stack (exprs)
 
     @staticmethod
     def const_cost(instr) -> int:
-        return _COST[instr.op]
+        return INTERP_COST[instr.op]
 
     # -- the writer's hooks --------------------------------------------
     def spill(self) -> list:
@@ -205,12 +189,6 @@ class _BlockEmitter(_BlockWriter):
             self.v.append(t)
         return self.v[-1]
 
-    def need(self, n: int) -> None:
-        while len(self.v) < n:
-            t = self.tmp()
-            self.emit(f"{t} = stack.pop()")
-            self.v.insert(0, t)
-
     def push_tmp(self, expr: str) -> str:
         t = self.tmp()
         self.emit(f"{t} = {expr}")
@@ -249,10 +227,10 @@ class _BlockEmitter(_BlockWriter):
         """Emit one op; returns False when the block ended (terminator
         or invoke) and emission must stop."""
         op = instr.op
-        if op in _INVOKE_OPS:
+        if op in INVOKES:
             self.emit_invoke(pc, instr)
             return False
-        c = _COST[op]
+        c = INTERP_COST[op]
 
         if op is Op.CONST:
             lit = _literal(instr.arg)
@@ -269,9 +247,6 @@ class _BlockEmitter(_BlockWriter):
                 self.emit("stack.pop()")
         elif op is Op.DUP:
             self.v.append(self.peek())
-        elif op is Op.SWAP:
-            self.need(2)
-            self.v[-1], self.v[-2] = self.v[-2], self.v[-1]
         elif op is Op.ADD:
             rhs, lhs = self.pop(), self.pop()
             t = self.tmp()
@@ -298,13 +273,6 @@ class _BlockEmitter(_BlockWriter):
                 raise _EmitBail(f"bad cmp {instr.arg!r}")
             rhs, lhs = self.pop(), self.pop()
             self.push_tmp(f"1 if {lhs} {instr.arg} {rhs} else 0")
-        elif op is Op.IF:
-            cmp_op, target = instr.arg
-            if cmp_op not in _CMP_SYMS:
-                raise _EmitBail(f"bad cmp {cmp_op!r}")
-            rhs, lhs = self.pop(), self.pop()
-            self.emit(f"if {lhs} {cmp_op} {rhs}:")
-            self.exit_to(pc, target, c, 1)
         elif op is Op.IFZ:
             cmp_op, target = instr.arg
             if cmp_op not in _CMP_SYMS:
@@ -426,7 +394,7 @@ class _BlockEmitter(_BlockWriter):
         budget and pc reference-identical.
         """
         op = instr.op
-        cost = _COST[op]
+        cost = INTERP_COST[op]
         next_pc = pc + 1
 
         if op is Op.INVOKEDYNAMIC:
@@ -480,7 +448,7 @@ class _BlockEmitter(_BlockWriter):
             self.call_then_charge(next_pc, tgt, args, cost)
             return
 
-        # INVOKEVIRTUAL / INVOKEINTERFACE: receiver-polymorphic.
+        # INVOKEVIRTUAL: receiver-polymorphic.
         args, elems = self.pop_args(argc + 1)
         if elems is not None:
             elems[0] = self.as_name(elems[0])
@@ -554,7 +522,7 @@ def _scan(code, leader: int, n: int):
         if instr.op in BAIL_OPS:
             return ops, pc, "bail"
         ops.append((pc, instr))
-        if instr.op in _TERMINATORS or instr.op in _INVOKE_OPS:
+        if instr.op in TERMINATORS or instr.op in INVOKES:
             return ops, pc, "term"
         pc += 1
     return ops, pc, "split"
@@ -566,9 +534,9 @@ def _leaders(code, n: int) -> set[int]:
         op = instr.op
         if op is Op.GOTO:
             out.add(instr.arg)
-        elif op is Op.IF or op is Op.IFZ:
+        elif op is Op.IFZ:
             out.add(instr.arg[1])
-        elif op in BAIL_OPS or op in _INVOKE_OPS:
+        elif op in BAIL_OPS or op in INVOKES:
             out.add(pc + 1)       # resume point after the op completes
     return {pc for pc in out if pc < n}
 

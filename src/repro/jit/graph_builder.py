@@ -3,7 +3,7 @@
 The builder abstract-interprets the operand stack over the bytecode CFG,
 creating φ-nodes at merge points.  It also:
 
-- fuses ``CMP``/``IF`` bytecode pairs into branch terminators,
+- turns each ``IFZ`` into a ``branch`` terminator on a ``cmpz`` node,
 - emits explicit **guard nodes** for the null and bounds checks implied
   by JVM semantics (giving speculative guard motion something to hoist),
 - captures a :class:`~repro.jit.ir.FrameState` (bytecode pc + locals +
@@ -17,7 +17,7 @@ control flow only).
 from __future__ import annotations
 
 from repro.errors import CompileError
-from repro.jvm.bytecode import Instr, Op
+from repro.jvm.bytecode import Instr, Op, block_leaders, branch_targets
 from repro.jit.ir import Block, FrameState, Graph, GuardInfo, Node
 
 _ARITH = {
@@ -50,12 +50,12 @@ class _Builder:
 
     # ------------------------------------------------------------------
     def build(self) -> Graph:
-        leaders = self._find_leaders()
+        leaders = block_leaders(self.code)
         block_at = {pc: self.graph.new_block() for pc in leaders}
         for pc, block in block_at.items():
             block.bc_pc = pc
         spans = self._spans(sorted(leaders))
-        static_preds = self._static_preds(spans, block_at)
+        static_preds = self._static_preds(spans)
 
         entry = self.graph.new_block()
         entry.bc_pc = 0
@@ -168,21 +168,6 @@ class _Builder:
         return (tuple(loc_phis), tuple(stk_phis))
 
     # ------------------------------------------------------------------
-    def _find_leaders(self) -> set[int]:
-        leaders = {0}
-        for pc, instr in enumerate(self.code):
-            if instr.op is Op.GOTO:
-                leaders.add(instr.arg)
-                if pc + 1 < len(self.code):
-                    leaders.add(pc + 1)
-            elif instr.op in (Op.IF, Op.IFZ):
-                leaders.add(instr.arg[1])
-                leaders.add(pc + 1)
-            elif instr.op in (Op.RETURN, Op.RETVAL):
-                if pc + 1 < len(self.code):
-                    leaders.add(pc + 1)
-        return leaders
-
     def _spans(self, sorted_leaders: list[int]) -> dict[int, int]:
         spans = {}
         for i, start in enumerate(sorted_leaders):
@@ -191,20 +176,10 @@ class _Builder:
             spans[start] = end
         return spans
 
-    def _static_preds(self, spans, block_at) -> dict[int, list[int]]:
+    def _static_preds(self, spans) -> dict[int, list[int]]:
         preds: dict[int, list[int]] = {start: [] for start in spans}
         for start, end in spans.items():
-            last = self.code[end - 1]
-            targets: list[int] = []
-            if last.op is Op.GOTO:
-                targets = [last.arg]
-            elif last.op in (Op.IF, Op.IFZ):
-                targets = [last.arg[1], end]
-            elif last.op in (Op.RETURN, Op.RETVAL):
-                targets = []
-            else:
-                targets = [end]
-            for t in targets:
+            for t in branch_targets(self.code[end - 1], end - 1):
                 if t in preds:
                     preds[t].append(start)
         return preds
@@ -256,8 +231,6 @@ class _Builder:
                 stack.pop()
             elif op is Op.DUP:
                 stack.append(stack[-1])
-            elif op is Op.SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
             elif op in _ARITH:
                 rhs = stack.pop()
                 lhs = stack.pop()
@@ -268,16 +241,6 @@ class _Builder:
                 rhs = stack.pop()
                 lhs = stack.pop()
                 stack.append(emit("cmp", [lhs, rhs], extra=instr.arg))
-            elif op is Op.IF:
-                cmp_op, target = instr.arg
-                rhs = stack.pop()
-                lhs = stack.pop()
-                cond = emit("cmp", [lhs, rhs], extra=cmp_op)
-                block.terminator = ("branch", cond, block_at[target],
-                                    block_at[pc + 1])
-                out_states[(start, target)] = (tuple(locals_), tuple(stack))
-                out_states[(start, pc + 1)] = (tuple(locals_), tuple(stack))
-                return
             elif op is Op.IFZ:
                 cmp_op, target = instr.arg
                 value = stack.pop()
@@ -363,7 +326,7 @@ class _Builder:
                 node = emit(kind, args, extra=target)
                 node.value = state     # callsite framestate for deopt/inline
                 stack.append(node)
-            elif op is Op.INVOKEVIRTUAL or op is Op.INVOKEINTERFACE:
+            elif op is Op.INVOKEVIRTUAL:
                 owner, name, argc = instr.arg
                 nargs = argc + 1
                 args = stack[len(stack) - nargs:]

@@ -85,7 +85,10 @@ def _try_virtualize(graph: Graph, block, alloc: Node, atomics_ok: bool,
     # written by then: the recipe a deopt state there must carry.
     written_at: dict[Node, tuple] = {}
     removed: list[Node] = []
-    replacements: list[tuple[Node, Node]] = []
+    # Folded use -> its value.  A stored value is looked up here first:
+    # a folded read is deleted, but what it read outlives the walk in
+    # ``fields`` (materialization writes it, later reads fold to it).
+    replacements: dict[Node, Node] = {}
     inserts: list[tuple[int, Node]] = []
     materialize_at: int | None = None
     start = block.nodes.index(alloc)
@@ -101,45 +104,47 @@ def _try_virtualize(graph: Graph, block, alloc: Node, atomics_ok: bool,
         op = node.op
         if op == "getfield" and node.inputs[0] is alloc:
             value = fields.get(node.value)
-            replacements.append((node, value if value is not None
-                                 else const_node(_default_for(node))))
+            replacements[node] = (value if value is not None
+                                  else const_node(_default_for(node)))
             removed.append(node)
         elif op == "putfield" and node.inputs[0] is alloc:
             if node.inputs[1] is alloc:
                 ok = False          # self-reference: bail out entirely
                 break
-            fields[node.value] = node.inputs[1]
+            fields[node.value] = replacements.get(node.inputs[1],
+                                                  node.inputs[1])
             removed.append(node)
         elif op == "guard" and node.extra.test == "nonnull" \
                 and node.inputs[0] is alloc:
             removed.append(node)    # fresh allocations are never null
         elif op == "atomicget" and node.inputs[0] is alloc and atomics_ok:
             value = fields.get(node.value)
-            replacements.append((node, value if value is not None
-                                 else const_node(0)))
+            replacements[node] = value if value is not None else const_node(0)
             removed.append(node)
         elif op == "cas" and node.inputs[0] is alloc and atomics_ok:
-            expect, update = node.inputs[1], node.inputs[2]
+            expect, update = (replacements.get(n, n)
+                              for n in node.inputs[1:3])
             current = fields.get(node.value, None)
             if update is alloc:
                 ok = False
                 break
             if _same_value(current, expect):
                 fields[node.value] = update
-                replacements.append((node, const_node(1)))
+                replacements[node] = const_node(1)
                 removed.append(node)
             elif _definitely_different(current, expect):
-                replacements.append((node, const_node(0)))
+                replacements[node] = const_node(0)
                 removed.append(node)
             else:
                 ok = False          # undecidable CAS on virtual object
                 break
         elif op == "atomicadd" and node.inputs[0] is alloc and atomics_ok:
             current = fields.get(node.value) or const_node(0)
-            total = Node("add", [current, node.inputs[1]])
+            delta = replacements.get(node.inputs[1], node.inputs[1])
+            total = Node("add", [current, delta])
             inserts.append((index, total))
             fields[node.value] = total
-            replacements.append((node, current))
+            replacements[node] = current
             removed.append(node)
         elif op in ("monitorenter", "monitorexit") and node.inputs[0] is alloc:
             # Lock elision is only sound if the object never escapes.
@@ -159,7 +164,7 @@ def _try_virtualize(graph: Graph, block, alloc: Node, atomics_ok: bool,
                 materialize_at = index
                 break
             is_subtype = pool.get(alloc.value).is_subtype_of(node.value)
-            replacements.append((node, const_node(1 if is_subtype else 0)))
+            replacements[node] = const_node(1 if is_subtype else 0)
             removed.append(node)
         else:
             # Escaping or unanalyzable use (call argument, store into
@@ -225,7 +230,7 @@ def _materialize(graph, block, alloc, fields, removed, replacements,
 
 
 def _apply(graph, block, removed, replacements, inserts) -> None:
-    for node, replacement in replacements:
+    for node, replacement in replacements.items():
         graph.replace_all_uses(node, replacement)
     for index, node in sorted(inserts, key=lambda p: p[0], reverse=True):
         node.block = block

@@ -2,6 +2,9 @@
 
 The ISA is a compact stack machine modelled on JVM bytecode, reduced to
 the operations the Renaissance metrics and optimizations care about.
+It is closed: every opcode is one :mod:`repro.lang.codegen` emits, and
+this module and :mod:`repro.jvm.costmodel` are the only places that
+declare op classes and per-op costs.
 Each dynamic execution of an opcode is counted by the profiler, so the
 paper's Table 2 metrics map directly onto opcodes:
 
@@ -15,7 +18,7 @@ atomic        CAS, ATOMIC_GET, ATOMIC_ADD
 park          PARK
 object        NEW, INVOKEDYNAMIC (lambda object)
 array         NEWARRAY
-method        INVOKEVIRTUAL, INVOKEINTERFACE, INVOKEDYNAMIC
+method        INVOKEVIRTUAL, INVOKEDYNAMIC, INVOKEHANDLE
 idynamic      INVOKEDYNAMIC
 ============  =====================================================
 """
@@ -37,7 +40,6 @@ class Op(enum.Enum):
     # Operand-stack manipulation.
     POP = "pop"
     DUP = "dup"
-    SWAP = "swap"
 
     # Arithmetic and logic (operate on 2 stack values, except NEG/NOT).
     ADD = "add"
@@ -58,7 +60,6 @@ class Op(enum.Enum):
 
     # Control flow.
     GOTO = "goto"            # arg: target pc
-    IF = "if"                # arg: (cmp_op, target) pops rhs, lhs
     IFZ = "ifz"              # arg: (cmp_op, target) pops one value, compares to 0/null
     RETURN = "return"        # return void
     RETVAL = "retval"        # return top of stack
@@ -82,7 +83,6 @@ class Op(enum.Enum):
     INVOKESTATIC = "invokestatic"
     INVOKESPECIAL = "invokespecial"      # constructors & private methods
     INVOKEVIRTUAL = "invokevirtual"
-    INVOKEINTERFACE = "invokeinterface"
     INVOKEDYNAMIC = "invokedynamic"      # arg: (owner, lambda method, captured) — makes closure
     INVOKEHANDLE = "invokehandle"        # arg: argc; stack: handle, args...
 
@@ -116,31 +116,15 @@ class Instr:
         return f"{self.op.name} {self.arg!r}"
 
 
-# Opcode groups used by the graph builder, the profiler and codegen.
+#: Ops that call: the frame stack changes, so every engine re-dispatches
+#: after one and the host tiers end a block with it.
 INVOKES = frozenset({
-    Op.INVOKESTATIC,
-    Op.INVOKESPECIAL,
-    Op.INVOKEVIRTUAL,
-    Op.INVOKEINTERFACE,
+    Op.INVOKESTATIC, Op.INVOKESPECIAL, Op.INVOKEVIRTUAL,
+    Op.INVOKEDYNAMIC, Op.INVOKEHANDLE,
 })
 
-DYNAMIC_DISPATCH = frozenset({
-    Op.INVOKEVIRTUAL,
-    Op.INVOKEINTERFACE,
-    Op.INVOKEDYNAMIC,
-})
-
-ATOMICS = frozenset({Op.CAS, Op.ATOMIC_GET, Op.ATOMIC_ADD})
-
-BRANCHES = frozenset({Op.GOTO, Op.IF, Op.IFZ})
-
+#: Ops with no fallthrough successor (see :func:`branch_targets`).
 TERMINATORS = frozenset({Op.GOTO, Op.RETURN, Op.RETVAL})
-
-PURE_STACK_OPS = frozenset({
-    Op.CONST, Op.LOAD, Op.POP, Op.DUP, Op.SWAP,
-    Op.ADD, Op.SUB, Op.MUL, Op.NEG, Op.SHL, Op.SHR,
-    Op.AND, Op.OR, Op.XOR, Op.NOT, Op.I2D, Op.D2I, Op.CMP,
-})
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -149,11 +133,28 @@ def branch_targets(instr: Instr, pc: int) -> list[int]:
     """Successor pcs of ``instr`` at position ``pc`` (fallthrough included)."""
     if instr.op is Op.GOTO:
         return [instr.arg]
-    if instr.op in (Op.IF, Op.IFZ):
+    if instr.op is Op.IFZ:
         return [pc + 1, instr.arg[1]]
     if instr.op in (Op.RETURN, Op.RETVAL):
         return []
     return [pc + 1]
+
+
+def block_leaders(code: list[Instr]) -> set[int]:
+    """Pcs that start a basic block of ``code``.
+
+    Pc 0, every branch target, and the pc after every instruction that
+    does more than fall through (a terminator or a conditional branch).
+    """
+    n = len(code)
+    leaders = {0}
+    for pc, instr in enumerate(code):
+        targets = branch_targets(instr, pc)
+        if instr.op in TERMINATORS or targets != [pc + 1]:
+            if pc + 1 < n:
+                leaders.add(pc + 1)
+            leaders.update(targets)
+    return leaders
 
 
 def validate_code(code: list[Instr]) -> None:
@@ -174,5 +175,5 @@ def validate_code(code: list[Instr]) -> None:
                 raise ValueError(
                     f"pc {pc}: branch target {target} out of range [0,{n})"
                 )
-        if instr.op in (Op.IF, Op.IFZ) and instr.arg[0] not in CMP_OPS:
+        if instr.op is Op.IFZ and instr.arg[0] not in CMP_OPS:
             raise ValueError(f"pc {pc}: bad comparison op {instr.arg[0]!r}")

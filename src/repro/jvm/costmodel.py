@@ -1,11 +1,11 @@
 """Cycle cost model of the simulated JVM.
 
 All "time" in the reproduction is expressed in *simulated cycles*.  The
-interpreter charges ``base_cost(op) + INTERP_DISPATCH`` per executed
-bytecode; JIT-compiled code charges per lowered machine operation (see
-:mod:`repro.jit.machine`), which is how compilation — and each individual
-optimization — becomes measurable, exactly as in the paper's
-selective-disable methodology (Section 6).
+interpreter charges ``INTERP_COST[op]`` (``BASE_COST[op] +
+INTERP_DISPATCH``) per executed bytecode; JIT-compiled code charges per
+lowered machine operation (see :mod:`repro.jit.machine`), which is how
+compilation — and each individual optimization — becomes measurable,
+exactly as in the paper's selective-disable methodology (Section 6).
 
 The absolute numbers are loosely calibrated to x86 intuition (a CAS is an
 order of magnitude more expensive than an add; a monitor operation more
@@ -52,7 +52,6 @@ BASE_COST: dict[Op, int] = {
     Op.STORE: 1,
     Op.POP: 1,
     Op.DUP: 1,
-    Op.SWAP: 1,
     Op.ADD: 1,
     Op.SUB: 1,
     Op.MUL: 3,
@@ -69,7 +68,6 @@ BASE_COST: dict[Op, int] = {
     Op.D2I: 2,
     Op.CMP: 1,
     Op.GOTO: 1,
-    Op.IF: 1,
     Op.IFZ: 1,
     Op.RETURN: 2,
     Op.RETVAL: 2,
@@ -87,7 +85,6 @@ BASE_COST: dict[Op, int] = {
     Op.INVOKESTATIC: 10,
     Op.INVOKESPECIAL: 10,
     Op.INVOKEVIRTUAL: 14,
-    Op.INVOKEINTERFACE: 16,
     Op.INVOKEDYNAMIC: 24,   # bootstrap is amortized; closure allocation included
     Op.INVOKEHANDLE: 40,    # polymorphic MethodHandle.invoke: type
                             # adaptation + invokeBasic when not folded
@@ -103,6 +100,13 @@ BASE_COST: dict[Op, int] = {
     Op.NOTIFYALL: 30,
 }
 
+# Interpreter cost per opcode, dispatch included: what every
+# interpreting engine (reference, threaded, tier-1) charges before
+# run-time penalties.  The only per-op interpreter cost table.
+INTERP_COST: dict[Op, int] = {
+    op: cost + INTERP_DISPATCH for op, cost in BASE_COST.items()
+}
+
 # Incremental allocation cost: cycles charged per 8-byte word initialized.
 ALLOC_WORD_COST = 1
 
@@ -111,16 +115,6 @@ GUARD_COST = 2            # an explicit guard (null check, bounds check, type ch
 SAFEPOINT_COST = 1        # loop safepoint poll
 VECTOR_LANES = 4          # elements processed per vector op
 DIRECT_CALL_COST = 8      # devirtualized/direct call is cheaper than virtual
-
-
-def base_cost(op: Op) -> int:
-    """Base cycle cost of ``op`` (compiled-code cost, before cache penalties)."""
-    return BASE_COST[op]
-
-
-def interp_cost(op: Op) -> int:
-    """Interpreter cycle cost of ``op``."""
-    return BASE_COST[op] + INTERP_DISPATCH
 
 
 def alloc_cost(words: int) -> int:

@@ -31,7 +31,7 @@ class Counters:
     # Object-oriented primitives.
     object: int = 0         # objects allocated
     array: int = 0          # arrays allocated
-    method: int = 0         # invokevirtual/invokeinterface/invokedynamic executed
+    method: int = 0         # invokevirtual/invokedynamic/invokehandle executed
     idynamic: int = 0       # invokedynamic executed
 
     # Memory-hierarchy events (from the cache simulator).

@@ -1,7 +1,7 @@
 """The bytecode interpreter (tier 0).
 
 Executes guest bytecode one instruction at a time, charging the
-interpreter cycle cost (:func:`repro.jvm.costmodel.interp_cost`) per
+interpreter cycle cost (:data:`repro.jvm.costmodel.INTERP_COST`) per
 operation plus cache penalties.  All Table 2 counters are bumped here.
 
 The interpreter cooperates with the scheduler through
@@ -21,9 +21,9 @@ from repro.errors import (
     GuestNullPointerError,
     VMError,
 )
-from repro.jvm.bytecode import Op
+from repro.jvm.bytecode import INVOKES, Op
 from repro.jvm.classfile import JMethod
-from repro.jvm.costmodel import BASE_COST, INTERP_DISPATCH, alloc_cost
+from repro.jvm.costmodel import INTERP_COST, alloc_cost
 from repro.jvm.heap import null_check
 
 
@@ -92,7 +92,7 @@ class Interpreter:
         code = frame.code
         stack = frame.stack
         locals_ = frame.locals
-        costs = BASE_COST
+        costs = INTERP_COST
         core = thread.core
         san = vm.sanitizer
         tr = vm.trace
@@ -101,7 +101,7 @@ class Interpreter:
         while thread.budget > 0:
             instr = code[frame.pc]
             op = instr.op
-            cost = costs[op] + INTERP_DISPATCH
+            cost = costs[op]
             counters.instructions += 1
 
             if op is Op.LOAD:
@@ -117,18 +117,6 @@ class Interpreter:
                 stack.append(instr.arg)
             elif op is Op.STORE:
                 locals_[instr.arg] = stack.pop()
-            elif op is Op.IF:
-                cmp_op, target = instr.arg
-                rhs = stack.pop()
-                lhs = stack.pop()
-                if _CMP[cmp_op](lhs, rhs):
-                    if target <= frame.pc:
-                        frame.method.backedge_count += 1
-                        vm.on_backedge(frame.method)
-                    frame.pc = target
-                    thread.budget -= cost
-                    counters.reference_cycles += cost
-                    continue
             elif op is Op.IFZ:
                 cmp_op, target = instr.arg
                 value = stack.pop()
@@ -234,7 +222,7 @@ class Interpreter:
                 arr = vm.heap.new_array(instr.arg, length)
                 cost += cache.access(core, arr.addr)
                 stack.append(arr)
-            elif op in _INVOKE_OPS:
+            elif op in INVOKES:
                 self._do_invoke(thread, frame, instr, op)
                 thread.budget -= cost
                 counters.reference_cycles += cost
@@ -262,8 +250,6 @@ class Interpreter:
                 stack.append(stack[-1])
             elif op is Op.POP:
                 stack.pop()
-            elif op is Op.SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
             elif op is Op.NEG:
                 stack[-1] = -stack[-1]
             elif op is Op.NOT:
@@ -424,7 +410,7 @@ class Interpreter:
 
     # ------------------------------------------------------------------
     def _do_invoke(self, thread, frame: Frame, instr, op) -> None:
-        """Handle all five invoke opcodes plus INVOKEHANDLE.
+        """Handle the invoke opcodes (:data:`INVOKES`).
 
         Pops arguments, advances the pc past the call site, then either
         runs a native, pushes an interpreter frame, or pushes a
@@ -486,8 +472,3 @@ class Interpreter:
         frame.pc += 1
         vm.call(thread, method, args)
 
-
-_INVOKE_OPS = frozenset({
-    Op.INVOKESTATIC, Op.INVOKESPECIAL, Op.INVOKEVIRTUAL,
-    Op.INVOKEINTERFACE, Op.INVOKEDYNAMIC, Op.INVOKEHANDLE,
-})

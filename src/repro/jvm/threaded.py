@@ -27,7 +27,7 @@ Counters, cycle charges, cache-model accesses, sanitizer hooks,
 scheduler interactions and exception messages are byte-identical with
 the reference ``elif`` interpreter: every handler bumps
 ``counters.instructions`` per executed bytecode, charges
-``BASE_COST[op] + INTERP_DISPATCH`` (plus cache penalties) *after* a
+``INTERP_COST[op]`` (plus cache penalties) *after* a
 successful execution, and checks the thread budget between the two
 halves of a fused pair — if the budget runs out mid-pair, the handler
 parks the intermediate state on the operand stack and the next slice
@@ -57,12 +57,8 @@ from repro.errors import (
     VMError,
 )
 from repro.jvm.bytecode import Op
-from repro.jvm.costmodel import BASE_COST, INTERP_DISPATCH, alloc_cost
+from repro.jvm.costmodel import INTERP_COST, alloc_cost
 from repro.jvm.interpreter import _rem_int, _truediv_int, guest_str
-
-#: Interpreter cost per opcode, dispatch included (folded at translate
-#: time so handlers never do the dict lookup).
-_COST = {op: cost + INTERP_DISPATCH for op, cost in BASE_COST.items()}
 
 #: Comparison operators as C-level callables (same semantics as the
 #: reference engine's lambdas, minus the Python-frame call overhead).
@@ -226,7 +222,7 @@ def _make_handler(ctx, method, pc, instr):
 def _f_const(ctx, method, pc, instr):
     counters = ctx.counters
     value = instr.arg
-    cost = _COST[Op.CONST]
+    cost = INTERP_COST[Op.CONST]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -242,7 +238,7 @@ def _f_const(ctx, method, pc, instr):
 def _f_load(ctx, method, pc, instr):
     counters = ctx.counters
     slot = instr.arg
-    cost = _COST[Op.LOAD]
+    cost = INTERP_COST[Op.LOAD]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -258,7 +254,7 @@ def _f_load(ctx, method, pc, instr):
 def _f_store(ctx, method, pc, instr):
     counters = ctx.counters
     slot = instr.arg
-    cost = _COST[Op.STORE]
+    cost = INTERP_COST[Op.STORE]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -273,7 +269,7 @@ def _f_store(ctx, method, pc, instr):
 
 def _f_add(ctx, method, pc, instr):
     counters = ctx.counters
-    cost = _COST[Op.ADD]
+    cost = INTERP_COST[Op.ADD]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -294,7 +290,7 @@ def _f_add(ctx, method, pc, instr):
 def _binop_factory(op, fn):
     def factory(ctx, method, pc, instr):
         counters = ctx.counters
-        cost = _COST[op]
+        cost = INTERP_COST[op]
         next_pc = pc + 1
 
         def h(thread, frame, stack, locals_):
@@ -312,7 +308,7 @@ def _binop_factory(op, fn):
 def _unop_factory(op, fn):
     def factory(ctx, method, pc, instr):
         counters = ctx.counters
-        cost = _COST[op]
+        cost = INTERP_COST[op]
         next_pc = pc + 1
 
         def h(thread, frame, stack, locals_):
@@ -328,7 +324,7 @@ def _unop_factory(op, fn):
 
 def _f_div(ctx, method, pc, instr):
     counters = ctx.counters
-    cost = _COST[Op.DIV]
+    cost = INTERP_COST[Op.DIV]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -350,7 +346,7 @@ def _f_div(ctx, method, pc, instr):
 
 def _f_rem(ctx, method, pc, instr):
     counters = ctx.counters
-    cost = _COST[Op.REM]
+    cost = INTERP_COST[Op.REM]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -373,7 +369,7 @@ def _f_rem(ctx, method, pc, instr):
 def _f_cmp(ctx, method, pc, instr):
     counters = ctx.counters
     cmp_fn = _CMP_FN[instr.arg]
-    cost = _COST[Op.CMP]
+    cost = INTERP_COST[Op.CMP]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -388,39 +384,13 @@ def _f_cmp(ctx, method, pc, instr):
     return h
 
 
-def _f_if(ctx, method, pc, instr):
-    counters = ctx.counters
-    vm = ctx.vm
-    cmp_fn = _CMP_FN[instr.arg[0]]
-    target = instr.arg[1]
-    is_back = target <= pc
-    cost = _COST[Op.IF]
-    next_pc = pc + 1
-
-    def h(thread, frame, stack, locals_):
-        counters.instructions += 1
-        rhs = stack.pop()
-        lhs = stack.pop()
-        if cmp_fn(lhs, rhs):
-            if is_back:
-                method.backedge_count += 1
-                vm.on_backedge(method)
-            frame.pc = target
-        else:
-            frame.pc = next_pc
-        thread.budget -= cost
-        counters.reference_cycles += cost
-        return True
-    return h
-
-
 def _f_ifz(ctx, method, pc, instr):
     counters = ctx.counters
     vm = ctx.vm
     cmp_fn = _CMP_FN[instr.arg[0]]
     target = instr.arg[1]
     is_back = target <= pc
-    cost = _COST[Op.IFZ]
+    cost = INTERP_COST[Op.IFZ]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -446,7 +416,7 @@ def _f_goto(ctx, method, pc, instr):
     vm = ctx.vm
     target = instr.arg
     is_back = target <= pc
-    cost = _COST[Op.GOTO]
+    cost = INTERP_COST[Op.GOTO]
 
     def h(thread, frame, stack, locals_):
         counters.instructions += 1
@@ -466,7 +436,7 @@ def _f_goto(ctx, method, pc, instr):
 
 def _f_dup(ctx, method, pc, instr):
     counters = ctx.counters
-    cost = _COST[Op.DUP]
+    cost = INTERP_COST[Op.DUP]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -481,27 +451,12 @@ def _f_dup(ctx, method, pc, instr):
 
 def _f_pop(ctx, method, pc, instr):
     counters = ctx.counters
-    cost = _COST[Op.POP]
+    cost = INTERP_COST[Op.POP]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
         counters.instructions += 1
         stack.pop()
-        frame.pc = next_pc
-        thread.budget -= cost
-        counters.reference_cycles += cost
-        return True
-    return h
-
-
-def _f_swap(ctx, method, pc, instr):
-    counters = ctx.counters
-    cost = _COST[Op.SWAP]
-    next_pc = pc + 1
-
-    def h(thread, frame, stack, locals_):
-        counters.instructions += 1
-        stack[-1], stack[-2] = stack[-2], stack[-1]
         frame.pc = next_pc
         thread.budget -= cost
         counters.reference_cycles += cost
@@ -520,7 +475,7 @@ def _f_getfield(ctx, method, pc, instr):
     handlers = ctx.handlers
     tc = ctx.tc
     name = instr.arg
-    cost0 = _COST[Op.GETFIELD]
+    cost0 = INTERP_COST[Op.GETFIELD]
     next_pc = pc + 1
 
     def make_spec(ic_class, ic_slot):
@@ -569,7 +524,7 @@ def _f_putfield(ctx, method, pc, instr):
     handlers = ctx.handlers
     tc = ctx.tc
     name = instr.arg
-    cost0 = _COST[Op.PUTFIELD]
+    cost0 = INTERP_COST[Op.PUTFIELD]
     next_pc = pc + 1
 
     def make_spec(ic_class, ic_slot):
@@ -620,7 +575,7 @@ def _f_getstatic(ctx, method, pc, instr):
     handlers = ctx.handlers
     tc = ctx.tc
     cls_name, fname = instr.arg
-    cost = _COST[Op.GETSTATIC]
+    cost = INTERP_COST[Op.GETSTATIC]
     next_pc = pc + 1
 
     def make_spec(static_values):
@@ -658,7 +613,7 @@ def _f_putstatic(ctx, method, pc, instr):
     handlers = ctx.handlers
     tc = ctx.tc
     cls_name, fname = instr.arg
-    cost = _COST[Op.PUTSTATIC]
+    cost = INTERP_COST[Op.PUTSTATIC]
     next_pc = pc + 1
 
     def make_spec(static_values):
@@ -697,7 +652,7 @@ def _f_aload(ctx, method, pc, instr):
     counters = ctx.counters
     cachemodel = ctx.cachemodel
     san = ctx.san
-    cost0 = _COST[Op.ALOAD]
+    cost0 = INTERP_COST[Op.ALOAD]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -721,7 +676,7 @@ def _f_astore(ctx, method, pc, instr):
     counters = ctx.counters
     cachemodel = ctx.cachemodel
     san = ctx.san
-    cost0 = _COST[Op.ASTORE]
+    cost0 = INTERP_COST[Op.ASTORE]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -744,7 +699,7 @@ def _f_astore(ctx, method, pc, instr):
 
 def _f_arraylen(ctx, method, pc, instr):
     counters = ctx.counters
-    cost = _COST[Op.ARRAYLEN]
+    cost = INTERP_COST[Op.ARRAYLEN]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -765,7 +720,7 @@ def _f_newarray(ctx, method, pc, instr):
     cachemodel = ctx.cachemodel
     heap = ctx.heap
     kind = instr.arg
-    cost0 = _COST[Op.NEWARRAY]
+    cost0 = INTERP_COST[Op.NEWARRAY]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -794,7 +749,7 @@ def _f_new(ctx, method, pc, instr):
     handlers = ctx.handlers
     tc = ctx.tc
     cls_name = instr.arg
-    cost0 = _COST[Op.NEW]
+    cost0 = INTERP_COST[Op.NEW]
     next_pc = pc + 1
 
     def make_spec(jclass):
@@ -831,7 +786,7 @@ def _f_new(ctx, method, pc, instr):
 def _f_instanceof(ctx, method, pc, instr):
     counters = ctx.counters
     cls_name = instr.arg
-    cost = _COST[Op.INSTANCEOF]
+    cost = INTERP_COST[Op.INSTANCEOF]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -850,7 +805,7 @@ def _f_instanceof(ctx, method, pc, instr):
 def _f_checkcast(ctx, method, pc, instr):
     counters = ctx.counters
     cls_name = instr.arg
-    cost = _COST[Op.CHECKCAST]
+    cost = INTERP_COST[Op.CHECKCAST]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -890,7 +845,7 @@ def _f_invokevirtual(ctx, method, pc, instr):
     op = instr.op
     owner, name, argc = instr.arg
     nargs = argc + 1
-    cost = _COST[op]
+    cost = INTERP_COST[op]
     next_pc = pc + 1
 
     def make_spec(ic_class, ic_target):
@@ -940,7 +895,7 @@ def _f_invokestatic(ctx, method, pc, instr):
     handlers = ctx.handlers
     tc = ctx.tc
     owner, name, argc = instr.arg
-    cost = _COST[Op.INVOKESTATIC]
+    cost = INTERP_COST[Op.INVOKESTATIC]
     next_pc = pc + 1
 
     def make_spec(target):
@@ -978,7 +933,7 @@ def _f_invokespecial(ctx, method, pc, instr):
     tc = ctx.tc
     owner, name, argc = instr.arg
     nargs = argc + 1
-    cost = _COST[Op.INVOKESPECIAL]
+    cost = INTERP_COST[Op.INVOKESPECIAL]
     next_pc = pc + 1
 
     def make_spec(target):
@@ -1015,7 +970,7 @@ def _f_invokedynamic(ctx, method, pc, instr):
     handlers = ctx.handlers
     tc = ctx.tc
     owner, lambda_name, captured_count = instr.arg
-    cost = _COST[Op.INVOKEDYNAMIC]
+    cost = INTERP_COST[Op.INVOKEDYNAMIC]
     next_pc = pc + 1
 
     def make_spec(target):
@@ -1060,7 +1015,7 @@ def _f_invokehandle(ctx, method, pc, instr):
     counters = ctx.counters
     vm = ctx.vm
     argc = instr.arg
-    cost = _COST[Op.INVOKEHANDLE]
+    cost = INTERP_COST[Op.INVOKEHANDLE]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1082,7 +1037,7 @@ def _f_invokehandle(ctx, method, pc, instr):
 
 def _f_retval(ctx, method, pc, instr):
     counters = ctx.counters
-    cost = _COST[Op.RETVAL]
+    cost = INTERP_COST[Op.RETVAL]
 
     def h(thread, frame, stack, locals_):
         counters.instructions += 1
@@ -1100,7 +1055,7 @@ def _f_retval(ctx, method, pc, instr):
 
 def _f_return(ctx, method, pc, instr):
     counters = ctx.counters
-    cost = _COST[Op.RETURN]
+    cost = INTERP_COST[Op.RETURN]
 
     def h(thread, frame, stack, locals_):
         counters.instructions += 1
@@ -1122,7 +1077,7 @@ def _f_return(ctx, method, pc, instr):
 def _f_monitorenter(ctx, method, pc, instr):
     counters = ctx.counters
     sched = ctx.sched
-    cost = _COST[Op.MONITORENTER]
+    cost = INTERP_COST[Op.MONITORENTER]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1148,7 +1103,7 @@ def _f_monitorenter(ctx, method, pc, instr):
 def _f_monitorexit(ctx, method, pc, instr):
     counters = ctx.counters
     sched = ctx.sched
-    cost = _COST[Op.MONITOREXIT]
+    cost = INTERP_COST[Op.MONITOREXIT]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1170,7 +1125,7 @@ def _f_cas(ctx, method, pc, instr):
     san = ctx.san
     trace_cas = ctx.trace_cas
     name = instr.arg
-    cost0 = _COST[Op.CAS]
+    cost0 = INTERP_COST[Op.CAS]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1209,7 +1164,7 @@ def _f_atomic_get(ctx, method, pc, instr):
     cachemodel = ctx.cachemodel
     san = ctx.san
     name = instr.arg
-    cost0 = _COST[Op.ATOMIC_GET]
+    cost0 = INTERP_COST[Op.ATOMIC_GET]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1235,7 +1190,7 @@ def _f_atomic_add(ctx, method, pc, instr):
     cachemodel = ctx.cachemodel
     san = ctx.san
     name = instr.arg
-    cost0 = _COST[Op.ATOMIC_ADD]
+    cost0 = INTERP_COST[Op.ATOMIC_ADD]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1262,7 +1217,7 @@ def _f_atomic_add(ctx, method, pc, instr):
 def _f_park(ctx, method, pc, instr):
     counters = ctx.counters
     sched = ctx.sched
-    cost = _COST[Op.PARK]
+    cost = INTERP_COST[Op.PARK]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1281,7 +1236,7 @@ def _f_unpark(ctx, method, pc, instr):
     counters = ctx.counters
     sched = ctx.sched
     vm = ctx.vm
-    cost = _COST[Op.UNPARK]
+    cost = INTERP_COST[Op.UNPARK]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1300,7 +1255,7 @@ def _f_unpark(ctx, method, pc, instr):
 def _f_wait(ctx, method, pc, instr):
     counters = ctx.counters
     sched = ctx.sched
-    cost = _COST[Op.WAIT]
+    cost = INTERP_COST[Op.WAIT]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1322,7 +1277,7 @@ def _f_notify(ctx, method, pc, instr):
     sched = ctx.sched
     all_waiters = instr.op is Op.NOTIFYALL
     label = "notifyAll" if all_waiters else "notify"
-    cost = _COST[instr.op]
+    cost = INTERP_COST[instr.op]
     next_pc = pc + 1
 
     def h(thread, frame, stack, locals_):
@@ -1353,8 +1308,8 @@ def _fuse_const_add(ctx, method, pc, i1, i2):
     counters = ctx.counters
     k = i1.arg
     k_is_str = type(k) is str
-    c1 = _COST[Op.CONST]
-    c2 = _COST[Op.ADD]
+    c1 = INTERP_COST[Op.CONST]
+    c2 = INTERP_COST[Op.ADD]
     pc1 = pc + 1
     pc2 = pc + 2
 
@@ -1382,8 +1337,8 @@ def _fuse_const_add(ctx, method, pc, i1, i2):
 def _fuse_load_add(ctx, method, pc, i1, i2):
     counters = ctx.counters
     slot = i1.arg
-    c1 = _COST[Op.LOAD]
-    c2 = _COST[Op.ADD]
+    c1 = INTERP_COST[Op.LOAD]
+    c2 = INTERP_COST[Op.ADD]
     pc1 = pc + 1
     pc2 = pc + 2
 
@@ -1413,7 +1368,7 @@ def _fuse_load_load(ctx, method, pc, i1, i2):
     counters = ctx.counters
     slot1 = i1.arg
     slot2 = i2.arg
-    c = _COST[Op.LOAD]
+    c = INTERP_COST[Op.LOAD]
     pc1 = pc + 1
     pc2 = pc + 2
 
@@ -1438,8 +1393,8 @@ def _fuse_load_const(ctx, method, pc, i1, i2):
     counters = ctx.counters
     slot = i1.arg
     k = i2.arg
-    c1 = _COST[Op.LOAD]
-    c2 = _COST[Op.CONST]
+    c1 = INTERP_COST[Op.LOAD]
+    c2 = INTERP_COST[Op.CONST]
     pc1 = pc + 1
     pc2 = pc + 2
 
@@ -1464,8 +1419,8 @@ def _fuse_const_store(ctx, method, pc, i1, i2):
     counters = ctx.counters
     k = i1.arg
     dst = i2.arg
-    c1 = _COST[Op.CONST]
-    c2 = _COST[Op.STORE]
+    c1 = INTERP_COST[Op.CONST]
+    c2 = INTERP_COST[Op.STORE]
     pc1 = pc + 1
     pc2 = pc + 2
 
@@ -1490,8 +1445,8 @@ def _fuse_load_store(ctx, method, pc, i1, i2):
     counters = ctx.counters
     src = i1.arg
     dst = i2.arg
-    c1 = _COST[Op.LOAD]
-    c2 = _COST[Op.STORE]
+    c1 = INTERP_COST[Op.LOAD]
+    c2 = INTERP_COST[Op.STORE]
     pc1 = pc + 1
     pc2 = pc + 2
 
@@ -1515,8 +1470,8 @@ def _fuse_load_store(ctx, method, pc, i1, i2):
 def _fuse_add_store(ctx, method, pc, i1, i2):
     counters = ctx.counters
     dst = i2.arg
-    c1 = _COST[Op.ADD]
-    c2 = _COST[Op.STORE]
+    c1 = INTERP_COST[Op.ADD]
+    c2 = INTERP_COST[Op.STORE]
     pc1 = pc + 1
     pc2 = pc + 2
 
@@ -1550,8 +1505,8 @@ def _fuse_load_getfield(ctx, method, pc, i1, i2):
     tc = ctx.tc
     slot1 = i1.arg
     name = i2.arg
-    c1 = _COST[Op.LOAD]
-    c2 = _COST[Op.GETFIELD]
+    c1 = INTERP_COST[Op.LOAD]
+    c2 = INTERP_COST[Op.GETFIELD]
     pc1 = pc + 1
     pc2 = pc + 2
     ic = [None, 0]      # inline cache: receiver class -> field slot
@@ -1595,8 +1550,8 @@ def _fuse_cmp_branch(ctx, method, pc, i1, i2):
     branch_fn = _CMP_FN[i2.arg[0]]
     target = i2.arg[1]
     is_back = target <= pc + 1
-    c1 = _COST[Op.CMP]
-    c2 = _COST[i2.op]
+    c1 = INTERP_COST[Op.CMP]
+    c2 = INTERP_COST[Op.IFZ]
     pc1 = pc + 1
     pc2 = pc + 2
 
@@ -1625,46 +1580,6 @@ def _fuse_cmp_branch(ctx, method, pc, i1, i2):
     return h
 
 
-def _fuse_cmp_if(ctx, method, pc, i1, i2):
-    """CMP feeding a two-operand IF: the IF compares the flag to a
-    second stack value, so only the CMP half can be streamlined."""
-    counters = ctx.counters
-    vm = ctx.vm
-    cmp_fn = _CMP_FN[i1.arg]
-    branch_fn = _CMP_FN[i2.arg[0]]
-    target = i2.arg[1]
-    is_back = target <= pc + 1
-    c1 = _COST[Op.CMP]
-    c2 = _COST[Op.IF]
-    pc1 = pc + 1
-    pc2 = pc + 2
-
-    def h(thread, frame, stack, locals_):
-        counters.instructions += 1
-        rhs = stack.pop()
-        lhs = stack.pop()
-        flag = 1 if cmp_fn(lhs, rhs) else 0
-        frame.pc = pc1
-        thread.budget -= c1
-        counters.reference_cycles += c1
-        if thread.budget <= 0:
-            stack.append(flag)
-            return True
-        counters.instructions += 1
-        if_lhs = stack.pop()
-        if branch_fn(if_lhs, flag):
-            if is_back:
-                method.backedge_count += 1
-                vm.on_backedge(method)
-            frame.pc = target
-        else:
-            frame.pc = pc2
-        thread.budget -= c2
-        counters.reference_cycles += c2
-        return True
-    return h
-
-
 _FUSERS = {
     (Op.CONST, Op.ADD): _fuse_const_add,
     (Op.LOAD, Op.ADD): _fuse_load_add,
@@ -1675,7 +1590,6 @@ _FUSERS = {
     (Op.ADD, Op.STORE): _fuse_add_store,
     (Op.LOAD, Op.GETFIELD): _fuse_load_getfield,
     (Op.CMP, Op.IFZ): _fuse_cmp_branch,
-    (Op.CMP, Op.IF): _fuse_cmp_if,
 }
 
 
@@ -1685,7 +1599,6 @@ _FACTORY = {
     Op.STORE: _f_store,
     Op.POP: _f_pop,
     Op.DUP: _f_dup,
-    Op.SWAP: _f_swap,
     Op.ADD: _f_add,
     Op.SUB: _binop_factory(Op.SUB, operator.sub),
     Op.MUL: _binop_factory(Op.MUL, operator.mul),
@@ -1702,7 +1615,6 @@ _FACTORY = {
     Op.D2I: _unop_factory(Op.D2I, int),
     Op.CMP: _f_cmp,
     Op.GOTO: _f_goto,
-    Op.IF: _f_if,
     Op.IFZ: _f_ifz,
     Op.RETURN: _f_return,
     Op.RETVAL: _f_retval,
@@ -1720,7 +1632,6 @@ _FACTORY = {
     Op.INVOKESTATIC: _f_invokestatic,
     Op.INVOKESPECIAL: _f_invokespecial,
     Op.INVOKEVIRTUAL: _f_invokevirtual,
-    Op.INVOKEINTERFACE: _f_invokevirtual,
     Op.INVOKEDYNAMIC: _f_invokedynamic,
     Op.INVOKEHANDLE: _f_invokehandle,
     Op.MONITORENTER: _f_monitorenter,

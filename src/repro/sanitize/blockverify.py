@@ -43,10 +43,9 @@ import gc
 from typing import NamedTuple
 
 from repro.errors import VMError
-from repro.jvm.bytecode import Op
+from repro.jvm.bytecode import INVOKES, TERMINATORS, Op
 from repro.jvm.costmodel import (
-    BASE_COST,
-    INTERP_DISPATCH,
+    INTERP_COST,
     TIER1_COMPILE_BLOCK_COST,
     TIER1_COMPILE_SITE_COST,
     TIER2_COMPILE_BLOCK_COST,
@@ -383,19 +382,11 @@ _BAIL_OPS = frozenset({
     Op.MONITORENTER, Op.MONITOREXIT,
     Op.PARK, Op.UNPARK, Op.WAIT, Op.NOTIFY, Op.NOTIFYALL,
 })
-_INVOKE_OPS = frozenset({
-    Op.INVOKESTATIC, Op.INVOKESPECIAL, Op.INVOKEVIRTUAL,
-    Op.INVOKEINTERFACE, Op.INVOKEDYNAMIC, Op.INVOKEHANDLE,
-})
-_TERMINATOR_OPS = frozenset({Op.GOTO, Op.RETURN, Op.RETVAL})
 _REGION_CAP = 64
-
-#: Constant (compile-time) interpreter cost per op: base + dispatch.
-_CONST_COST = {op: cost + INTERP_DISPATCH for op, cost in BASE_COST.items()}
 
 
 def _t1_cost(instr) -> int:
-    return _CONST_COST[instr.op]
+    return INTERP_COST[instr.op]
 
 
 def expected_regions(code) -> dict:
@@ -411,9 +402,9 @@ def expected_regions(code) -> dict:
     for pc, instr in enumerate(code):
         if instr.op is Op.GOTO:
             leaders.add(instr.arg)
-        elif instr.op in (Op.IF, Op.IFZ):
+        elif instr.op is Op.IFZ:
             leaders.add(instr.arg[1])
-        elif instr.op in _BAIL_OPS or instr.op in _INVOKE_OPS:
+        elif instr.op in _BAIL_OPS or instr.op in INVOKES:
             leaders.add(pc + 1)
     pending = sorted(pc for pc in leaders if pc < n)
     seen = set(pending)
@@ -429,7 +420,7 @@ def expected_regions(code) -> dict:
                 kind = "bail"
                 break
             ops.append((pc, instr))
-            if instr.op in _TERMINATOR_OPS or instr.op in _INVOKE_OPS:
+            if instr.op in TERMINATORS or instr.op in INVOKES:
                 kind = "term"
                 break
             pc += 1

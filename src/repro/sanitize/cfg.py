@@ -1,8 +1,9 @@
 """Control-flow graphs over simulated-JVM bytecode.
 
 A :class:`CFG` partitions an :class:`~repro.jvm.bytecode.Instr` list
-into maximal basic blocks and records the successor/predecessor edges
-implied by :func:`repro.jvm.bytecode.branch_targets`.  The graph is the
+into basic blocks at :func:`repro.jvm.bytecode.block_leaders` (the rule
+the JIT's graph builder uses too) and records the successor/predecessor
+edges implied by :func:`repro.jvm.bytecode.branch_targets`.  The graph is the
 substrate for the dataflow engine (:mod:`repro.sanitize.dataflow`) and
 for the static passes; :func:`dominators` provides the classic iterative
 dominator sets used by loop/locking analyses.
@@ -13,7 +14,7 @@ them) but excluded from :meth:`CFG.rpo` and from dataflow solving.
 
 from __future__ import annotations
 
-from repro.jvm.bytecode import Instr, branch_targets
+from repro.jvm.bytecode import Instr, block_leaders, branch_targets
 
 
 class BasicBlock:
@@ -98,17 +99,7 @@ def build_cfg(code: list[Instr]) -> CFG:
     n = len(code)
     if n == 0:
         raise ValueError("cannot build a CFG for empty code")
-    leaders = {0}
-    for pc, instr in enumerate(code):
-        targets = branch_targets(instr, pc)
-        # A branch or terminator ends its block: the next pc (if any)
-        # starts a new one, as does every explicit target.
-        if targets != [pc + 1]:
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-            for target in targets:
-                leaders.add(target)
-    ordered = sorted(leaders)
+    ordered = sorted(block_leaders(code))
     blocks: list[BasicBlock] = []
     for i, start in enumerate(ordered):
         end = ordered[i + 1] if i + 1 < len(ordered) else n

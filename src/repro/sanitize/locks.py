@@ -130,8 +130,6 @@ def lock_facts(method) -> LockFacts:
         if op is Op.DUP:
             top = stack[-1] if stack else UNKNOWN
             return stack + (top,), locals_, held
-        if op is Op.SWAP and len(stack) >= 2:
-            return stack[:-2] + (stack[-1], stack[-2]), locals_, held
         if op is Op.GETFIELD:
             base = stack[-1] if stack else UNKNOWN
             if base[0] == "this":
@@ -191,7 +189,7 @@ def lock_facts(method) -> LockFacts:
                 facts.accesses.append(
                     FieldAccess(pc, instr.line, kind, target, held))
             elif op in (Op.INVOKESTATIC, Op.INVOKESPECIAL,
-                        Op.INVOKEVIRTUAL, Op.INVOKEINTERFACE):
+                        Op.INVOKEVIRTUAL):
                 facts.calls.append(CallSite(
                     pc, instr.line, (instr.arg[0], instr.arg[1]), held))
             elif op in (Op.CAS, Op.ATOMIC_GET, Op.ATOMIC_ADD):

@@ -39,12 +39,12 @@ from repro.sanitize.reports import StaticIssue
 #: because their pop count depends on the instruction argument.
 _STACK_EFFECT = {
     Op.CONST: (0, 1), Op.LOAD: (0, 1), Op.STORE: (1, 0),
-    Op.POP: (1, 0), Op.DUP: (1, 2), Op.SWAP: (2, 2),
+    Op.POP: (1, 0), Op.DUP: (1, 2),
     Op.ADD: (2, 1), Op.SUB: (2, 1), Op.MUL: (2, 1), Op.DIV: (2, 1),
     Op.REM: (2, 1), Op.SHL: (2, 1), Op.SHR: (2, 1), Op.AND: (2, 1),
     Op.OR: (2, 1), Op.XOR: (2, 1), Op.CMP: (2, 1),
     Op.NEG: (1, 1), Op.NOT: (1, 1), Op.I2D: (1, 1), Op.D2I: (1, 1),
-    Op.GOTO: (0, 0), Op.IF: (2, 0), Op.IFZ: (1, 0),
+    Op.GOTO: (0, 0), Op.IFZ: (1, 0),
     Op.RETURN: (0, 0), Op.RETVAL: (1, 0),
     Op.NEW: (0, 1), Op.GETFIELD: (1, 1), Op.PUTFIELD: (2, 0),
     Op.GETSTATIC: (0, 1), Op.PUTSTATIC: (1, 0),
@@ -67,7 +67,7 @@ def stack_effect(instr: Instr) -> tuple[int, int]:
     op = instr.op
     if op is Op.INVOKESTATIC:
         return instr.arg[2], 1
-    if op in (Op.INVOKESPECIAL, Op.INVOKEVIRTUAL, Op.INVOKEINTERFACE):
+    if op is Op.INVOKESPECIAL or op is Op.INVOKEVIRTUAL:
         return instr.arg[2] + 1, 1
     if op is Op.INVOKEDYNAMIC:
         return instr.arg[2], 1        # pops the captured values
@@ -148,8 +148,6 @@ def _kind_transfer(fact, instr: Instr, pc: int):
         return _KIND_CONFLICT      # underflow — the depth pass errors
     if instr.op is Op.DUP:
         stack.append(stack[-1])
-    elif instr.op is Op.SWAP:
-        stack[-1], stack[-2] = stack[-2], stack[-1]
     else:
         popped = stack[len(stack) - pops:]
         del stack[len(stack) - pops:]

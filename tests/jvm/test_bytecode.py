@@ -3,16 +3,18 @@
 import pytest
 
 from repro.jvm.bytecode import (
-    ATOMICS,
-    BRANCHES,
-    DYNAMIC_DISPATCH,
     INVOKES,
     Instr,
     Op,
     TERMINATORS,
+    block_leaders,
     branch_targets,
     validate_code,
 )
+from repro.jvm.costmodel import BASE_COST, INTERP_COST, INTERP_DISPATCH
+from repro.jvm.threaded import _FACTORY
+from repro.lang import compile_program
+from repro.sanitize.verify import _STACK_EFFECT
 
 
 def test_instr_repr_without_arg():
@@ -28,7 +30,7 @@ def test_branch_targets_goto():
 
 
 def test_branch_targets_if_has_fallthrough_and_target():
-    assert branch_targets(Instr(Op.IF, ("<", 7)), 2) == [3, 7]
+    assert branch_targets(Instr(Op.IFZ, ("<", 7)), 2) == [3, 7]
 
 
 def test_branch_targets_return_empty():
@@ -75,9 +77,81 @@ def test_validate_accepts_backward_branch():
 
 def test_opcode_groups_are_disjoint_where_expected():
     assert Op.INVOKEVIRTUAL in INVOKES
-    assert Op.INVOKEVIRTUAL in DYNAMIC_DISPATCH
-    assert Op.INVOKESTATIC not in DYNAMIC_DISPATCH
-    assert Op.CAS in ATOMICS
-    assert Op.GOTO in BRANCHES
+    assert Op.INVOKEHANDLE in INVOKES
     assert Op.RETVAL in TERMINATORS
-    assert Op.IF not in TERMINATORS
+    assert Op.IFZ not in TERMINATORS
+    assert not INVOKES & TERMINATORS
+
+
+def test_block_leaders_split_after_every_non_fallthrough_op():
+    code = [
+        Instr(Op.LOAD, 0),              # 0
+        Instr(Op.IFZ, ("==", 4)),       # 1: both successors lead
+        Instr(Op.GOTO, 3),              # 2: a jump to the next pc ends
+        Instr(Op.RETURN),               # 3:   its block all the same
+        Instr(Op.RETURN),               # 4
+    ]
+    assert block_leaders(code) == {0, 2, 3, 4}
+
+
+# One JL program that reaches every construct the code generator has.
+# The registered workloads alone do not: they contain 47 of the 50
+# opcodes (no NEG, NOTIFY or OR).
+_TOUR = """
+interface Shape { def area(); }
+class Cell implements Shape {
+    static var made = 0;
+    var v;
+    def init(v) { this.v = v; Cell.made = Cell.made + 1; }
+    def area() { return this.v; }
+    synchronized def bump() { this.v = this.v + 1; }
+    def pingPong() {
+        synchronized (this) { notify(this); notifyAll(this); wait(this); }
+        park();
+        unpark(this);
+    }
+}
+class Tour {
+    static def run(n) {
+        var c = new Cell(n);
+        var s = cast(Shape, c);
+        var arr = new int[n];
+        arr[0] = -n * 2 / 3 % 5;
+        var bits = (n << 2) >> 1 & 7 | 8 ^ ~n;
+        var k = d2i(i2d(n) / 2.0);
+        var add = fun (a, b) a + b;
+        var total = add(len(arr), s.area() - k);
+        if (!(c instanceof Shape) || n > 3 && n != 4) { total = total + 1; }
+        for (var i = 0; i < n; i = i + 1) {
+            if (i == 2) { continue; }
+            if (i >= 5) { break; }
+            total = total + arr[i];
+        }
+        while (total <= 0) { total = total + bits; }
+        cas(c.v, n, n + 1);
+        atomicAdd(c.v, atomicGet(c.v));
+        c.bump();
+        return total;
+    }
+    static def nothing() { Tour.run(1); return; }
+}
+"""
+
+
+def test_codegen_emits_exactly_the_isa():
+    """The op set is closed: every opcode is one the compiler can emit,
+    so a dead opcode (or a construct that stops emitting one) fails."""
+    program = compile_program(_TOUR, include_stdlib=False)
+    emitted = {instr.op for jclass in program.classes
+               for method in jclass.methods.values() if method.code
+               for instr in method.code}
+    assert emitted == set(Op)
+    assert len(Op) == 50
+
+
+def test_every_isa_table_covers_exactly_the_isa():
+    assert set(_FACTORY) == set(Op)
+    assert set(BASE_COST) == set(Op)
+    assert INTERP_COST == {op: BASE_COST[op] + INTERP_DISPATCH for op in Op}
+    assert set(_STACK_EFFECT) | INVOKES == set(Op)
+    assert not set(_STACK_EFFECT) & INVOKES

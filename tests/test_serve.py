@@ -293,6 +293,22 @@ def test_http_error_handling(tmp_path, monkeypatch):
         assert m["serve_http_errors"] >= 7
 
 
+def test_result_route_treats_non_digests_as_absent(tmp_path):
+    # ``..victim`` joined under ``objects/`` names a file beside the
+    # object directory; its bytes fail the checksum, which used to
+    # unlink it.
+    (tmp_path / "objects").mkdir()
+    victim = tmp_path / "..victim"
+    victim.write_bytes(b"not a store object")
+    with ServiceThread(str(tmp_path)) as svc:
+        assert _raw_status(
+            svc.port, b"GET /results/..victim HTTP/1.1\r\n\r\n") == 404
+        for digest in ("..victim", "AB" * 32, "ab" * 31):
+            with pytest.raises(ServeError, match="404"):
+                svc.client().result(digest)
+    assert victim.read_bytes() == b"not a store object"
+
+
 # ----------------------------------------------------------------------
 # Tier-2 (make serve): SIGTERM drain + journal-backed recovery.
 # ----------------------------------------------------------------------
