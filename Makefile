@@ -47,6 +47,14 @@ durable:
 serve:
 	PYTHONPATH=src python -m pytest -q -m "serve or not chaos" tests/test_serve.py -s
 
+# Tier-0 engine focus: the threaded engine's equivalence suite (handler
+# tables, inline caches, fusion, the fixture list) plus the reference
+# interpreter it is pinned against — the tier-0 counterpart of
+# `make tier1`/`make tier2`/`make jit`.
+threaded:
+	PYTHONPATH=src python -m pytest -q tests/test_threaded.py \
+		tests/jvm/test_interpreter.py
+
 # Tier-1 engine focus: the superblock-engine test suite, plus the
 # verifier and mutation corpus that check the exit protocol and the
 # block walker it shares with tier 2.
@@ -86,4 +94,4 @@ trace:
 		--out .trace-out --warmup 1 --measure 1
 	@ls -l .trace-out
 
-.PHONY: test chaos sanitize lint verify-ir tier1 tier2 jit e2e trace durable serve
+.PHONY: test chaos sanitize lint verify-ir threaded tier1 tier2 jit e2e trace durable serve

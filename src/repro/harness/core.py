@@ -72,7 +72,7 @@ def compile_cache_info() -> dict:
     """Size and hit-rate of the shared compiled-program cache.
 
     Only source→Program compiles are counted here; the per-VM
-    threaded-code translation cache (whose quickened bodies can be
+    threaded-code translation cache (whose translations can be
     invalidated and re-translated) reports its own hit-rate via
     ``vm.interpreter.cache_info()``.
     """

@@ -384,9 +384,9 @@ class _BlockEmitter(_BlockWriter):
         """One of the invoke family; the block ends at the call.
 
         Replicates the threaded handlers statement for statement:
-        counts, argument transfer, null check, resolution (inline
-        cache frozen at first execution, like quickening's generic →
-        spec rewrite), receiver profile, ``frame.pc`` advance,
+        counts, argument transfer, null check, resolution (an inline
+        cache cell filled at first execution, as in the threaded
+        handler), receiver profile, ``frame.pc`` advance,
         ``VM.call``, then the invoke's own cost.  Batched bookkeeping
         is flushed *before* any step that can raise or observe shared
         state (resolution, the fault-injection hook and natives inside

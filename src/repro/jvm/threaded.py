@@ -7,13 +7,13 @@ per-opcode handler closures — one per pc — with operands, cycle costs
 and VM services pre-bound, so dispatch is a single list index plus a
 call.  On top of the translation, two classic interpreter techniques:
 
-- **quickening**: generic handlers rewrite themselves into specialized
-  forms after the first execution resolves their operands.  ``GETFIELD``
-  and ``PUTFIELD`` install a monomorphic inline cache (receiver class →
-  field slot) with a polymorphic dict-lookup fallback; the invoke family
-  caches the resolved :class:`~repro.jvm.classfile.JMethod` (for virtual
-  and interface calls, guarded on the receiver class); ``NEW`` and the
-  static field ops bind their resolved class.
+- **inline caches filled in place**: one handler per opcode keeps what
+  its first execution resolved in a closure cell.  Field ops and
+  ``INVOKEVIRTUAL`` cache a monomorphic receiver class → slot/callee
+  pair (the first class wins, others take the lookup); ``NEW``, static
+  field ops and the other invokes cache their resolved class or callee.
+  Handler lists never change once built, so tables that copy handler
+  references (tier-1's merged dispatch) share the filled caches.
 - **superinstructions**: statically detected hot opcode pairs
   (``CONST+ADD``, ``LOAD+GETFIELD``, ``CMP+IFZ``, …) fuse into one
   handler, halving dispatch cost on straight-line code.  The second pc
@@ -39,7 +39,7 @@ Translation cache
 -----------------
 Translations are cached per VM and per method.  :meth:`cache_info`
 exposes hits/misses/hit-rate; :meth:`invalidate_all` drops every
-translation (all quickened sites revert to generic on the next
+translation (every inline cache starts empty again on the next
 execution) and counts the invalidations.  Attaching a race sanitizer or
 a flight recorder drops all host code through
 :meth:`~repro.runtime.vm.VM.drop_host_code`: handlers bind both at
@@ -54,7 +54,6 @@ from repro.errors import (
     GuestArithmeticError,
     GuestCastError,
     GuestNullPointerError,
-    VMError,
 )
 from repro.jvm.bytecode import Op
 from repro.jvm.costmodel import INTERP_COST, alloc_cost
@@ -70,14 +69,13 @@ _CMP_FN = {
 
 
 class ThreadedCode:
-    """One method's translation: handlers parallel to the bytecode."""
+    """One method's translation: handlers parallel to the bytecode,
+    never changed once built."""
 
-    __slots__ = ("method", "handlers", "quickened", "fused")
+    __slots__ = ("handlers", "fused")
 
-    def __init__(self, method, handlers: list, fused: int) -> None:
-        self.method = method
+    def __init__(self, handlers: list, fused: int) -> None:
         self.handlers = handlers
-        self.quickened = 0      # specialized handlers installed so far
         self.fused = fused      # fused-pair handlers in the translation
 
 
@@ -85,10 +83,9 @@ class _Ctx:
     """Translation-time context bound into handler closures."""
 
     __slots__ = ("vm", "counters", "cachemodel", "sched", "heap", "san",
-                 "trace_cas", "handlers", "tc", "engine")
+                 "trace_cas")
 
-    def __init__(self, engine: "ThreadedInterpreter") -> None:
-        vm = engine.vm
+    def __init__(self, vm) -> None:
         self.vm = vm
         self.counters = vm.counters
         self.cachemodel = vm.cache
@@ -99,9 +96,6 @@ class _Ctx:
         # (attaching one invalidates translations, like the sanitizer).
         tr = vm.trace
         self.trace_cas = tr if (tr is not None and tr.cas_on) else None
-        self.handlers = None    # filled by _translate before factories run
-        self.tc = None
-        self.engine = engine
 
 
 class ThreadedInterpreter:
@@ -131,7 +125,8 @@ class ThreadedInterpreter:
         """Hit/miss statistics of the per-method translation cache.
 
         An invalidated method's next execution is a miss — the hit-rate
-        accounts for quickened bodies being thrown away.
+        accounts for translations (and their filled inline caches) being
+        thrown away.
         """
         total = self.hits + self.misses
         return {
@@ -140,13 +135,13 @@ class ThreadedInterpreter:
             "misses": self.misses,
             "hit_rate": self.hits / total if total else 0.0,
             "invalidations": self.invalidations,
-            "quickened": sum(tc.quickened for tc in self._cache.values()),
             "fused": sum(tc.fused for tc in self._cache.values()),
         }
 
     def invalidate_all(self) -> int:
         """Drop every translation; the next execution of each method
-        re-translates and re-quickens against the current VM state."""
+        re-translates and refills its inline caches against the current
+        VM state."""
         n = len(self._cache)
         self.invalidations += n
         self._cache.clear()
@@ -183,13 +178,10 @@ class ThreadedInterpreter:
     # Translation.
     # ------------------------------------------------------------------
     def _translate(self, method) -> ThreadedCode:
-        ctx = _Ctx(self)
+        ctx = _Ctx(self.vm)
         code = method.code
         n = len(code)
         handlers: list = [None] * n
-        ctx.handlers = handlers
-        tc = ThreadedCode(method, handlers, 0)
-        ctx.tc = tc
         fused = 0
         for pc in range(n):
             instr = code[pc]
@@ -199,16 +191,8 @@ class ThreadedInterpreter:
                     handlers[pc] = fuser(ctx, method, pc, instr, code[pc + 1])
                     fused += 1
                     continue
-            handlers[pc] = _make_handler(ctx, method, pc, instr)
-        tc.fused = fused
-        return tc
-
-
-def _make_handler(ctx, method, pc, instr):
-    factory = _FACTORY.get(instr.op)
-    if factory is None:
-        raise VMError(f"unhandled opcode {instr.op}")
-    return factory(ctx, method, pc, instr)
+            handlers[pc] = _FACTORY[instr.op](ctx, method, pc, instr)
+        return ThreadedCode(handlers, fused)
 
 
 # ======================================================================
@@ -322,48 +306,31 @@ def _unop_factory(op, fn):
     return factory
 
 
-def _f_div(ctx, method, pc, instr):
-    counters = ctx.counters
-    cost = INTERP_COST[Op.DIV]
-    next_pc = pc + 1
+def _division_factory(op, int_fn, float_fn):
+    """DIV and REM: Java semantics on ints, plain arithmetic otherwise."""
+    message = ("/" if op is Op.DIV else "%") + " by zero"
 
-    def h(thread, frame, stack, locals_):
-        counters.instructions += 1
-        rhs = stack.pop()
-        lhs = stack.pop()
-        if rhs == 0:
-            raise GuestArithmeticError("/ by zero")
-        if isinstance(lhs, int) and isinstance(rhs, int):
-            stack.append(_truediv_int(lhs, rhs))
-        else:
-            stack.append(lhs / rhs)
-        frame.pc = next_pc
-        thread.budget -= cost
-        counters.reference_cycles += cost
-        return True
-    return h
+    def factory(ctx, method, pc, instr):
+        counters = ctx.counters
+        cost = INTERP_COST[op]
+        next_pc = pc + 1
 
-
-def _f_rem(ctx, method, pc, instr):
-    counters = ctx.counters
-    cost = INTERP_COST[Op.REM]
-    next_pc = pc + 1
-
-    def h(thread, frame, stack, locals_):
-        counters.instructions += 1
-        rhs = stack.pop()
-        lhs = stack.pop()
-        if rhs == 0:
-            raise GuestArithmeticError("% by zero")
-        if isinstance(lhs, int) and isinstance(rhs, int):
-            stack.append(_rem_int(lhs, rhs))
-        else:
-            stack.append(lhs - rhs * int(lhs / rhs))
-        frame.pc = next_pc
-        thread.budget -= cost
-        counters.reference_cycles += cost
-        return True
-    return h
+        def h(thread, frame, stack, locals_):
+            counters.instructions += 1
+            rhs = stack.pop()
+            lhs = stack.pop()
+            if rhs == 0:
+                raise GuestArithmeticError(message)
+            if isinstance(lhs, int) and isinstance(rhs, int):
+                stack.append(int_fn(lhs, rhs))
+            else:
+                stack.append(float_fn(lhs, rhs))
+            frame.pc = next_pc
+            thread.budget -= cost
+            counters.reference_cycles += cost
+            return True
+        return h
+    return factory
 
 
 def _f_cmp(ctx, method, pc, instr):
@@ -465,47 +432,31 @@ def _f_pop(ctx, method, pc, instr):
 
 
 # ----------------------------------------------------------------------
-# Fields and statics (quickening: monomorphic inline caches).
+# Fields and statics (monomorphic inline caches filled in place).
 # ----------------------------------------------------------------------
 
 def _f_getfield(ctx, method, pc, instr):
     counters = ctx.counters
     cachemodel = ctx.cachemodel
     san = ctx.san
-    handlers = ctx.handlers
-    tc = ctx.tc
     name = instr.arg
     cost0 = INTERP_COST[Op.GETFIELD]
     next_pc = pc + 1
+    ic_class = ic_slot = None   # inline cache: first receiver class, slot
 
-    def make_spec(ic_class, ic_slot):
-        def spec(thread, frame, stack, locals_):
-            counters.instructions += 1
-            obj = stack.pop()
-            if obj is None:
-                raise GuestNullPointerError(f"getfield {name}")
-            jclass = obj.jclass
-            slot = ic_slot if jclass is ic_class \
-                else jclass.field_layout[name]
-            cost = cost0 + cachemodel.access(thread.core, obj.addr + slot)
-            if san is not None:
-                san.field_read(thread, obj, name, frame)
-            stack.append(obj.values[slot])
-            frame.pc = next_pc
-            thread.budget -= cost
-            counters.reference_cycles += cost
-            return True
-        return spec
-
-    def generic(thread, frame, stack, locals_):
+    def h(thread, frame, stack, locals_):
+        nonlocal ic_class, ic_slot
         counters.instructions += 1
         obj = stack.pop()
         if obj is None:
             raise GuestNullPointerError(f"getfield {name}")
-        slot = obj.jclass.field_layout[name]
-        if handlers[pc] is generic:     # quicken: install the inline cache
-            handlers[pc] = make_spec(obj.jclass, slot)
-            tc.quickened += 1
+        jclass = obj.jclass
+        if jclass is ic_class:
+            slot = ic_slot
+        else:
+            slot = jclass.field_layout[name]
+            if ic_class is None:
+                ic_class, ic_slot = jclass, slot
         cost = cost0 + cachemodel.access(thread.core, obj.addr + slot)
         if san is not None:
             san.field_read(thread, obj, name, frame)
@@ -514,49 +465,32 @@ def _f_getfield(ctx, method, pc, instr):
         thread.budget -= cost
         counters.reference_cycles += cost
         return True
-    return generic
+    return h
 
 
 def _f_putfield(ctx, method, pc, instr):
     counters = ctx.counters
     cachemodel = ctx.cachemodel
     san = ctx.san
-    handlers = ctx.handlers
-    tc = ctx.tc
     name = instr.arg
     cost0 = INTERP_COST[Op.PUTFIELD]
     next_pc = pc + 1
+    ic_class = ic_slot = None   # inline cache: first receiver class, slot
 
-    def make_spec(ic_class, ic_slot):
-        def spec(thread, frame, stack, locals_):
-            counters.instructions += 1
-            value = stack.pop()
-            obj = stack.pop()
-            if obj is None:
-                raise GuestNullPointerError(f"putfield {name}")
-            jclass = obj.jclass
-            slot = ic_slot if jclass is ic_class \
-                else jclass.field_layout[name]
-            cost = cost0 + cachemodel.access(thread.core, obj.addr + slot)
-            if san is not None:
-                san.field_write(thread, obj, name, frame)
-            obj.values[slot] = value
-            frame.pc = next_pc
-            thread.budget -= cost
-            counters.reference_cycles += cost
-            return True
-        return spec
-
-    def generic(thread, frame, stack, locals_):
+    def h(thread, frame, stack, locals_):
+        nonlocal ic_class, ic_slot
         counters.instructions += 1
         value = stack.pop()
         obj = stack.pop()
         if obj is None:
             raise GuestNullPointerError(f"putfield {name}")
-        slot = obj.jclass.field_layout[name]
-        if handlers[pc] is generic:
-            handlers[pc] = make_spec(obj.jclass, slot)
-            tc.quickened += 1
+        jclass = obj.jclass
+        if jclass is ic_class:
+            slot = ic_slot
+        else:
+            slot = jclass.field_layout[name]
+            if ic_class is None:
+                ic_class, ic_slot = jclass, slot
         cost = cost0 + cachemodel.access(thread.core, obj.addr + slot)
         if san is not None:
             san.field_write(thread, obj, name, frame)
@@ -565,83 +499,55 @@ def _f_putfield(ctx, method, pc, instr):
         thread.budget -= cost
         counters.reference_cycles += cost
         return True
-    return generic
+    return h
 
 
 def _f_getstatic(ctx, method, pc, instr):
     counters = ctx.counters
     vm = ctx.vm
     san = ctx.san
-    handlers = ctx.handlers
-    tc = ctx.tc
     cls_name, fname = instr.arg
     cost = INTERP_COST[Op.GETSTATIC]
     next_pc = pc + 1
+    static_values = None    # the resolved class's statics, on first use
 
-    def make_spec(static_values):
-        def spec(thread, frame, stack, locals_):
-            counters.instructions += 1
-            if san is not None:
-                san.static_read(thread, cls_name, fname, frame)
-            stack.append(static_values[fname])
-            frame.pc = next_pc
-            thread.budget -= cost
-            counters.reference_cycles += cost
-            return True
-        return spec
-
-    def generic(thread, frame, stack, locals_):
+    def h(thread, frame, stack, locals_):
+        nonlocal static_values
         counters.instructions += 1
-        jclass = vm.resolve_class(cls_name)
-        if handlers[pc] is generic:
-            handlers[pc] = make_spec(jclass.static_values)
-            tc.quickened += 1
+        if static_values is None:
+            static_values = vm.resolve_class(cls_name).static_values
         if san is not None:
             san.static_read(thread, cls_name, fname, frame)
-        stack.append(jclass.static_values[fname])
+        stack.append(static_values[fname])
         frame.pc = next_pc
         thread.budget -= cost
         counters.reference_cycles += cost
         return True
-    return generic
+    return h
 
 
 def _f_putstatic(ctx, method, pc, instr):
     counters = ctx.counters
     vm = ctx.vm
     san = ctx.san
-    handlers = ctx.handlers
-    tc = ctx.tc
     cls_name, fname = instr.arg
     cost = INTERP_COST[Op.PUTSTATIC]
     next_pc = pc + 1
+    static_values = None    # the resolved class's statics, on first use
 
-    def make_spec(static_values):
-        def spec(thread, frame, stack, locals_):
-            counters.instructions += 1
-            if san is not None:
-                san.static_write(thread, cls_name, fname, frame)
-            static_values[fname] = stack.pop()
-            frame.pc = next_pc
-            thread.budget -= cost
-            counters.reference_cycles += cost
-            return True
-        return spec
-
-    def generic(thread, frame, stack, locals_):
+    def h(thread, frame, stack, locals_):
+        nonlocal static_values
         counters.instructions += 1
-        jclass = vm.resolve_class(cls_name)
-        if handlers[pc] is generic:
-            handlers[pc] = make_spec(jclass.static_values)
-            tc.quickened += 1
+        if static_values is None:
+            static_values = vm.resolve_class(cls_name).static_values
         if san is not None:
             san.static_write(thread, cls_name, fname, frame)
-        jclass.static_values[fname] = stack.pop()
+        static_values[fname] = stack.pop()
         frame.pc = next_pc
         thread.budget -= cost
         counters.reference_cycles += cost
         return True
-    return generic
+    return h
 
 
 # ----------------------------------------------------------------------
@@ -738,7 +644,7 @@ def _f_newarray(ctx, method, pc, instr):
 
 
 # ----------------------------------------------------------------------
-# Objects: allocation and type tests (NEW quickens its class resolution).
+# Objects: allocation and type tests (NEW caches its resolved class).
 # ----------------------------------------------------------------------
 
 def _f_new(ctx, method, pc, instr):
@@ -746,41 +652,25 @@ def _f_new(ctx, method, pc, instr):
     cachemodel = ctx.cachemodel
     heap = ctx.heap
     vm = ctx.vm
-    handlers = ctx.handlers
-    tc = ctx.tc
     cls_name = instr.arg
     cost0 = INTERP_COST[Op.NEW]
     next_pc = pc + 1
+    jclass = alloc0 = None  # resolved class, allocation cost: on first use
 
-    def make_spec(jclass):
-        spec_cost0 = cost0 + alloc_cost(jclass.instance_words)
-
-        def spec(thread, frame, stack, locals_):
-            counters.instructions += 1
-            obj = heap.new_object(jclass)
-            cost = spec_cost0 + cachemodel.access(thread.core, obj.addr)
-            stack.append(obj)
-            frame.pc = next_pc
-            thread.budget -= cost
-            counters.reference_cycles += cost
-            return True
-        return spec
-
-    def generic(thread, frame, stack, locals_):
+    def h(thread, frame, stack, locals_):
+        nonlocal jclass, alloc0
         counters.instructions += 1
-        jclass = vm.resolve_class(cls_name)
-        if handlers[pc] is generic:
-            handlers[pc] = make_spec(jclass)
-            tc.quickened += 1
-        cost = cost0 + alloc_cost(jclass.instance_words)
+        if jclass is None:
+            jclass = vm.resolve_class(cls_name)
+            alloc0 = cost0 + alloc_cost(jclass.instance_words)
         obj = heap.new_object(jclass)
-        cost += cachemodel.access(thread.core, obj.addr)
+        cost = alloc0 + cachemodel.access(thread.core, obj.addr)
         stack.append(obj)
         frame.pc = next_pc
         thread.budget -= cost
         counters.reference_cycles += cost
         return True
-    return generic
+    return h
 
 
 def _f_instanceof(ctx, method, pc, instr):
@@ -822,7 +712,7 @@ def _f_checkcast(ctx, method, pc, instr):
 
 
 # ----------------------------------------------------------------------
-# Calls and returns (quickening: resolved-callee caches).
+# Calls and returns (resolved-callee caches filled in place).
 # ----------------------------------------------------------------------
 
 def _profile_receiver(method, pc, receiver):
@@ -840,35 +730,14 @@ def _profile_receiver(method, pc, receiver):
 def _f_invokevirtual(ctx, method, pc, instr):
     counters = ctx.counters
     vm = ctx.vm
-    handlers = ctx.handlers
-    tc = ctx.tc
-    op = instr.op
     owner, name, argc = instr.arg
     nargs = argc + 1
-    cost = INTERP_COST[op]
+    cost = INTERP_COST[Op.INVOKEVIRTUAL]
     next_pc = pc + 1
+    ic_class = ic_target = None     # inline cache: first receiver class
 
-    def make_spec(ic_class, ic_target):
-        def spec(thread, frame, stack, locals_):
-            counters.instructions += 1
-            counters.method += 1
-            args = stack[len(stack) - nargs:]
-            del stack[len(stack) - nargs:]
-            receiver = args[0]
-            if receiver is None:
-                raise GuestNullPointerError(f"invoke {name} on null")
-            jclass = receiver.jclass
-            target = ic_target if jclass is ic_class \
-                else jclass.resolve_method(name)
-            _profile_receiver(method, pc, receiver)
-            frame.pc = next_pc
-            vm.call(thread, target, args)
-            thread.budget -= cost
-            counters.reference_cycles += cost
-            return False
-        return spec
-
-    def generic(thread, frame, stack, locals_):
+    def h(thread, frame, stack, locals_):
+        nonlocal ic_class, ic_target
         counters.instructions += 1
         counters.method += 1
         args = stack[len(stack) - nargs:]
@@ -876,121 +745,60 @@ def _f_invokevirtual(ctx, method, pc, instr):
         receiver = args[0]
         if receiver is None:
             raise GuestNullPointerError(f"invoke {name} on null")
-        target = receiver.jclass.resolve_method(name)
-        if handlers[pc] is generic:     # monomorphic inline cache
-            handlers[pc] = make_spec(receiver.jclass, target)
-            tc.quickened += 1
+        jclass = receiver.jclass
+        if jclass is ic_class:
+            target = ic_target
+        else:
+            target = jclass.resolve_method(name)
+            if ic_class is None:
+                ic_class, ic_target = jclass, target
         _profile_receiver(method, pc, receiver)
         frame.pc = next_pc
         vm.call(thread, target, args)
         thread.budget -= cost
         counters.reference_cycles += cost
         return False
-    return generic
+    return h
 
 
-def _f_invokestatic(ctx, method, pc, instr):
+def _f_invoke_direct(ctx, method, pc, instr):
+    """INVOKESTATIC and INVOKESPECIAL: the instruction names the callee,
+    so the site resolves it once."""
     counters = ctx.counters
     vm = ctx.vm
-    handlers = ctx.handlers
-    tc = ctx.tc
     owner, name, argc = instr.arg
-    cost = INTERP_COST[Op.INVOKESTATIC]
+    special = instr.op is Op.INVOKESPECIAL
+    nargs = argc + 1 if special else argc
+    cost = INTERP_COST[instr.op]
     next_pc = pc + 1
+    target = None           # the resolved callee, on first use
 
-    def make_spec(target):
-        def spec(thread, frame, stack, locals_):
-            counters.instructions += 1
-            args = stack[len(stack) - argc:]
-            del stack[len(stack) - argc:]
-            frame.pc = next_pc
-            vm.call(thread, target, args)
-            thread.budget -= cost
-            counters.reference_cycles += cost
-            return False
-        return spec
-
-    def generic(thread, frame, stack, locals_):
-        counters.instructions += 1
-        args = stack[len(stack) - argc:]
-        del stack[len(stack) - argc:]
-        target = vm.resolve_static(owner, name)
-        if handlers[pc] is generic:
-            handlers[pc] = make_spec(target)
-            tc.quickened += 1
-        frame.pc = next_pc
-        vm.call(thread, target, args)
-        thread.budget -= cost
-        counters.reference_cycles += cost
-        return False
-    return generic
-
-
-def _f_invokespecial(ctx, method, pc, instr):
-    counters = ctx.counters
-    vm = ctx.vm
-    handlers = ctx.handlers
-    tc = ctx.tc
-    owner, name, argc = instr.arg
-    nargs = argc + 1
-    cost = INTERP_COST[Op.INVOKESPECIAL]
-    next_pc = pc + 1
-
-    def make_spec(target):
-        def spec(thread, frame, stack, locals_):
-            counters.instructions += 1
-            args = stack[len(stack) - nargs:]
-            del stack[len(stack) - nargs:]
-            frame.pc = next_pc
-            vm.call(thread, target, args)
-            thread.budget -= cost
-            counters.reference_cycles += cost
-            return False
-        return spec
-
-    def generic(thread, frame, stack, locals_):
+    def h(thread, frame, stack, locals_):
+        nonlocal target
         counters.instructions += 1
         args = stack[len(stack) - nargs:]
         del stack[len(stack) - nargs:]
-        target = vm.resolve_class(owner).resolve_method(name)
-        if handlers[pc] is generic:
-            handlers[pc] = make_spec(target)
-            tc.quickened += 1
+        if target is None:
+            target = vm.resolve_class(owner).resolve_method(name) \
+                if special else vm.resolve_static(owner, name)
         frame.pc = next_pc
         vm.call(thread, target, args)
         thread.budget -= cost
         counters.reference_cycles += cost
         return False
-    return generic
+    return h
 
 
 def _f_invokedynamic(ctx, method, pc, instr):
     counters = ctx.counters
     vm = ctx.vm
-    handlers = ctx.handlers
-    tc = ctx.tc
     owner, lambda_name, captured_count = instr.arg
     cost = INTERP_COST[Op.INVOKEDYNAMIC]
     next_pc = pc + 1
+    target = None           # the resolved lambda body, on first use
 
-    def make_spec(target):
-        def spec(thread, frame, stack, locals_):
-            counters.instructions += 1
-            counters.idynamic += 1
-            counters.method += 1
-            if captured_count:
-                captured = stack[len(stack) - captured_count:]
-                del stack[len(stack) - captured_count:]
-            else:
-                captured = []
-            frame.pc = next_pc
-            stack.append(vm.make_function(target, captured))
-            thread.budget -= cost
-            counters.reference_cycles += cost
-            return False
-        return spec
-
-    def generic(thread, frame, stack, locals_):
+    def h(thread, frame, stack, locals_):
+        nonlocal target
         counters.instructions += 1
         counters.idynamic += 1
         counters.method += 1
@@ -1000,15 +808,13 @@ def _f_invokedynamic(ctx, method, pc, instr):
         else:
             captured = []
         frame.pc = next_pc
-        target = vm.resolve_static(owner, lambda_name)
-        if handlers[pc] is generic:
-            handlers[pc] = make_spec(target)
-            tc.quickened += 1
+        if target is None:
+            target = vm.resolve_static(owner, lambda_name)
         stack.append(vm.make_function(target, captured))
         thread.budget -= cost
         counters.reference_cycles += cost
         return False
-    return generic
+    return h
 
 
 def _f_invokehandle(ctx, method, pc, instr):
@@ -1502,16 +1308,16 @@ def _fuse_load_getfield(ctx, method, pc, i1, i2):
     counters = ctx.counters
     cachemodel = ctx.cachemodel
     san = ctx.san
-    tc = ctx.tc
     slot1 = i1.arg
     name = i2.arg
     c1 = INTERP_COST[Op.LOAD]
     c2 = INTERP_COST[Op.GETFIELD]
     pc1 = pc + 1
     pc2 = pc + 2
-    ic = [None, 0]      # inline cache: receiver class -> field slot
+    ic_class = ic_slot = None   # inline cache: first receiver class, slot
 
     def h(thread, frame, stack, locals_):
+        nonlocal ic_class, ic_slot
         counters.instructions += 1
         frame.pc = pc1
         thread.budget -= c1
@@ -1524,14 +1330,12 @@ def _fuse_load_getfield(ctx, method, pc, i1, i2):
         if obj is None:
             raise GuestNullPointerError(f"getfield {name}")
         jclass = obj.jclass
-        if jclass is ic[0]:
-            slot = ic[1]
+        if jclass is ic_class:
+            slot = ic_slot
         else:
             slot = jclass.field_layout[name]
-            if ic[0] is None:       # quicken the embedded cache once
-                ic[0] = jclass
-                ic[1] = slot
-                tc.quickened += 1
+            if ic_class is None:
+                ic_class, ic_slot = jclass, slot
         cost = c2 + cachemodel.access(thread.core, obj.addr + slot)
         if san is not None:
             san.field_read(thread, obj, name, frame)
@@ -1602,8 +1406,9 @@ _FACTORY = {
     Op.ADD: _f_add,
     Op.SUB: _binop_factory(Op.SUB, operator.sub),
     Op.MUL: _binop_factory(Op.MUL, operator.mul),
-    Op.DIV: _f_div,
-    Op.REM: _f_rem,
+    Op.DIV: _division_factory(Op.DIV, _truediv_int, operator.truediv),
+    Op.REM: _division_factory(Op.REM, _rem_int,
+                              lambda a, b: a - b * int(a / b)),
     Op.NEG: _unop_factory(Op.NEG, operator.neg),
     Op.SHL: _binop_factory(Op.SHL, operator.lshift),
     Op.SHR: _binop_factory(Op.SHR, operator.rshift),
@@ -1629,8 +1434,8 @@ _FACTORY = {
     Op.ALOAD: _f_aload,
     Op.ASTORE: _f_astore,
     Op.ARRAYLEN: _f_arraylen,
-    Op.INVOKESTATIC: _f_invokestatic,
-    Op.INVOKESPECIAL: _f_invokespecial,
+    Op.INVOKESTATIC: _f_invoke_direct,
+    Op.INVOKESPECIAL: _f_invoke_direct,
     Op.INVOKEVIRTUAL: _f_invokevirtual,
     Op.INVOKEDYNAMIC: _f_invokedynamic,
     Op.INVOKEHANDLE: _f_invokehandle,

@@ -3,7 +3,7 @@
 The tier ladder (DESIGN.md §11):
 
 - **reference** — the ``elif`` interpreter, the byte-identical oracle;
-- **threaded** — per-pc handler closures with quickening and fusion
+- **threaded** — per-pc handler closures with inline caches and fusion
   (:mod:`repro.jvm.threaded`, ~4.4x);
 - **tier1** (this module) — hot methods are additionally compiled by
   :mod:`repro.jit.emit` into one Python function per superblock, with

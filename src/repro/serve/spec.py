@@ -29,6 +29,10 @@ from repro.harness.durable import SweepUnit, unit_digest
 from repro.harness.store import canonical_digest
 from repro.runtime.vm import TIER_LADDERS
 
+#: Most units one job may expand to: the service expands a spec on its
+#: event loop, so the cap bounds what one ``POST /jobs`` can cost.
+MAX_UNITS = 10_000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -71,6 +75,10 @@ class SweepSpec:
             benches = doc["benchmarks"]
             if isinstance(benches, str):
                 benches = [n.strip() for n in benches.split(",") if n.strip()]
+            elif not (isinstance(benches, list)
+                      and all(isinstance(n, str) for n in benches)):
+                raise ServeError(f"benchmarks must be null, a string or a "
+                                 f"list of strings, got {benches!r}")
             doc["benchmarks"] = tuple(benches)
         if doc.get("jit") in ("none", "None"):
             doc["jit"] = None
@@ -106,11 +114,23 @@ class SweepSpec:
     def validate(self) -> None:
         from repro.suites.registry import SUITES
 
+        for name in ("suite", "engine", "jit"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ServeError(f"{name} must be a string or null, "
+                                 f"got {value!r}")
+        for name in ("sanitize", "verify_ir"):
+            if not isinstance(getattr(self, name), bool):
+                raise ServeError(f"{name} must be a bool, "
+                                 f"got {getattr(self, name)!r}")
         if self.suite not in SUITES:
             raise ServeError(f"unknown suite {self.suite!r}; have {SUITES}")
         if self.engine not in TIER_LADDERS:
             raise ServeError(f"unknown engine {self.engine!r}; "
                              f"have {tuple(TIER_LADDERS)}")
+        if self.jit not in ("graal", "c2", None):
+            raise ServeError(f"unknown jit {self.jit!r}; "
+                             "have 'graal', 'c2' or null")
         if not isinstance(self.repeat, int) or self.repeat < 1:
             raise ServeError(f"repeat must be a positive int, "
                              f"got {self.repeat!r}")
@@ -124,9 +144,14 @@ class SweepSpec:
                                       or value < 0):
                 raise ServeError(f"{name} must be a non-negative int "
                                  f"or null, got {value!r}")
+        if self.cores < 1:
+            raise ServeError(f"cores must be >= 1, got {self.cores}")
         if self.max_concurrency == 0:
             raise ServeError("max_concurrency must be >= 1 or null")
-        self.resolve()                # unknown benchmark names raise here
+        units = self.repeat * len(self.resolve())   # unknown names raise
+        if units > MAX_UNITS:
+            raise ServeError(f"spec expands to {units} units; a job may "
+                             f"have at most {MAX_UNITS}")
 
     def resolve(self) -> tuple:
         """The GuestBenchmark list this spec covers, in sweep order."""

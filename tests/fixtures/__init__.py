@@ -1,4 +1,4 @@
-"""Sanitizer fixture workloads.
+"""Fixture workloads for the sanitizer and the engine-equivalence tests.
 
 Small guest programs with *known* concurrency defects, used to prove the
 sanitizer detects what it claims to detect:
@@ -13,6 +13,15 @@ sanitizer detects what it claims to detect:
   lock-order cycle — exactly the latent bug the static pass exists for.
 - :data:`GUARDED_BENCHMARK` — the same counter done right (synchronized
   methods), as the clean control for the race fixture.
+
+One more program has no defect; it drives every inline-caching opcode:
+
+- :data:`POLYMORPHIC_BENCHMARK` — two ``getfield`` sites (one standalone,
+  one fused with its ``load``), a ``putfield`` and an ``invokevirtual``
+  site each see two receiver classes, so the engines' monomorphic
+  caches miss and take their fallback paths.
+
+:data:`FIXTURES` lists all four; the engine tests parametrize over it.
 """
 
 from repro.harness.core import GuestBenchmark
@@ -184,3 +193,73 @@ GUARDED_BENCHMARK = GuestBenchmark(
     warmup=0,
     measure=1,
 )
+
+
+POLYMORPHIC_SOURCE = r"""
+class Shape {
+    def weight() { return 1; }
+}
+
+class Dot extends Shape {
+    var v;
+    def init(v) { this.v = v; }
+}
+
+class Box extends Shape {
+    var pad;
+    var v;                              // a different slot than Dot.v
+    def init(v) { this.pad = v * 3; this.v = v; }
+    def weight() { return this.pad; }   // overrides Shape.weight
+}
+
+class Poly {
+    static var total = 0;
+
+    static def twice(x) { return x * 2; }
+
+    // Every site here sees both a Box and a Dot.
+    static def step(c, i) {
+        c.v = c.v + i;
+        return c.weight() + c.v;
+    }
+}
+
+class Bench {
+    static def run(n) {
+        var dot = new Dot(1);
+        var box = new Box(2);
+        var acc = 0;
+        var i = 0;
+        while (i < n) {
+            var c = dot;
+            if (i % 3 == 0) { c = box; }
+            acc = acc + Poly.step(c, i);
+            var t = new Dot(i);
+            Poly.total = Poly.total + t.v;
+            var f = fun (x) { return x + i; };
+            acc = acc + f(Poly.twice(i));
+            i = i + 1;
+        }
+        return acc + Poly.total + dot.v + box.v;
+    }
+}
+"""
+
+#: Polymorphic field and call sites next to every other site that
+#: caches a resolution (``new``, statics, static/special/lambda
+#: invokes).  Box reaches ``Poly.step`` first, so each cache holds Box
+#: and every Dot takes the miss path.
+POLYMORPHIC_BENCHMARK = GuestBenchmark(
+    name="fixture-polymorphic",
+    suite="fixtures",
+    source=POLYMORPHIC_SOURCE,
+    description="Two receiver classes through one field and call site",
+    focus="inline-cache misses",
+    args=(60,),
+    expected=None,
+    warmup=0,
+    measure=1,
+)
+
+FIXTURES = (RACE_BENCHMARK, GUARDED_BENCHMARK, LOCK_CYCLE_BENCHMARK,
+            POLYMORPHIC_BENCHMARK)

@@ -25,6 +25,7 @@ from repro.errors import ServeError
 from repro.faults.resilience import run_suite
 from repro.harness.config import SweepConfig
 from repro.harness.durable import DurableSweep
+from repro.harness.journal import Journal
 from repro.serve.client import ServeClient
 from repro.serve.spec import SweepSpec
 from repro.serve.testing import ServiceThread
@@ -91,10 +92,41 @@ def test_spec_validation():
             SweepSpec.from_dict(bad)
     # "none" normalizes to the interpreter config, like the CLI.
     assert SweepSpec.from_dict({"jit": "none"}).jit is None
+    # A spec may not expand to more units than one job may hold.
+    with pytest.raises(ServeError, match="at most"):
+        SweepSpec.from_dict({"repeat": 10**6})
     # Wire round-trip is lossless.
     spec = SweepSpec.from_dict(dict(SPEC))
     assert SweepSpec.from_dict(spec.to_dict()) == spec
     assert spec.digest() == SweepSpec.from_dict(spec.to_dict()).digest()
+
+
+#: Bodies that are JSON objects but not runnable specs: wrong types
+#: (which used to escape validation as a 500), values every unit would
+#: fail on, and a job too large to expand.
+UNRUNNABLE_SPECS = (
+    {"benchmarks": 5},
+    {"benchmarks": ["scrabble", 7]},
+    {"engine": ["x"]},
+    {"suite": {"a": 1}},
+    {"jit": 3},
+    {"sanitize": "yes"},
+    {"verify_ir": 1},
+    {"cores": 0},
+    {"jit": "bogus"},
+    {"repeat": 1_000_000_000},
+)
+
+
+def test_unrunnable_specs_are_refused_with_400(tmp_path):
+    with ServiceThread(str(tmp_path)) as svc:
+        client = svc.client()
+        for bad in UNRUNNABLE_SPECS:
+            with pytest.raises(ServeError, match="-> 400"):
+                client.submit(bad)
+        assert client.jobs() == []
+    records = Journal(str(tmp_path / "serve.wal")).replay().records
+    assert not [r for r in records if r["kind"] == "job-submit"]
 
 
 # ----------------------------------------------------------------------

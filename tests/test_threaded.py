@@ -6,7 +6,9 @@ observable behavior*: same results, same counter snapshots, same
 simulated clock, same stdout, same sanitizer race reports — under any
 quantum, core count, seed, and JIT configuration.  These tests pin that
 contract across the sanitizer fixtures and a representative registry
-slice, plus the quickening/translation-cache mechanics.
+slice, plus the translation-cache mechanics and the rule that makes
+inline caches safe to share: a translation's handler table never
+changes once it is built (each site's cache fills in place).
 """
 
 from __future__ import annotations
@@ -21,16 +23,14 @@ from repro.sanitize.plugin import build_report
 from repro.suites.registry import get_benchmark
 from tests import util
 from tests.fixtures import (
+    FIXTURES,
     GUARDED_BENCHMARK,
-    LOCK_CYCLE_BENCHMARK,
     RACE_BENCHMARK,
 )
 
 #: Registry slice for engine-equivalence sweeps: one representative per
 #: concurrency archetype (strings, locks, fork-join, functional alloc).
 EQUIV_SLICE = ("scrabble", "philosophers", "fj-kmeans", "streams-mnemonics")
-
-FIXTURES = (RACE_BENCHMARK, GUARDED_BENCHMARK, LOCK_CYCLE_BENCHMARK)
 
 assert_equivalent = functools.partial(util.assert_equivalent,
                                       engines=("threaded",))
@@ -122,7 +122,7 @@ def test_bad_engine_spec_rejected():
 
 
 # ----------------------------------------------------------------------
-# Translation cache, quickening and invalidation.
+# Translation cache, immutable handler tables and invalidation.
 # ----------------------------------------------------------------------
 def make_loaded_vm(bench=None, **kwargs):
     bench = bench if bench is not None else GUARDED_BENCHMARK
@@ -145,13 +145,67 @@ def test_translation_cache_hits_on_reexecution():
     assert 0.0 < info2["hit_rate"] <= 1.0
 
 
-def test_quickening_and_fusion_happen():
+def test_fusion_happens():
     vm, bench = make_loaded_vm(get_benchmark("scrabble"))
     vm.invoke(bench.entry, list(bench.args))
-    info = vm.interpreter.cache_info()
-    # Field accesses and invokes quicken; straight-line pairs fuse.
-    assert info["quickened"] > 0
-    assert info["fused"] > 0
+    # Straight-line pairs fuse into superinstructions.
+    assert vm.interpreter.cache_info()["fused"] > 0
+
+
+def _same_handlers(got, want) -> bool:
+    return len(got) == len(want) and all(
+        a is b for a, b in zip(got, want))
+
+
+def test_handler_tables_never_change():
+    # Inline caches fill in closure cells: running a method leaves its
+    # translation's handler list element-wise identical to the list
+    # _translate built.
+    vm, bench = make_loaded_vm(get_benchmark("scrabble"))
+    engine = vm.interpreter
+    built = {}
+    translate = engine._translate
+
+    def recording(method):
+        tc = translate(method)
+        built[method] = list(tc.handlers)
+        return tc
+
+    engine._translate = recording
+    vm.invoke(bench.entry, list(bench.args))
+    assert built
+    for method, handlers in built.items():
+        assert _same_handlers(engine.translation(method).handlers,
+                              handlers), method.qualified
+
+
+def test_tier1_dispatch_shares_translation_handlers():
+    # Tier-1's merged dispatch copies handler references at promotion;
+    # every slot that is not a compiled block entry must stay the very
+    # handler the translation runs, so a site whose cache fills after
+    # promotion never resolves again on every execution there.
+    bench = get_benchmark("als")
+    vm = VM(engine="tier1", jit="graal")
+    engine = vm.interpreter
+    entries = {}
+    promote = engine._promote
+
+    def recording(method):
+        code = promote(method)
+        if code is not None:
+            entries[method] = code.entries
+        return code
+
+    engine._promote = recording
+    vm.load(bench.compile())
+    for _ in range(2):                  # one warmup, one measured run
+        vm.invoke(bench.entry, list(bench.args))
+    assert engine._dispatch
+    for method, dispatch in engine._dispatch.items():
+        handlers = engine.translation(method).handlers
+        want = [entry if entry is not None else handler
+                for entry, handler in zip(entries[method], handlers)]
+        assert _same_handlers(dispatch, want), method.qualified
 
 
 def test_drop_host_code_mid_run_is_invisible():

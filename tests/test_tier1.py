@@ -23,16 +23,13 @@ from repro.sanitize.plugin import build_report
 from repro.suites.registry import get_benchmark
 from tests import util
 from tests.fixtures import (
-    GUARDED_BENCHMARK,
-    LOCK_CYCLE_BENCHMARK,
+    FIXTURES,
     RACE_BENCHMARK,
 )
 
 #: Registry slice for engine-equivalence sweeps: one representative per
 #: concurrency archetype (strings, locks, fork-join, functional alloc).
 EQUIV_SLICE = ("scrabble", "philosophers", "fj-kmeans", "streams-mnemonics")
-
-FIXTURES = (RACE_BENCHMARK, GUARDED_BENCHMARK, LOCK_CYCLE_BENCHMARK)
 
 #: tests/test_threaded.py pins the threaded engine against the same
 #: reference runs (same benchmarks and knobs), so only tier1 is new here.

@@ -27,18 +27,12 @@ from repro.runtime import VM
 from repro.sanitize.plugin import build_report
 from repro.suites.registry import get_benchmark
 from tests import util
-from tests.fixtures import (
-    GUARDED_BENCHMARK,
-    LOCK_CYCLE_BENCHMARK,
-    RACE_BENCHMARK,
-)
+from tests.fixtures import FIXTURES
 
 #: Registry slice for jitted four-way equivalence: one string workload,
 #: one fork-join, and both benchmarks added alongside this engine
 #: (par-mnemonics is the DS-soundness regression workload).
 JIT_SLICE = ("scrabble", "fj-kmeans", "par-mnemonics", "scala-kmeans")
-
-FIXTURES = (RACE_BENCHMARK, GUARDED_BENCHMARK, LOCK_CYCLE_BENCHMARK)
 
 assert_equivalent = functools.partial(
     util.assert_equivalent, engines=("threaded", "tier1", "tier2"),
