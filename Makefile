@@ -63,11 +63,13 @@ tier1:
 
 # Tier-2 engine focus: the three-tier-ladder test suite (equivalence
 # oracle, budget-exit fuzz, interpreted resumes, rematerialization),
-# plus the interpretive Machine that parked tier-2 frames resume on and
-# the verifier and mutation corpus shared with tier 1.
+# plus the interpretive Machine that parked tier-2 frames resume on, the
+# concurrency-op tests (tier-2 blocks stop before every monitor, park
+# and wait/notify, so under tier-2 those always run on that Machine)
+# and the verifier and mutation corpus shared with tier 1.
 tier2:
 	PYTHONPATH=src python -m pytest -q tests/test_tier2.py tests/test_machine.py \
-		tests/test_irverify.py
+		tests/jit/test_machine_ops.py tests/test_irverify.py
 
 # Guest-JIT focus: IR, phases, lowering, the interpretive Machine and
 # deoptimization (tests/jit/), plus the IR verifier and mutation corpus

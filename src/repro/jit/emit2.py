@@ -6,14 +6,14 @@ guard motion, vectorization, atomic coalescing) produces
 interpretive :class:`~repro.jit.machine.Machine` runs one instruction
 at a time, dispatching on each instruction's kind and accounting for
 it.  This module removes that per-instruction work: it lowers the
-already-optimized machine code into one Python
-function per *superblock* (a straight-line region of machine
-instructions, fused through fall-through jumps and branches, extended
-until a call/terminator or the region cap), generated and ``exec``'d
-the first time a frame enters it.  Inside a block there is no dispatch:
-values flow through ``regs`` (compiled code is already in register form
-— no operand stack), and the per-instruction bookkeeping of the
-interpretive machine is batched into the block's exit points.
+already-optimized machine code into one Python function per
+*superblock* (a straight-line region of machine instructions, fused
+through fall-through jumps and branches, extended until a
+call/terminator, a scheduler op or the region cap), generated and
+``exec``'d the first time a frame enters it.  Inside a block there is
+no dispatch: values flow through ``regs`` (compiled code is already in
+register form — no operand stack), and the per-instruction bookkeeping
+of the interpretive machine is batched into the block's exit points.
 
 Byte-identity against :meth:`Machine.run_frame` is the contract.  The
 interpretive machine executes, per instruction: ``budget > 0`` check,
@@ -26,15 +26,15 @@ state only at exits:
 - the running budget comparison is folded to ``budget <= CUM_k`` where
   ``CUM_k`` is the compile-time sum of the constant costs of the
   block's first ``k`` ops; dynamic costs (cache penalties, allocation
-  words, the variable monitor-coarsening costs) decrement the local
-  ``budget`` as they occur, keeping the comparison exact;
+  words) decrement the local ``budget`` as they occur, keeping the
+  comparison exact;
 - every exit stores ``thread.budget = budget - CUM``, bumps
   ``instructions``/``reference_cycles`` by compile-time constants (plus
   ``b0 - budget`` for accumulated dynamic cycles) and sets ``frame.pc``
   to the exact machine-code index;
 - ops the machine can raise from (null/bounds/zero/cast checks, guard
-  deopts, heap pressure, scheduler misuse) flush *before* raising with
-  the faulting instruction counted but not charged;
+  deopts, heap pressure) flush *before* raising with the faulting
+  instruction counted but not charged;
 - a branch back to the block's own leader loops in place (``while
   True``), which is where the tier pays off: a vectorized or unrolled
   hot loop becomes one native Python loop.
@@ -42,28 +42,30 @@ state only at exits:
 That exit protocol is written once, in :class:`_BlockWriter`; tier-1's
 bytecode emitter (:mod:`repro.jit.emit`) subclasses it too.
 
-Unlike tier-1 (:mod:`repro.jit.emit`), scheduler ops are compiled too:
-the machine's own semantics for monitors/park/wait are replicated
-inline, with contended acquisition parking ``frame.pc`` on the
-``monitorenter`` (a registered entry) for re-execution once granted.
+Both host tiers follow one bail rule: a block never contains a
+scheduler op (monitors, park/unpark, wait/notify).  The region ends
+before it, the frame runs the op on the engine below (tier-1's threaded
+handlers; here the interpretive :class:`~repro.jit.machine.Machine`),
+and compiled code takes over again at the leader after it.
 
 Guard failures take the *guest* deopt path —
 :func:`repro.jit.deopt.deoptimize` rematerializes interpreter frames
 from FrameState/VirtualObjectState recipes exactly as the interpretive
 machine would, falling back to the tier-1/threaded bytecode ladder at
-the exact bytecode index.  Faults inside a block (heap pressure,
-scheduler misuse, an injected fault) flush and re-raise, exactly as the
-interpretive machine raises them.
+the exact bytecode index.  Faults inside a block (heap pressure, an
+injected fault) flush and re-raise, exactly as the interpretive machine
+raises them.
 
 Emission is on demand: :func:`compile_tier2` only validates, and
 :func:`extend_tier2` emits a block when a frame first arrives at its
 region leader, so code no frame reaches is never compiled.  Blocks
-exist at static leaders only (control-flow targets, resume points,
-monitors and cap-split continuations).  A frame parked anywhere else —
-a budget boundary inside a block, a slice that ended on the
-interpretive machine — runs interpreted over :attr:`Tier2Code.stops`
-up to the next leader, so a hot loop enters tier-2 mid-run at its loop
-header without waiting for a fresh invocation.
+exist at static leaders only (control-flow targets, the pc after every
+call and scheduler op, cap-split continuations).  A frame anywhere
+else — on a scheduler op, at a budget boundary inside a block, after a
+slice that ended on the interpretive machine — runs interpreted over
+:attr:`Tier2Code.stops` up to the next leader, so a hot loop enters
+tier-2 mid-run at its loop header without waiting for a fresh
+invocation.
 """
 
 from __future__ import annotations
@@ -92,19 +94,21 @@ MAX_BLOCK_OPS = 64
 _STOP = ("stop", 0)
 
 #: Machine kinds that end a superblock *with* the op (control leaves the
-#: region: a call hand-off, a scheduler suspension, or a return).
-_TERM_KINDS = frozenset({
-    "ret", "callstatic", "callvirtual", "callhandle", "park", "wait",
+#: region: a call hand-off or a return).
+_TERM_KINDS = frozenset({"ret", "callstatic", "callvirtual", "callhandle"})
+
+#: Machine kinds a superblock never contains (the scheduler ops): the
+#: region ends before one, and a frame there runs it interpreted.
+BAIL_KINDS = frozenset({
+    "monitorenter", "monitorexit", "monitorexit_if_held",
+    "park", "unpark", "wait", "notify", "notifyall",
 })
 
 #: Kinds whose cycle cost has a run-time component (cache penalties,
-#: allocation words, coarsening's held-lock fast path); their presence
-#: makes the block track ``b0``.  ``monitorexit`` is dynamic only when
-#: it carries a coarsening plan — see :func:`_is_dynamic`.
+#: allocation words); their presence makes the block track ``b0``.
 _DYN_KINDS = frozenset({
     "getfield", "putfield", "aload", "astore", "new", "newarray",
-    "cas", "atomicget", "atomicadd", "monitorenter",
-    "monitorexit_if_held",
+    "cas", "atomicget", "atomicadd",
 })
 
 _BINOPS = {
@@ -115,38 +119,17 @@ _BINOPS = {
 _CMP_SYMS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 _GUARD_TESTS = frozenset({"nonnull", "bounds", "bounds_range", "type"})
 
-#: Every machine kind the emitter compiles.  A method containing any
-#: other kind is declined whole — the interpretive machine raises the
-#: same ``VMError`` it always did, so behaviour is unchanged.
-_SUPPORTED = frozenset({
+#: Every machine kind a tier-2 method may contain.  A method containing
+#: any other kind is declined whole — the interpretive machine raises
+#: the same ``VMError`` it always did, so behaviour is unchanged.
+_SUPPORTED = BAIL_KINDS | {
     "add", "sub", "mul", "div", "rem", "shl", "shr", "and", "or", "xor",
     "neg", "not", "i2d", "d2i", "cmp", "cmpz", "branch", "jump",
     "phimove", "getfield", "putfield", "aload", "astore", "arraylen",
     "guard", "new", "newarray", "instanceof", "checkcast", "getstatic",
     "putstatic", "callstatic", "callvirtual", "indy", "callhandle",
-    "monitorenter", "monitorexit", "monitorexit_if_held", "cas",
-    "atomicget", "atomicadd", "park", "unpark", "wait", "notify",
-    "notifyall", "ret",
-})
-
-
-def _is_dynamic(instr) -> bool:
-    kind = instr[0]
-    if kind in _DYN_KINDS:
-        return True
-    return kind == "monitorexit" and instr[3] is not None
-
-
-def _const_cost(instr) -> int:
-    """The portion of ``instr``'s cost folded into compile-time prefix
-    sums.  Variable-cost monitor ops charge the local ``budget`` at run
-    time instead (held-chunk fast path costs 1, a real release 18/20)."""
-    kind = instr[0]
-    if kind == "monitorenter" or kind == "monitorexit_if_held":
-        return 0
-    if kind == "monitorexit" and instr[3] is not None:
-        return 0
-    return instr[1]
+    "cas", "atomicget", "atomicadd", "ret",
+}
 
 
 class Tier2Code:
@@ -155,10 +138,11 @@ class Tier2Code:
     ``entries`` is indexed by machine pc and starts out all ``None``:
     :func:`extend_tier2` fills a leader's slot the first time a frame
     arrives there.  ``leaders`` is the static region-leader set, closed
-    under cap splits; no other slot is ever filled.  ``stops`` is
-    ``code.instrs`` with every leader slot replaced by ``("stop", 0)``:
-    the interpretive machine runs a frame parked at a non-leader pc
-    over it and stops at the next leader.  ``blocks`` records, per
+    under cap splits; no other slot is ever filled, and no leader holds
+    a bail kind.  ``stops`` is ``code.instrs`` with every leader slot
+    replaced by ``("stop", 0)``: the interpretive machine runs a frame
+    at a non-leader pc — a scheduler op, a budget boundary — over it
+    and stops at the next leader.  ``blocks`` records, per
     emitted block, the compile-time ground truth
     ``(leader, sites, cum, end_pc, kind, self_loop)`` that
     :mod:`repro.sanitize.blockverify` re-derives independently, and
@@ -275,7 +259,7 @@ class _BlockWriter:
         raise NotImplementedError
 
     def const_cost(self, instr) -> int:
-        """The part of ``instr``'s cost folded into ``cum``."""
+        """``instr``'s constant cost, folded into ``cum``."""
         raise NotImplementedError
 
     def spill(self) -> list:
@@ -306,8 +290,8 @@ class _BlockWriter:
         # in ``budget`` itself (their constant cost was subtracted at
         # each loop-around), so ``b0 - budget`` recovers their constant
         # and dynamic cycles together.  Dynamic cycles can accrue even
-        # when the constant prefix is zero (tier-2's monitor ops fold
-        # constant 0): always recover them from the local-budget delta.
+        # when nothing constant is charged (a raise at the first op):
+        # always recover them from the local-budget delta.
         if self.self_loop:
             parts.append(f"_ct.instructions += _ai + {counted}"
                          if counted else "_ct.instructions += _ai")
@@ -360,9 +344,9 @@ class _BlockWriter:
     def guard_host(self, pc: int, stmts, depth: int = 0,
                    reason: str = "fault") -> None:
         """Wrap host calls that can raise mid-block (heap pressure, an
-        injected fault, scheduler misuse, resolution): the engine
-        raises with the instruction counted and nothing charged, so the
-        handler flushes exactly that."""
+        injected fault, resolution): the engine raises with the
+        instruction counted and nothing charged, so the handler flushes
+        exactly that."""
         self.emit("try:", depth)
         for stmt in stmts:
             self.emit(stmt, depth + 1)
@@ -570,8 +554,8 @@ class _BlockWriter:
             self.k += 1
             self.cum += self.const_cost(instr)
         else:
-            # The region ran off its end (the cap, or a tier-1 bail op):
-            # park the pc there; the driver resumes it next.
+            # The region ran off its end (the cap, or a bail op): park
+            # the pc there; the driver resumes it next.
             self.flush(self.end_pc)
             self.emit("return True")
         name = f"{self.PREFIX}{self.leader}"
@@ -598,15 +582,13 @@ class _Block2Emitter(_BlockWriter):
     PREFIX = "_m"
     PARAMS = "thread, frame"
     DEFAULTS = (
-        "_ct=_ct", "_vm=_vm", "_heap=_heap", "_sched=_sched",
-        "_gs=_gs", "_l1=_l1", "_cmiss=_cmiss", "_alloc=_alloc",
-        "_GAE=_GAE", "_GNPE=_GNPE", "_GBE=_GBE", "_GCE=_GCE",
-        "_IE=_IE", "_dp=_dp",
+        "_ct=_ct", "_vm=_vm", "_heap=_heap", "_gs=_gs", "_l1=_l1",
+        "_cmiss=_cmiss", "_alloc=_alloc", "_GAE=_GAE", "_GNPE=_GNPE",
+        "_GBE=_GBE", "_GCE=_GCE", "_IE=_IE", "_dp=_dp",
         "_deoptimize=_deoptimize", "_cg=_cg", "_tcas=_tcas",
         "_Frame=_Frame", "_machine=_machine", "_jit=_jit",
-        "_gto=_gto", "_mkfn=_mkfn", "_type=type", "_len=len",
-        "_float=float", "_int=int", "_isin=isinstance", "_abs=abs",
-        "_list=list",
+        "_mkfn=_mkfn", "_type=type", "_len=len", "_float=float",
+        "_int=int", "_isin=isinstance", "_abs=abs", "_list=list",
     )
     PROLOGUE = ("regs = frame.regs",)
 
@@ -614,14 +596,16 @@ class _Block2Emitter(_BlockWriter):
                  **flags) -> None:
         super().__init__(
             leader, ops, end_pc, cells,
-            has_dyn=any(_is_dynamic(i) for _, i in ops),
+            has_dyn=any(i[0] in _DYN_KINDS for _, i in ops),
             self_loop=any(
                 (i[0] == "jump" and i[2] == leader)
                 or (i[0] == "branch" and (i[3] == leader or i[4] == leader))
                 for _, i in ops),
             **flags)
 
-    const_cost = staticmethod(_const_cost)
+    @staticmethod
+    def const_cost(instr) -> int:
+        return instr[1]
 
     def load(self, reg: int) -> str:
         t = self.tmp()
@@ -642,7 +626,8 @@ class _Block2Emitter(_BlockWriter):
     # -- per-op emission -----------------------------------------------
     def emit_op(self, pc: int, instr) -> bool:
         """Emit one op; returns False when the block ended (terminator
-        or call hand-off) and emission must stop."""
+        or call hand-off) and emission must stop.  Bail kinds never get
+        here: :func:`_scan2` ends the region before them."""
         kind = instr[0]
         cost = instr[1]
 
@@ -855,68 +840,6 @@ class _Block2Emitter(_BlockWriter):
                 self.emit(f"{args} += [{tail[2:]}]")
             self.call_exit(pc, cost, instr[2], tgt, args)
             return False
-        elif kind == "monitorenter":
-            self.emit("_ct.synch += 1")
-            obj = self.load(instr[2])
-            self.null_check(obj, pc, "monitorenter")
-            coarsen = instr[3]
-            acq = self.tmp()
-            depth = 0
-            if coarsen is not None:
-                held = self.tmp()
-                self.emit(f"{held} = frame.coarsen_held")
-                self.emit(f"if {held} is not None and "
-                          f"{coarsen[1]} in {held}:")
-                self.emit("budget -= 1", 1)   # still held from last chunk
-                self.emit("else:")
-                depth = 1
-            self.guard_host(
-                pc, [f"{acq} = _sched.monitor_enter(thread, {obj})"],
-                depth=depth)
-            self.emit(f"if {acq}:", depth)
-            self.emit(f"budget -= {cost}", depth + 1)
-            self.emit("else:", depth)
-            self.emit("_ct.monitor_contended += 1", depth + 1)
-            self.emit(f"budget -= {cost}", depth + 1)
-            # Re-execute this pc once granted: it is a registered entry.
-            self.flush(pc, depth + 1, count_extra=1)
-            self.emit("return False", depth + 1)
-        elif kind == "monitorexit":
-            obj = self.load(instr[2])
-            coarsen = instr[3]
-            if coarsen is None:
-                self.guard_host(
-                    pc, [f"_sched.monitor_exit(thread, {obj})"])
-            else:
-                _, site, chunk = coarsen
-                counts = self.tmp()
-                self.emit(f"{counts} = frame.coarsen_counts")
-                self.emit(f"if {counts} is None:")
-                self.emit(f"{counts} = frame.coarsen_counts = {{}}", 1)
-                self.emit("frame.coarsen_held = {}", 1)
-                nth = self.tmp()
-                self.emit(f"{nth} = {counts}.get({site}, 0) + 1")
-                self.emit(f"{counts}[{site}] = {nth}")
-                self.emit(f"if {nth} % {chunk} != 0:")
-                self.emit(f"frame.coarsen_held[{site}] = {obj}", 1)
-                self.emit("budget -= 1", 1)   # keep holding this chunk
-                self.emit("else:")
-                self.emit(f"frame.coarsen_held.pop({site}, None)", 1)
-                self.guard_host(
-                    pc, [f"_sched.monitor_exit(thread, {obj})"], depth=1)
-                self.emit(f"budget -= {cost}", 1)
-        elif kind == "monitorexit_if_held":
-            site = instr[3][1]
-            held = self.tmp()
-            self.emit(f"{held} = frame.coarsen_held")
-            self.emit(f"if {held} is not None and {site} in {held}:")
-            obj = self.tmp()
-            self.emit(f"{obj} = {held}.pop({site})", 1)
-            self.guard_host(pc, [f"_sched.monitor_exit(thread, {obj})"],
-                            depth=1)
-            self.emit("budget -= 18", 1)      # drained: a real release
-            self.emit("else:")
-            self.emit(f"budget -= {cost}", 1)
         elif kind == "cas":
             obj = self.load(instr[3])
             slot = self.field_slot(obj, instr[4], pc, "cas", atomic=True)
@@ -933,33 +856,6 @@ class _Block2Emitter(_BlockWriter):
                                    atomic=True)
             old = self.atomic_add(obj, slot, f"regs[{instr[5]}]")
             self.emit(f"regs[{instr[2]}] = {old}")
-        elif kind == "park":
-            self.emit("_ct.park += 1")
-            self.flush(pc + 1, extra_cost=cost, count_extra=1)
-            self.emit("if _sched.park(thread):")
-            self.emit("return False", 1)
-            self.emit("return True")
-            return False
-        elif kind == "unpark":
-            self.emit("_ct.unpark += 1")
-            self.guard_host(
-                pc,
-                [f"_sched.unpark(_gto(regs[{instr[2]}]))"])
-        elif kind == "wait":
-            self.emit("_ct.wait += 1")
-            obj = self.load(instr[2])
-            self.null_check(obj, pc, "wait")
-            self.flush(pc + 1, extra_cost=cost, count_extra=1)
-            self.emit(f"_sched.monitor_wait(thread, {obj})")
-            self.emit("return False")
-            return False
-        elif kind == "notify" or kind == "notifyall":
-            self.emit("_ct.notify += 1")
-            flag = "True" if kind == "notifyall" else "False"
-            self.guard_host(
-                pc,
-                [f"_sched.monitor_notify(thread, regs[{instr[2]}], "
-                 f"all_waiters={flag})"])
         elif kind == "ret":
             value = f"regs[{instr[2]}]" if instr[2] is not None else "None"
             t = self.tmp()
@@ -977,15 +873,21 @@ def _scan2(instrs, leader: int):
 
     Regions fuse through fall-through jumps and one-armed branches (the
     other arm exits), which is what lets a whole loop body — vectorized,
-    unrolled, coarsened by the pipeline — become one self-looping block.
-    Returns ``(ops, end_pc, kind)`` with ``kind`` in ``"term" | "split"``.
+    unrolled by the pipeline — become one self-looping block.  Returns
+    ``(ops, end_pc, kind)`` with ``kind`` in ``"term" | "bail" |
+    "split"``; ``end_pc`` is the terminator's own pc for "term", the pc
+    the block stops *at* otherwise (a bail kind's, or the cap's).
     """
     ops: list[tuple] = []
     pc = leader
     n = len(instrs)
-    while pc < n and len(ops) < MAX_BLOCK_OPS:
+    while pc < n:
         instr = instrs[pc]
         kind = instr[0]
+        if kind in BAIL_KINDS:            # checked before the cap: a
+            return ops, pc, "bail"        # split never ends on a bail
+        if len(ops) == MAX_BLOCK_OPS:
+            break
         ops.append((pc, instr))
         if kind in _TERM_KINDS:
             return ops, pc, "term"
@@ -1000,10 +902,11 @@ def _scan2(instrs, leader: int):
 
 
 def _leaders2(instrs) -> set[int]:
-    """Static region leaders: entry, control-flow targets, post-call
-    resume points, every ``monitorenter`` (contended acquisition parks
-    the pc there for re-execution once the monitor is granted), and —
-    closing the set — the continuation of every region the cap splits."""
+    """Static region leaders: entry, control-flow targets, the resume
+    point after every call and bail kind, and — closing the set — the
+    continuation of every region the cap splits.  A bail kind's own pc
+    is never a leader (its block would hold no op), not even pc 0 or a
+    branch target."""
     n = len(instrs)
     out = {0}
     for pc, instr in enumerate(instrs):
@@ -1013,12 +916,11 @@ def _leaders2(instrs) -> set[int]:
         elif kind == "branch":
             out.add(instr[3])
             out.add(instr[4])
-        elif kind in ("callstatic", "callvirtual", "callhandle",
-                      "park", "wait"):
+        elif kind in BAIL_KINDS or kind in ("callstatic", "callvirtual",
+                                             "callhandle"):
             out.add(pc + 1)
-        elif kind == "monitorenter":
-            out.add(pc)
-    leaders = {pc for pc in out if pc < n}
+    leaders = {pc for pc in out
+               if pc < n and instrs[pc][0] not in BAIL_KINDS}
     pending = list(leaders)
     while pending:
         _, end_pc, kind = _scan2(instrs, pending.pop())
@@ -1039,8 +941,6 @@ def _validate(instrs) -> bool:
             return False
         if kind == "guard" and instr[3] not in _GUARD_TESTS:
             return False
-        if kind == "monitorexit_if_held" and instr[3] is None:
-            return False
     return True
 
 
@@ -1060,8 +960,7 @@ def compile_tier2(engine, code):
     vm = engine.vm
     trace_cas = vm.trace is not None and vm.trace.cas_on
     env = {
-        "_ct": vm.counters, "_vm": vm, "_heap": vm.heap,
-        "_sched": vm.scheduler, "_gs": guest_str,
+        "_ct": vm.counters, "_vm": vm, "_heap": vm.heap, "_gs": guest_str,
         "_l1": vm.cache.l1_tags, "_cmiss": vm.cache.miss,
         "_alloc": alloc_cost, "_GAE": GuestArithmeticError,
         "_GNPE": GuestNullPointerError, "_GBE": GuestBoundsError,
@@ -1070,8 +969,7 @@ def compile_tier2(engine, code):
         "_cg": vm.counters.count_guard,
         "_tcas": vm.trace if trace_cas else None,
         "_Frame": Frame, "_machine": engine, "_jit": vm.jit,
-        "_gto": vm.guest_thread_of, "_mkfn": vm.make_function,
-    }
+        "_mkfn": vm.make_function}
     return Tier2Code(code, env, vm.jit is not None, trace_cas,
                      vm._fault_calls)
 

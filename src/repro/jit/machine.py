@@ -552,10 +552,10 @@ class Tier2Machine(Machine):
     interpretive machine raises it.  Promotion only validates; entry
     tables start empty and a block is emitted the first time a frame
     arrives at its region leader.  Entries exist at leaders only, as
-    in tier-1: a frame parked anywhere else (a budget boundary
-    mid-block, a slice that ended before promotion) runs on the
-    interpretive machine over :attr:`Tier2Code.stops` up to the next
-    leader, then compiled code takes over.
+    in tier-1: a frame anywhere else (on a scheduler op, at a budget
+    boundary mid-block, after a slice that ended before promotion) runs
+    on the interpretive machine over :attr:`Tier2Code.stops` up to the
+    next leader, then compiled code takes over.
 
     The driver folds :meth:`VM._execute_slice`'s loop for machine
     frames: calls and returns between machine frames stay here, under

@@ -15,15 +15,16 @@ generated source via ``ast``) against that ground truth:
 - **entry legitimacy**: the entry table has exactly one slot per
   instruction, and compiled entries sit exactly on the region leaders
   the code's CFG defines (branch targets, resume points after calls and
-  bails, monitors, cap-split continuations); every other pc resumes on
-  the engine below after a budget exit;
+  scheduler ops, cap-split continuations — never a scheduler op, which
+  both tiers leave to the engine below); every other pc resumes on
+  the engine below;
 - **cost accounting** (one walker, :meth:`_Verifier.check_function`,
-  with each tier's legal constants): every ``budget <= K`` guard,
-  ``thread.budget = budget - K`` flush, ``budget -= K`` fold and
-  ``reference_cycles`` constant must be a prefix sum of the region's
-  costs (or a prefix plus the exiting op's cost); instruction bumps must
-  not exceed the region's op count, and each flush's instruction count
-  must pair with the cycles it charges;
+  with each tier's legal constants from its one cost function): every
+  ``budget <= K`` guard, ``thread.budget = budget - K`` flush,
+  ``budget -= K`` fold and ``reference_cycles`` constant must be a
+  prefix sum of the region's costs; instruction bumps must not exceed
+  the region's op count, and each flush's instruction count must pair
+  with the cycles it charges;
 - **exit state**: every ``raise`` must be preceded (in its statement
   suite) by a budget flush and an in-range ``frame.pc`` assignment, so
   the failure the guest observes carries engine-identical counters;
@@ -111,9 +112,9 @@ class _Accounting(NamedTuple):
 
     cum: list               # cum[k]: constant cost of the first k ops
     guards: frozenset       # ``budget <= K``: a prefix before a body op
-    charges: frozenset      # ``thread.budget = budget - K``: a prefix,
-    #                         or a prefix plus the exiting op's cost
-    folds: frozenset        # local ``budget -= K``
+    charges: frozenset      # ``thread.budget = budget - K`` and local
+    #                         ``budget -= K``: any prefix (an exit
+    #                         charges up to the op it leaves through)
     cycles: frozenset       # ``reference_cycles += K``
     post_call: int | None   # ``thread.budget -= K`` after an ending
     #                         call; a tier charging calls after the call
@@ -121,24 +122,19 @@ class _Accounting(NamedTuple):
     internal: frozenset     # raised names the block catches itself
 
 
-def _accounting(ops, kind: str, const_cost, cost, *, folds=(),
-                post_call: int | None = None,
+def _accounting(ops, kind: str, cost, *, post_call: int | None = None,
                 internal=frozenset()) -> _Accounting:
     """Legal constants of the region ``ops`` (ending as ``kind``):
-    ``const_cost`` is what the emitter folds into prefix sums, ``cost``
-    what an exit charges for the op it leaves through."""
+    ``cost`` is each op's constant cost, summed into the prefixes."""
     cum = [0]
     for _pc, instr in ops:
-        cum.append(cum[-1] + const_cost(instr))
+        cum.append(cum[-1] + cost(instr))
     # A terminator's cost is charged at its exit, never guarded.
     body = len(ops) - 1 if kind == "term" else len(ops)
-    guards = frozenset(cum[:body + 1])
-    charges = guards | {cum[i] + cost(instr)
-                        for i, (_pc, instr) in enumerate(ops)}
-    cycles = charges - {0}
+    cycles = frozenset(cum) - {0}
     if post_call is not None:
         cycles |= {post_call}
-    return _Accounting(cum, guards, charges, charges | set(folds),
+    return _Accounting(cum, frozenset(cum[:body + 1]), frozenset(cum),
                        cycles, post_call, frozenset(internal))
 
 
@@ -223,7 +219,7 @@ class _Verifier:
                         if not arith or not const:
                             continue
                         if target.id == "budget":
-                            if v.value not in acct.folds:
+                            if v.value not in acct.charges:
                                 complain(
                                     f"local budget fold {v.value} is not "
                                     "a cost-model prefix/exit sum")
@@ -304,9 +300,7 @@ class _Verifier:
             # tier-1 call transfer (``return False`` after a ``frame.pc``
             # flush — a popped return frame has none), whose invoke
             # charges its own cost post-call: C == CUM[K-1].  Every
-            # other flush charges exactly the ops it counts, C == CUM[K]
-            # (tier-2's monitors fold a constant 0 and charge at run
-            # time).
+            # other flush charges exactly the ops it counts, C == CUM[K].
             if counted is None or charged is None \
                     or not 1 <= counted <= nops:
                 continue    # range violations are reported above
@@ -517,7 +511,7 @@ class _Tier1Verifier(_Verifier):
                 continue
             # The region-ending invoke charges its own cost post-call.
             self.check_function(fn, leader, _accounting(
-                ops, kind, _t1_cost, _t1_cost,
+                ops, kind, _t1_cost,
                 post_call=_t1_cost(ops[-1][1]) if kind == "term" else None))
         return self.issues
 
@@ -527,49 +521,32 @@ class _Tier1Verifier(_Verifier):
 # ======================================================================
 
 #: Machine kinds that end a tier-2 region with the op included.
-_T2_TERM_KINDS = frozenset({
-    "ret", "callstatic", "callvirtual", "callhandle", "park", "wait",
+_T2_TERM_KINDS = frozenset({"ret", "callstatic", "callvirtual",
+                            "callhandle"})
+#: Machine kinds a tier-2 region stops before: the scheduler ops, which
+#: run on the interpretive machine.
+_T2_BAIL_KINDS = frozenset({
+    "monitorenter", "monitorexit", "monitorexit_if_held",
+    "park", "unpark", "wait", "notify", "notifyall",
 })
 _T2_REGION_CAP = 64
-
-
-def _t2_const_cost(instr) -> int:
-    """The cost portion the tier-2 emitter folds into compile-time
-    prefix sums; variable-cost monitor ops charge at run time."""
-    kind = instr[0]
-    if kind == "monitorenter" or kind == "monitorexit_if_held":
-        return 0
-    if kind == "monitorexit" and instr[3] is not None:
-        return 0
-    return instr[1]
 
 
 def _t2_cost(instr) -> int:
     return instr[1]
 
 
-def _t2_monitor_folds(ops) -> set:
-    """Run-time charges of the variable-cost monitor ops: coarsening's
-    held-chunk fast path (1), a drained chunk's real release (18), or
-    the op's full cost."""
-    folds = set()
-    for _pc, instr in ops:
-        kind = instr[0]
-        if kind == "monitorenter" or (kind == "monitorexit"
-                                      and instr[3] is not None):
-            folds.update((1, instr[1]))
-        elif kind == "monitorexit_if_held":
-            folds.update((18, instr[1]))
-    return folds
-
-
 def _t2_scan(instrs, leader: int):
     ops: list[tuple] = []
     pc = leader
     n = len(instrs)
-    while pc < n and len(ops) < _T2_REGION_CAP:
+    while pc < n:
         instr = instrs[pc]
         kind = instr[0]
+        if kind in _T2_BAIL_KINDS:
+            return ops, pc, "bail"
+        if len(ops) == _T2_REGION_CAP:
+            break
         ops.append((pc, instr))
         if kind in _T2_TERM_KINDS:
             return ops, pc, "term"
@@ -585,8 +562,8 @@ def _t2_scan(instrs, leader: int):
 
 def _t2_leaders(instrs) -> set[int]:
     """Tier-2 region leaders: entry, jump/branch targets, the pc after
-    every call, park and wait, every ``monitorenter``, closed under the
-    region walk's cap splits."""
+    every call and scheduler op, closed under the region walk's cap
+    splits — minus any pc holding a scheduler op."""
     n = len(instrs)
     leaders = {0}
     for pc, instr in enumerate(instrs):
@@ -595,12 +572,11 @@ def _t2_leaders(instrs) -> set[int]:
             leaders.add(instr[2])
         elif kind == "branch":
             leaders.update((instr[3], instr[4]))
-        elif kind in ("callstatic", "callvirtual", "callhandle", "park",
-                      "wait"):
+        elif kind in ("callstatic", "callvirtual", "callhandle") \
+                or kind in _T2_BAIL_KINDS:
             leaders.add(pc + 1)
-        elif kind == "monitorenter":
-            leaders.add(pc)
-    leaders = {pc for pc in leaders if pc < n}
+    leaders = {pc for pc in leaders
+               if pc < n and instrs[pc][0] not in _T2_BAIL_KINDS}
     pending = list(leaders)
     while pending:
         _, end_pc, kind = _t2_scan(instrs, pending.pop())
@@ -724,9 +700,9 @@ class _Tier2Verifier(_Verifier):
                 f"block at {leader} records end={end_pc}/{kind}, the "
                 f"region walk says end={want_end}/{want_kind}",
                 pc=leader)
-        want_cum = sum(_t2_const_cost(i) for _, i in ops)
-        if want_kind == "term" and ops:
-            want_cum -= _t2_const_cost(ops[-1][1])
+        # ``_IE`` is the aload/astore bounds probe, caught inline.
+        acct = _accounting(ops, want_kind, _t2_cost, internal={"_IE"})
+        want_cum = acct.cum[len(ops) - (want_kind == "term")]
         if cum != want_cum:
             self.issue(
                 f"block at {leader} records charged prefix {cum}, the "
@@ -753,7 +729,4 @@ class _Tier2Verifier(_Verifier):
             self.issue(f"source of the block at pc {leader} is not the "
                        f"one generated function _m{leader}", pc=leader)
             return
-        # ``_IE`` is the aload/astore bounds probe, caught inline.
-        self.check_function(body[0], leader, _accounting(
-            ops, want_kind, _t2_const_cost, _t2_cost,
-            folds=_t2_monitor_folds(ops), internal={"_IE"}))
+        self.check_function(body[0], leader, acct)

@@ -23,7 +23,8 @@ Durability is write-ahead, like the sweeps: ``job-submit`` (spec +
 digest list) is journaled to ``serve.wal`` before any scheduling,
 ``job-done``/``job-cancel`` close it out.  On start, submits without a
 closing record are resubmitted — after a SIGTERM drain the finished
-units are in the store, so a recovered job re-runs only what was lost.
+units are in the store, so a recovered job re-runs only what was lost —
+and one whose spec no longer validates is closed with a ``job-cancel``.
 The event loop is the only store writer; the directory's
 :class:`~repro.harness.store.StoreLock` keeps out concurrent CLI
 sweeps.
@@ -180,7 +181,12 @@ class Scheduler:
             elif record["kind"] in ("job-done", "job-cancel"):
                 open_jobs.pop(record["job"], None)
         for jid, record in open_jobs.items():
-            spec = SweepSpec.from_dict(record["spec"])
+            try:
+                spec = SweepSpec.from_dict(record["spec"])
+            except ServeError as exc:     # valid when it was journaled
+                self.journal.append("job-cancel", job=jid, error=str(exc),
+                                    t=round(time.time(), 3))
+                continue
             job = self._admit(spec, jid=jid, recovered=True)
             self.metrics.inc("serve_jobs_recovered")
             job.emit("job-recovered")

@@ -1,9 +1,18 @@
 """Compiled-code semantics for the operation families the quick
 integration tests don't cover: compiled concurrency ops, string coercion,
-coarsened monitors under contention, statics, instanceof/checkcast."""
+coarsened monitors under contention, statics, instanceof/checkcast.
 
+The concurrency programs also run on the tier-2 engine against the
+reference interpreter: tier-2 blocks stop before every scheduler op, so
+there monitors, park/unpark and wait/notify always execute on the
+interpretive Machine, at pcs that are not region leaders."""
+
+import pytest
+
+from repro.harness.core import GuestBenchmark
+from repro.jit.machine import Machine
 from repro.jit.pipeline import graal_config
-from tests.util import run_all_tiers, run_guest
+from tests.util import assert_equivalent, run_all_tiers, run_guest
 
 
 def test_compiled_string_concat_coerces():
@@ -62,8 +71,10 @@ def test_compiled_instanceof_and_checkcast():
     }""")
 
 
-def test_compiled_wait_notify_roundtrip():
-    run_all_tiers("""
+#: A one-slot channel: both sides wait on its monitor; the producer
+#: wakes the consumer with notifyAll, the consumer (whose only possible
+#: waiter is the producer) wakes it with notify.
+WAIT_NOTIFY_SRC = """
     class Chan {
         var full;
         var value;
@@ -82,7 +93,7 @@ def test_compiled_wait_notify_roundtrip():
                 while (this.full == 0) { wait(this); }
                 out = this.value;
                 this.full = 0;
-                notifyAll(this);
+                notify(this);
             }
             return out;
         }
@@ -101,11 +112,10 @@ def test_compiled_wait_notify_roundtrip():
             t.join();
             return sum.get();
         }
-    }""", repeat=5)
+    }"""
 
-
-def test_compiled_park_unpark_through_promise():
-    run_all_tiers("""
+#: Promise.get parks until a fresh thread's complete() unparks it.
+PARK_UNPARK_SRC = """
     class Main {
         static def main() {
             var acc = 0;
@@ -121,14 +131,12 @@ def test_compiled_park_unpark_through_promise():
             }
             return acc;
         }
-    }""", repeat=5)
+    }"""
 
-
-def test_coarsened_lock_is_released_on_loop_exit_and_stays_exclusive():
-    # Two threads hammer a synchronized counter inside hot loops; with
-    # LLC on, chunks of iterations hold the lock, but mutual exclusion
-    # and final release must be preserved.
-    src = """
+#: Two threads hammer a synchronized counter inside hot loops; with LLC
+#: on, chunks of iterations hold the lock, but mutual exclusion and
+#: final release must be preserved.
+COARSENED_LOCK_SRC = """
     class Box {
         var n;
         def init() { this.n = 0; }
@@ -159,10 +167,64 @@ def test_coarsened_lock_is_released_on_loop_exit_and_stays_exclusive():
             return box.n;
         }
     }"""
-    interp, _ = run_guest(src)
-    jit, vm = run_guest(src, jit=graal_config(compile_threshold=2),
-                        repeat=6)
+
+
+def test_compiled_wait_notify_roundtrip():
+    run_all_tiers(WAIT_NOTIFY_SRC, repeat=5)
+
+
+def test_compiled_park_unpark_through_promise():
+    run_all_tiers(PARK_UNPARK_SRC, repeat=5)
+
+
+def test_coarsened_lock_is_released_on_loop_exit_and_stays_exclusive():
+    interp, _ = run_guest(COARSENED_LOCK_SRC)
+    jit, vm = run_guest(COARSENED_LOCK_SRC,
+                        jit=graal_config(compile_threshold=2), repeat=6)
     assert interp == jit == 601
+
+
+#: Concurrency programs run under tier-2: name -> (source, scheduler
+#: kinds their promoted code must run, whether their monitors contend).
+SCHEDULER_PROGRAMS = {
+    "wait-notify": (WAIT_NOTIFY_SRC,
+                    {"monitorenter", "wait", "notify", "notifyall"}, True),
+    "park-unpark": (PARK_UNPARK_SRC, {"unpark"}, False),
+    "coarsened-lock": (COARSENED_LOCK_SRC,
+                       {"monitorenter", "monitorexit", "monitorexit_if_held"},
+                       True),
+}
+
+
+@pytest.mark.parametrize("quantum", (37, 400))
+@pytest.mark.parametrize("name", sorted(SCHEDULER_PROGRAMS))
+def test_scheduler_ops_under_tier2_match_reference(name, quantum,
+                                                   monkeypatch):
+    # Small quanta interleave the threads inside promoted methods, so
+    # monitors contend there: a contended monitorenter re-executes at
+    # its own pc, which is never a tier-2 leader, on the interpretive
+    # Machine.  Every run is pinned against the reference interpreter.
+    source, kinds, contends = SCHEDULER_PROGRAMS[name]
+    resumed, contended = set(), []
+    run_frame = Machine.run_frame
+
+    def recording(self, thread, frame, instrs=None):
+        before = self.vm.counters.monitor_contended
+        if instrs is not None:              # a tier-2 interpreted resume
+            resumed.add(instrs[frame.pc][0])
+        run_frame(self, thread, frame, instrs)
+        if instrs is not None \
+                and self.vm.counters.monitor_contended != before:
+            contended.append(frame.code.method.qualified)
+
+    monkeypatch.setattr(Machine, "run_frame", recording)
+    bench = GuestBenchmark(name=name, suite="tests", source=source,
+                           entry="Main.main")
+    assert_equivalent(bench, ("tier2",),
+                      jit=graal_config(compile_threshold=2),
+                      quantum=quantum, invocations=3)
+    assert kinds <= resumed
+    assert bool(contended) == contends
 
 
 def test_compiled_nested_arrays_and_refs():

@@ -129,6 +129,22 @@ def test_unrunnable_specs_are_refused_with_400(tmp_path):
     assert not [r for r in records if r["kind"] == "job-submit"]
 
 
+def test_journaled_spec_that_no_longer_validates_is_cancelled(tmp_path):
+    # A job-submit journaled before its spec became unrunnable (cores 0
+    # was once accepted) must not stop the service from starting.
+    spec = dict(SweepSpec(benchmarks=SLICE, jit=None).to_dict(), cores=0)
+    wal = str(tmp_path / "serve.wal")
+    with Journal(wal) as journal:
+        journal.append("job-submit", job="job-000001", spec=spec,
+                       digests=[])
+    for _ in range(2):
+        with ServiceThread(str(tmp_path)) as svc:
+            assert svc.client().jobs() == []
+    cancels = Journal(wal).replay().of_kind("job-cancel")
+    assert [c["job"] for c in cancels] == ["job-000001"]
+    assert "cores must be >= 1" in cancels[0]["error"]
+
+
 # ----------------------------------------------------------------------
 # End-to-end service acceptance.
 # ----------------------------------------------------------------------

@@ -399,10 +399,10 @@ def test_generated_block_source_is_pinned():
     extend_tier2(t2, 1)
     assert {pc: hashlib.sha256(text.encode()).hexdigest()
             for pc, text in t2.source.items()} == {
-        0: "2bf885a54db67038d1c8b8a6a0f787d8"
-           "f64447d5ea8210f1a2ed4e1e0056ae9a",
-        1: "6cecef643c1b077731f9a0c0c46b778e"
-           "1b0757e69f7cea1d7fc0a290d6b15d50",
+        0: "2e8f22264a34adde6f82d7c70c78b29a"
+           "37bdcc7cdc6498492886b0e15a2bf8b6",
+        1: "3aac98bf019264aabdcb12fbb6ce4f86"
+           "a75a877c7c5bb8e1cdf4c2935d8e7c7f",
     }
 
 
@@ -454,6 +454,49 @@ def test_compiled_code_does_not_depend_on_earlier_compiles():
     other.load(compile_program(LOCK_LOOP_SRC.replace("Bench", "Other")))
     other.invoke("Other.run", [40])
     assert before == compile_hammer()
+
+
+#: The scheduler's machine kinds, listed here rather than imported so
+#: that the test pins the emitter's bail set instead of restating it.
+SCHEDULER_KINDS = frozenset({
+    "monitorenter", "monitorexit", "monitorexit_if_held",
+    "park", "unpark", "wait", "notify", "notifyall",
+})
+
+
+def test_tier2_blocks_never_contain_scheduler_ops():
+    # The bail rule both host tiers share: a block stops before every
+    # scheduler op, which runs on the engine below (for tier-2 the
+    # interpretive Machine over ``stops``), and compiled code takes
+    # over again at the leader after it.
+    from tests.jit.test_machine_ops import PARK_UNPARK_SRC, WAIT_NOTIFY_SRC
+
+    runs = (("lockloop2", LOCK_LOOP_SRC, "Bench.run", (40,)),
+            ("waitnotify2", WAIT_NOTIFY_SRC, "Main.main", ()),
+            ("parkunpark2", PARK_UNPARK_SRC, "Main.main", ()))
+    knobs = dict(jit=graal_config(compile_threshold=2), quantum=200,
+                 invocations=3)
+    seen = set()
+    for name, source, entry, args in runs:
+        bench = GuestBenchmark(name=name, suite="tests", source=source,
+                               entry=entry, args=args)
+        got, vm = util.observe(bench, "tier2", **knobs)
+        assert got == util.reference(bench, **knobs)
+        for t2 in tier2_codes(vm):
+            instrs = t2.code.instrs
+            sched = {pc for pc, instr in enumerate(instrs)
+                     if instr[0] in SCHEDULER_KINDS}
+            seen.update(instrs[pc][0] for pc in sched)
+            assert not sched & t2.leaders
+            for leader, sites, _, end_pc, kind, _ in t2.blocks:
+                span = range(leader, end_pc + (kind == "term"))
+                assert len(span) == sites
+                assert not sched.intersection(span), (leader, kind)
+            for pc in sched:
+                assert t2.stops[pc] is instrs[pc]
+                if pc + 1 < len(instrs) and pc + 1 not in sched:
+                    assert pc + 1 in t2.leaders
+    assert seen == SCHEDULER_KINDS
 
 
 # ----------------------------------------------------------------------
