@@ -57,19 +57,25 @@ threaded:
 
 # Tier-1 engine focus: the superblock-engine test suite, plus the
 # verifier and mutation corpus that check the exit protocol and the
-# block walker it shares with tier 2.
+# block walker it shares with tier 2, and the ISA closure tests with
+# link-time validation (jvm/bytecode.py), which the emitter relies on
+# instead of checking its input: it compiles every linked method.
 tier1:
-	PYTHONPATH=src python -m pytest -q tests/test_tier1.py tests/test_irverify.py
+	PYTHONPATH=src python -m pytest -q tests/test_tier1.py tests/test_irverify.py \
+		tests/jvm/test_bytecode.py
 
 # Tier-2 engine focus: the three-tier-ladder test suite (equivalence
 # oracle, budget-exit fuzz, interpreted resumes, rematerialization),
 # plus the interpretive Machine that parked tier-2 frames resume on, the
 # concurrency-op tests (tier-2 blocks stop before every monitor, park
-# and wait/notify, so under tier-2 those always run on that Machine)
-# and the verifier and mutation corpus shared with tier 1.
+# and wait/notify, so under tier-2 those always run on that Machine),
+# the verifier and mutation corpus shared with tier 1, and the ISA
+# closure tests with link-time validation (jvm/bytecode.py): tier-2
+# admits every CompiledCode, so no emitter checks its input.
 tier2:
 	PYTHONPATH=src python -m pytest -q tests/test_tier2.py tests/test_machine.py \
-		tests/jit/test_machine_ops.py tests/test_irverify.py
+		tests/jit/test_machine_ops.py tests/test_irverify.py \
+		tests/jvm/test_bytecode.py
 
 # Guest-JIT focus: IR, phases, lowering, the interpretive Machine and
 # deoptimization (tests/jit/), plus the IR verifier and mutation corpus

@@ -11,11 +11,8 @@ from dataclasses import dataclass
 
 from repro.metrics import (
     METRIC_NAMES,
-    SANITIZER_METRIC_NAMES,
-    collect_checked_metrics,
     collect_metrics,
     normalize_metrics,
-    normalize_sanitizer_metrics,
     run_pca,
 )
 
@@ -78,38 +75,6 @@ def format_table7(rows: list[MetricsRow]) -> str:
         for m in METRIC_NAMES:
             value = r.raw[m]
             cells.append(f"{value:10.2f}" if m == "cpu" else f"{value:10d}")
-        lines.append(f"{r.benchmark:24s} {r.suite:12s} " + " ".join(cells))
-    return "\n".join(lines)
-
-
-def profile_checked(benchmarks, *, warmup: int = 1,
-                    measure: int | None = None) -> list[MetricsRow]:
-    """Sanitizer counters per benchmark, Table-7 style (checked runs)."""
-    rows = []
-    for bench in benchmarks:
-        raw, cycles = collect_checked_metrics(
-            bench, warmup=warmup, measure=measure)
-        rows.append(MetricsRow(
-            benchmark=bench.name,
-            suite=bench.suite,
-            raw=raw,
-            normalized=normalize_sanitizer_metrics(raw, cycles),
-            reference_cycles=cycles,
-        ))
-    return rows
-
-
-def format_checked_table(rows: list[MetricsRow]) -> str:
-    """The sanitizer analogue of Table 7: raw counter per benchmark."""
-    header = f"{'benchmark':24s} {'suite':12s} " + " ".join(
-        f"{m:>13s}" for m in SANITIZER_METRIC_NAMES)
-    lines = [header]
-    for r in rows:
-        cells = []
-        for m in SANITIZER_METRIC_NAMES:
-            value = r.raw[m]
-            cells.append(f"{value:13.2f}" if m == "mean_lockset"
-                         else f"{value:13d}")
         lines.append(f"{r.benchmark:24s} {r.suite:12s} " + " ".join(cells))
     return "\n".join(lines)
 

@@ -30,6 +30,11 @@ handler at that pc resumes it next slice); a guest exception or an
 injected fault raises after the flush; a terminator, invoke or the
 region's end hands control to the next pc.
 
+Compilation never declines: every linked method compiles, since link
+time (:func:`repro.jvm.bytecode.validate_code`) already rejected the
+malformed comparisons no block could express, and an opcode with no
+emitter arm raises ``VMError`` rather than falling back to threaded.
+
 Why bytecode and not the post-phase ``repro.jit`` graph IR: the guest
 JIT's optimization phases change *simulated* costs and counters by
 design (that is what they model).  A host tier must instead be
@@ -47,14 +52,9 @@ from repro.errors import (
     GuestBoundsError,
     GuestCastError,
     GuestNullPointerError,
+    VMError,
 )
-from repro.jit.emit2 import (
-    _CMP_SYMS,
-    MAX_BLOCK_OPS,
-    _BlockWriter,
-    _EmitBail,
-    _is_name,
-)
+from repro.jit.emit2 import MAX_BLOCK_OPS, _BlockWriter, _is_name
 from repro.jvm.bytecode import INVOKES, TERMINATORS, Op
 from repro.jvm.costmodel import (
     INTERP_COST,
@@ -269,14 +269,10 @@ class _BlockEmitter(_BlockWriter):
         elif op is Op.D2I:
             self.push_tmp(f"_int({self.pop()})")
         elif op is Op.CMP:
-            if instr.arg not in _CMP_SYMS:
-                raise _EmitBail(f"bad cmp {instr.arg!r}")
             rhs, lhs = self.pop(), self.pop()
             self.push_tmp(f"1 if {lhs} {instr.arg} {rhs} else 0")
         elif op is Op.IFZ:
             cmp_op, target = instr.arg
-            if cmp_op not in _CMP_SYMS:
-                raise _EmitBail(f"bad cmp {cmp_op!r}")
             value = self.pop()
             if _is_name(value):
                 t = self.tmp()
@@ -375,8 +371,8 @@ class _BlockEmitter(_BlockWriter):
                           f"else 0")
         elif op is Op.CHECKCAST:
             self.checkcast(self.as_name(self.peek()), instr.arg, pc)
-        else:                                         # pragma: no cover
-            raise _EmitBail(f"unhandled opcode {op}")
+        else:
+            raise VMError(f"tier-1: no emitter arm for opcode {op}")
         return True
 
     # -- op building blocks --------------------------------------------
@@ -546,15 +542,13 @@ def compile_method(engine, method):
 
     ``engine`` is the :class:`repro.jvm.tier1.Tier1Interpreter` that
     owns the compiled code (its stats receive the block exit counts).
-    Returns a :class:`Tier1Code` or None when nothing is worth
-    compiling.
+    Every linked method compiles: link-time validation
+    (:func:`repro.jvm.bytecode.validate_code`) already rejected what no
+    emitter arm could express, and an opcode with no arm raises
+    ``VMError``.
     """
     code = method.code
-    if code is None:
-        return None
     n = len(code)
-    if n == 0:
-        return None
     vm = engine.vm
     env = {
         "_ct": vm.counters, "_md": method, "_vm": vm, "_cm": vm.cache,
@@ -575,28 +569,23 @@ def compile_method(engine, method):
 
     pending = sorted(_leaders(code, n))
     seen = set(pending)
-    try:
-        while pending:
-            leader = pending.pop(0)
-            ops, end_pc, kind = _scan(code, leader, n)
-            if kind == "split" and end_pc < n and end_pc not in seen:
-                seen.add(end_pc)
-                pending.append(end_pc)
-            if not ops:
-                continue          # leader sits on a bail op: threaded
-            emitter = _BlockEmitter(
-                leader, ops, end_pc, cells,
-                jit_on=vm.jit is not None,
-                trace_cas=vm.trace is not None and vm.trace.cas_on,
-                fault_calls=vm._fault_calls)
-            name, source = emitter.render()
-            blocks.append((leader, name))
-            sources.append(source)
-            sites += emitter.k
-    except _EmitBail:
-        return None
-    if not blocks:
-        return None
+    while pending:
+        leader = pending.pop(0)
+        ops, end_pc, kind = _scan(code, leader, n)
+        if kind == "split" and end_pc < n and end_pc not in seen:
+            seen.add(end_pc)
+            pending.append(end_pc)
+        if not ops:
+            continue              # leader sits on a bail op: threaded
+        emitter = _BlockEmitter(
+            leader, ops, end_pc, cells,
+            jit_on=vm.jit is not None,
+            trace_cas=vm.trace is not None and vm.trace.cas_on,
+            fault_calls=vm._fault_calls)
+        name, source = emitter.render()
+        blocks.append((leader, name))
+        sources.append(source)
+        sites += emitter.k
 
     env.update(cells)
     module = "\n\n".join(sources)

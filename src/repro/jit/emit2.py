@@ -56,16 +56,18 @@ the exact bytecode index.  Faults inside a block (heap pressure, an
 injected fault) flush and re-raise, exactly as the interpretive machine
 raises them.
 
-Emission is on demand: :func:`compile_tier2` only validates, and
-:func:`extend_tier2` emits a block when a frame first arrives at its
-region leader, so code no frame reaches is never compiled.  Blocks
+Emission is on demand: :func:`compile_tier2` admits every
+CompiledCode the first time a frame of it runs, without validating or
+emitting anything, and :func:`extend_tier2` emits a block when a frame
+first arrives at its region leader, so code no frame reaches is never
+compiled.  Neither declines: a machine kind with no emitter arm raises
+``VMError`` from :meth:`_Block2Emitter.emit_op`.  Blocks
 exist at static leaders only (control-flow targets, the pc after every
 call and scheduler op, cap-split continuations).  A frame anywhere
-else — on a scheduler op, at a budget boundary inside a block, after a
-slice that ended on the interpretive machine — runs interpreted over
-:attr:`Tier2Code.stops` up to the next leader, so a hot loop enters
-tier-2 mid-run at its loop header without waiting for a fresh
-invocation.
+else — on a scheduler op, at a budget boundary inside a block, in a
+method whose tier-2 code was dropped mid-run — runs interpreted over
+:attr:`Tier2Code.stops` up to the next leader, so a loop re-enters
+compiled code at its header without waiting for a fresh invocation.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from repro.errors import (
     GuestBoundsError,
     GuestCastError,
     GuestNullPointerError,
+    VMError,
 )
 from repro.jit import deopt as deopt_mod
 from repro.jvm.cache import L1_LINES, WORDS_PER_LINE
@@ -114,21 +117,6 @@ _DYN_KINDS = frozenset({
 _BINOPS = {
     "sub": "-", "mul": "*", "shl": "<<", "shr": ">>",
     "and": "&", "or": "|", "xor": "^",
-}
-
-_CMP_SYMS = frozenset({"==", "!=", "<", "<=", ">", ">="})
-_GUARD_TESTS = frozenset({"nonnull", "bounds", "bounds_range", "type"})
-
-#: Every machine kind a tier-2 method may contain.  A method containing
-#: any other kind is declined whole — the interpretive machine raises
-#: the same ``VMError`` it always did, so behaviour is unchanged.
-_SUPPORTED = BAIL_KINDS | {
-    "add", "sub", "mul", "div", "rem", "shl", "shr", "and", "or", "xor",
-    "neg", "not", "i2d", "d2i", "cmp", "cmpz", "branch", "jump",
-    "phimove", "getfield", "putfield", "aload", "astore", "arraylen",
-    "guard", "new", "newarray", "instanceof", "checkcast", "getstatic",
-    "putstatic", "callstatic", "callvirtual", "indy", "callhandle",
-    "cas", "atomicget", "atomicadd", "ret",
 }
 
 
@@ -171,10 +159,6 @@ class Tier2Code:
         self.jit_on = jit_on
         self.trace_cas = trace_cas
         self.fault_calls = fault_calls
-
-
-class _EmitBail(Exception):
-    """The emitter declines this method; the caller falls back."""
 
 
 _IDENT_OK = frozenset(
@@ -744,10 +728,12 @@ class _Block2Emitter(_BlockWriter):
                 arr = self.load(operands[2])
                 cond = (f"{arr} is None or {lo} < 0 or "
                         f"{hi} > _len({arr}.data)")
-            else:                             # "type" (pre-validated)
+            elif test == "type":
                 obj = self.load(operands[0])
                 cond = (f"{obj} is None or "
                         f"{obj}.jclass.name != {class_name!r}")
+            else:
+                raise VMError(f"tier-2: unknown guard test {test}")
             self.emit(f"if {cond}:")
             # The machine charges the guard's cost, then hands the frame
             # to the guest deopt machinery (counters/trace/frame
@@ -862,8 +848,8 @@ class _Block2Emitter(_BlockWriter):
             self.emit(f"{t} = {value}")
             self.return_exit(t, cost)
             return False
-        else:                                         # pragma: no cover
-            raise _EmitBail(f"unhandled machine kind {kind}")
+        else:
+            raise VMError(f"tier-2: no emitter arm for machine kind {kind}")
         return True
 
 
@@ -930,33 +916,16 @@ def _leaders2(instrs) -> set[int]:
     return leaders
 
 
-def _validate(instrs) -> bool:
-    """Whole-method pre-validation: every op must be emittable, so
-    emitting a block on first entry can never fail mid-run."""
-    for instr in instrs:
-        kind = instr[0]
-        if kind not in _SUPPORTED:
-            return False
-        if kind in ("cmp", "cmpz") and instr[3] not in _CMP_SYMS:
-            return False
-        if kind == "guard" and instr[3] not in _GUARD_TESTS:
-            return False
-    return True
-
-
 def compile_tier2(engine, code):
-    """Admit ``code`` (a :class:`CompiledCode`) to tier-2: validate the
-    whole method and build the environment its blocks will bind.
+    """Admit ``code`` (a :class:`CompiledCode`) to tier-2: build the
+    environment its blocks will bind.  Every CompiledCode is admitted.
 
     Nothing is emitted here — the returned :class:`Tier2Code` has an
     empty entry table that :func:`extend_tier2` fills on first entry,
     so a region no frame reaches costs no host ``compile()``.
     ``engine`` is the :class:`repro.jit.machine.Tier2Machine` that owns
     the compiled code (its stats receive the block exit counts).
-    Returns None when the method is declined.
     """
-    if not code.instrs or not _validate(code.instrs):
-        return None
     vm = engine.vm
     trace_cas = vm.trace is not None and vm.trace.cas_on
     env = {
@@ -981,9 +950,8 @@ def extend_tier2(t2: Tier2Code, pc: int):
     at any other pc runs interpreted up to the next leader instead.
 
     The new function is ``exec``'d into the method environment and
-    installed in the entry table; returns ``(fn, sites)``.
-    Pre-validation at :func:`compile_tier2` time guarantees this cannot
-    fail for any in-range pc.
+    installed in the entry table; returns ``(fn, sites)``.  A machine
+    kind with no emitter arm raises ``VMError``; nothing here declines.
     """
     ops, end_pc, kind = _scan2(t2.code.instrs, pc)
     emitter = _Block2Emitter(

@@ -480,18 +480,6 @@ class Machine:
             fn(*args)
 
 
-#: Machine-frame slice entries before a CompiledCode is host-compiled by
-#: tier-2.  Deliberately tiny: a method only acquires guest-JIT machine
-#: code once it is already hot (32 invocations), and each scheduler
-#: slice that lands on the frame counts — so a hot loop crosses this on
-#: its second slice and promotes mid-run, entering compiled code at the
-#: next region leader it reaches.
-TIER2_THRESHOLD = 2
-
-#: Memo sentinel: the tier-2 emitter declined this CompiledCode.
-_DECLINED = object()
-
-
 class Tier2Stats:
     """Host-side tier-2 metrics (kept off the byte-identical Counters).
 
@@ -502,7 +490,7 @@ class Tier2Stats:
     """
 
     __slots__ = ("promotions", "blocks", "sites", "compile_cycles",
-                 "osr_entries", "deopts", "methods", "compile_seconds")
+                 "osr_entries", "deopts", "compile_seconds")
 
     def __init__(self) -> None:
         self.promotions = 0
@@ -514,7 +502,6 @@ class Tier2Stats:
         #                               Machine up to the next leader
         self.deopts = {"budget": 0, "exception": 0, "fault": 0,
                        "guard": 0}
-        self.methods: dict = {}       # qualified -> per-method record
         self.compile_seconds = 0.0    # host wall-clock in the emitter
 
     def snapshot(self) -> dict:
@@ -526,8 +513,6 @@ class Tier2Stats:
             "osr_entries": self.osr_entries,
             "deopts": dict(self.deopts),
             "compile_seconds": self.compile_seconds,
-            "methods": {name: dict(rec)
-                        for name, rec in sorted(self.methods.items())},
         }
 
 
@@ -536,12 +521,14 @@ class Tier2Machine(Machine):
 
     Completes the three-tier ladder (DESIGN.md §13): interpreted frames
     climb threaded → tier-1, and once the *guest* JIT compiles a method
-    (invocation threshold 32) its :class:`CompiledCode` lands here —
-    interpretively at first, then host-compiled by
-    :mod:`repro.jit.emit2` after :data:`TIER2_THRESHOLD` slice entries.
-    Promotion and execution are pure host-side concerns: the
-    interpretive :meth:`Machine.run_frame` remains the byte-identity
-    oracle, and every exit from emitted code restores exactly the
+    (invocation threshold 32) its :class:`CompiledCode` lands here.  The
+    guest JIT's threshold is the only hotness rule: the first time a
+    frame of a CompiledCode runs, :func:`repro.jit.emit2.compile_tier2`
+    builds its :class:`~repro.jit.emit2.Tier2Code` — admission cannot
+    decline, and an emitter error propagates.  Promotion and execution
+    are pure host-side concerns: the interpretive
+    :meth:`Machine.run_frame` remains the byte-identity oracle, and
+    every exit from emitted code restores exactly the
     counter/budget/pc state the oracle would hold.
 
     The only deopt is the guest's: a *guard* failure inside emitted code
@@ -549,18 +536,18 @@ class Tier2Machine(Machine):
     FrameState/VirtualObjectState recipes, fall back to the
     tier-1/threaded bytecode ladder at the exact bytecode index).  A
     block-internal fault re-raises after flushing, exactly as the
-    interpretive machine raises it.  Promotion only validates; entry
-    tables start empty and a block is emitted the first time a frame
-    arrives at its region leader.  Entries exist at leaders only, as
-    in tier-1: a frame anywhere else (on a scheduler op, at a budget
-    boundary mid-block, after a slice that ended before promotion) runs
-    on the interpretive machine over :attr:`Tier2Code.stops` up to the
-    next leader, then compiled code takes over.
+    interpretive machine raises it.  Entry tables start empty and a
+    block is emitted the first time a frame arrives at its region
+    leader.  Entries exist at leaders only, as in tier-1: a frame
+    anywhere else (on a scheduler op, at a budget boundary mid-block,
+    mid-method when its memo entry was dropped) runs on the interpretive
+    machine over :attr:`Tier2Code.stops` up to the next leader, then
+    compiled code takes over.  Nothing is promoted while a sanitizer is
+    attached, as in tier-1.
 
     The driver folds :meth:`VM._execute_slice`'s loop for machine
     frames: calls and returns between machine frames stay here, under
-    the exit conditions ``_execute_slice`` itself uses, so every frame
-    that lands on top is counted toward promotion exactly as before.
+    the exit conditions ``_execute_slice`` itself uses.
 
     Compiled code lives in one table, the memo keyed by
     :class:`CompiledCode`: every guest compile is a fresh object, so a
@@ -571,8 +558,7 @@ class Tier2Machine(Machine):
     def __init__(self, vm) -> None:
         super().__init__(vm)
         self.stats = Tier2Stats()
-        self._memo: dict = {}         # CompiledCode -> Tier2Code|_DECLINED
-        self._counts: dict = {}       # CompiledCode -> slice entries
+        self._memo: dict = {}         # CompiledCode -> Tier2Code
 
     # ------------------------------------------------------------------
     # Execution.
@@ -583,9 +569,9 @@ class Tier2Machine(Machine):
         while True:
             code = frame.code
             t2 = memo.get(code)
+            if t2 is None and self.vm.sanitizer is None:
+                t2 = self._promote(code)
             if t2 is None:
-                t2 = self._maybe_promote(code)
-            if t2 is None or t2 is _DECLINED:
                 Machine.run_frame(self, thread, frame)
             else:
                 entries = t2.entries
@@ -610,34 +596,16 @@ class Tier2Machine(Machine):
     # ------------------------------------------------------------------
     # Promotion.
     # ------------------------------------------------------------------
-    def _maybe_promote(self, code):
-        counts = self._counts
-        seen = counts.get(code, 0) + 1
-        counts[code] = seen
-        if seen < TIER2_THRESHOLD or self.vm.sanitizer is not None:
-            return None
+    def _promote(self, code):
+        """Admit ``code`` to tier-2.  Admission only builds the block
+        environment: blocks, sites and compile cycles are accounted by
+        :meth:`_entry_block` as the empty entry table fills."""
         from repro.jit.emit2 import compile_tier2
 
-        method = code.method
         started = time.perf_counter()
-        try:
-            t2 = compile_tier2(self, code)
-        except Exception:
-            t2 = None
+        t2 = self._memo[code] = compile_tier2(self, code)
         self.stats.compile_seconds += time.perf_counter() - started
-        if t2 is None:
-            self._memo[code] = _DECLINED
-            return None
-        # Promotion is admission only: blocks, sites and compile cycles
-        # are accounted by _entry_block as the empty table fills.
-        stats = self.stats
-        stats.promotions += 1
-        record = stats.methods.setdefault(
-            method.qualified, {"promotions": 0, "blocks": 0, "sites": 0,
-                               "compile_cycles": 0})
-        record["promotions"] += 1
-        record["blocks"] = record["sites"] = 0    # of the current code
-        self._memo[code] = t2
+        self.stats.promotions += 1
         return t2
 
     def _entry_block(self, t2, pc: int):
@@ -653,14 +621,10 @@ class Tier2Machine(Machine):
             from repro.sanitize.blockverify import check_emitted
 
             check_emitted(self.vm, t2, pc)
-        cycles = sites * TIER2_COMPILE_SITE_COST + TIER2_COMPILE_BLOCK_COST
         stats.blocks += 1
         stats.sites += sites
-        stats.compile_cycles += cycles
-        record = stats.methods[t2.method.qualified]
-        record["blocks"] += 1
-        record["sites"] += sites
-        record["compile_cycles"] += cycles
+        stats.compile_cycles += (sites * TIER2_COMPILE_SITE_COST
+                                 + TIER2_COMPILE_BLOCK_COST)
         return fn
 
     # ------------------------------------------------------------------

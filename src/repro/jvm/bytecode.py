@@ -158,10 +158,12 @@ def block_leaders(code: list[Instr]) -> set[int]:
 
 
 def validate_code(code: list[Instr]) -> None:
-    """Sanity-check branch targets and terminator placement.
+    """Sanity-check branch targets, terminator placement and the
+    comparison operators of CMP and IFZ.
 
-    Raises ``ValueError`` on malformed code; used by the assembler, the
-    guest-language codegen, and tests.
+    Raises ``ValueError`` on malformed code.  Link
+    (:meth:`JMethod.validate`) runs it on every method, so no engine and
+    neither host emitter re-checks a comparison operator.
     """
     n = len(code)
     if n == 0:
@@ -175,5 +177,7 @@ def validate_code(code: list[Instr]) -> None:
                 raise ValueError(
                     f"pc {pc}: branch target {target} out of range [0,{n})"
                 )
-        if instr.op is Op.IFZ and instr.arg[0] not in CMP_OPS:
-            raise ValueError(f"pc {pc}: bad comparison op {instr.arg[0]!r}")
+        if instr.op is Op.CMP or instr.op is Op.IFZ:
+            cmp_op = instr.arg if instr.op is Op.CMP else instr.arg[0]
+            if cmp_op not in CMP_OPS:
+                raise ValueError(f"pc {pc}: bad comparison op {cmp_op!r}")

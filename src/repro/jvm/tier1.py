@@ -17,7 +17,9 @@ compiled block entries with the method's threaded handler table:
 any pc that is a block leader runs compiled, every other pc — a
 resume mid-block after a budget boundary, a monitor wake-up, or an
 opcode the emitter bails on (monitors, park/wait/notify) — runs its
-threaded handler, re-entering compiled code at the next leader.  A
+threaded handler, re-entering compiled code at the next leader.
+Promotion cannot fail or decline: every linked method compiles, and an
+emitter error propagates instead of leaving the method on threaded.  A
 block exits by parking ``frame.pc`` when the budget runs out, by
 raising after flushing its accounting (a guest exception or an
 injected fault), or at its terminator.
@@ -53,7 +55,7 @@ class Tier1Stats:
     """Host-side tier metrics (kept off the byte-identical Counters)."""
 
     __slots__ = ("promotions", "blocks", "sites", "compile_cycles",
-                 "deopts", "methods")
+                 "deopts")
 
     def __init__(self) -> None:
         self.promotions = 0
@@ -61,7 +63,6 @@ class Tier1Stats:
         self.sites = 0                # instruction sites emitted
         self.compile_cycles = 0       # simulated-clock compile "time"
         self.deopts = {"budget": 0, "exception": 0, "fault": 0}
-        self.methods: dict = {}       # qualified -> per-method record
 
     def snapshot(self) -> dict:
         return {
@@ -70,8 +71,6 @@ class Tier1Stats:
             "compiled_sites": self.sites,
             "compile_cycles": self.compile_cycles,
             "deopts": dict(self.deopts),
-            "methods": {name: dict(rec)
-                        for name, rec in sorted(self.methods.items())},
         }
 
 
@@ -81,7 +80,6 @@ class Tier1Interpreter(ThreadedInterpreter):
     def __init__(self, vm) -> None:
         super().__init__(vm)
         self.stats = Tier1Stats()
-        self._failed: set = set()     # methods the emitter declined
         self._dispatch: dict = {}     # JMethod -> merged dispatch table
 
     # ------------------------------------------------------------------
@@ -99,18 +97,14 @@ class Tier1Interpreter(ThreadedInterpreter):
         while True:
             method = frame.method
             dispatch = memo.get(method)
+            if (dispatch is None
+                    and method.invocation_count >= TIER1_THRESHOLD
+                    and self.vm.sanitizer is None):
+                dispatch = memo[method] = self._promote(method).dispatch
             if dispatch is None:
-                code = None
-                if (method not in self._failed
-                        and method.invocation_count >= TIER1_THRESHOLD
-                        and self.vm.sanitizer is None):
-                    code = self._promote(method)
-                if code is None:
-                    self.execute(
-                        thread, frame, self.translation(method).handlers)
-                else:
-                    dispatch = memo[method] = code.dispatch
-            if dispatch is not None:
+                self.execute(
+                    thread, frame, self.translation(method).handlers)
+            else:
                 stack = frame.stack
                 locals_ = frame.locals
                 while thread.budget > 0:
@@ -127,21 +121,10 @@ class Tier1Interpreter(ThreadedInterpreter):
     # Promotion.
     # ------------------------------------------------------------------
     def _promote(self, method):
-        if method.code is None:
-            self._failed.add(method)
-            return None
+        """Compile ``method`` and merge its dispatch table.  Promotion
+        cannot fail: an emitter or verifier error propagates."""
         handlers = self.translation(method).handlers
-        try:
-            code = compile_method(self, method)
-        except Exception:
-            code = None
-        if code is None:
-            self._failed.add(method)
-            return None
-        # Superblock validation runs OUTSIDE the bail-out try above: a
-        # compile failure is a legitimate fallback, a verification
-        # failure never is (masking it is the miscompile-hiding behavior
-        # verify_ir exists to remove).
+        code = compile_method(self, method)
         if getattr(self.vm, "verify_ir", False):
             from repro.sanitize.blockverify import check_emitted
 
@@ -155,13 +138,6 @@ class Tier1Interpreter(ThreadedInterpreter):
         stats.blocks += code.nblocks
         stats.sites += code.sites
         stats.compile_cycles += code.compile_cycles
-        record = stats.methods.setdefault(
-            method.qualified, {"promotions": 0, "blocks": 0, "sites": 0,
-                               "compile_cycles": 0})
-        record["promotions"] += 1
-        record["blocks"] = code.nblocks
-        record["sites"] = code.sites
-        record["compile_cycles"] += code.compile_cycles
         return code
 
     def invalidate_all(self) -> int:

@@ -11,6 +11,7 @@ from repro.jvm.bytecode import (
     branch_targets,
     validate_code,
 )
+from repro.jvm.classfile import ClassPool, JClass, JMethod
 from repro.jvm.costmodel import BASE_COST, INTERP_COST, INTERP_DISPATCH
 from repro.jvm.threaded import _FACTORY
 from repro.lang import compile_program
@@ -65,6 +66,22 @@ def test_validate_rejects_bad_comparison():
             Instr(Op.RETURN)]
     with pytest.raises(ValueError, match="bad comparison"):
         validate_code(code)
+
+
+def test_validate_rejects_bad_cmp_comparison():
+    # CMP carries its operator bare; link must reject it as it rejects
+    # IFZ's, since no engine or host emitter re-checks it.
+    code = [Instr(Op.CONST, 1), Instr(Op.CONST, 2), Instr(Op.CMP, "<>"),
+            Instr(Op.RETVAL)]
+    with pytest.raises(ValueError, match="bad comparison"):
+        validate_code(code)
+    method = JMethod("m", "C", 0, code, max_locals=0, static=True)
+    cls = JClass("C")
+    cls.add_method(method)
+    pool = ClassPool()
+    pool.define(cls)
+    with pytest.raises(ValueError, match="bad comparison"):
+        pool.link_all()
 
 
 def test_validate_accepts_backward_branch():

@@ -40,8 +40,8 @@ assert_equivalent = functools.partial(
 
 #: Two-method workload sized so the *guest* JIT compiles ``step``
 #: (invocation threshold 32) inside a single benchmark invocation; the
-#: remaining calls then run as machine frames and cross the tier-2
-#: slice-entry threshold (2), so one invocation tiers all the way up.
+#: remaining calls then run as machine frames, which tier-2 promotes the
+#: first time one runs, so one invocation tiers all the way up.
 HOT_SRC = """
 class Bench {
     static def run(n) {
@@ -55,9 +55,8 @@ class Bench {
 """
 
 #: Loop-heavy inner method: each call burns ~5 * n cycles, so a tiny
-#: scheduler quantum parks the machine frame mid-loop — the promotion
-#: then happens at pc != 0 and parked frames resume interpreted up to
-#: the loop header.
+#: scheduler quantum parks the machine frame mid-loop, and parked
+#: frames resume interpreted up to the loop header.
 SPIN_SRC = """
 class Bench {
     static def run(n) {
@@ -207,7 +206,7 @@ def test_tier2_engine_selected_and_promotes():
     assert snap["promotions"] > 0
     assert snap["compiled_blocks"] > 0
     assert snap["compiled_sites"] > 0
-    assert any(name.endswith("Bench.step") for name in snap["methods"])
+    assert vm.resolve_static("Bench", "step").compiled in vm.machine._memo
     # Bytecode-side tier-1 promotion still happens underneath.
     assert vm.interpreter.stats.promotions > 0
 
@@ -226,10 +225,7 @@ def test_interpreted_tier2_reports_zero_metrics():
 
 
 def tier2_codes(vm):
-    from repro.jit.emit2 import Tier2Code
-
-    return [t2 for t2 in vm.machine._memo.values()
-            if isinstance(t2, Tier2Code)]
+    return list(vm.machine._memo.values())
 
 
 def assert_leader_entries_only(vm):
@@ -356,7 +352,7 @@ def test_compiled_calls_and_returns_stay_in_the_driver(quantum):
 
 
 def test_never_entered_region_is_never_compiled():
-    # Promotion only validates; a block is emitted when a frame first
+    # Promotion emits nothing; a block is emitted when a frame first
     # arrives at its pc.  The arm no call takes stays an empty entry.
     n = 80
     bench = GuestBenchmark(name="coldarm", suite="tests", source=ARM_SRC,
@@ -375,8 +371,7 @@ def test_never_entered_region_is_never_compiled():
     stats = vm.machine.stats
     assert stats.blocks == emitted == sum(t2.nblocks for t2 in codes)
     assert emitted < sum(len(t2.leaders) for t2 in codes)
-    record = stats.methods["Bench.step"]
-    assert (record["blocks"], record["sites"]) == (step.nblocks, step.sites)
+    assert stats.sites == sum(t2.sites for t2 in codes)
     assert stats.compile_cycles == sum(t2.compile_cycles for t2 in codes)
 
 
@@ -497,6 +492,177 @@ def test_tier2_blocks_never_contain_scheduler_ops():
                 if pc + 1 < len(instrs) and pc + 1 not in sched:
                     assert pc + 1 in t2.leaders
     assert seen == SCHEDULER_KINDS
+
+
+# ----------------------------------------------------------------------
+# Closure: tier-2 admits every CompiledCode, so every machine kind and
+# guard test the guest JIT can produce must have an emitter arm.
+# ----------------------------------------------------------------------
+def _pinned(test, var: str, namespace: dict) -> set:
+    """The string values an ``if`` test compares ``var`` against:
+    ``var == "x"``, ``var in ("x", ...)``, ``var in TABLE`` and ``or``s
+    of those."""
+    import ast
+
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+        return set().union(*(_pinned(v, var, namespace)
+                             for v in test.values))
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.left, ast.Name) and test.left.id == var):
+        return set()
+    (rhs,) = test.comparators
+    if isinstance(test.ops[0], ast.Eq) and isinstance(rhs, ast.Constant):
+        return {rhs.value}
+    if isinstance(test.ops[0], ast.In):
+        if isinstance(rhs, ast.Name):
+            return set(namespace[rhs.id])
+        if isinstance(rhs, ast.Tuple):
+            return {elt.value for elt in rhs.elts}
+    return set()
+
+
+def _arms(func, var: str) -> set:
+    """Every value ``func``'s ``if``/``elif`` chains give an arm to."""
+    import ast
+    import inspect
+    import textwrap
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return set().union(*(_pinned(node.test, var, func.__globals__)
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.If)))
+
+
+def _lowered_kinds() -> set:
+    """Every machine kind a ``_emit`` call in lowering can produce: its
+    literal first argument, or the values the enclosing ``if op ...``
+    arm pins ``op`` to."""
+    import ast
+    import inspect
+
+    from repro.jit import lowering
+
+    kinds: set = set()
+
+    def visit(node, pinned: set) -> None:
+        if isinstance(node, ast.If):
+            arm = _pinned(node.test, "op", vars(lowering))
+            for child in node.body:
+                visit(child, arm or pinned)
+            for child in node.orelse:
+                visit(child, pinned)
+            return
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_emit"):
+            first = node.args[0]
+            if isinstance(first, ast.Constant):
+                kinds.add(first.value)
+            else:
+                assert isinstance(first, ast.Name) and first.id == "op"
+                assert pinned, ast.unparse(node)
+                kinds.update(pinned)
+        for child in ast.iter_child_nodes(node):
+            visit(child, pinned)
+
+    visit(ast.parse(inspect.getsource(lowering)), set())
+    return kinds
+
+
+def _created_guard_tests() -> set:
+    """Every ``GuardInfo.test`` the guest JIT creates: ``test=`` literals,
+    and the literals passed to a local helper that forwards its own
+    ``test`` parameter."""
+    import ast
+    import pathlib
+
+    import repro.jit
+
+    tests: set = set()
+    for path in sorted(pathlib.Path(repro.jit.__file__).parent
+                       .rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        helpers = {}                  # helper name -> test param index
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = [a.arg for a in fn.args.args]
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name)
+                        and call.func.id == "GuardInfo"):
+                    continue
+                (value,) = [kw.value for kw in call.keywords
+                            if kw.arg == "test"]
+                if isinstance(value, ast.Constant):
+                    tests.add(value.value)
+                elif isinstance(value, ast.Name) and value.id in params:
+                    helpers[fn.name] = params.index(value.id)
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id in helpers):
+                arg = call.args[helpers[call.func.id]]
+                assert isinstance(arg, ast.Constant), ast.unparse(call)
+                tests.add(arg.value)
+    return tests
+
+
+def _one_op_block(instr):
+    from repro.jit.emit2 import _Block2Emitter
+
+    return _Block2Emitter(0, [(0, instr)], 1, {}, jit_on=True,
+                          trace_cas=True, fault_calls=True)
+
+
+def test_every_lowered_machine_kind_has_an_emitter_arm():
+    from repro.errors import VMError
+    from repro.jit.emit2 import BAIL_KINDS, _Block2Emitter
+    from repro.jit.machine import Machine
+
+    lowered = _lowered_kinds()
+    assert len(lowered) == 47
+    emitted = _arms(_Block2Emitter.emit_op, "kind")
+    assert lowered - BAIL_KINDS <= emitted, lowered - BAIL_KINDS - emitted
+    assert not emitted & BAIL_KINDS
+    assert lowered <= _arms(Machine.run_frame, "kind")
+    with pytest.raises(VMError, match="no emitter arm"):
+        _one_op_block(("bogus", 1)).render()
+
+
+def test_every_created_guard_test_emits():
+    from repro.errors import VMError
+    from repro.jit.emit2 import _Block2Emitter
+    from repro.jit.machine import Machine
+
+    created = _created_guard_tests()
+    assert created == {"nonnull", "bounds", "bounds_range", "type"}
+    assert created <= _arms(_Block2Emitter.emit_op, "test")
+    assert created <= _arms(Machine.run_frame, "test")
+    for test in created:
+        guard = ("guard", 1, "NullCheckException", test, (0, 1, 2), "C",
+                 None, None)
+        _, source = _one_op_block(guard).render()
+        compile(source, f"<guard {test}>", "exec")
+    with pytest.raises(VMError, match="unknown guard test"):
+        _one_op_block(("guard", 1, "X", "bogus", (0,), None, None,
+                       None)).render()
+
+
+@pytest.mark.parametrize("emitter", ("repro.jvm.tier1.compile_method",
+                                     "repro.jit.emit2.compile_tier2"))
+def test_emitter_errors_propagate(monkeypatch, emitter):
+    # Neither host tier falls back when its emitter fails: a hot
+    # program under engine="tier2" raises instead of running slower.
+    def broken(*args, **kwargs):
+        raise RuntimeError("emitter bug")
+
+    monkeypatch.setattr(emitter, broken)
+    bench = hot_bench("loud")
+    vm = VM(engine="tier2", jit="graal")
+    vm.load(bench.compile())
+    with pytest.raises(RuntimeError, match="emitter bug"):
+        vm.invoke(bench.entry, list(bench.args))
 
 
 # ----------------------------------------------------------------------
@@ -815,15 +981,12 @@ def test_tier_snapshot_and_metric_keys_are_pinned():
                       measure=1, engine="tier2", plugins=(plugin,))
     tier1, tier2 = suite.results[0].tier1, suite.results[0].tier2
     snap = {"promotions", "compiled_blocks", "compiled_sites",
-            "compile_cycles", "deopts", "methods"}
+            "compile_cycles", "deopts"}
     assert set(tier1) == snap
     assert set(tier2) == snap | {"osr_entries", "compile_seconds"}
     reasons = {"budget", "exception", "fault"}
     assert set(tier1["deopts"]) == reasons
     assert set(tier2["deopts"]) == reasons | {"guard"}
-    for record in (*tier1["methods"].values(), *tier2["methods"].values()):
-        assert set(record) == {"promotions", "blocks", "sites",
-                               "compile_cycles"}
     report = suite.to_report_dict()
     assert list(report["tier1"]) == [
         "promotions", "compiled_blocks", "compile_cycles", "deopts"]
