@@ -56,10 +56,12 @@ threaded:
 		tests/jvm/test_interpreter.py
 
 # Tier-1 engine focus: the superblock-engine test suite, plus the
-# verifier and mutation corpus that check the exit protocol and the
-# block walker it shares with tier 2, and the ISA closure tests with
-# link-time validation (jvm/bytecode.py), which the emitter relies on
-# instead of checking its input: it compiles every linked method.
+# verifier and mutation corpus that check the exit protocol (every
+# block exit is one call of the exit function `_x`,
+# repro.jit.emit2.block_exit) and the block walker it shares with
+# tier 2, and the ISA closure tests with link-time validation
+# (jvm/bytecode.py), which the emitter relies on instead of checking
+# its input: it compiles every linked method.
 tier1:
 	PYTHONPATH=src python -m pytest -q tests/test_tier1.py tests/test_irverify.py \
 		tests/jvm/test_bytecode.py
@@ -69,7 +71,8 @@ tier1:
 # plus the interpretive Machine that parked tier-2 frames resume on, the
 # concurrency-op tests (tier-2 blocks stop before every monitor, park
 # and wait/notify, so under tier-2 those always run on that Machine),
-# the verifier and mutation corpus shared with tier 1, and the ISA
+# the verifier and mutation corpus shared with tier 1 (which read the
+# arguments of every block's exit-function calls, `_x`), and the ISA
 # closure tests with link-time validation (jvm/bytecode.py): tier-2
 # admits every CompiledCode, so no emitter checks its input.
 tier2:

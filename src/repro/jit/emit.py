@@ -14,8 +14,9 @@ exit points.
 Byte-identity against the reference interpreter is the contract, kept
 by the exit protocol every host superblock shares with tier-2
 (:class:`repro.jit.emit2._BlockWriter`): budget checks folded to
-compile-time prefix sums, shared counters touched only at exits, and
-raises flushed with the faulting instruction counted but not charged.
+compile-time prefix sums, shared counters touched only by exits (one
+``_x`` call each, :func:`repro.jit.emit2.block_exit`), and raises
+exiting with the faulting instruction counted but not charged.
 Tier-1 adds its operand stack, which lives in Python locals and is
 spilled back into ``frame.stack`` at every resumable exit, and its
 backedge counts.  Monitors and park/wait/notify are never emitted: the
@@ -27,7 +28,7 @@ monomorphic inline cache and the receiver profile.
 A block exits in one of three ways: a budget boundary landing mid-block
 returns with ``frame.pc`` parked inside the region (the threaded
 handler at that pc resumes it next slice); a guest exception or an
-injected fault raises after the flush; a terminator, invoke or the
+injected fault raises after its exit; a terminator, invoke or the
 region's end hands control to the next pc.
 
 Compilation never declines: every linked method compiles, since link
@@ -54,7 +55,7 @@ from repro.errors import (
     GuestNullPointerError,
     VMError,
 )
-from repro.jit.emit2 import MAX_BLOCK_OPS, _BlockWriter, _is_name
+from repro.jit.emit2 import MAX_BLOCK_OPS, _BlockWriter, _is_name, block_exit
 from repro.jvm.bytecode import INVOKES, TERMINATORS, Op
 from repro.jvm.costmodel import (
     INTERP_COST,
@@ -128,7 +129,7 @@ class _BlockEmitter(_BlockWriter):
     DEFAULTS = (
         "_ct=_ct", "_md=_md", "_vm=_vm", "_cm=_cm", "_heap=_heap",
         "_gs=_gs", "_l1=_l1", "_cmiss=_cmiss", "_GAE=_GAE",
-        "_GNPE=_GNPE", "_GBE=_GBE", "_GCE=_GCE", "_dp=_dp",
+        "_GNPE=_GNPE", "_GBE=_GBE", "_GCE=_GCE", "_x=_x",
         "_pr=_pr", "_tcas=_tcas", "_Frame=_Frame",
         "_machine=_machine", "_jit=_jit", "_type=type",
         "_len=len", "_float=float", "_int=int", "_isin=isinstance",
@@ -396,7 +397,7 @@ class _BlockEmitter(_BlockWriter):
         if op is Op.INVOKEDYNAMIC:
             owner, lambda_name, captured_count = instr.arg
             captured, _ = self.pop_args(captured_count)
-            self.flush(next_pc, count_extra=1)
+            self.invoke_exit(next_pc)
             self.emit("_ct.idynamic += 1")
             self.emit("_ct.method += 1")
             cell = self.bind(f"_k{pc}", [None])
@@ -414,10 +415,11 @@ class _BlockEmitter(_BlockWriter):
             argc = instr.arg
             args, _ = self.pop_args(argc)
             handle = self.as_name(self.pop())
+            # The reference counts the invoke before its null check.
             self.emit(f"if {handle} is None:")
-            self.raise_exit(pc, "raise _GNPE('invoke on null function')",
-                            extra=("_ct.method += 1",))
-            self.flush(pc, count_extra=1)
+            self.emit("_ct.method += 1", 1)
+            self.raise_exit(pc, "raise _GNPE('invoke on null function')")
+            self.invoke_exit(pc)
             self.emit("_ct.method += 1")
             tgt, cap = self.tmp(), self.tmp()
             self.emit(f"{tgt}, {cap} = {handle}.meta")
@@ -429,7 +431,7 @@ class _BlockEmitter(_BlockWriter):
         if op is Op.INVOKESTATIC or op is Op.INVOKESPECIAL:
             args, _ = self.pop_args(
                 argc if op is Op.INVOKESTATIC else argc + 1)
-            self.flush(pc, count_extra=1)
+            self.invoke_exit(pc)
             cell = self.bind(f"_k{pc}", [None])
             tgt = self.tmp()
             self.emit(f"{tgt} = {cell}[0]")
@@ -455,9 +457,9 @@ class _BlockEmitter(_BlockWriter):
             self.emit(f"{recv} = {args}[0]")
         message = f"invoke {name} on null"
         self.emit(f"if {recv} is None:")
-        self.raise_exit(pc, f"raise _GNPE({message!r})",
-                        extra=("_ct.method += 1",))
-        self.flush(pc, count_extra=1)
+        self.emit("_ct.method += 1", 1)
+        self.raise_exit(pc, f"raise _GNPE({message!r})")
+        self.invoke_exit(pc)
         self.emit("_ct.method += 1")
         jc = self.tmp()
         self.emit(f"{jc} = {recv}.jclass")
@@ -482,6 +484,26 @@ class _BlockEmitter(_BlockWriter):
         self.emit(f"elif _len({ts}) < 4:")
         self.emit(f"{ts}.add({jc}.name)", 1)
         self.call_then_charge(next_pc, tgt, args, cost)
+
+    def invoke_exit(self, pc: int) -> None:
+        """Exit before an invoke: counted, uncharged, stack spilled."""
+        self.emit(self.exit_call(pc, self.cum, self.k + 1))
+        self.materialize()
+
+    def call_then_charge(self, next_pc: int, tgt: str, args: str,
+                         cost: int) -> None:
+        """The call tail after :meth:`invoke_exit`, written outside
+        ``_x``: advance the pc, call, then charge the invoke's cost with
+        a read-modify-write (a native callee charged ``thread.budget``
+        itself meanwhile)."""
+        self.emit(f"frame.pc = {next_pc}")
+        self.emit_call(tgt, args)
+        self.charge_after_call(cost)
+
+    def charge_after_call(self, cost: int) -> None:
+        self.emit(f"thread.budget -= {cost}")
+        self.emit(f"_ct.reference_cycles += {cost}")
+        self.emit("return False")
 
     def bounds_check(self, arr: str, index: str, pc: int) -> str:
         data = self.tmp()
@@ -556,7 +578,8 @@ def compile_method(engine, method):
         "_l1": vm.cache.l1_tags, "_cmiss": vm.cache.miss,
         "_GAE": GuestArithmeticError,
         "_GNPE": GuestNullPointerError, "_GBE": GuestBoundsError,
-        "_GCE": GuestCastError, "_dp": engine.stats.deopts,
+        "_GCE": GuestCastError,
+        "_x": block_exit(vm.counters, engine.stats.deopts),
         "_pr": _profile_receiver,
         "_tcas": (vm.trace if vm.trace is not None and vm.trace.cas_on
                   else None),

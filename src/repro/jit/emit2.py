@@ -28,19 +28,20 @@ state only at exits:
   block's first ``k`` ops; dynamic costs (cache penalties, allocation
   words) decrement the local ``budget`` as they occur, keeping the
   comparison exact;
-- every exit stores ``thread.budget = budget - CUM``, bumps
-  ``instructions``/``reference_cycles`` by compile-time constants (plus
-  ``b0 - budget`` for accumulated dynamic cycles) and sets ``frame.pc``
-  to the exact machine-code index;
-- ops the machine can raise from (null/bounds/zero/cast checks, guard
-  deopts, heap pressure) flush *before* raising with the faulting
-  instruction counted but not charged;
+- every exit is one call of the method env's exit function ``_x``
+  (:func:`block_exit`), passed the exit's compile-time constants: the
+  cost ``CUM`` it charges, the ops it counts and the exact machine-code
+  index it parks ``frame.pc`` at;
+- ops the machine can raise from (null/bounds/zero/cast checks, heap
+  pressure) exit *before* raising with the faulting instruction counted
+  but not charged; a failed guard exits charged, then deopts;
 - a branch back to the block's own leader loops in place (``while
   True``), which is where the tier pays off: a vectorized or unrolled
   hot loop becomes one native Python loop.
 
-That exit protocol is written once, in :class:`_BlockWriter`; tier-1's
-bytecode emitter (:mod:`repro.jit.emit`) subclasses it too.
+That exit protocol is written once, in :func:`block_exit` and
+:class:`_BlockWriter`; tier-1's emitter (:mod:`repro.jit.emit`)
+subclasses the writer too.
 
 Both host tiers follow one bail rule: a block never contains a
 scheduler op (monitors, park/unpark, wait/notify).  The region ends
@@ -53,8 +54,8 @@ Guard failures take the *guest* deopt path —
 from FrameState/VirtualObjectState recipes exactly as the interpretive
 machine would, falling back to the tier-1/threaded bytecode ladder at
 the exact bytecode index.  Faults inside a block (heap pressure, an
-injected fault) flush and re-raise, exactly as the interpretive machine
-raises them.
+injected fault) exit through ``_x`` and re-raise, exactly as the
+interpretive machine raises them.
 
 Emission is on demand: :func:`compile_tier2` admits every
 CompiledCode the first time a frame of it runs, without validating or
@@ -169,15 +170,37 @@ def _is_name(expr: str) -> bool:
     return bool(expr) and not expr[0].isdigit() and set(expr) <= _IDENT_OK
 
 
+def block_exit(counters, exits):
+    """The exit function ``_x`` every host block leaves through.
+
+    It stores the slice's remaining budget, parks ``frame.pc`` (None:
+    a return), counts ``ai + counted`` instructions and ``charged``
+    cycles plus the dynamic ones and completed self-loop passes the
+    local budget absorbed since ``b0``, counts ``reason`` in ``exits``
+    and returns True, so ``return _x(...)`` hands the frame back.
+    """
+    def _x(thread, frame, budget, b0, ai, charged, counted, pc,
+           reason=None):
+        thread.budget = budget - charged
+        if pc is not None:
+            frame.pc = pc
+        counters.instructions += ai + counted
+        counters.reference_cycles += charged + (b0 - budget)
+        if reason is not None:
+            exits[reason] += 1
+        return True
+    return _x
+
+
 class _BlockWriter:
     """The exit protocol every host superblock follows, written once.
 
     A block keeps the engine's per-instruction bookkeeping in locals —
     the running ``budget``, the ops emitted so far (``k``) and their
     constant cost (``cum``), ``b0`` for dynamic cycles, ``_ai`` for
-    completed self-loop passes — and only this class turns them into
-    shared state: budget guards, flushes before a raise or a transfer,
-    the self-loop, the inlined ``VM.call`` and the function frame.
+    completed self-loop passes — and only this class's ``_x`` calls
+    turn them into shared state: budget guards, exits before a raise or
+    a transfer, the self-loop, the inlined ``VM.call`` and the frame.
 
     Tier-2's :class:`_Block2Emitter` and tier-1's
     :class:`repro.jit.emit._BlockEmitter` subclass it with their region
@@ -214,6 +237,9 @@ class _BlockWriter:
         self.cum = 0                  # their constant cost sum
         self.sites = 0                # ops consumed (incl. terminators)
         self._base = 1 if self_loop else 0
+        # The ``b0`` and ``ai`` every exit passes ``_x``.
+        self._exit_locals = ("b0" if has_dyn or self_loop else "budget",
+                             "_ai" if self_loop else "0")
 
     # -- low-level helpers ---------------------------------------------
     def emit(self, line: str, depth: int = 0) -> None:
@@ -254,71 +280,38 @@ class _BlockWriter:
     def on_branch(self, pc: int, target: int, depth: int) -> None:
         """A taken branch from ``pc`` to ``target`` is about to exit."""
 
-    # -- exit-point construction ---------------------------------------
-    def flush_parts(self, *, pc: int | None, extra_cost: int = 0,
-                    count_extra: int = 0, materialize: bool = True) -> list:
-        """Statements restoring engine-identical shared state.
+    # -- exits -----------------------------------------------------------
+    def exit_call(self, pc: int | None, charged: int, counted: int,
+                  reason: str | None = None) -> str:
+        """The ``_x`` call for an exit charging ``charged`` cycles and
+        counting ``counted`` ops (plus completed self-loop passes).
 
-        ``extra_cost``/``count_extra`` fold the current op in (taken
-        branches, calls and returns charge it; raises and guard-failure
-        exits count it per the engine's raise-time state, charging only
-        what the engine charged).  ``materialize`` adds the ``spill``;
-        a dying frame (raise, return) does not need it."""
-        charged = self.cum + extra_cost
-        counted = self.k + count_extra
-        parts = [f"thread.budget = budget - {charged}" if charged
-                 else "thread.budget = budget"]
-        if pc is not None:
-            parts.append(f"frame.pc = {pc}")
-        # Completed self-loop passes live in ``_ai`` (instructions) and
-        # in ``budget`` itself (their constant cost was subtracted at
-        # each loop-around), so ``b0 - budget`` recovers their constant
-        # and dynamic cycles together.  Dynamic cycles can accrue even
-        # when nothing constant is charged (a raise at the first op):
-        # always recover them from the local-budget delta.
-        if self.self_loop:
-            parts.append(f"_ct.instructions += _ai + {counted}"
-                         if counted else "_ct.instructions += _ai")
-        elif counted:
-            parts.append(f"_ct.instructions += {counted}")
-        if self.self_loop or self.has_dyn:
-            cyc = f"{charged} + (b0 - budget)" if charged \
-                else "b0 - budget"
-            parts.append(f"_ct.reference_cycles += {cyc}")
-        elif charged:
-            parts.append(f"_ct.reference_cycles += {charged}")
-        if materialize:
-            parts += self.spill()
-        return parts
+        Taken branches, calls and returns count the current op and
+        charge it; raises count it uncharged, as the engine does."""
+        b0, ai = self._exit_locals
+        tail = f", {reason!r}" if reason else ""
+        return (f"_x(thread, frame, budget, {b0}, {ai}, {charged}, "
+                f"{counted}, {pc}{tail})")
 
-    def flush(self, pc: int | None, depth: int = 0, **fold) -> None:
-        for part in self.flush_parts(pc=pc, **fold):
-            self.emit(part, depth)
-
-    @staticmethod
-    def bump(reason: str) -> str:
-        """The exit-reason count the driver's stats read."""
-        return f"_dp[{reason!r}] = _dp[{reason!r}] + 1"
+    def resume_exit(self, pc: int, charged: int, counted: int,
+                    reason: str | None = None) -> list:
+        """Statements handing the frame back to the driver, resumable
+        at ``pc``: the ``spill``, then ``return _x(...)``."""
+        return self.spill() + [
+            "return " + self.exit_call(pc, charged, counted, reason)]
 
     def budget_guard(self, pc: int) -> None:
         """``if budget <= CUM_k`` → exit with the pc parked mid-region
         (the next slice resumes it on the engine below)."""
-        parts = self.flush_parts(pc=pc)
-        parts.append(self.bump("budget"))
-        parts.append("return True")
+        parts = self.resume_exit(pc, self.cum, self.k, "budget")
         self.emit(f"if budget <= {self.cum}: " + "; ".join(parts))
 
-    def raise_exit(self, pc: int, raise_stmt: str, depth: int = 1,
-                   extra: tuple = ()) -> None:
-        """Flush then raise: instruction counted, cost uncharged.
+    def raise_exit(self, pc: int, raise_stmt: str, depth: int = 1) -> None:
+        """Exit then raise: instruction counted, cost uncharged.
 
-        The exception kills the guest thread, so no ``spill``.
-        ``extra`` statements (tier-1's invoke ``method`` count, bumped
-        before the reference's null check) follow the flush."""
-        self.flush(pc, depth, count_extra=1, materialize=False)
-        for stmt in extra:
-            self.emit(stmt, depth)
-        self.emit(self.bump("exception"), depth)
+        The exception kills the guest thread, so no ``spill``."""
+        self.emit(self.exit_call(pc, self.cum, self.k + 1, "exception"),
+                  depth)
         self.emit(raise_stmt, depth)
 
     def null_check(self, expr: str, pc: int, message: str) -> None:
@@ -329,14 +322,14 @@ class _BlockWriter:
                    reason: str = "fault") -> None:
         """Wrap host calls that can raise mid-block (heap pressure, an
         injected fault, resolution): the engine raises with the
-        instruction counted and nothing charged, so the handler flushes
-        exactly that."""
+        instruction counted and nothing charged, so the handler exits
+        with exactly that."""
         self.emit("try:", depth)
         for stmt in stmts:
             self.emit(stmt, depth + 1)
         self.emit("except Exception:", depth)
-        self.flush(pc, depth + 1, count_extra=1, materialize=False)
-        self.emit(self.bump(reason), depth + 1)
+        self.emit(self.exit_call(pc, self.cum, self.k + 1, reason),
+                  depth + 1)
         self.emit("raise", depth + 1)
 
     def alloc_call(self, pc: int, call: str, depth: int = 0) -> str:
@@ -356,14 +349,14 @@ class _BlockWriter:
     def exit_to(self, pc: int, target: int, cost: int,
                 depth: int = 0) -> None:
         """Taken branch at ``pc`` leaves the region for ``target``:
-        charge the branch, flush, and return to the driver — or loop in
-        place when ``target`` is this block's own leader."""
+        charge the branch and return to the driver — or loop in place
+        when ``target`` is this block's own leader."""
         self.on_branch(pc, target, depth)
         if target == self.leader and self.self_loop:
             self.loop_around(cost, depth)
             return
-        self.flush(target, depth, extra_cost=cost, count_extra=1)
-        self.emit("return True", depth)
+        for part in self.resume_exit(target, self.cum + cost, self.k + 1):
+            self.emit(part, depth)
 
     def loop_around(self, cost: int, depth: int) -> None:
         """Taken branch back to this block's own leader: loop in place.
@@ -377,16 +370,12 @@ class _BlockWriter:
         for part in self.spill():
             self.emit(part, depth)
         self.emit("if budget > 0: continue", depth)
-        self.emit("thread.budget = budget", depth)
-        self.emit(f"frame.pc = {self.leader}", depth)
-        self.emit("_ct.instructions += _ai", depth)
-        self.emit("_ct.reference_cycles += b0 - budget", depth)
-        self.emit("return True", depth)
+        self.emit("return " + self.exit_call(self.leader, 0, 0), depth)
 
     def return_exit(self, value: str | None, cost: int) -> None:
         """Charge the return, pop the frame and hand ``value`` to the
         caller (None: a void return, which sets no thread result)."""
-        self.flush(None, extra_cost=cost, count_extra=1, materialize=False)
+        self.emit(self.exit_call(None, self.cum + cost, self.k + 1))
         self.emit("_fs = thread.frames")
         self.emit("_fs.pop()")
         self.emit("if _fs:")
@@ -438,21 +427,6 @@ class _BlockWriter:
         self.emit(f"{nf}.stack = []", depth)
         self.emit(f"{nf}.pc = 0", depth)
         self.emit(f"thread.frames.append({nf})", depth)
-
-    def call_then_charge(self, next_pc: int, tgt: str, args: str,
-                         cost: int) -> None:
-        """Tier-1's call tail: the caller already flushed the invoke
-        counted but uncharged at its own pc; advance the pc, call, then
-        charge the invoke's cost with a read-modify-write (a native
-        callee charged ``thread.budget`` itself meanwhile)."""
-        self.emit(f"frame.pc = {next_pc}")
-        self.emit_call(tgt, args)
-        self.charge_after_call(cost)
-
-    def charge_after_call(self, cost: int) -> None:
-        self.emit(f"thread.budget -= {cost}")
-        self.emit(f"_ct.reference_cycles += {cost}")
-        self.emit("return False")
 
     # -- op bodies both tiers share ------------------------------------
     def add(self, lhs: str, rhs: str, dst: str) -> None:
@@ -540,8 +514,8 @@ class _BlockWriter:
         else:
             # The region ran off its end (the cap, or a bail op): park
             # the pc there; the driver resumes it next.
-            self.flush(self.end_pc)
-            self.emit("return True")
+            for part in self.resume_exit(self.end_pc, self.cum, self.k):
+                self.emit(part)
         name = f"{self.PREFIX}{self.leader}"
         defaults = list(self.DEFAULTS)
         defaults += [f"{n}={n}" for n in sorted(self.used)]
@@ -568,7 +542,7 @@ class _Block2Emitter(_BlockWriter):
     DEFAULTS = (
         "_ct=_ct", "_vm=_vm", "_heap=_heap", "_gs=_gs", "_l1=_l1",
         "_cmiss=_cmiss", "_alloc=_alloc", "_GAE=_GAE", "_GNPE=_GNPE",
-        "_GBE=_GBE", "_GCE=_GCE", "_IE=_IE", "_dp=_dp",
+        "_GBE=_GBE", "_GCE=_GCE", "_IE=_IE", "_x=_x",
         "_deoptimize=_deoptimize", "_cg=_cg", "_tcas=_tcas",
         "_Frame=_Frame", "_machine=_machine", "_jit=_jit",
         "_mkfn=_mkfn", "_type=type", "_len=len", "_float=float",
@@ -603,7 +577,7 @@ class _Block2Emitter(_BlockWriter):
         ``thread.budget`` directly; a raise inside the callee must see
         machine-identical caller state)."""
         self.emit(f"frame.pending_dest = {dest!r}")
-        self.flush(pc + 1, extra_cost=cost, count_extra=1)
+        self.emit(self.exit_call(pc + 1, self.cum + cost, self.k + 1))
         self.emit_call(tgt, args)
         self.emit("return False")
 
@@ -738,8 +712,8 @@ class _Block2Emitter(_BlockWriter):
             # The machine charges the guard's cost, then hands the frame
             # to the guest deopt machinery (counters/trace/frame
             # rematerialization happen in there, identically).
-            self.flush(pc, 1, extra_cost=cost, count_extra=1)
-            self.emit(self.bump("guard"), 1)
+            self.emit(self.exit_call(pc, self.cum + cost, self.k + 1,
+                                     "guard"), 1)
             self.emit(f"_deoptimize(_vm, thread, frame, {spec_id!r}, "
                       f"{meta!r})", 1)
             self.emit("return False", 1)
@@ -934,7 +908,8 @@ def compile_tier2(engine, code):
         "_alloc": alloc_cost, "_GAE": GuestArithmeticError,
         "_GNPE": GuestNullPointerError, "_GBE": GuestBoundsError,
         "_GCE": GuestCastError, "_IE": IndexError,
-        "_dp": engine.stats.deopts, "_deoptimize": deopt_mod.deoptimize,
+        "_x": block_exit(vm.counters, engine.stats.deopts),
+        "_deoptimize": deopt_mod.deoptimize,
         "_cg": vm.counters.count_guard,
         "_tcas": vm.trace if trace_cas else None,
         "_Frame": Frame, "_machine": engine, "_jit": vm.jit,

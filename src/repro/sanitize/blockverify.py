@@ -4,7 +4,7 @@ Both host tiers compile guest code into flat Python closures —
 :mod:`repro.jit.emit` (tier-1) from method bytecode,
 :mod:`repro.jit.emit2` (tier-2) from guest-JIT machine code — and both
 follow one exit protocol: batched budget comparisons,
-instruction/cycle constants, and ``frame.pc`` flushes that must land on
+instruction/cycle constants, and ``frame.pc`` exits that must land on
 resumable indices.  This module re-derives all of that *independently*
 — its own region walks and its own prefix sums over
 :mod:`repro.jvm.costmodel` and the machine code's costs — then checks
@@ -19,15 +19,14 @@ generated source via ``ast``) against that ground truth:
   both tiers leave to the engine below); every other pc resumes on
   the engine below;
 - **cost accounting** (one walker, :meth:`_Verifier.check_function`,
-  with each tier's legal constants from its one cost function): every
-  ``budget <= K`` guard, ``thread.budget = budget - K`` flush,
-  ``budget -= K`` fold and ``reference_cycles`` constant must be a
-  prefix sum of the region's costs; instruction bumps must not exceed
-  the region's op count, and each flush's instruction count must pair
-  with the cycles it charges;
-- **exit state**: every ``raise`` must be preceded (in its statement
-  suite) by a budget flush and an in-range ``frame.pc`` assignment, so
-  the failure the guest observes carries engine-identical counters;
+  with each tier's legal arguments from its one cost function): every
+  exit is one ``_x`` call whose instruction count lies in the region
+  and pairs with the prefix sum it charges and whose ``frame.pc`` is
+  where those ops leave to; a ``budget <= K`` guard exits charging
+  ``K`` at the next op's pc;
+- **exit state**: nothing but ``_x`` writes budget, pc or counters, and
+  every ``raise`` follows an ``_x`` call parking the pc, so the failure
+  the guest observes carries engine-identical counters;
 - **totals**: ``sites``/``nblocks``/``compile_cycles`` must match the
   region walk exactly (the simulated compile-time these feed is part of
   the byte-identity contract).
@@ -105,37 +104,50 @@ def _gc_paused(check, *args):
 
 
 # ======================================================================
-# The exit protocol's legal constants, and the one walker checking them.
+# The exit protocol's legal arguments, and the one walker checking them.
 # ======================================================================
 class _Accounting(NamedTuple):
-    """The constants one region's generated code may contain."""
+    """What one region's exits may pass the exit function ``_x``."""
 
     cum: list               # cum[k]: constant cost of the first k ops
-    guards: frozenset       # ``budget <= K``: a prefix before a body op
-    charges: frozenset      # ``thread.budget = budget - K`` and local
-    #                         ``budget -= K``: any prefix (an exit
-    #                         charges up to the op it leaves through)
-    cycles: frozenset       # ``reference_cycles += K``
+    pcs: list               # pcs[k-1]: where an exit counting k ops may
+    #                         park (None: a return pops the frame)
     post_call: int | None   # ``thread.budget -= K`` after an ending
     #                         call; a tier charging calls after the call
-    #                         flushes them uncharged (tier-1 only)
+    #                         exits them uncharged (tier-1 only)
     internal: frozenset     # raised names the block catches itself
 
 
-def _accounting(ops, kind: str, cost, *, post_call: int | None = None,
+def _accounting(ops, cost, exits, *, post_call: int | None = None,
                 internal=frozenset()) -> _Accounting:
-    """Legal constants of the region ``ops`` (ending as ``kind``):
-    ``cost`` is each op's constant cost, summed into the prefixes."""
+    """Legal exit arguments of the region ``ops``: ``cost`` is each
+    op's constant cost, ``exits(pc, instr)`` where it may leave to."""
     cum = [0]
     for _pc, instr in ops:
         cum.append(cum[-1] + cost(instr))
-    # A terminator's cost is charged at its exit, never guarded.
-    body = len(ops) - 1 if kind == "term" else len(ops)
-    cycles = frozenset(cum) - {0}
-    if post_call is not None:
-        cycles |= {post_call}
-    return _Accounting(cum, frozenset(cum[:body + 1]), frozenset(cum),
-                       cycles, post_call, frozenset(internal))
+    return _Accounting(cum, [exits(pc, instr) for pc, instr in ops],
+                       post_call, frozenset(internal))
+
+
+#: Exit state no statement but ``_x`` writes (tier-1's invoke tail aside).
+_EXIT_STATE = frozenset({("thread", "budget"), ("frame", "pc"),
+                         ("_ct", "instructions"), ("_ct", "reference_cycles")})
+
+
+def _exit_args(value):
+    """``((b0, ai), charged, counted, pc, reason)`` when ``value`` calls
+    ``_x`` (False when those are not names and constants), else None."""
+    if value.__class__ is not ast.Call or value.func.__class__ \
+            is not ast.Name or value.func.id != "_x":
+        return None
+    args = value.args
+    if len(args) not in (8, 9) or value.keywords or not all(
+            a.__class__ is ast.Constant for a in args[5:]):
+        return False
+    b0, ai = (getattr(a, "id", getattr(a, "value", None))
+              for a in args[3:5])
+    reason = args[8].value if len(args) == 9 else None
+    return (b0, ai), args[5].value, args[6].value, args[7].value, reason
 
 
 class _Verifier:
@@ -153,199 +165,140 @@ class _Verifier:
     def check_function(self, fn, leader: int, acct: _Accounting) -> None:
         """The one accounting walker over a block function.
 
-        A single statement-level dispatch serves every check: the
-        emitters only ever place budget guards in if/while tests and
-        accounting in top-level assignments, so descending into
-        expression trees (what ``ast.walk`` does) — or making a
-        separate pass per check — would multiply the cost of every
-        verified block for nothing.  Per suite we track,
-        position-sensitively, whether budget/pc have been flushed yet
-        (the exit-state checks) and, whole-suite, the count/charge
-        constants (the pairing check after the loop)."""
-        cum = acct.cum
+        Every exit is a call ``_x(thread, frame, budget, b0, ai,
+        charged, counted, pc[, reason])``; the walker reads its
+        constant arguments, visiting statements only (never expression
+        trees: exits and guards sit at statement level).  A ``budget <=
+        K`` guard must charge ``K``, a ``raise`` must follow an exit
+        parking the pc, and nothing else may write the exit state."""
+        cum, pcs, post_call = acct.cum, acct.pcs, acct.post_call
         nops = len(cum) - 1
+        prefixes = frozenset(cum)
+        # Tier-1's invoke tail after its uncharged exit.
+        tail = () if post_call is None else {
+            f"frame.pc = {leader + nops}", f"thread.budget -= {post_call}",
+            f"_ct.reference_cycles += {post_call}"}
+        # What the prologue tracks: every exit must pass it on.
+        bound = {stmt.targets[0].id for stmt in fn.body
+                 if stmt.__class__ is ast.Assign
+                 and stmt.targets[0].__class__ is ast.Name}
+        tracked = ("b0" if "b0" in bound else "budget",
+                   "_ai" if "_ai" in bound else 0)
 
         def complain(msg):
             self.issue(f"{fn.name}: {msg}", pc=leader)
 
         for body in _suites(fn):
-            counted = charged = None
-            has_raise = returns_false = False
-            flushed_budget = flushed_pc = False
+            exits = []
+            has_raise = returns_false = parked = False
             for stmt in body:
                 cls = stmt.__class__
-                if cls is ast.Assign:
-                    target = stmt.targets[0]
-                    if target.__class__ is not ast.Attribute \
-                            or target.value.__class__ is not ast.Name:
-                        continue
-                    owner, attr = target.value.id, target.attr
-                    v = stmt.value
-                    if owner == "thread" and attr == "budget":
-                        flushed_budget = True
-                        if v.__class__ is ast.Name and v.id == "budget":
-                            if charged is None:
-                                charged = 0
-                            continue
-                        if (v.__class__ is ast.BinOp
-                                and v.op.__class__ is ast.Sub
-                                and v.left.__class__ is ast.Name
-                                and v.left.id == "budget"
-                                and v.right.__class__ is ast.Constant):
-                            k = v.right.value
-                            if charged is None:
-                                charged = k
-                            if k not in acct.charges or k == 0:
-                                complain(
-                                    f"budget flush charges {k}, not a "
-                                    "cost-model prefix/exit sum of the "
-                                    "region")
-                            continue
-                        complain("budget flush has unexpected shape")
-                    elif owner == "frame" and attr == "pc":
-                        flushed_pc = True
-                        if v.__class__ is ast.Constant \
-                                and not 0 <= v.value < self.n:
-                            complain(
-                                f"frame.pc flushed to {v.value}, outside "
-                                f"[0, {self.n}) — not a resumable index")
-                elif cls is ast.AugAssign:
-                    target = stmt.target
-                    op_cls = stmt.op.__class__
-                    arith = op_cls is ast.Sub or op_cls is ast.Add
-                    v = stmt.value
-                    const = v.__class__ is ast.Constant
-                    if target.__class__ is ast.Name:
-                        if not arith or not const:
-                            continue
-                        if target.id == "budget":
-                            if v.value not in acct.charges:
-                                complain(
-                                    f"local budget fold {v.value} is not "
-                                    "a cost-model prefix/exit sum")
-                        elif target.id == "_ai":
-                            if not 1 <= v.value <= nops:
-                                complain(
-                                    f"loop instruction fold {v.value} "
-                                    f"exceeds the region's {nops} ops")
-                    elif target.__class__ is ast.Attribute \
-                            and target.value.__class__ is ast.Name:
-                        owner, attr = target.value.id, target.attr
-                        if owner == "thread" and attr == "budget":
-                            flushed_budget = True
-                            if arith and const \
-                                    and v.value != acct.post_call:
-                                complain(
-                                    f"post-call budget charge {v.value} "
-                                    "!= the ending op's cost "
-                                    f"{acct.post_call}")
-                        elif owner == "frame" and attr == "pc":
-                            flushed_pc = True
-                        elif owner == "_ct" and attr == "instructions":
-                            k = _count_constant(v)
-                            if counted is None:
-                                counted = k
-                            if arith and k is not None \
-                                    and not 1 <= k <= nops:
-                                complain(
-                                    f"instruction bump {k} exceeds "
-                                    f"the region's {nops} ops")
-                        elif owner == "_ct" and attr == "reference_cycles" \
-                                and arith:
-                            k = _cycles_constant(v)
-                            if k is not None and k not in acct.cycles:
-                                complain(
-                                    f"cycle charge {k} is not a "
-                                    "cost-model prefix/exit sum of the "
-                                    "region")
+                if cls is ast.Expr or cls is ast.Return:
+                    value = stmt.value
+                    args = None if value is None else _exit_args(value)
+                    if args:
+                        exits.append(args)
+                        parked = parked or None not in args[3:]
+                    elif args is False:
+                        complain("exit call has non-constant arguments: "
+                                 + ast.unparse(value))
+                    elif value.__class__ is ast.Constant \
+                            and value.value is False:
+                        returns_false = True
                 elif cls is ast.Raise:
                     exc = stmt.exc
-                    if exc is not None and exc.__class__ is ast.Name \
-                            and exc.id in acct.internal:
+                    if exc.__class__ is ast.Name and exc.id in acct.internal:
                         continue
-                    # Exit-state completeness: a raise out of compiled
-                    # code must have flushed budget + pc first.
                     has_raise = True
-                    if not flushed_budget:
-                        complain("raise without a preceding "
-                                 "thread.budget flush in its suite")
-                    if not flushed_pc:
-                        complain("raise without a preceding frame.pc "
-                                 "flush — the failure would record a "
-                                 "stale index")
-                elif cls is ast.Return:
-                    v = stmt.value
-                    if v is not None and v.__class__ is ast.Constant \
-                            and v.value is False:
-                        returns_false = True
-                elif cls is ast.If or cls is ast.While:
+                    if not parked:
+                        complain("raise without a preceding _x exit "
+                                 "parking frame.pc and counting a reason"
+                                 " — the failure would record stale state")
+                elif cls is ast.If:
                     test = stmt.test
                     if (test.__class__ is ast.Compare
                             and test.left.__class__ is ast.Name
                             and test.left.id == "budget"
-                            and len(test.ops) == 1
                             and test.ops[0].__class__ is ast.LtE
                             and test.comparators[0].__class__
                             is ast.Constant):
                         k = test.comparators[0].value
-                        if k not in acct.guards:
-                            complain(
-                                f"budget guard constant {k} is not a "
-                                "cost-model prefix sum of the region")
-            # Count/charge pairing: a flush's instruction constant K and
-            # its charged-cost constant C must describe the same exit
-            # point.  A suite leaving via ``raise`` counts the faulting
-            # op without charging it (the engine raises with the
-            # instruction counted, cost uncharged), and so does a
-            # tier-1 call transfer (``return False`` after a ``frame.pc``
-            # flush — a popped return frame has none), whose invoke
-            # charges its own cost post-call: C == CUM[K-1].  Every
-            # other flush charges exactly the ops it counts, C == CUM[K].
-            if counted is None or charged is None \
-                    or not 1 <= counted <= nops:
-                continue    # range violations are reported above
-            uncharged = has_raise or (acct.post_call is not None
-                                      and returns_false and flushed_pc)
-            want = cum[counted - 1] if uncharged else cum[counted]
-            if charged != want:
-                complain(f"flush counts {counted} instruction(s) but "
-                         f"charges {charged} cycles — the cost model "
-                         f"says {want} for this exit")
-
-
-def _count_constant(value) -> int | None:
-    """Constant part of an ``instructions +=`` expression, if any."""
-    if isinstance(value, ast.Constant):
-        return value.value
-    if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add):
-        # `_ai + K`: the constant is the in-flight tail count.
-        if isinstance(value.right, ast.Constant) \
-                and isinstance(value.left, ast.Name) \
-                and value.left.id == "_ai":
-            return value.right.value
-    return None
-
-
-def _cycles_constant(value) -> int | None:
-    """Constant part of a ``reference_cycles +=`` expression, if any."""
-    if isinstance(value, ast.Constant):
-        return value.value
-    if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add) \
-            and isinstance(value.left, ast.Constant):
-        # `K + (b0 - budget)`: K is the constant charge.
-        return value.left.value
-    return None
+                        last = stmt.body[-1]
+                        args = last.__class__ is ast.Return \
+                            and _exit_args(last.value)
+                        if not args or (args[1], args[4]) != (k, "budget"):
+                            complain(f"budget guard <= {k} does not return "
+                                     f"a budget flush charging {k}")
+                elif cls is ast.AugAssign or cls is ast.Assign:
+                    target = getattr(stmt, "target", None) \
+                        or stmt.targets[0]
+                    v = stmt.value
+                    if target.__class__ is ast.Name:
+                        if cls is ast.Assign \
+                                or v.__class__ is not ast.Constant:
+                            continue
+                        if target.id == "budget" \
+                                and v.value not in prefixes:
+                            complain(f"local budget fold {v.value} is "
+                                     "not a cost-model prefix sum")
+                        elif target.id == "_ai" \
+                                and not 1 <= v.value <= nops:
+                            complain(f"loop instruction fold {v.value} "
+                                     f"exceeds the region's {nops} ops")
+                    elif target.__class__ is ast.Attribute \
+                            and target.value.__class__ is ast.Name \
+                            and (target.value.id, target.attr) \
+                            in _EXIT_STATE:
+                        line = ast.unparse(stmt)
+                        if line not in tail:
+                            complain(f"exit state written outside _x: "
+                                     f"{line}")
+            # Count/charge pairing: an exit counting K ops charges
+            # CUM[K] — unless it leaves via ``raise`` (the engine
+            # raises with the faulting op counted, its cost uncharged)
+            # or is tier-1's call transfer (a parked pc, then ``return
+            # False``), whose invoke charges itself post-call: CUM[K-1].
+            deferred = has_raise or (post_call is not None
+                                     and returns_false)
+            for locals_, charged, counted, pc, reason in exits:
+                if locals_ != tracked:
+                    complain(f"exit passes b0, ai = {locals_}; the block "
+                             f"tracks {tracked}")
+                if charged not in prefixes:
+                    complain(f"budget flush charges {charged}, not a "
+                             "cost-model prefix sum of the region")
+                    continue
+                if not 0 <= counted <= nops:
+                    complain(f"exit counts {counted} instruction(s), "
+                             f"outside the region's {nops} ops")
+                    continue
+                uncharged = deferred and pc is not None
+                want = cum[counted - 1] if uncharged and counted \
+                    else cum[counted]
+                if charged != want or (uncharged and not counted):
+                    complain(f"flush counts {counted} instruction(s) but "
+                             f"charges {charged} cycles — the cost model "
+                             f"says {want} for this exit")
+                if pc is not None and not 0 <= pc < self.n:
+                    complain(f"frame.pc flushed to {pc}, outside "
+                             f"[0, {self.n}) — not a resumable index")
+                # A budget exit parks on the next op, any other counted
+                # reason (a raise, a failed guard) on the faulting one.
+                elif pc not in ((leader + counted,) if reason == "budget"
+                                else (leader + counted - 1,) if reason
+                                else pcs[counted - 1] if counted
+                                else (leader,)):
+                    complain(f"exit counting {counted} op(s) parks at pc "
+                             f"{pc} ({reason}), where the counted ops do "
+                             "not leave to")
 
 
 def _suites(fn) -> list:
     """Every statement suite of ``fn``: any list-of-statements field
     (``body`` / ``orelse`` / ``finalbody`` / handler bodies), nested
-    suites included.  Only statements are traversed — never expression
-    trees — because every accounting construct the checks care about
-    sits at statement level in the emitted source; this runs on every
-    verified block, where the repeated full-tree ``ast.walk``
-    generators it replaces dominated the cost.
-    """
+    suites included.  Expression trees are never traversed: the exit
+    protocol sits at statement level, and this runs on every verified
+    block."""
     suites = [fn.body]
     index = 0
     while index < len(suites):
@@ -381,6 +334,19 @@ _REGION_CAP = 64
 
 def _t1_cost(instr) -> int:
     return INTERP_COST[instr.op]
+
+
+def _t1_exits(pc: int, instr) -> tuple:
+    """Where an exit counting ``instr`` parks when it has no reason."""
+    op = instr.op
+    if op is Op.RETURN or op is Op.RETVAL:
+        return (None,)
+    if op is Op.GOTO:
+        return (instr.arg,)
+    if op is Op.IFZ:
+        return (pc + 1, instr.arg[1])
+    return (pc,) if op in INVOKES and op is not Op.INVOKEDYNAMIC \
+        else (pc + 1,)
 
 
 def expected_regions(code) -> dict:
@@ -511,7 +477,7 @@ class _Tier1Verifier(_Verifier):
                 continue
             # The region-ending invoke charges its own cost post-call.
             self.check_function(fn, leader, _accounting(
-                ops, kind, _t1_cost,
+                ops, _t1_cost, _t1_exits,
                 post_call=_t1_cost(ops[-1][1]) if kind == "term" else None))
         return self.issues
 
@@ -534,6 +500,18 @@ _T2_REGION_CAP = 64
 
 def _t2_cost(instr) -> int:
     return instr[1]
+
+
+def _t2_exits(pc: int, instr) -> tuple:
+    """Where an exit counting ``instr`` parks when it has no reason."""
+    kind = instr[0]
+    if kind == "ret":
+        return (None,)
+    if kind == "jump":
+        return (instr[2],)
+    if kind == "branch":
+        return (pc + 1, instr[3], instr[4])
+    return (pc + 1,)
 
 
 def _t2_scan(instrs, leader: int):
@@ -701,7 +679,7 @@ class _Tier2Verifier(_Verifier):
                 f"region walk says end={want_end}/{want_kind}",
                 pc=leader)
         # ``_IE`` is the aload/astore bounds probe, caught inline.
-        acct = _accounting(ops, want_kind, _t2_cost, internal={"_IE"})
+        acct = _accounting(ops, _t2_cost, _t2_exits, internal={"_IE"})
         want_cum = acct.cum[len(ops) - (want_kind == "term")]
         if cum != want_cum:
             self.issue(

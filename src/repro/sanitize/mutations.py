@@ -270,9 +270,9 @@ def _tamper_cycles(code):
     code.compile_cycles += 7
 
 
-def _tamper_source(pattern, what):
-    """Bump the first ``what`` constant in the generated text: tier-1's
-    one module, or the first tier-2 block (by leader) that has one."""
+def _tamper_source(pattern, what, change=lambda value: value + 1):
+    """``change`` the first ``what`` constant in the generated text:
+    tier-1's one module, or the first tier-2 block that has one."""
     rx = re.compile(pattern)
 
     def mutate(code):
@@ -283,12 +283,15 @@ def _tamper_source(pattern, what):
             if match is None:
                 continue
             text = (text[:match.start()] + match.group(1)
-                    + str(int(match.group(2)) + 1) + text[match.end():])
+                    + str(change(int(match.group(2)))) + text[match.end():])
             code.source = text if key is None else {**texts, key: text}
             return
         raise CannotApply(f"emitted source has no {what}")
     return mutate
 
+
+#: An exit call up to its constant charged, counted, pc and reason.
+_EXIT = r"_x\(thread, frame, budget, \w+, \w+, "
 
 EMIT_MUTATIONS = {
     "entry-shifted-off-leader": _shift_entry,
@@ -296,9 +299,16 @@ EMIT_MUTATIONS = {
     "nblocks-total-tampered": _tamper_nblocks,
     "compile-cycles-tampered": _tamper_cycles,
     "budget-flush-tampered": _tamper_source(
-        r"(thread\.budget = budget - )(\d+)", "budget flush"),
+        rf"({_EXIT})(\d+)", "exit charge"),
     "instruction-count-tampered": _tamper_source(
-        r"(_ct\.instructions \+= )(\d+)", "instruction bump"),
+        rf"({_EXIT}\d+, )(\d+)", "exit instruction count"),
+    # A budget exit parked one pc early: still a resumable index.
+    "exit-pc-tampered": _tamper_source(
+        rf"({_EXIT}\d+, \d+, )(\d+)(?=, 'budget'\))", "budget exit",
+        lambda pc: pc - 1),
+    "budget-guard-zeroed": _tamper_source(
+        r"(if budget <= )([1-9]\d*)", "nonzero budget guard",
+        lambda k: 0),
 }
 
 

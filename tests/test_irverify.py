@@ -50,7 +50,7 @@ def test_corpus_covers_both_layers():
     # Every emit mutant runs against each host tier's artifact.
     for tier in ("tier-1", "tier-2"):
         assert len([r for r in results
-                    if r.layer == "emit" and r.phase == tier]) >= 6
+                    if r.layer == "emit" and r.phase == tier]) >= 8
 
 
 # ----------------------------------------------------------------------

@@ -199,7 +199,7 @@ def test_generated_block_source_is_pinned():
     vm.invoke(bench.entry, list(bench.args))
     code = compile_method(vm.interpreter, vm.resolve_static("Bench", "step"))
     assert hashlib.sha256(code.source.encode()).hexdigest() == (
-        "ccf20401bf914732d6db1943007613560250ca6b73b1fbc86badb47aca8fcfbc")
+        "cdde87c2e76be4d92100f0f2f8fa3740e84d7c97543a1963a0710f2faf0740b3")
 
 
 def test_every_non_bail_opcode_has_an_emitter_arm():
@@ -230,6 +230,34 @@ def test_every_non_bail_opcode_has_an_emitter_arm():
     for op in BAIL_OPS:
         with pytest.raises(VMError, match="no emitter arm"):
             one_op_block(0, Instr(op)).render()
+
+
+def test_isa_tour_blocks_write_exit_state_only_through_the_exit_function():
+    # Closure: every exit of every block tier-1 emits for the ISA tour
+    # is one ``_x`` call.  The invoke tail is the one exception: its pc
+    # advance and post-call charge stay inline.
+    from repro.jit.emit import compile_method
+    from repro.jvm.bytecode import INVOKES
+    from repro.jvm.costmodel import INTERP_COST
+    from repro.lang import compile_program
+    from tests.jvm.test_bytecode import _TOUR
+
+    vm = VM(engine="tier1", jit=None)
+    vm.load(compile_program(_TOUR))
+    compiled = 0
+    for name in ("Tour", "Cell"):
+        for method in vm.pool.get(name).methods.values():
+            if not method.code:
+                continue
+            code = compile_method(vm.interpreter, method)
+            compiled += code.nblocks
+            tail = {f"frame.pc = {pc + 1}"
+                    for pc, i in enumerate(method.code) if i.op in INVOKES}
+            tail |= {f"_ct.reference_cycles += {INTERP_COST[op]}"
+                     for op in INVOKES}
+            assert set(util.exit_state_writes(code.source)) <= tail, \
+                method.qualified
+    assert compiled >= 30
 
 
 # ----------------------------------------------------------------------

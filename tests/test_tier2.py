@@ -394,10 +394,10 @@ def test_generated_block_source_is_pinned():
     extend_tier2(t2, 1)
     assert {pc: hashlib.sha256(text.encode()).hexdigest()
             for pc, text in t2.source.items()} == {
-        0: "2e8f22264a34adde6f82d7c70c78b29a"
-           "37bdcc7cdc6498492886b0e15a2bf8b6",
-        1: "3aac98bf019264aabdcb12fbb6ce4f86"
-           "a75a877c7c5bb8e1cdf4c2935d8e7c7f",
+        0: "8ebe8b1614cf709f57454e13cd862f2b"
+           "7a93bc9941307784eb569bf099f583a7",
+        1: "7f13ae820b86cfb095a797584415c291"
+           "734e26773138184b69f235ac03dc9b68",
     }
 
 
@@ -665,9 +665,64 @@ def test_emitter_errors_propagate(monkeypatch, emitter):
         vm.invoke(bench.entry, list(bench.args))
 
 
+def test_isa_tour_blocks_write_exit_state_only_through_the_exit_function():
+    # Closure: every exit of every block tier-2 emits for the ISA tour
+    # (each leader of each method it compiled) is one ``_x`` call.
+    from repro.jit.emit2 import extend_tier2
+    from repro.lang import compile_program
+    from tests.jvm.test_bytecode import _TOUR
+
+    vm = VM(engine="tier2", jit=graal_config(compile_threshold=1))
+    vm.load(compile_program(_TOUR))
+    for _ in range(4):
+        vm.invoke("Tour.run", [6])
+    blocks = 0
+    for t2 in vm.machine._memo.values():
+        for pc in sorted(t2.leaders):
+            if t2.entries[pc] is None:
+                extend_tier2(t2, pc)
+        for pc, source in t2.source.items():
+            assert util.exit_state_writes(source) == [], (t2.method, pc)
+        blocks += t2.nblocks
+    assert blocks >= 30
+
+
 # ----------------------------------------------------------------------
-# Block exits: the budget exit and the guest deopt.
+# Block exits: the exit function, the budget exit and the guest deopt.
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("args, want", [
+    # A budget guard in a block with no b0 and no self-loop.
+    ((100, 100, 0, 12, 2, 7, "budget"), (88, 7, 2, 12, "budget")),
+    # A raise after 20 dynamic cycles: b0 != budget.
+    ((80, 100, 0, 6, 2, 3, "exception"), (74, 3, 2, 26, "exception")),
+    # A return: no pc, no reason.
+    ((50, 50, 0, 9, 3, None, None), (41, 99, 3, 9, None)),
+    # Self-loop exhaustion: 30 completed ops, nothing constant.
+    ((-4, 60, 30, 0, 0, 5, None), (-4, 5, 30, 64, None)),
+    # A taken branch out of a self-loop, with a guard-deopt reason.
+    ((10, 70, 14, 8, 3, 12, "guard"), (2, 12, 17, 68, "guard")),
+])
+def test_block_exit_leaves_exact_engine_state(args, want):
+    from types import SimpleNamespace
+
+    from repro.jit.emit2 import block_exit
+    from repro.jvm.counters import Counters
+
+    counters = Counters()
+    counters.instructions, counters.reference_cycles = 1000, 5000
+    exits = {"budget": 0, "exception": 0, "fault": 0, "guard": 0}
+    thread, frame = SimpleNamespace(budget=None), SimpleNamespace(pc=99)
+    _x = block_exit(counters, exits)
+    # ``reason`` defaults to None: an exit that counts none omits it.
+    assert _x(thread, frame, *(args if args[-1] else args[:-1])) is True
+    budget, pc, instructions, cycles, reason = want
+    assert (thread.budget, frame.pc) == (budget, pc)
+    assert counters.instructions == 1000 + instructions
+    assert counters.reference_cycles == 5000 + cycles
+    assert type(counters.reference_cycles) is int
+    assert exits == {k: int(k == reason) for k in exits}
+
+
 def test_budget_exit_at_every_guarded_pc_is_byte_identical():
     # Fuzz the block exits real runs take: sweep the scheduler quantum
     # until the budget guard has parked ``spin``'s machine frame at
@@ -889,8 +944,8 @@ def test_verify_ir_rejects_block_tampered_after_emission(monkeypatch):
     def tampering(t2, pc):
         out = real(t2, pc)
         t2.source[pc], hits = re.subn(
-            r"thread\.budget = budget - (\d+)",
-            lambda m: f"thread.budget = budget - {int(m[1]) + 1000}",
+            r"(_x\(thread, frame, budget, \w+, \w+, )(\d+)",
+            lambda m: f"{m[1]}{int(m[2]) + 1000}",
             t2.source[pc], count=1)
         assert hits == 1
         return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from functools import lru_cache
 
@@ -102,9 +103,35 @@ def assert_equivalent(bench, engines, **kwargs) -> None:
 # frame at every pc its emitted blocks guard.
 # ----------------------------------------------------------------------
 #: One emitted budget guard, written on one line by both emitters:
-#: ``if budget <= K: thread.budget = ...; frame.pc = P; ...``.
-_BUDGET_GUARD = re.compile(r"^ *if budget <= \d+: .*?\bframe\.pc = (\d+);",
-                           re.MULTILINE)
+#: ``if budget <= K: [spill; ]return _x(thread, frame, budget, b0, ai,
+#: charged, counted, P, 'budget')``.
+_BUDGET_GUARD = re.compile(
+    r"^ *if budget <= \d+: .*?\breturn _x\((?:\w+, ){7}(\d+), 'budget'\)$",
+    re.MULTILINE)
+
+
+#: What only the exit function ``_x`` may write in a generated block,
+#: and the statement kind that would write it.
+_EXIT_STATE = {"thread.budget": ast.Assign, "frame.pc": ast.Assign,
+               "_ct.instructions": ast.AugAssign,
+               "_ct.reference_cycles": ast.AugAssign}
+
+
+def exit_state_writes(source: str) -> list[str]:
+    """Statements of generated ``source`` that write exit state outside
+    ``_x`` (``thread.budget =``, ``frame.pc =``, ``_ct.instructions +=``,
+    ``_ct.reference_cycles +=``), and any use of ``_dp``, the exit-count
+    table blocks no longer bind."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "_dp":
+            found.append("_dp")
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            target = node.target if isinstance(node, ast.AugAssign) \
+                else node.targets[0]
+            if _EXIT_STATE.get(ast.unparse(target)) is type(node):
+                found.append(ast.unparse(node))
+    return found
 
 
 def budget_guarded_pcs(*sources: str) -> set[int]:
