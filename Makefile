@@ -74,11 +74,14 @@ tier1:
 # the verifier and mutation corpus shared with tier 1 (which read the
 # arguments of every block's exit-function calls, `_x`), and the ISA
 # closure tests with link-time validation (jvm/bytecode.py): tier-2
-# admits every CompiledCode, so no emitter checks its input.
+# admits every CompiledCode, so no emitter checks its input.  The
+# recorder test checks that the host tiers' CAS-failure line, which
+# tests the recorder at run time, records what the other engines do.
 tier2:
 	PYTHONPATH=src python -m pytest -q tests/test_tier2.py tests/test_machine.py \
 		tests/jit/test_machine_ops.py tests/test_irverify.py \
-		tests/jvm/test_bytecode.py
+		tests/jvm/test_bytecode.py \
+		tests/test_trace.py::test_cas_failures_identical_across_engines
 
 # Guest-JIT focus: IR, phases, lowering, the interpretive Machine and
 # deoptimization (tests/jit/), plus the IR verifier and mutation corpus

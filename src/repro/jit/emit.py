@@ -62,7 +62,7 @@ from repro.jvm.costmodel import (
     TIER1_COMPILE_BLOCK_COST,
     TIER1_COMPILE_SITE_COST,
 )
-from repro.jvm.interpreter import Frame, guest_str
+from repro.jvm.interpreter import guest_str
 from repro.jvm.threaded import _profile_receiver
 
 #: Opcodes a superblock never contains: they call into the scheduler
@@ -126,26 +126,15 @@ class _BlockEmitter(_BlockWriter):
 
     PREFIX = "_b"
     PARAMS = "thread, frame, stack, locals_"
-    DEFAULTS = (
-        "_ct=_ct", "_md=_md", "_vm=_vm", "_cm=_cm", "_heap=_heap",
-        "_gs=_gs", "_l1=_l1", "_cmiss=_cmiss", "_GAE=_GAE",
-        "_GNPE=_GNPE", "_GBE=_GBE", "_GCE=_GCE", "_x=_x",
-        "_pr=_pr", "_tcas=_tcas", "_Frame=_Frame",
-        "_machine=_machine", "_jit=_jit", "_type=type",
-        "_len=len", "_float=float", "_int=int", "_isin=isinstance",
-        "_abs=abs", "_list=list",
-    )
 
-    def __init__(self, leader: int, ops, end_pc: int, cells: dict,
-                 **flags) -> None:
+    def __init__(self, leader: int, ops, end_pc: int, env: dict) -> None:
         super().__init__(
-            leader, ops, end_pc, cells,
+            leader, ops, end_pc, env,
             has_dyn=any(i.op in _DYNAMIC_OPS for _, i in ops),
             self_loop=any(
                 (i.op is Op.GOTO and i.arg == leader)
                 or (i.op is Op.IFZ and i.arg[1] == leader)
-                for _, i in ops),
-            **flags)
+                for _, i in ops))
         self.v: list[str] = []        # virtual operand stack (exprs)
 
     @staticmethod
@@ -162,18 +151,11 @@ class _BlockEmitter(_BlockWriter):
 
     def on_branch(self, pc: int, target: int, depth: int) -> None:
         """A backward branch bumps ``_md.backedge_count`` and runs the
-        guest-JIT hotness hook.
-
-        ``VM.on_backedge`` is a no-op without a guest JIT, so the call
-        is specialized away at compile time (``jit=None`` is fixed at VM
-        construction; the only mid-run change — sanitizer attach — drops
-        all tier-1 code)."""
+        guest-JIT hotness hook, as the threaded handler does."""
         if target > pc:
             return
         self.emit("_md.backedge_count += 1", depth)
-        if self.jit_on:
-            self.emit("if _md.compiled is None: _vm.on_backedge(_md)",
-                      depth)
+        self.emit("_vm.on_backedge(_md)", depth)
 
     # -- virtual operand stack -----------------------------------------
     def pop(self) -> str:
@@ -219,8 +201,8 @@ class _BlockEmitter(_BlockWriter):
             return "[" + ", ".join(elems) + "]", elems
         self.materialize()
         t = self.tmp()
-        self.emit(f"{t} = stack[_len(stack) - {n}:]")
-        self.emit(f"del stack[_len(stack) - {n}:]")
+        self.emit(f"{t} = stack[len(stack) - {n}:]")
+        self.emit(f"del stack[len(stack) - {n}:]")
         return t, None
 
     # -- per-op emission -----------------------------------------------
@@ -266,9 +248,9 @@ class _BlockEmitter(_BlockWriter):
         elif op is Op.NOT:
             self.push_tmp(f"0 if {self.pop()} else 1")
         elif op is Op.I2D:
-            self.push_tmp(f"_float({self.pop()})")
+            self.push_tmp(f"float({self.pop()})")
         elif op is Op.D2I:
-            self.push_tmp(f"_int({self.pop()})")
+            self.push_tmp(f"int({self.pop()})")
         elif op is Op.CMP:
             rhs, lhs = self.pop(), self.pop()
             self.push_tmp(f"1 if {lhs} {instr.arg} {rhs} else 0")
@@ -317,7 +299,7 @@ class _BlockEmitter(_BlockWriter):
         elif op is Op.ARRAYLEN:
             arr = self.as_name(self.pop())
             self.null_check(arr, pc, "arraylength")
-            self.push_tmp(f"_len({arr}.data)")
+            self.push_tmp(f"len({arr}.data)")
         elif op is Op.NEW:
             cell = self.bind(f"_k{pc}", [None, 0])
             jc = self.tmp()
@@ -423,7 +405,7 @@ class _BlockEmitter(_BlockWriter):
             self.emit("_ct.method += 1")
             tgt, cap = self.tmp(), self.tmp()
             self.emit(f"{tgt}, {cap} = {handle}.meta")
-            self.call_then_charge(next_pc, tgt, f"_list({cap}) + {args}",
+            self.call_then_charge(next_pc, tgt, f"list({cap}) + {args}",
                                   cost)
             return
 
@@ -481,7 +463,7 @@ class _BlockEmitter(_BlockWriter):
         self.emit(f"if {ts} is None:")
         self.emit(f"_pr(_md, {pc}, {recv})", 1)
         self.emit(f"{cell}[2] = _md.call_profile[{pc}]", 1)
-        self.emit(f"elif _len({ts}) < 4:")
+        self.emit(f"elif len({ts}) < 4:")
         self.emit(f"{ts}.add({jc}.name)", 1)
         self.call_then_charge(next_pc, tgt, args, cost)
 
@@ -497,7 +479,7 @@ class _BlockEmitter(_BlockWriter):
         a read-modify-write (a native callee charged ``thread.budget``
         itself meanwhile)."""
         self.emit(f"frame.pc = {next_pc}")
-        self.emit_call(tgt, args)
+        self.emit(f"_vm.call(thread, {tgt}, {args})")
         self.charge_after_call(cost)
 
     def charge_after_call(self, cost: int) -> None:
@@ -508,11 +490,11 @@ class _BlockEmitter(_BlockWriter):
     def bounds_check(self, arr: str, index: str, pc: int) -> str:
         data = self.tmp()
         self.emit(f"{data} = {arr}.data")
-        self.emit(f"if not 0 <= {index} < _len({data}):")
+        self.emit(f"if not 0 <= {index} < len({data}):")
         self.raise_exit(
             pc,
             f'raise _GBE(f"index {{{index}}} out of bounds '
-            f'for length {{_len({data})}}")')
+            f'for length {{len({data})}}")')
         return data
 
     def statics_cell(self, pc: int, cls_name: str) -> str:
@@ -573,7 +555,7 @@ def compile_method(engine, method):
     n = len(code)
     vm = engine.vm
     env = {
-        "_ct": vm.counters, "_md": method, "_vm": vm, "_cm": vm.cache,
+        "_ct": vm.counters, "_md": method, "_vm": vm,
         "_heap": vm.heap, "_gs": guest_str,
         "_l1": vm.cache.l1_tags, "_cmiss": vm.cache.miss,
         "_GAE": GuestArithmeticError,
@@ -583,9 +565,7 @@ def compile_method(engine, method):
         "_pr": _profile_receiver,
         "_tcas": (vm.trace if vm.trace is not None and vm.trace.cas_on
                   else None),
-        "_Frame": Frame, "_machine": vm.machine, "_jit": vm.jit,
     }
-    cells: dict = {}
     blocks: list[tuple[int, str]] = []        # (leader, fn name)
     sources: list[str] = []
     sites = 0
@@ -600,17 +580,12 @@ def compile_method(engine, method):
             pending.append(end_pc)
         if not ops:
             continue              # leader sits on a bail op: threaded
-        emitter = _BlockEmitter(
-            leader, ops, end_pc, cells,
-            jit_on=vm.jit is not None,
-            trace_cas=vm.trace is not None and vm.trace.cas_on,
-            fault_calls=vm._fault_calls)
+        emitter = _BlockEmitter(leader, ops, end_pc, env)
         name, source = emitter.render()
         blocks.append((leader, name))
         sources.append(source)
         sites += emitter.k
 
-    env.update(cells)
     module = "\n\n".join(sources)
     exec(compile(module, f"<tier1 {method.qualified}>", "exec"), env)
     entries: list = [None] * n

@@ -43,6 +43,12 @@ That exit protocol is written once, in :func:`block_exit` and
 :class:`_BlockWriter`; tier-1's emitter (:mod:`repro.jit.emit`)
 subclasses the writer too.
 
+A block's text depends only on its code and leader, never on the VM:
+the method env it is ``exec``'d in is its globals (the VM's counters,
+heap and hooks, the exit function, per-site cells), a CAS failure
+tests ``_tcas`` at run time, and a call goes through ``VM.call`` like
+every other engine's.
+
 Both host tiers follow one bail rule: a block never contains a
 scheduler op (monitors, park/unpark, wait/notify).  The region ends
 before it, the frame runs the op on the engine below (tier-1's threaded
@@ -87,7 +93,7 @@ from repro.jvm.costmodel import (
     TIER2_COMPILE_SITE_COST,
     alloc_cost,
 )
-from repro.jvm.interpreter import Frame, guest_str
+from repro.jvm.interpreter import guest_str
 
 #: Region cap: bounds generated-code size and exit-point fan-out; the
 #: split point becomes a fresh leader so hot tails stay compiled.
@@ -140,9 +146,9 @@ class Tier2Code:
 
     __slots__ = ("code", "method", "entries", "blocks", "nblocks",
                  "sites", "compile_cycles", "source", "env",
-                 "leaders", "stops", "jit_on", "trace_cas", "fault_calls")
+                 "leaders", "stops")
 
-    def __init__(self, code, env, jit_on, trace_cas, fault_calls) -> None:
+    def __init__(self, code, env) -> None:
         self.code = code
         self.method = code.method
         self.entries: list = [None] * len(code.instrs)
@@ -151,15 +157,12 @@ class Tier2Code:
         self.sites = 0
         self.compile_cycles = 0
         self.source: dict[int, str] = {}
-        self.env = env                # blocks exec here and bind their
-        #                               per-site cells (classes, caches)
+        self.env = env                # the blocks' globals, per-site
+        #                               cells (classes, caches) included
         self.leaders = _leaders2(code.instrs)
         self.stops = stops = list(code.instrs)
         for pc in self.leaders:
             stops[pc] = _STOP
-        self.jit_on = jit_on
-        self.trace_cas = trace_cas
-        self.fault_calls = fault_calls
 
 
 _IDENT_OK = frozenset(
@@ -200,37 +203,31 @@ class _BlockWriter:
     constant cost (``cum``), ``b0`` for dynamic cycles, ``_ai`` for
     completed self-loop passes — and only this class's ``_x`` calls
     turn them into shared state: budget guards, exits before a raise or
-    a transfer, the self-loop, the inlined ``VM.call`` and the frame.
+    a transfer, the self-loop and returns.
 
     Tier-2's :class:`_Block2Emitter` and tier-1's
     :class:`repro.jit.emit._BlockEmitter` subclass it with their region
     walk and op bodies (``emit_op``, ``const_cost``) and the function
-    shape (``PREFIX``, ``PARAMS``, ``DEFAULTS``, ``PROLOGUE``).  Tier-1
+    shape (``PREFIX``, ``PARAMS``, ``PROLOGUE``).  Tier-1
     also fills the two hooks: ``spill`` rebuilds its virtual operand
     stack at an exit, ``on_branch`` counts backedges.
     """
 
     PREFIX = ""             # block function name: PREFIX + leader pc
-    PARAMS = ""             # its positional parameters
-    DEFAULTS: tuple = ()    # env names every block binds as defaults
+    PARAMS = ""             # its parameters; the env is its globals
     PROLOGUE: tuple = ()    # tier-specific lines before ``budget``
 
-    def __init__(self, leader: int, ops, end_pc: int, cells: dict, *,
-                 has_dyn: bool, self_loop: bool,
-                 jit_on: bool, trace_cas: bool, fault_calls: bool) -> None:
+    def __init__(self, leader: int, ops, end_pc: int, env: dict, *,
+                 has_dyn: bool, self_loop: bool) -> None:
         self.leader = leader
         self.ops = ops                # [(pc, instr), ...]
         self.end_pc = end_pc
-        self.cells = cells            # the method env: shared bindings
+        self.env = env                # the method env: the globals
         self.has_dyn = has_dyn        # some op charges cycles at run time
         # A branch back to this block's own leader (a hot loop whose
         # body is one superblock) is chained: the emitted function
         # loops in place instead of round-tripping through the driver.
         self.self_loop = self_loop
-        self.jit_on = jit_on          # VM has a guest JIT attached
-        self.trace_cas = trace_cas    # recorder wants CAS-failure events
-        self.fault_calls = fault_calls  # fault hook wants call events
-        self.used = set()             # env names this block binds
         self.lines: list[str] = []
         self.ntmp = 0
         self.k = 0                    # ops emitted so far
@@ -258,9 +255,8 @@ class _BlockWriter:
         return t
 
     def bind(self, name: str, value) -> str:
-        if name not in self.cells:
-            self.cells[name] = value
-        self.used.add(name)
+        """A per-site cell the block reads as the global ``name``."""
+        self.env.setdefault(name, value)
         return name
 
     # -- subclass hooks ------------------------------------------------
@@ -385,53 +381,10 @@ class _BlockWriter:
             self.emit(f"thread.result = {value}", 1)
         self.emit("return False")
 
-    # -- calls ----------------------------------------------------------
-    def emit_call(self, tgt: str, args: str) -> None:
-        """``VM.call`` with its interpreted-frame fast path inlined.
-
-        ``VM._fault_calls`` is fixed at VM construction, so when no
-        fault hook wants call events the only dynamic cases are natives
-        and abstract targets — both take the real ``VM.call`` (natives
-        charge ``thread.budget`` directly, which is why the caller has
-        flushed before this).  The common case — push an interpreter
-        frame — runs without any host call, including
-        ``Frame.__init__``, whose field stores are emitted directly.
-        The guest-JIT hand-off mirrors ``VM.call`` statement for
-        statement when a JIT is attached."""
-        if self.fault_calls:
-            self.emit(f"_vm.call(thread, {tgt}, {args})")
-            return
-        args = self.as_name(args)
-        self.emit(f"if {tgt}.native or {tgt}.abstract:")
-        self.emit(f"_vm.call(thread, {tgt}, {args})", 1)
-        self.emit("else:")
-        self.emit(f"{tgt}.invocation_count += 1", 1)
-        depth = 1
-        if self.jit_on:
-            self.emit(f"if {tgt}.compiled is None:", 1)
-            self.emit(f"_jit.on_invoke({tgt})", 2)
-            code = self.tmp()
-            self.emit(f"{code} = {tgt}.compiled", 1)
-            self.emit(f"if {code} is not None:", 1)
-            self.emit(
-                f"thread.frames.append(_machine.new_frame({code}, {args}))",
-                2)
-            self.emit("else:", 1)
-            depth = 2
-        nf = self.tmp()
-        self.emit(f"{nf} = _Frame.__new__(_Frame)", depth)
-        self.emit(f"{nf}.method = {tgt}", depth)
-        self.emit(f"{nf}.code = {tgt}.code", depth)
-        self.emit(f"{nf}.locals = {args} + [None] * "
-                  f"({tgt}.max_locals - _len({args}))", depth)
-        self.emit(f"{nf}.stack = []", depth)
-        self.emit(f"{nf}.pc = 0", depth)
-        self.emit(f"thread.frames.append({nf})", depth)
-
     # -- op bodies both tiers share ------------------------------------
     def add(self, lhs: str, rhs: str, dst: str) -> None:
         """Guest ``+``: string concatenation when either side is one."""
-        self.emit(f"if _type({lhs}) is str or _type({rhs}) is str:")
+        self.emit(f"if type({lhs}) is str or type({rhs}) is str:")
         self.emit(f"{dst} = _gs({lhs}) + _gs({rhs})", 1)
         self.emit("else:")
         self.emit(f"{dst} = {lhs} + {rhs}", 1)
@@ -447,8 +400,8 @@ class _BlockWriter:
         if dst is None:
             dst = self.tmp()
         q = self.tmp()
-        self.emit(f"if _isin({lhs}, _int) and _isin({rhs}, _int):")
-        self.emit(f"{q} = _abs({lhs}) // _abs({rhs})", 1)
+        self.emit(f"if isinstance({lhs}, int) and isinstance({rhs}, int):")
+        self.emit(f"{q} = abs({lhs}) // abs({rhs})", 1)
         if kind == "div":
             self.emit(f"{dst} = {q} if ({lhs} >= 0) == ({rhs} >= 0) "
                       f"else -{q}", 1)
@@ -458,7 +411,7 @@ class _BlockWriter:
             self.emit(f"{dst} = {lhs} - ({q} if ({lhs} >= 0) == "
                       f"({rhs} >= 0) else -{q}) * {rhs}", 1)
             self.emit("else:")
-            self.emit(f"{dst} = {lhs} - {rhs} * _int({lhs} / {rhs})", 1)
+            self.emit(f"{dst} = {lhs} - {rhs} * int({lhs} / {rhs})", 1)
         return dst
 
     def field_slot(self, obj: str, field: str, pc: int, what: str,
@@ -482,9 +435,8 @@ class _BlockWriter:
         self.emit(f"{dst} = 1", 1)
         self.emit("else:")
         self.emit("_ct.cas_failures += 1", 1)
-        if self.trace_cas:
-            self.emit(f"_tcas.emit('cas', 'fail', thread.tid, "
-                      f"({field!r},))", 1)
+        self.emit(f"if _tcas is not None: _tcas.emit('cas', 'fail', "
+                  f"thread.tid, ({field!r},))", 1)
         self.emit(f"{dst} = 0", 1)
 
     def atomic_add(self, obj: str, slot: str, delta: str) -> str:
@@ -517,10 +469,7 @@ class _BlockWriter:
             for part in self.resume_exit(self.end_pc, self.cum, self.k):
                 self.emit(part)
         name = f"{self.PREFIX}{self.leader}"
-        defaults = list(self.DEFAULTS)
-        defaults += [f"{n}={n}" for n in sorted(self.used)]
-        header = (f"def {name}({self.PARAMS}, "
-                  + ", ".join(defaults) + "):")
+        header = f"def {name}({self.PARAMS}):"
         prologue = [f"    {line}" for line in self.PROLOGUE]
         prologue.append("    budget = thread.budget")
         if self.has_dyn or self.self_loop:
@@ -539,27 +488,16 @@ class _Block2Emitter(_BlockWriter):
 
     PREFIX = "_m"
     PARAMS = "thread, frame"
-    DEFAULTS = (
-        "_ct=_ct", "_vm=_vm", "_heap=_heap", "_gs=_gs", "_l1=_l1",
-        "_cmiss=_cmiss", "_alloc=_alloc", "_GAE=_GAE", "_GNPE=_GNPE",
-        "_GBE=_GBE", "_GCE=_GCE", "_IE=_IE", "_x=_x",
-        "_deoptimize=_deoptimize", "_cg=_cg", "_tcas=_tcas",
-        "_Frame=_Frame", "_machine=_machine", "_jit=_jit",
-        "_mkfn=_mkfn", "_type=type", "_len=len", "_float=float",
-        "_int=int", "_isin=isinstance", "_abs=abs", "_list=list",
-    )
     PROLOGUE = ("regs = frame.regs",)
 
-    def __init__(self, leader: int, ops, end_pc: int, cells: dict,
-                 **flags) -> None:
+    def __init__(self, leader: int, ops, end_pc: int, env: dict) -> None:
         super().__init__(
-            leader, ops, end_pc, cells,
+            leader, ops, end_pc, env,
             has_dyn=any(i[0] in _DYN_KINDS for _, i in ops),
             self_loop=any(
                 (i[0] == "jump" and i[2] == leader)
                 or (i[0] == "branch" and (i[3] == leader or i[4] == leader))
-                for _, i in ops),
-            **flags)
+                for _, i in ops))
 
     @staticmethod
     def const_cost(instr) -> int:
@@ -578,7 +516,7 @@ class _Block2Emitter(_BlockWriter):
         machine-identical caller state)."""
         self.emit(f"frame.pending_dest = {dest!r}")
         self.emit(self.exit_call(pc + 1, self.cum + cost, self.k + 1))
-        self.emit_call(tgt, args)
+        self.emit(f"_vm.call(thread, {tgt}, {args})")
         self.emit("return False")
 
     # -- per-op emission -----------------------------------------------
@@ -603,9 +541,9 @@ class _Block2Emitter(_BlockWriter):
         elif kind == "not":
             self.emit(f"regs[{instr[2]}] = 0 if regs[{instr[3]}] else 1")
         elif kind == "i2d":
-            self.emit(f"regs[{instr[2]}] = _float(regs[{instr[3]}])")
+            self.emit(f"regs[{instr[2]}] = float(regs[{instr[3]}])")
         elif kind == "d2i":
-            self.emit(f"regs[{instr[2]}] = _int(regs[{instr[3]}])")
+            self.emit(f"regs[{instr[2]}] = int(regs[{instr[3]}])")
         elif kind == "cmp":
             self.emit(f"regs[{instr[2]}] = 1 if regs[{instr[4]}] "
                       f"{instr[3]} regs[{instr[5]}] else 0")
@@ -680,12 +618,12 @@ class _Block2Emitter(_BlockWriter):
             self.raise_exit(
                 pc,
                 f'raise _GBE(f"compiled {kind} OOB '
-                f'{{{idx}}}/{{_len({data})}}") from None')
+                f'{{{idx}}}/{{len({data})}}") from None')
             if kind == "aload":
                 self.emit(f"regs[{instr[2]}] = {got}")
             self.emit(f"budget -= {pen}")
         elif kind == "arraylen":
-            self.emit(f"regs[{instr[2]}] = _len(regs[{instr[3]}].data)")
+            self.emit(f"regs[{instr[2]}] = len(regs[{instr[3]}].data)")
         elif kind == "guard":
             _, _, label, test, operands, class_name, spec_id, meta = instr
             self.emit(f"_cg({label!r})")
@@ -695,13 +633,13 @@ class _Block2Emitter(_BlockWriter):
                 idx = self.load(operands[0])
                 arr = self.load(operands[1])
                 cond = (f"{arr} is None or "
-                        f"not 0 <= {idx} < _len({arr}.data)")
+                        f"not 0 <= {idx} < len({arr}.data)")
             elif test == "bounds_range":
                 lo = self.load(operands[0])
                 hi = self.load(operands[1])
                 arr = self.load(operands[2])
                 cond = (f"{arr} is None or {lo} < 0 or "
-                        f"{hi} > _len({arr}.data)")
+                        f"{hi} > len({arr}.data)")
             elif test == "type":
                 obj = self.load(operands[0])
                 cond = (f"{obj} is None or "
@@ -795,7 +733,7 @@ class _Block2Emitter(_BlockWriter):
                             reason="exception")
             args = self.tmp()
             tail = "".join(f", regs[{a}]" for a in instr[4])
-            self.emit(f"{args} = _list({cap})")
+            self.emit(f"{args} = list({cap})")
             if tail:
                 self.emit(f"{args} += [{tail[2:]}]")
             self.call_exit(pc, cost, instr[2], tgt, args)
@@ -892,7 +830,7 @@ def _leaders2(instrs) -> set[int]:
 
 def compile_tier2(engine, code):
     """Admit ``code`` (a :class:`CompiledCode`) to tier-2: build the
-    environment its blocks will bind.  Every CompiledCode is admitted.
+    environment its blocks run in.  Every CompiledCode is admitted.
 
     Nothing is emitted here — the returned :class:`Tier2Code` has an
     empty entry table that :func:`extend_tier2` fills on first entry,
@@ -901,7 +839,6 @@ def compile_tier2(engine, code):
     the compiled code (its stats receive the block exit counts).
     """
     vm = engine.vm
-    trace_cas = vm.trace is not None and vm.trace.cas_on
     env = {
         "_ct": vm.counters, "_vm": vm, "_heap": vm.heap, "_gs": guest_str,
         "_l1": vm.cache.l1_tags, "_cmiss": vm.cache.miss,
@@ -911,11 +848,10 @@ def compile_tier2(engine, code):
         "_x": block_exit(vm.counters, engine.stats.deopts),
         "_deoptimize": deopt_mod.deoptimize,
         "_cg": vm.counters.count_guard,
-        "_tcas": vm.trace if trace_cas else None,
-        "_Frame": Frame, "_machine": engine, "_jit": vm.jit,
+        "_tcas": (vm.trace if vm.trace is not None and vm.trace.cas_on
+                  else None),
         "_mkfn": vm.make_function}
-    return Tier2Code(code, env, vm.jit is not None, trace_cas,
-                     vm._fault_calls)
+    return Tier2Code(code, env)
 
 
 def extend_tier2(t2: Tier2Code, pc: int):
@@ -925,14 +861,12 @@ def extend_tier2(t2: Tier2Code, pc: int):
     at any other pc runs interpreted up to the next leader instead.
 
     The new function is ``exec``'d into the method environment and
-    installed in the entry table; returns ``(fn, sites)``.  A machine
-    kind with no emitter arm raises ``VMError``; nothing here declines.
+    installed in the entry table; returns ``(fn, sites, cycles)``, the
+    block's simulated compile cost included.  A machine kind with no
+    emitter arm raises ``VMError``; nothing here declines.
     """
     ops, end_pc, kind = _scan2(t2.code.instrs, pc)
-    emitter = _Block2Emitter(
-        pc, ops, end_pc, t2.env,
-        jit_on=t2.jit_on, trace_cas=t2.trace_cas,
-        fault_calls=t2.fault_calls)
+    emitter = _Block2Emitter(pc, ops, end_pc, t2.env)
     name, source = emitter.render()
     exec(compile(source, f"<tier2 {t2.method.qualified}>", "exec"), t2.env)
     fn = t2.entries[pc] = t2.env[name]
@@ -940,7 +874,8 @@ def extend_tier2(t2: Tier2Code, pc: int):
                       emitter.self_loop))
     t2.nblocks += 1
     t2.sites += emitter.sites
-    t2.compile_cycles += (emitter.sites * TIER2_COMPILE_SITE_COST
-                          + TIER2_COMPILE_BLOCK_COST)
+    cycles = (emitter.sites * TIER2_COMPILE_SITE_COST
+              + TIER2_COMPILE_BLOCK_COST)
+    t2.compile_cycles += cycles
     t2.source[pc] = source
-    return fn, emitter.sites
+    return fn, emitter.sites, cycles

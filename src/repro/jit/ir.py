@@ -422,17 +422,3 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"<Graph {self.method.qualified} {len(self.blocks)} blocks>"
-
-
-def format_graph(graph: Graph) -> str:
-    """Human-readable dump, used in tests and debugging."""
-    lines = [f"graph {graph.method.qualified}"]
-    for block in graph.blocks:
-        preds = ",".join(str(p) for p in block.preds)
-        lines.append(f"  {block} (preds: {preds}) bc={block.bc_pc}")
-        for phi in block.phis:
-            lines.append(f"    {phi}")
-        for node in block.nodes:
-            lines.append(f"    {node}")
-        lines.append(f"    -> {block.terminator}")
-    return "\n".join(lines)

@@ -33,11 +33,7 @@ from repro.errors import (
     VMError,
 )
 from repro.jvm.cache import L1_LINES, WORDS_PER_LINE
-from repro.jvm.costmodel import (
-    TIER2_COMPILE_BLOCK_COST,
-    TIER2_COMPILE_SITE_COST,
-    alloc_cost,
-)
+from repro.jvm.costmodel import alloc_cost
 from repro.jvm.interpreter import _CMP, _rem_int, _truediv_int, guest_str
 from repro.jvm.scheduler import RUNNABLE
 from repro.jit import deopt as deopt_mod
@@ -614,7 +610,7 @@ class Tier2Machine(Machine):
         from repro.jit.emit2 import extend_tier2
 
         started = time.perf_counter()
-        fn, sites = extend_tier2(t2, pc)
+        fn, sites, cycles = extend_tier2(t2, pc)
         stats = self.stats
         stats.compile_seconds += time.perf_counter() - started
         if getattr(self.vm, "verify_ir", False):
@@ -623,8 +619,7 @@ class Tier2Machine(Machine):
             check_emitted(self.vm, t2, pc)
         stats.blocks += 1
         stats.sites += sites
-        stats.compile_cycles += (sites * TIER2_COMPILE_SITE_COST
-                                 + TIER2_COMPILE_BLOCK_COST)
+        stats.compile_cycles += cycles
         return fn
 
     # ------------------------------------------------------------------

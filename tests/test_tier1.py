@@ -199,7 +199,30 @@ def test_generated_block_source_is_pinned():
     vm.invoke(bench.entry, list(bench.args))
     code = compile_method(vm.interpreter, vm.resolve_static("Bench", "step"))
     assert hashlib.sha256(code.source.encode()).hexdigest() == (
-        "cdde87c2e76be4d92100f0f2f8fa3740e84d7c97543a1963a0710f2faf0740b3")
+        "a982015e356eb32dc8cb7225a1134d9260ab746013d77a2304e84ad18d2d7ee0")
+
+
+def test_block_source_does_not_depend_on_the_vm():
+    # A block's text is a function of its method's bytecode alone: the
+    # guest JIT, the recorder and the fault plan are read at run time
+    # (``VM.call``, ``VM.on_backedge``, ``_tcas``), never at emission.
+    from repro.jit.emit import compile_method
+
+    bench = hot_bench("invariant1")
+
+    def sources(**config):
+        vm = VM(engine="tier1", **config)
+        vm.load(bench.compile())
+        return [compile_method(vm.interpreter,
+                               vm.resolve_static("Bench", name)).source
+                for name in ("run", "step")]
+
+    plain = sources(jit=None)
+    assert sources(jit="graal") == plain
+    assert sources(jit=None, trace=True, faults=FaultPlan.single(
+        "guest-exception", site="Nowhere.never", at=1)) == plain
+    for source in plain:
+        util.assert_vm_free(source)
 
 
 def test_every_non_bail_opcode_has_an_emitter_arm():
@@ -214,8 +237,7 @@ def test_every_non_bail_opcode_has_an_emitter_arm():
     from tests.jvm.test_bytecode import _TOUR
 
     def one_op_block(pc, instr):
-        return _BlockEmitter(pc, [(pc, instr)], pc + 1, {}, jit_on=True,
-                             trace_cas=True, fault_calls=True)
+        return _BlockEmitter(pc, [(pc, instr)], pc + 1, {})
 
     program = compile_program(_TOUR, include_stdlib=False)
     samples = {}

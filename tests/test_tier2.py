@@ -394,11 +394,48 @@ def test_generated_block_source_is_pinned():
     extend_tier2(t2, 1)
     assert {pc: hashlib.sha256(text.encode()).hexdigest()
             for pc, text in t2.source.items()} == {
-        0: "8ebe8b1614cf709f57454e13cd862f2b"
-           "7a93bc9941307784eb569bf099f583a7",
-        1: "7f13ae820b86cfb095a797584415c291"
-           "734e26773138184b69f235ac03dc9b68",
+        0: "3c00437f7ed59043778454e5b5d4bc22"
+           "7c6c3a763938a473db324d0d4cfcaa78",
+        1: "fb0e01dd530e3adfc3de17f787833bbe"
+           "0b247297eb0db10be96050499a8c256f",
     }
+
+
+def test_block_source_does_not_depend_on_the_vm():
+    # A block's text is a function of its (code, pc) alone: the CAS
+    # failure tests ``_tcas`` at run time, and calls go through
+    # ``VM.call``, which consults the fault plan.  With every method
+    # compiled, no inlining and no EAWA, the CAS fixture's blocks hold
+    # calls and a CAS; every leader is emitted.
+    from repro.jit.emit2 import extend_tier2
+
+    jit = graal_config(compile_threshold=1, inline_depth=0).without("EAWA")
+    bench = GuestBenchmark(name="invariant2", suite="tests", source=CAS_SRC,
+                           args=(80,), expected=80 * 80, warmup=1,
+                           measure=1)
+
+    def sources(**config):
+        vm = VM(engine="tier2", jit=jit, **config)
+        vm.load(bench.compile())
+        for _ in range(2):
+            assert vm.invoke(bench.entry, list(bench.args)) == 80 * 80
+        out = {}
+        for t2 in tier2_codes(vm):
+            for pc in sorted(t2.leaders):
+                if t2.entries[pc] is None:
+                    extend_tier2(t2, pc)
+            for pc, text in t2.source.items():
+                out[t2.method.qualified, pc] = text
+        return out
+
+    plain = sources()
+    assert any("_tcas.emit" in text for text in plain.values())
+    assert any("_vm.call" in text for text in plain.values())
+    assert sources(trace=True) == plain
+    assert sources(faults=FaultPlan.single(
+        "guest-exception", site="Nowhere.never", at=1)) == plain
+    for text in plain.values():
+        util.assert_vm_free(text)
 
 
 #: ``hammer`` locks a loop-invariant object every iteration, so lock
@@ -611,8 +648,7 @@ def _created_guard_tests() -> set:
 def _one_op_block(instr):
     from repro.jit.emit2 import _Block2Emitter
 
-    return _Block2Emitter(0, [(0, instr)], 1, {}, jit_on=True,
-                          trace_cas=True, fault_calls=True)
+    return _Block2Emitter(0, [(0, instr)], 1, {})
 
 
 def test_every_lowered_machine_kind_has_an_emitter_arm():

@@ -115,6 +115,21 @@ def test_cas_failures_identical_across_engines():
     # Every counted CAS failure surfaces as a cas.fail event.
     assert ref_vm.counters.cas_failures > 0
     assert counts(ref)["cas.fail"] == ref_vm.counters.cas_failures
+    # Under the guest JIT the host tiers' blocks run the CAS loop too;
+    # their cas.fail line tests the recorder at run time.
+    vms = {engine: record(CAS_BENCHMARK, engine, jit="graal", repeat=8)
+           for engine in ("reference", "threaded", "tier1", "tier2")}
+    streams = {engine: dumps(vm.trace.recording(benchmark="fixture-cas"))
+               for engine, vm in vms.items()}
+    assert [engine for engine, stream in streams.items()
+            if stream != streams["reference"]] == []
+    jitted = vms["reference"]
+    assert counts(jitted.trace.recording(benchmark="fixture-cas"))[
+        "cas.fail"] == jitted.counters.cas_failures > 0
+    # A tier-2 block is emitted when a frame first enters it.
+    assert any("_tcas.emit" in text
+               for t2 in vms["tier2"].machine._memo.values()
+               for text in t2.source.values())
 
 
 def test_jit_compiles_and_machine_cas_recorded():

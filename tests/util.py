@@ -134,6 +134,16 @@ def exit_state_writes(source: str) -> list[str]:
     return found
 
 
+def assert_vm_free(source: str) -> None:
+    """Generated block ``source`` carries nothing of the VM it was
+    emitted for: no block binds a default argument (the method env is
+    its globals), and none inlines ``VM.call``'s frame push."""
+    for fn in ast.parse(source).body:
+        assert not fn.args.defaults and not fn.args.kw_defaults, fn.name
+    for word in ("invocation_count", "new_frame", "_Frame"):
+        assert word not in source, word
+
+
 def budget_guarded_pcs(*sources: str) -> set[int]:
     """The pcs the budget guards in generated block ``sources`` park at."""
     return {int(pc) for source in sources
