@@ -92,6 +92,16 @@ jit:
 	PYTHONPATH=src python -m pytest -q tests/jit/ tests/test_irverify.py \
 		tests/jvm/test_bytecode.py
 
+# Exact-compile check for refactors that must not move compiled code:
+# per guest-JIT compile, the sha256 of its code and of its deopt
+# metadata, and per result its fingerprint, instruction count and
+# per-phase compile cycles, over the ledger's roster and registry-short
+# profiles at schedule_seed=1.  Run it in both trees (the other one via
+# `PYTHONPATH=OTHER/src python tests/exact_compile.py --out B.json`),
+# then `python tests/exact_compile.py --compare B.json exact-compile.json`.
+exact-compile:
+	PYTHONPATH=src python tests/exact_compile.py --out exact-compile.json
+
 # The end-to-end + per-layer ledger (benchmarks/e2e/README.md): all
 # four workloads in fresh subprocesses with their fingerprint oracle.
 # Its span tests run in tier-1.  It is the only performance gate
@@ -108,4 +118,4 @@ trace:
 		--out .trace-out --warmup 1 --measure 1
 	@ls -l .trace-out
 
-.PHONY: test chaos sanitize lint verify-ir threaded tier1 tier2 jit e2e trace durable serve
+.PHONY: test chaos sanitize lint verify-ir threaded tier1 tier2 jit exact-compile e2e trace durable serve

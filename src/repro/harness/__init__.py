@@ -33,12 +33,12 @@ from repro.harness.plugins import (
 )
 from repro.harness.jmh import JmhResult, run_jmh
 from repro.harness.config import SweepConfig
-from repro.harness.durable import DurablePolicy, run_suite_durable
+from repro.harness.durable import DurablePolicy
 
 __all__ = [
     "GuestBenchmark", "IterationResult", "Runner", "RunResult",
     "ValidationError", "config_name",
     "HarnessPlugin", "FaultLogPlugin", "MergeablePlugin",
     "JmhResult", "run_jmh",
-    "SweepConfig", "run_suite_durable", "DurablePolicy",
+    "SweepConfig", "DurablePolicy",
 ]

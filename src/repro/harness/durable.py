@@ -671,20 +671,3 @@ class DurableSweep:
             self.journal.append("journal-compact", dropped=dropped,
                                 kept=len(keep))
 
-
-def run_suite_durable(suite="renaissance", *, dir, resume: bool = False,
-                      jobs: int | None = None,
-                      policy: DurablePolicy | None = None, **kwargs):
-    """``run_suite(suite, durable_dir=dir, durable_policy=policy, ...)``.
-
-    ``dir`` is the sweep directory holding the write-ahead journal
-    (``journal.wal``) and the content-addressed result store
-    (``objects/``).  ``resume=True`` serves units already completed by a
-    previous (possibly killed) sweep from the store — the merged result
-    is byte-identical to an uninterrupted run.  The returned SuiteResult
-    carries the durability counters in ``result.durable``.
-    """
-    from repro.faults.resilience import run_suite
-
-    return run_suite(suite, durable_dir=dir, resume=resume, jobs=jobs,
-                     durable_policy=policy, **kwargs)

@@ -142,9 +142,8 @@ class _Builder:
                 for i, phi in enumerate(stk_phis):
                     phi.inputs.append(stack_in[i])
 
-        # Verify φ arity, then clean trivial φ-nodes.
+        # Verify φ arity and remove trivial φ-nodes.
         self.graph.recompute_preds()
-        _remove_trivial_phis(self.graph)
         return self.graph
 
     def _null_const(self, block: Block) -> Node:
@@ -401,17 +400,3 @@ class _Builder:
         block.terminator = ("jump", block_at[end])
         out_states[(start, end)] = (tuple(locals_), tuple(stack))
 
-
-def _remove_trivial_phis(graph: Graph) -> None:
-    """Remove φ-nodes whose inputs are all the same value (or the φ)."""
-    changed = True
-    while changed:
-        changed = False
-        for block in graph.blocks:
-            for phi in list(block.phis):
-                distinct = {i for i in phi.inputs if i is not phi}
-                if len(distinct) == 1:
-                    replacement = distinct.pop()
-                    block.phis.remove(phi)
-                    graph.replace_all_uses(phi, replacement)
-                    changed = True

@@ -209,11 +209,6 @@ class Node:
         self.extra = extra       # op-specific payload
         self.block: Block | None = None
 
-    def replace_input(self, old: "Node", new: "Node") -> None:
-        for i, node in enumerate(self.inputs):
-            if node is old:
-                self.inputs[i] = new
-
     def __repr__(self) -> str:
         ins = ",".join(f"n{i.id}" for i in self.inputs)
         tail = f" {self.value!r}" if self.value is not None else ""
@@ -322,8 +317,8 @@ class Graph:
         """Rebuild predecessor lists, dropping unreachable blocks.
 
         φ inputs are remapped to the new predecessor order; inputs from
-        predecessors that disappeared are dropped, and φ-nodes that
-        become single-input are replaced by that input.
+        predecessors that disappeared are dropped, and φ-nodes left with
+        a single distinct input are replaced by that input.
         """
         reachable = self.reachable_blocks()
         old_preds = {b.id: list(b.preds) for b in reachable}
@@ -357,20 +352,33 @@ class Graph:
                         "to merge blocks must extend φ-nodes themselves")
             for phi in list(block.phis):
                 phi.inputs = [phi.inputs[i] for i in remap]
-        # Collapse φ-nodes that lost all but one input.
         for block in self.blocks:
-            for phi in list(block.phis):
+            for phi in block.phis:
                 if len(phi.inputs) != len(block.preds):
                     raise CompileError(
                         f"{self.method.qualified}: phi {phi} has "
                         f"{len(phi.inputs)} inputs, block {block} has "
                         f"{len(block.preds)} preds")
-                distinct = {i for i in phi.inputs if i is not phi}
-                if len(distinct) == 1:
-                    block.phis.remove(phi)
-                    self.replace_all_uses(phi, distinct.pop())
+        self._collapse_trivial_phis()
         if self.entry not in self.blocks:
             raise CompileError("entry block unreachable")
+
+    def _collapse_trivial_phis(self) -> None:
+        """Replace every φ whose inputs are one value (or the φ itself) by
+        that value, until none is left.  A sweep reads φ inputs through
+        its pending collapses and applies them in one walk."""
+        while True:
+            pending: dict = {}
+            for block in self.blocks:
+                for phi in list(block.phis):
+                    distinct = {resolve(pending, i) for i in phi.inputs}
+                    distinct.discard(phi)
+                    if len(distinct) == 1:
+                        block.phis.remove(phi)
+                        pending[phi] = distinct.pop()
+            if not pending:
+                return
+            self.replace_uses(pending)
 
     def node_count(self) -> int:
         return sum(len(b.phis) + len(b.nodes) for b in self.blocks)
@@ -406,19 +414,30 @@ class Graph:
         self.map_states(keep)
         return found
 
-    def replace_all_uses(self, old: Node, new: Node) -> None:
-        """Replace every use of ``old`` (inputs, φ, terminators, deopt
-        states) with ``new``."""
+    def replace_uses(self, mapping: dict) -> None:
+        """Replace every use (inputs, φ, terminators, deopt states) of each
+        key of ``mapping`` with its value, in one walk.  Chains resolve:
+        ``{a: b, b: c}`` replaces both ``a`` and ``b`` with ``c``."""
+        if not mapping:
+            return
+        mapping = {old: resolve(mapping, new) for old, new in mapping.items()}
         for block in self.blocks:
             for node in itertools.chain(block.phis, block.nodes):
-                node.replace_input(old, new)
+                inputs = node.inputs
+                for i, value in enumerate(inputs):
+                    if value in mapping:
+                        inputs[i] = mapping[value]
             t = block.terminator
-            if t is not None and t[0] == "branch" and t[1] is old:
-                block.terminator = ("branch", new, t[2], t[3])
-            elif t is not None and t[0] == "return" and t[1] is old:
-                block.terminator = ("return", new)
-        mapping = {old: new}
+            if t is not None and t[0] != "jump" and t[1] in mapping:
+                block.terminator = (t[0], mapping[t[1]]) + t[2:]
         self.map_states(lambda state, _node: state.substitute(mapping))
 
     def __repr__(self) -> str:
         return f"<Graph {self.method.qualified} {len(self.blocks)} blocks>"
+
+
+def resolve(mapping: dict, node):
+    """``node`` after every replacement in ``mapping``, chains followed."""
+    while node in mapping:
+        node = mapping[node]
+    return node

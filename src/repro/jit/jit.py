@@ -89,12 +89,8 @@ class JitCompiler:
         verify = getattr(self.vm, "verify_ir", False)
         try:
             graph = build_graph(method, self.vm.pool)
-            if verify:
-                run_pipeline(graph, self.config, self.vm.pool, self.stats,
-                             verify=True,
-                             verify_stats=self.vm.irverify_stats)
-            else:
-                run_pipeline(graph, self.config, self.vm.pool, self.stats)
+            run_pipeline(graph, self.config, self.vm.pool, self.stats,
+                         verify=verify, verify_stats=self.vm.irverify_stats)
             if verify:
                 self.vm.irverify_stats["graphs"] = \
                     self.vm.irverify_stats.get("graphs", 0) + 1

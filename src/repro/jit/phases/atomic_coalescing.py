@@ -154,7 +154,7 @@ def _fuse(graph: Graph, first: _RetryLoop, second: _RetryLoop) -> bool:
 
     # Rewire the second read to the first loop's computed value f1(v).
     nv1 = first.cas.inputs[2]
-    graph.replace_all_uses(second.read, nv1)
+    graph.replace_uses({second.read: nv1})
 
     # Fused order: read; f1; f2; cas(v, f2(f1(v))). Move the second
     # loop's pure body into the first block, before its CAS. The second

@@ -8,8 +8,8 @@ correctly is worth more than the last dead store.
 
 from __future__ import annotations
 
-from repro.jit.ir import Graph, Node, PURE_OPS, READ_OPS, TRAPPING_OPS
-from repro.jit.phases.common import used_ids
+from repro.jit.ir import Graph, Node, PURE_OPS, READ_OPS, resolve
+from repro.jit.phases.common import exact_type, used_ids, value_key
 from repro.jvm.interpreter import _CMP, _rem_int, _truediv_int, guest_str
 
 
@@ -72,11 +72,11 @@ _BINARY_OPS = frozenset({
 
 
 def fold_constants(graph: Graph) -> bool:
-    changed = False
+    pending: dict = {}
     for block in graph.blocks:
         for node in list(block.nodes):
             folded = _NO_FOLD
-            ins = node.inputs
+            ins = [resolve(pending, i) for i in node.inputs]
             if node.op in _BINARY_OPS and all(i.op == "const" for i in ins):
                 folded = _eval_binary(node.op, ins[0].value, ins[1].value)
             elif node.op == "cmp" and all(i.op == "const" for i in ins):
@@ -95,7 +95,6 @@ def fold_constants(graph: Graph) -> bool:
             elif node.op == "d2i" and ins[0].op == "const":
                 folded = int(ins[0].value)
             elif node.op == "instanceof":
-                from repro.jit.phases.common import exact_type
                 tname = exact_type(ins[0])
                 if tname is not None:
                     # Exact type known: fold to a constant. We lack the
@@ -104,11 +103,10 @@ def fold_constants(graph: Graph) -> bool:
                     if tname == node.value or node.value == "Object":
                         folded = 1
             if folded is not _NO_FOLD:
-                replacement = Node("const", value=folded)
                 block.nodes.remove(node)
-                graph.replace_all_uses(node, replacement)
-                changed = True
-    return changed
+                pending[node] = Node("const", value=folded)
+    graph.replace_uses(pending)
+    return bool(pending)
 
 
 def fold_branches(graph: Graph) -> bool:
@@ -129,28 +127,23 @@ def fold_branches(graph: Graph) -> bool:
 
 def cse(graph: Graph) -> bool:
     """Block-local common-subexpression elimination over pure nodes."""
-    changed = False
+    pending: dict = {}
     for block in graph.blocks:
         seen: dict = {}
         for node in list(block.nodes):
             if node.op not in PURE_OPS or node.op == "param":
                 continue
-            # type(value) is part of the key: 0 == 0.0 in Python, but
-            # const 0 and const 0.0 are different guest values.
-            key = (node.op, tuple(i.id for i in node.inputs),
-                   type(node.value).__name__, node.value, node.extra)
-            try:
-                hash(key)
-            except TypeError:
+            key = value_key(node, pending)
+            if key is None:
                 continue
             existing = seen.get(key)
             if existing is None:
                 seen[key] = node
             else:
                 block.nodes.remove(node)
-                graph.replace_all_uses(node, existing)
-                changed = True
-    return changed
+                pending[node] = existing
+    graph.replace_uses(pending)
+    return bool(pending)
 
 
 def merge_blocks(graph: Graph) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.jit.ir import Block, Graph, Node
+from repro.jit.ir import Block, Graph, Node, resolve
 
 
 def exact_type(node: Node) -> str | None:
@@ -46,6 +46,20 @@ def insert_before(block: Block, anchor: Node, new_node: Node) -> Node:
 def const_node(value) -> Node:
     """A constant node (constants need no block: lowering inlines them)."""
     return Node("const", value=value)
+
+
+def value_key(node: Node, pending: dict):
+    """``node``'s value number with its inputs read through ``pending``
+    (replacements not yet applied), or None when it is unhashable.
+    ``type(value)`` is part of the key: 0 == 0.0 in Python, but const 0
+    and const 0.0 are different guest values."""
+    key = (node.op, tuple(resolve(pending, i).id for i in node.inputs),
+           type(node.value).__name__, node.value, node.extra)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 def used_ids(graph: Graph) -> set[int]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from repro.jit.ir import Graph, Node, PURE_OPS
 from repro.jit.loops import compute_dominators, dominates
+from repro.jit.phases.common import value_key
 
 
 def run(graph: Graph, config, stats) -> None:
@@ -45,28 +46,24 @@ def _gvn(graph: Graph) -> bool:
     """Dominance-aware global value numbering of pure nodes."""
     idom = compute_dominators(graph)
     table: dict = {}
-    changed = False
+    pending: dict = {}
     for block in graph.reachable_blocks():
         for node in list(block.nodes):
             if node.op not in PURE_OPS or node.op in ("param", "const"):
                 continue
-            # type(value) distinguishes const 0 from const 0.0.
-            key = (node.op, tuple(i.id for i in node.inputs),
-                   type(node.value).__name__, node.value, node.extra)
-            try:
-                hash(key)
-            except TypeError:
+            key = value_key(node, pending)
+            if key is None:
                 continue
             existing = table.get(key)
             if existing is not None and existing.block is not None \
                     and existing is not node \
                     and dominates(idom, existing.block, block):
                 block.nodes.remove(node)
-                graph.replace_all_uses(node, existing)
-                changed = True
+                pending[node] = existing
             else:
                 table[key] = node
-    return changed
+    graph.replace_uses(pending)
+    return bool(pending)
 
 
 def _foldable_condition(cond: Node) -> bool:

@@ -197,21 +197,23 @@ def _try_virtualize(graph: Graph, block, alloc: Node, atomics_ok: bool,
         if not partial:
             return index - start        # full EA only: give up on escapes
         _materialize(graph, block, alloc, fields, removed, replacements,
-                     inserts, materialize_at)
+                     inserts)
         return index - start
 
     # Fully virtual: delete the allocation and all folded uses.
-    _apply(graph, block, removed, replacements, inserts)
+    graph.replace_uses(replacements)
+    _splice(block, removed, inserts)
     block.nodes.remove(alloc)
     return index - start
 
 
 # ----------------------------------------------------------------------
 def _materialize(graph, block, alloc, fields, removed, replacements,
-                 inserts, position) -> None:
+                 inserts) -> None:
     """Emit a fresh allocation + plain writes before the first remaining
-    (escaping) use of ``alloc`` in the block."""
-    _apply(graph, block, removed, replacements, inserts)
+    (escaping) use of ``alloc`` in the block; one walk then applies the
+    folded uses and the new allocation together."""
+    _splice(block, removed, inserts)
     new_alloc = Node("new", value=alloc.value)
     writes = [Node("putfield", [new_alloc, v], value=f)
               for f, v in fields.items()]
@@ -226,12 +228,10 @@ def _materialize(graph, block, alloc, fields, removed, replacements,
     for offset, write in enumerate(writes):
         write.block = block
         block.nodes.insert(anchor_index + 1 + offset, write)
-    graph.replace_all_uses(alloc, new_alloc)
+    graph.replace_uses({**replacements, alloc: new_alloc})
 
 
-def _apply(graph, block, removed, replacements, inserts) -> None:
-    for node, replacement in replacements.items():
-        graph.replace_all_uses(node, replacement)
+def _splice(block, removed, inserts) -> None:
     for index, node in sorted(inserts, key=lambda p: p[0], reverse=True):
         node.block = block
         block.nodes.insert(index, node)

@@ -121,8 +121,7 @@ def inline_call(graph: Graph, block, invoke: Node, callee: Graph) -> list[Node]:
         raise CompileError(
             f"inline {callee.method.qualified}: arity mismatch "
             f"{len(args)} vs {len(callee.params)}")
-    for param, arg in zip(callee.params, args):
-        callee.replace_all_uses(param, arg)
+    callee.replace_uses(dict(zip(callee.params, args)))
 
     # Re-root framestates under the call-site state.
     site_state = invoke.value
@@ -163,7 +162,7 @@ def inline_call(graph: Graph, block, invoke: Node, callee: Graph) -> list[Node]:
             result = Node("phi", values)
             cont.add_phi(result)
         cont.preds = [cblock for cblock, _ in returning]
-        graph.replace_all_uses(invoke, result)
+        graph.replace_uses({invoke: result})
 
     graph.blocks.extend(callee.blocks)
     graph.blocks.append(cont)

@@ -1,5 +1,7 @@
 """Unit tests for the IR, graph builder, and loop analysis."""
 
+from types import SimpleNamespace
+
 from repro.jvm.bytecode import Instr, Op
 from repro.jvm.classfile import ClassPool, JClass, JMethod
 from repro.jit.graph_builder import build_graph
@@ -101,19 +103,19 @@ def test_unreachable_code_dropped():
     assert graph.entry in graph.blocks
 
 
-def test_replace_all_uses_updates_framestates():
+def test_replace_uses_updates_framestates():
     graph, _ = build_from_source(
         "class T { static def m(a, i) { return a[i]; } }", "T", "m")
     guard = next(n for b in graph.blocks for n in b.nodes
                  if n.op == "guard" and n.extra.test == "bounds")
     old = guard.inputs[0]
     new = Node("const", value=0)
-    graph.replace_all_uses(old, new)
+    graph.replace_uses({old: new})
     assert old not in guard.inputs or guard.inputs[0] is new
     assert all(v is not old for v in guard.extra.state.values())
 
 
-def test_replace_all_uses_reaches_nested_recipes_and_keeps_untouched_states():
+def test_replace_uses_reaches_nested_recipes_and_keeps_untouched_states():
     # A two-deep rematerialization recipe (Outer -> Inner -> node), the
     # shape escape analysis nests: the replaced node must not survive
     # inside the inner recipe, and a state that never mentioned it must
@@ -132,7 +134,7 @@ def test_replace_all_uses_reaches_nested_recipes_and_keeps_untouched_states():
     untouched.extra.state = kept = FrameState(
         3, (other, bystander), (), method="callee", caller=caller)
 
-    graph.replace_all_uses(old, new)
+    graph.replace_uses({old: new})
 
     state = touched.extra.state
     live = {n.id for n in state.nodes()}
@@ -153,13 +155,98 @@ def test_replace_all_uses_reaches_nested_recipes_and_keeps_untouched_states():
     top = VirtualObjectState("Top", (("o", outer),))
     touched.extra.state = FrameState(9, (top, inner), (), method="callee",
                                      caller=caller)
-    graph.replace_all_uses(old, new)
+    graph.replace_uses({old: new})
     state = touched.extra.state
     assert old not in set(state.nodes()) and new in set(state.nodes())
     got_top, got_inner = state.locals
     assert got_top.field_values[0][1].field_values[0][1] is got_inner
     assert got_inner.field_values == (("v", new), ("w", other))
     assert state.caller is caller
+
+
+def _uses(graph):
+    """Every value the graph reads: inputs, terminators, deopt states."""
+    found = [i for b in graph.blocks for n in b.phis + b.nodes
+             for i in n.inputs]
+    found += [b.terminator[1] for b in graph.blocks
+              if b.terminator[0] in ("branch", "return")]
+    return found + [n for state in graph.states() for n in state.nodes()]
+
+
+def test_replace_uses_resolves_chains():
+    # a -> b and b -> c in one mapping: every use of a and of b ends at
+    # c, in inputs, the return terminator and a nested recipe alike.
+    graph, _ = build_from_source(
+        "class T { static def m(a, i) { return a[i]; } }", "T", "m")
+    load = next(n for b in graph.blocks for n in b.nodes if n.op == "aload")
+    index = graph.params[1]
+    guard = next(n for b in graph.blocks for n in b.nodes
+                 if n.op == "guard" and n.extra.test == "bounds")
+    inner = VirtualObjectState("Inner", (("v", load), ("w", index)))
+    outer = VirtualObjectState("Outer", (("inner", inner),))
+    guard.extra.state = FrameState(9, (outer,), (load,), method="callee")
+    const = Node("const", value=7)
+
+    graph.replace_uses({load: index, index: const})
+
+    uses = _uses(graph)
+    assert load not in uses and index not in uses and const in uses
+    ret = next(b.terminator for b in graph.blocks
+               if b.terminator[0] == "return")
+    assert ret[1] is const
+    got = guard.extra.state.locals[0].field_values[0][1]
+    assert got.field_values == (("v", const), ("w", const))
+
+
+def test_cse_applies_a_pass_in_one_walk(monkeypatch):
+    # One value and three duplicates of it in one block: the pass
+    # collects three replacements and walks the deopt states once.
+    from repro.jit.phases.cleanup import cse
+
+    graph, _ = build_from_source("""
+    class T { static def m(a) { return a * a + a * a + a * a + a * a; } }
+    """, "T", "m")
+    muls = [n for b in graph.blocks for n in b.nodes if n.op == "mul"]
+    assert len(muls) == 4
+    walks = []
+    map_states = Graph.map_states
+
+    def counting(self, fn, blocks=None):
+        walks.append(self)
+        return map_states(self, fn, blocks)
+
+    monkeypatch.setattr(Graph, "map_states", counting)
+    assert cse(graph)
+    assert len(walks) == 1
+    assert [n for b in graph.blocks for n in b.nodes if n.op == "mul"] \
+        == muls[:1]
+    assert not set(muls[1:]) & set(_uses(graph))
+
+
+def test_recompute_preds_removes_phis_made_trivial_by_a_later_collapse():
+    # Merge block M holds p = φ(x, q) and then q = φ(x, x).  Collapsing q
+    # leaves p = φ(x, x), trivial in turn: a single sweep in block order
+    # would keep p; the fixed point removes it too.
+    graph = Graph(SimpleNamespace(qualified="T.m"))
+    entry, left, right, merge = (graph.new_block() for _ in range(4))
+    graph.entry = entry
+    x = Node("param")
+    entry.append(x)
+    graph.params = [x]
+    entry.terminator = ("branch", x, left, right)
+    left.terminator = right.terminator = ("jump", merge)
+    for pred, succ in ((entry, left), (entry, right), (left, merge),
+                       (right, merge)):
+        succ.preds.append(pred)
+    q = Node("phi", [x, x])
+    p = merge.add_phi(Node("phi", [x, q]))
+    merge.add_phi(q)
+    merge.terminator = ("return", p)
+
+    graph.recompute_preds()
+
+    assert merge.phis == []
+    assert merge.terminator == ("return", x)
 
 
 def test_dominators_of_diamond():

@@ -124,3 +124,34 @@ def test_coarsened_monitor_ops_tagged():
     assert enters and enters[0][3] is not None
     assert enters[0][3][0] == "coarsen"
     assert "monitorexit_if_held" in kinds(code)
+
+
+def test_compile_digest_does_not_depend_on_earlier_compiles():
+    # tests/exact_compile.py compares compiled code across trees by
+    # digest.  Unrelated compiles in between advance the process-wide
+    # Node ids; the digest of the same method must not move with them.
+    from repro.jit.ir import Node
+    from tests.exact_compile import _dump, digests
+
+    src = """
+    class T {
+        static def m(a, i) {
+            if (i > 0) { return T.m(a, i - 1) + a[i]; }
+            return 0;
+        }
+        static def other(n) {
+            var s = 0;
+            var i = 0;
+            while (i < n) { s = s + i * i; i = i + 1; }
+            return s;
+        }
+    }"""
+    fresh, _ = compile_method(src)
+    first_id = next(Node._ids)
+    compile_method(src, method="other")
+    again, _ = compile_method(src)
+    assert next(Node._ids) > first_id + 1
+    assert fresh.deopt_meta and "callstatic" in kinds(fresh)
+    assert digests(fresh) == digests(again)
+    assert "0x" not in _dump((fresh.instrs, fresh.consts, fresh.deopt_meta))
+    assert digests(fresh) != digests(compile_method(src, method="other")[0])

@@ -245,7 +245,7 @@ def test_compile_bailout_falls_back_to_interpreter(monkeypatch):
     from repro.lang import compile_program
     from repro.runtime import VM
 
-    def broken_pipeline(graph, config, pool, stats):
+    def broken_pipeline(graph, config, pool, stats, **_options):
         raise CompileError("injected failure")
 
     monkeypatch.setattr(jit_mod, "run_pipeline", broken_pipeline)

@@ -23,7 +23,7 @@ import pytest
 from repro.errors import ReproError, SweepInterrupted
 from repro.faults.resilience import Quarantine, run_suite
 from repro.harness.core import GuestBenchmark
-from repro.harness.durable import DurablePolicy, run_suite_durable
+from repro.harness.durable import DurablePolicy
 from repro.harness.journal import Journal
 from repro.harness.plugins import MergeablePlugin
 from repro.harness.store import ResultStore
@@ -157,14 +157,15 @@ def test_store_roundtrip_and_corruption(tmp_path):
 def test_serial_durable_matches_plain_and_resumes(tmp_path):
     benches = workload()
     plain = run_suite(benches, warmup=0, measure=1)
-    durable = run_suite_durable(
-        benches, dir=tmp_path / "sweep", warmup=0, measure=1)
+    durable = run_suite(
+        benches, durable_dir=tmp_path / "sweep", warmup=0, measure=1)
     assert suite_key(plain) == suite_key(durable)
     assert durable.durable["executed"] == len(benches)
     assert durable.durable["served_from_store"] == 0
     # Second run over the same directory: everything is cached.
-    resumed = run_suite_durable(
-        benches, dir=tmp_path / "sweep", resume=True, warmup=0, measure=1)
+    resumed = run_suite(
+        benches, durable_dir=tmp_path / "sweep", resume=True, warmup=0,
+        measure=1)
     assert suite_key(plain) == suite_key(resumed)
     assert resumed.durable["executed"] == 0
     assert resumed.durable["served_from_store"] == len(benches)
@@ -173,18 +174,18 @@ def test_serial_durable_matches_plain_and_resumes(tmp_path):
 def test_durable_dir_requires_resume_flag(tmp_path):
     from repro.errors import DurableSweepError
 
-    run_suite_durable([TINY_BENCHMARK], dir=tmp_path / "sweep")
+    run_suite([TINY_BENCHMARK], durable_dir=tmp_path / "sweep")
     with pytest.raises(DurableSweepError, match="resume"):
-        run_suite_durable([TINY_BENCHMARK], dir=tmp_path / "sweep")
+        run_suite([TINY_BENCHMARK], durable_dir=tmp_path / "sweep")
 
 
 def test_resume_rejects_mismatched_spec(tmp_path):
     from repro.errors import DurableSweepError
 
-    run_suite_durable([TINY_BENCHMARK], dir=tmp_path / "sweep")
+    run_suite([TINY_BENCHMARK], durable_dir=tmp_path / "sweep")
     with pytest.raises(DurableSweepError, match="mismatch"):
-        run_suite_durable([TINY_BENCHMARK], dir=tmp_path / "sweep",
-                          resume=True, schedule_seed=7)
+        run_suite([TINY_BENCHMARK], durable_dir=tmp_path / "sweep",
+                  resume=True, schedule_seed=7)
 
 
 def test_store_key_covers_compiler_config_contents(tmp_path):
@@ -198,18 +199,18 @@ def test_store_key_covers_compiler_config_contents(tmp_path):
     ablated = graal_config(inline_depth=0, unroll_factor=1,
                            flags={"EAWA": False, "LLC": False})
     truth = run_suite(benches, jit="graal", warmup=2, measure=1)
-    first = run_suite_durable(benches, dir=sweep_dir, jit=ablated,
-                              warmup=2, measure=1)
+    first = run_suite(benches, durable_dir=sweep_dir, jit=ablated,
+                      warmup=2, measure=1)
     assert first.config == truth.config == "graal"
     assert fingerprints(first) != fingerprints(truth)
     with pytest.raises(DurableSweepError, match="mismatch"):
-        run_suite_durable(benches, dir=sweep_dir, resume=True,
-                          jit="graal", warmup=2, measure=1)
+        run_suite(benches, durable_dir=sweep_dir, resume=True,
+                  jit="graal", warmup=2, measure=1)
     # Without the journal's own check (a store shared between sweeps,
     # as the service keeps one) the unit digests still differ.
     os.remove(sweep_dir / "journal.wal")
-    second = run_suite_durable(benches, dir=sweep_dir, resume=True,
-                               jit="graal", warmup=2, measure=1)
+    second = run_suite(benches, durable_dir=sweep_dir, resume=True,
+                       jit="graal", warmup=2, measure=1)
     assert second.durable["served_from_store"] == 0
     assert fingerprints(second) == fingerprints(truth)
 
@@ -218,14 +219,15 @@ def test_interrupted_serial_sweep_resumes_byte_identical(tmp_path):
     benches = workload()
     plain = run_suite(benches, warmup=0, measure=1)
     with pytest.raises(SweepInterrupted):
-        run_suite_durable(
-            benches, dir=tmp_path / "sweep", warmup=0, measure=1,
-            policy=DurablePolicy(abort_after_units=1))
+        run_suite(
+            benches, durable_dir=tmp_path / "sweep", warmup=0, measure=1,
+            durable_policy=DurablePolicy(abort_after_units=1))
     replay = Journal(tmp_path / "sweep" / "journal.wal").replay()
     kinds = [r["kind"] for r in replay.records]
     assert "drain-begin" in kinds and "sweep-interrupt" in kinds
-    resumed = run_suite_durable(
-        benches, dir=tmp_path / "sweep", resume=True, warmup=0, measure=1)
+    resumed = run_suite(
+        benches, durable_dir=tmp_path / "sweep", resume=True, warmup=0,
+        measure=1)
     assert suite_key(plain) == suite_key(resumed)
     assert resumed.durable["served_from_store"] == 1
     assert resumed.durable["executed"] == len(benches) - 1
@@ -234,7 +236,7 @@ def test_interrupted_serial_sweep_resumes_byte_identical(tmp_path):
 def test_corrupt_store_entry_reruns_unit(tmp_path):
     benches = workload()
     plain = run_suite(benches, warmup=0, measure=1)
-    run_suite_durable(benches, dir=tmp_path / "sweep", warmup=0, measure=1)
+    run_suite(benches, durable_dir=tmp_path / "sweep", warmup=0, measure=1)
     store = ResultStore(tmp_path / "sweep")
     objects = []
     for fan in os.listdir(store.objects):
@@ -243,8 +245,9 @@ def test_corrupt_store_entry_reruns_unit(tmp_path):
     blob = bytearray(open(objects[0], "rb").read())
     blob[-3] ^= 0x40                 # bit rot inside the payload
     open(objects[0], "wb").write(bytes(blob))
-    resumed = run_suite_durable(
-        benches, dir=tmp_path / "sweep", resume=True, warmup=0, measure=1)
+    resumed = run_suite(
+        benches, durable_dir=tmp_path / "sweep", resume=True, warmup=0,
+        measure=1)
     assert suite_key(plain) == suite_key(resumed)
     assert resumed.durable["executed"] == 1        # the corrupt one re-ran
     assert resumed.durable["served_from_store"] == len(benches) - 1
@@ -254,12 +257,13 @@ def test_corrupt_store_entry_reruns_unit(tmp_path):
 def test_corrupt_journal_is_not_fatal_on_resume(tmp_path):
     benches = workload()
     plain = run_suite(benches, warmup=0, measure=1)
-    run_suite_durable(benches, dir=tmp_path / "sweep", warmup=0, measure=1)
+    run_suite(benches, durable_dir=tmp_path / "sweep", warmup=0, measure=1)
     journal_path = tmp_path / "sweep" / "journal.wal"
     raw = journal_path.read_bytes()
     journal_path.write_bytes(raw[: len(raw) // 2])   # torn mid-file
-    resumed = run_suite_durable(
-        benches, dir=tmp_path / "sweep", resume=True, warmup=0, measure=1)
+    resumed = run_suite(
+        benches, durable_dir=tmp_path / "sweep", resume=True, warmup=0,
+        measure=1)
     assert suite_key(plain) == suite_key(resumed)
     # Completeness comes from the store, not the (damaged) journal.
     assert resumed.durable["served_from_store"] == len(benches)
@@ -268,15 +272,15 @@ def test_corrupt_journal_is_not_fatal_on_resume(tmp_path):
 def test_failed_unit_is_recorded_quarantined_never_fatal(tmp_path):
     benches = [TINY_BENCHMARK, FAILING_BENCHMARK]
     plain = run_suite(benches, warmup=0, measure=1, repeat=2)
-    durable = run_suite_durable(
-        benches, dir=tmp_path / "sweep", warmup=0, measure=1, repeat=2)
+    durable = run_suite(
+        benches, durable_dir=tmp_path / "sweep", warmup=0, measure=1, repeat=2)
     assert suite_key(plain) == suite_key(durable)
     assert [f.benchmark for f in durable.failures] == ["fixture-fails"]
     assert durable.skipped == ["fixture-fails"]
     assert "fixture-fails" in durable.quarantine
     # Resume serves the failure from the store too — it never re-runs.
-    resumed = run_suite_durable(
-        benches, dir=tmp_path / "sweep", resume=True, warmup=0,
+    resumed = run_suite(
+        benches, durable_dir=tmp_path / "sweep", resume=True, warmup=0,
         measure=1, repeat=2)
     assert suite_key(plain) == suite_key(resumed)
     assert resumed.durable["executed"] == 0
@@ -284,12 +288,12 @@ def test_failed_unit_is_recorded_quarantined_never_fatal(tmp_path):
 
 def test_prepopulated_quarantine_skips_without_dispatch(tmp_path):
     quarantine = Quarantine()
-    first = run_suite_durable(
-        [TINY_BENCHMARK, FAILING_BENCHMARK], dir=tmp_path / "a",
+    first = run_suite(
+        [TINY_BENCHMARK, FAILING_BENCHMARK], durable_dir=tmp_path / "a",
         warmup=0, measure=1, quarantine=quarantine)
     assert len(first.failures) == 1
-    second = run_suite_durable(
-        [TINY_BENCHMARK, FAILING_BENCHMARK], dir=tmp_path / "b",
+    second = run_suite(
+        [TINY_BENCHMARK, FAILING_BENCHMARK], durable_dir=tmp_path / "b",
         warmup=0, measure=1, quarantine=quarantine)
     assert second.failures == []
     assert second.skipped == ["fixture-fails"]
@@ -306,9 +310,9 @@ class BoomPlugin(MergeablePlugin):
 
 def test_stage_infra_failure_becomes_failure_report(tmp_path):
     policy = DurablePolicy(max_stage_retries=1, backoff_base=0.001)
-    suite = run_suite_durable(
-        [TINY_BENCHMARK], dir=tmp_path / "sweep", warmup=0, measure=1,
-        plugins=(BoomPlugin(),), policy=policy)
+    suite = run_suite(
+        [TINY_BENCHMARK], durable_dir=tmp_path / "sweep", warmup=0, measure=1,
+        plugins=(BoomPlugin(),), durable_policy=policy)
     assert [f.error_type for f in suite.failures] == ["RuntimeError"]
     report = suite.failures[0]
     assert report.phase == "stage:run"
@@ -319,9 +323,9 @@ def test_stage_infra_failure_becomes_failure_report(tmp_path):
 def test_serial_stage_deadline_times_out(tmp_path):
     policy = DurablePolicy(stage_deadlines={"run": 0.0},
                            max_stage_retries=0)
-    suite = run_suite_durable(
-        [TINY_BENCHMARK], dir=tmp_path / "sweep", warmup=0, measure=1,
-        policy=policy)
+    suite = run_suite(
+        [TINY_BENCHMARK], durable_dir=tmp_path / "sweep", warmup=0, measure=1,
+        durable_policy=policy)
     assert [f.error_type for f in suite.failures] == ["StageTimeout"]
     assert suite.failures[0].phase == "stage:run"
 
@@ -331,8 +335,8 @@ def test_plain_plugin_rejected(tmp_path):
     from repro.harness.plugins import IterationLogPlugin
 
     with pytest.raises(DurableSweepError, match="MergeablePlugin"):
-        run_suite_durable([TINY_BENCHMARK], dir=tmp_path / "sweep",
-                          plugins=(IterationLogPlugin(),))
+        run_suite([TINY_BENCHMARK], durable_dir=tmp_path / "sweep",
+                  plugins=(IterationLogPlugin(),))
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +348,8 @@ def test_parallel_durable_matches_serial_with_plugins(tmp_path):
     plain = run_suite(benches, warmup=0, measure=1,
                       plugins=(mp_serial, tp_serial))
     mp_durable, tp_durable = MetricsPlugin(), TracePlugin()
-    durable = run_suite_durable(
-        benches, dir=tmp_path / "sweep", jobs=3, warmup=0, measure=1,
+    durable = run_suite(
+        benches, durable_dir=tmp_path / "sweep", jobs=3, warmup=0, measure=1,
         plugins=(mp_durable, tp_durable))
     assert suite_key(plain) == suite_key(durable)
     assert mp_serial.per_run == mp_durable.per_run
@@ -359,9 +363,10 @@ def test_worker_sigkill_respawns_and_result_is_identical(tmp_path):
     outcome = {}
 
     def controller():
-        outcome["suite"] = run_suite_durable(
-            benches, dir=sweep_dir, jobs=2, warmup=0, measure=1, repeat=2,
-            policy=DurablePolicy(max_unit_attempts=4))
+        outcome["suite"] = run_suite(
+            benches, durable_dir=sweep_dir, jobs=2, warmup=0, measure=1,
+            repeat=2,
+            durable_policy=DurablePolicy(max_unit_attempts=4))
 
     thread = threading.Thread(target=controller)
     thread.start()
@@ -505,8 +510,8 @@ def test_kill9_jobs4_sweep_resumes_byte_identical(tmp_path):
     plain = run_suite(benches, warmup=0, measure=1, repeat=2,
                       plugins=(mp_plain, tp_plain))
     mp_res, tp_res = MetricsPlugin(), TracePlugin()
-    resumed = run_suite_durable(
-        benches, dir=sweep_dir, resume=True, jobs=4, warmup=0,
+    resumed = run_suite(
+        benches, durable_dir=sweep_dir, resume=True, jobs=4, warmup=0,
         measure=1, repeat=2, plugins=(mp_res, tp_res))
 
     # Byte-identical merged RunResults, metrics, and trace digests.
@@ -616,9 +621,9 @@ def test_hung_worker_killed_and_unit_failed(tmp_path):
     policy = DurablePolicy(
         stage_deadlines={"run": 1.0}, max_unit_attempts=1,
         heartbeat_interval=0.1)
-    suite = run_suite_durable(
-        benches, dir=tmp_path / "sweep", jobs=2, warmup=0, measure=1,
-        plugins=(HangPlugin("fixture-tiny"),), policy=policy)
+    suite = run_suite(
+        benches, durable_dir=tmp_path / "sweep", jobs=2, warmup=0, measure=1,
+        plugins=(HangPlugin("fixture-tiny"),), durable_policy=policy)
     assert [f.benchmark for f in suite.failures] == ["fixture-tiny"]
     assert suite.failures[0].error_type == "StageTimeout"
     assert suite.durable["respawns"] >= 1
@@ -654,8 +659,8 @@ def test_sigterm_drains_and_exits_resumable(tmp_path):
     else:                            # sweep won the race and finished
         assert code == 0
     plain = run_suite(workload(WIDE_SLICE), warmup=0, measure=1, repeat=2)
-    resumed = run_suite_durable(
-        workload(WIDE_SLICE), dir=sweep_dir, resume=True, jobs=2,
+    resumed = run_suite(
+        workload(WIDE_SLICE), durable_dir=sweep_dir, resume=True, jobs=2,
         warmup=0, measure=1, repeat=2)
     assert suite_key(plain) == suite_key(resumed)
 
@@ -689,9 +694,9 @@ def test_journal_compaction_skipped_on_interrupt(tmp_path):
     sweep_dir = str(tmp_path / "sweep")
     policy = DurablePolicy(abort_after_units=1)
     with pytest.raises(SweepInterrupted):
-        run_suite_durable([TINY_BENCHMARK, FAILING_BENCHMARK],
-                          dir=sweep_dir, warmup=0, measure=1,
-                          policy=policy)
+        run_suite([TINY_BENCHMARK, FAILING_BENCHMARK],
+                  durable_dir=sweep_dir, warmup=0, measure=1,
+                  durable_policy=policy)
     kinds = [r["kind"] for r in
              Journal(os.path.join(sweep_dir, "journal.wal")).replay()
              .records]
