@@ -35,9 +35,12 @@ verify-ir:
 # Tier-2: the full crash/resume suite — everything in
 # tests/test_durable.py including the heavyweight supervision
 # scenarios (hung-worker kill/respawn, SIGTERM drain) that tier-1
-# skips via the `durable` marker.  Never gates tier-1.
+# skips via the `durable` marker, plus tests/test_workers.py: every
+# durable sweep runs its units on that supervised worker.  Never gates
+# tier-1.
 durable:
-	PYTHONPATH=src python -m pytest -q -m "durable or not chaos" tests/test_durable.py -s
+	PYTHONPATH=src python -m pytest -q -m "durable or not chaos" \
+		tests/test_durable.py tests/test_workers.py -s
 
 # Tier-2: the full benchmark-as-a-service suite — everything in
 # tests/test_serve.py including the subprocess SIGTERM drain/restart

@@ -332,8 +332,9 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
     plugins or prepared sanitizer cannot cross a process boundary.
     ``durable_dir`` keeps the controller's journal and content-addressed
     result store (:mod:`repro.harness.durable`) so ``resume=True``
-    continues a killed sweep byte-identically; without it a ``jobs=N``
-    sweep runs the same controller over a throwaway directory.
+    continues a killed sweep byte-identically; it always runs on
+    workers (``max(1, jobs)``).  Without it a ``jobs=N`` sweep runs the
+    same controller over a throwaway directory.
     """
     config = SweepConfig(
         jit=jit, cores=cores, schedule_seed=schedule_seed, warmup=warmup,

@@ -13,9 +13,9 @@
 - :mod:`repro.harness.durable` — the sweep controller: journaled stage
   lifecycle, content-addressed result store, checkpoint/resume (with
   :mod:`repro.harness.journal` and :mod:`repro.harness.store`
-  underneath), driving
+  underneath), running its units through the service's worker pool on
 - :mod:`repro.harness.workers` — the supervised unit worker every
-  ``jobs=N`` sweep and the service pool run on.
+  durable or ``jobs=N`` sweep and the service run on.
 """
 
 from repro.harness.core import (

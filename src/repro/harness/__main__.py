@@ -6,7 +6,8 @@ units on N supervised worker processes (byte-identical results; a
 crashed or hung worker is respawned); ``--durable DIR`` journals every
 stage into DIR and caches completed units in a content-addressed store,
 so a killed sweep continues with ``--resume DIR`` instead of starting
-over (see :mod:`repro.harness.durable`).
+over (see :mod:`repro.harness.durable`).  A durable sweep always runs
+its units on workers, one by default.
 
 Options::
 
@@ -142,7 +143,8 @@ def main(argv=None) -> int:
     parser.add_argument("--benchmarks", default=None,
                         help="comma-separated benchmark subset of the suite")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = serial, the default)")
+                        help="worker processes (default 1: serial "
+                             "in-process, or one worker with --durable)")
     parser.add_argument("--jit", default="graal",
                         help='"graal", "c2" or "none" (interpreter only)')
     parser.add_argument("--engine", default="threaded",

@@ -16,34 +16,33 @@ journaled, stored, or run on worker processes — ``run_suite(durable_dir=
   flight, and ``--resume`` serves completed units from the store so the
   merged :class:`~repro.faults.resilience.SuiteResult` is byte-identical
   to an uninterrupted sweep,
-- the parallel path (``jobs=N``) runs its units on supervised
-  :class:`~repro.harness.workers.Worker` processes: a hung or crashed
-  worker is killed and respawned with the in-flight unit returned to
-  the queue, and SIGINT/SIGTERM drain gracefully, journaling in-flight
-  state before raising :class:`~repro.errors.SweepInterrupted`,
+- every unit runs on a supervised worker process of the service's
+  :class:`~repro.serve.pool.WorkerPool` (``max(1, jobs)`` of them,
+  driven by ``asyncio.run``): a hung or crashed worker is killed and
+  respawned and its unit retried, and SIGINT/SIGTERM drain gracefully,
+  journaling in-flight state before raising
+  :class:`~repro.errors.SweepInterrupted`,
 - a failed unit is recorded, persisted, and quarantined — never fatal
   (``continue_on_error=False`` raises only after the merge).
 
 Byte-identity holds because unit outcomes are pure functions of their
-keys (fresh VM per run, fully seeded), execution happens on *cloned*
-plugin instances, and the caller's plugins only ever absorb the per-unit
-:class:`~repro.harness.plugins.MergeablePlugin` snapshots in serial
-sweep order (round-major, registry order) at merge time — whether a
-snapshot came from this process, a worker, or the store on resume.
+keys (fresh VM per run, fully seeded), execution happens on the forked
+workers' copies of the plugins, and the caller's plugins only ever
+absorb the per-unit :class:`~repro.harness.plugins.MergeablePlugin`
+snapshots in serial sweep order (round-major, registry order) at merge
+time — whether a snapshot came from a worker or from the store on
+resume.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
-import pickle
 import signal
 import threading
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing import connection
 
 from repro.errors import (
     DurableSweepError,
@@ -61,9 +60,7 @@ from repro.harness.store import (
     StoreLock,
     canonical_digest,
     decode_outcome,
-    encode_outcome,
 )
-from repro.harness.workers import Worker, lost_unit_failure
 
 #: Stage lifecycle, in order.  ``prepare`` builds the runner and warms
 #: the compile cache, ``run`` executes warmup+measure through the
@@ -86,8 +83,8 @@ class DurablePolicy:
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     #: Host-wall-clock deadline per stage (seconds); None = unlimited.
-    #: On the parallel path the supervisor kills a worker whose stage
-    #: overruns; serially the overrun is detected after the stage ends.
+    #: The supervisor kills a worker whose stage overruns it; a stage
+    #: that ends past it fails in the worker (``StageTimeout``).
     stage_deadlines: dict | None = None
     #: Worker heartbeat cadence and the staleness that declares a
     #: worker dead even when the OS still lists the process.
@@ -146,14 +143,16 @@ def unit_digest(bench: GuestBenchmark, rnd: int, fingerprint: dict) -> str:
     return canonical_digest(key)
 
 
-def _clone_plugins(plugins: tuple) -> tuple:
-    """Execution copies: the caller's instances only absorb at merge."""
-    return pickle.loads(pickle.dumps(tuple(plugins)))
+def sweep_units(benches, repeat: int, fingerprint: dict) -> list[SweepUnit]:
+    """Every unit of a sweep, in serial order (round-major, benchmark
+    order within a round) — the one matrix the CLI sweep and the
+    service both mint digests from."""
+    return [SweepUnit(idx, rnd, bench, unit_digest(bench, rnd, fingerprint))
+            for rnd in range(repeat) for idx, bench in enumerate(benches)]
 
 
 # ----------------------------------------------------------------------
-# Stage lifecycle (runs in the controller for serial sweeps, in a
-# worker process for jobs=N).
+# Stage lifecycle (runs in a worker process).
 # ----------------------------------------------------------------------
 def execute_unit(unit: SweepUnit, config: SweepConfig, plan,
                  plugins: tuple, policy: DurablePolicy, notify=None) -> dict:
@@ -240,8 +239,8 @@ def _run_stage(unit, stage, fn, policy, stage_trace, notify) -> None:
         elapsed = time.perf_counter() - started
         stage_trace.append((stage, attempt))
         if deadline is not None and elapsed > deadline:
-            # Serial path: the overrun is only observable after the
-            # fact (the parallel supervisor kills mid-stage instead).
+            # A stage that ended late; one that never ends is killed by
+            # the supervisor (Worker.step) instead.
             raise StageTimeout(
                 f"{unit.name} stage {stage} took {elapsed:.3f}s "
                 f"(deadline {deadline:.3f}s)",
@@ -283,12 +282,8 @@ class DurableSweep:
         self.plans = plans_of(faults, self.benches)
         self.fingerprint = config.fingerprint(faults, plugins)
 
-        self.units: dict[tuple[int, int], SweepUnit] = {}
-        for rnd in range(repeat):
-            for idx, bench in enumerate(self.benches):
-                self.units[(idx, rnd)] = SweepUnit(
-                    idx, rnd, bench,
-                    unit_digest(bench, rnd, self.fingerprint))
+        self.units = {(u.index, u.round): u for u in sweep_units(
+            self.benches, repeat, self.fingerprint)}
         self.outcomes: dict[str, dict] = {}
         self.ready: list[SweepUnit] = []
         self.failed_bench: set[str] = set()
@@ -300,7 +295,6 @@ class DurableSweep:
             "interrupted": False,
         }
         self._signal: str | None = None
-        self._draining = False
 
     # ------------------------------------------------------------------
     # Setup / teardown.
@@ -394,10 +388,7 @@ class DurableSweep:
         if unit.round + 1 < self.repeat and unit.name not in self.failed_bench:
             self._schedule(self.units[nxt])
 
-    def _persist(self, unit: SweepUnit, outcome: dict,
-                 payload: bytes | None = None) -> None:
-        if payload is None:
-            payload = encode_outcome(outcome)
+    def _persist(self, unit: SweepUnit, outcome: dict, payload: bytes) -> None:
         self.store.put(unit.digest, payload)
         self.stats["executed"] += 1
         self.journal.append(
@@ -410,41 +401,73 @@ class DurableSweep:
             self._signal = self._signal or "test-abort"
 
     # ------------------------------------------------------------------
-    # Serial execution.
+    # Execution: the service's worker pool, driven from one event loop.
     # ------------------------------------------------------------------
-    def _run_serial(self) -> None:
-        exec_plugins = _clone_plugins(self.plugins)
+    def _drive(self) -> None:
+        """Dispatch ready units in serial order onto a pool of
+        ``max(1, jobs)`` workers until none is left or a signal drains
+        the sweep."""
+        import asyncio            # only sweeps that run a unit load it
+        from repro.serve.pool import WorkerPool   # serve.pool imports us
 
-        def notify_factory(unit):
-            def notify(stage, attempt):
-                if attempt > 0:
-                    self.stats["stage_retries"] += 1
-                self.journal.append(
-                    "stage", digest=unit.digest, stage=stage,
-                    attempt=attempt, worker=0)
-            return notify
+        async def dispatch() -> None:
+            pool = WorkerPool(min(max(1, self.jobs or 1), len(self.ready)),
+                              self.policy, self._on_shard, self.plugins)
+            pool.start()
+            active: dict = {}     # task -> unit
+            try:
+                while (self.ready or active) and self._signal is None:
+                    self.ready.sort(key=lambda u: (u.round, u.index))
+                    while self.ready and len(active) < pool.size:
+                        unit = self.ready.pop(0)
+                        active[asyncio.ensure_future(
+                            self._execute(pool, unit))] = unit
+                    # A signal only sets the flag: look at it every beat.
+                    done, _ = await asyncio.wait(
+                        active, timeout=self.policy.heartbeat_interval,
+                        return_when=asyncio.FIRST_COMPLETED)
+                    for task in done:
+                        del active[task]
+                        task.result()
+                if self._signal is not None:
+                    self.journal.append(
+                        "drain-begin", signal=self._signal,
+                        inflight=[u.digest for u in active.values()],
+                        pending=[u.digest for u in self.ready])
+                    if active:
+                        done, late = await asyncio.wait(
+                            active, timeout=self.policy.drain_timeout)
+                        for task in late:
+                            task.cancel()
+                        for task in done:
+                            task.result()
+            finally:
+                await pool.close()
 
-        while self.ready:
-            if self._signal is not None:
-                self._drain_serial()
-                return
-            self.ready.sort(key=lambda u: (u.round, u.index))
-            unit = self.ready.pop(0)
+        asyncio.run(dispatch())
+
+    async def _execute(self, pool, unit: SweepUnit) -> None:
+        def on_stage(stage: str, attempt: int) -> None:
+            if attempt > 0:
+                self.stats["stage_retries"] += 1
+            self.journal.append("stage", digest=unit.digest, stage=stage,
+                                attempt=attempt)
+
+        outcome, payload = await pool.run_unit(
+            unit, self.config, on_stage, self.plans.get(unit.name))
+        self._persist(unit, outcome, payload)
+
+    def _on_shard(self, kind: str, worker, **fields) -> None:
+        if kind == "send":
+            unit = worker.unit
             self.journal.append(
                 "unit-begin", digest=unit.digest, benchmark=unit.name,
-                round=unit.round, worker=0)
-            outcome = execute_unit(
-                unit, self.config, self.plans.get(unit.name),
-                exec_plugins, self.policy, notify=notify_factory(unit))
-            self._persist(unit, outcome)
-        if self._signal is not None:
-            self._drain_serial()
-
-    def _drain_serial(self) -> None:
-        self.journal.append(
-            "drain-begin", signal=self._signal,
-            inflight=[], pending=[u.digest for u in self.ready])
-        self._interrupt()
+                round=unit.round, worker=worker.wid)
+            return
+        if kind == "respawn":
+            self.stats["respawns"] += 1
+        self.journal.append(f"shard-{kind}", worker=worker.wid,
+                            pid=worker.pid, **fields)
 
     def _interrupt(self) -> None:
         self.stats["interrupted"] = True
@@ -454,104 +477,6 @@ class DurableSweep:
         raise SweepInterrupted(
             f"sweep interrupted by {self._signal}; resume with "
             f"--resume {self.dir}", stats=self.stats)
-
-    # ------------------------------------------------------------------
-    # Supervised parallel execution.
-    # ------------------------------------------------------------------
-    def _run_parallel(self) -> None:
-        exec_plugins = _clone_plugins(self.plugins)
-        workers: list[Worker] = []
-        wids = itertools.count()
-        attempts: dict[str, int] = {}
-
-        def spawn() -> Worker:
-            worker = Worker(next(wids), execute_unit, self.policy,
-                            exec_plugins)
-            workers.append(worker)
-            self.journal.append("shard-spawn", worker=worker.wid,
-                                pid=worker.pid)
-            return worker
-
-        def bury(worker: Worker, reason: str) -> None:
-            """A lost worker: requeue or fail its in-flight unit, and
-            replace it while there is work left."""
-            self.journal.append("shard-exit", worker=worker.wid,
-                                pid=worker.pid, reason=reason)
-            workers.remove(worker)
-            unit = worker.unit
-            if unit is not None:
-                attempts[unit.digest] = attempts.get(unit.digest, 0) + 1
-                if attempts[unit.digest] >= self.policy.max_unit_attempts:
-                    self._persist(unit, lost_unit_failure(
-                        worker, self.config, attempts[unit.digest]))
-                else:
-                    self.ready.insert(0, unit)
-            if not self._draining and (self.ready or unit):
-                replacement = spawn()
-                self.stats["respawns"] += 1
-                self.journal.append(
-                    "shard-respawn", worker=replacement.wid,
-                    pid=replacement.pid, replaces=worker.wid)
-
-        for _ in range(min(self.jobs, max(1, len(self.ready)))):
-            spawn()
-
-        try:
-            while self.ready or any(w.unit for w in workers):
-                if self._signal is not None and not self._draining:
-                    self._draining = True
-                    self.journal.append(
-                        "drain-begin", signal=self._signal,
-                        inflight=[w.unit.digest for w in workers if w.unit],
-                        pending=[u.digest for u in self.ready])
-                    self._drain_started = time.monotonic()
-                if self._draining:
-                    if not any(w.unit for w in workers):
-                        break
-                    if (time.monotonic() - self._drain_started
-                            > self.policy.drain_timeout):
-                        break         # stop waiting; kill below
-                else:
-                    self._dispatch(workers, spawn)
-                self._pump(workers, bury)
-        finally:
-            for worker in workers:
-                worker.stop()
-        if self._signal is not None:
-            self._interrupt()
-
-    def _dispatch(self, workers: list, spawn) -> None:
-        if self.ready and not workers:
-            spawn()                   # everyone died; keep the sweep alive
-        for worker in workers:
-            if not self.ready:
-                break
-            if worker.unit is None:
-                unit = self.ready.pop(0)
-                worker.send(unit, self.config, self.plans.get(unit.name))
-                self.journal.append(
-                    "unit-begin", digest=unit.digest, benchmark=unit.name,
-                    round=unit.round, worker=worker.wid)
-
-    def _pump(self, workers: list, bury) -> None:
-        connection.wait([w.conn for w in workers], timeout=0.05)
-        for worker in list(workers):
-            unit = worker.unit
-            event = worker.step(0)
-            if event is None:
-                continue
-            if event[0] == "stage":
-                _, stage, attempt = event
-                if attempt > 0:
-                    self.stats["stage_retries"] += 1
-                self.journal.append(
-                    "stage", digest=unit.digest, stage=stage,
-                    attempt=attempt, worker=worker.wid)
-            elif event[0] == "done":
-                self._persist(unit, decode_outcome(event[1]),
-                              payload=event[1])
-            else:
-                bury(worker, event[1])
 
     # ------------------------------------------------------------------
     # Merge: stitch outcomes back in serial sweep order.
@@ -607,15 +532,11 @@ class DurableSweep:
         previous = self._install_signals()
         try:
             self._bootstrap()
-            try:
-                if self.jobs is not None and self.jobs > 1 and self.ready:
-                    self._run_parallel()
-                else:
-                    self._run_serial()
-            except SweepInterrupted:
-                self.stats["corrupt_store_entries"] += len(self.store.corrupt)
-                raise
+            if self.ready:            # every unit stored: no worker at all
+                self._drive()
             self.stats["corrupt_store_entries"] += len(self.store.corrupt)
+            if self._signal is not None:
+                self._interrupt()
             out = self._merge()
             self.journal.append(
                 "sweep-end", completed=len(out.results),

@@ -40,8 +40,8 @@ class MergeablePlugin(HarnessPlugin):
     """A plugin that survives ``jobs=N`` and durable sweeps.
 
     The sweep controller (:mod:`repro.harness.durable`) runs every unit
-    on pickled clones of the caller's plugin instances, which observe
-    that unit's run through the normal hooks.  After every benchmark
+    in a forked worker, on the worker's copies of the caller's plugin
+    instances, which observe that unit's run through the normal hooks.  After every benchmark
     run the executor calls :meth:`snapshot_run`; the controller replays
     the payloads into the *caller's* instance via :meth:`absorb_run` in
     serial sweep order (round-major, registry order), so it ends up

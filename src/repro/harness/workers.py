@@ -1,17 +1,17 @@
 """One supervised unit worker: the child loop and its parent-side judge.
 
 Every sweep that leaves the controller's process — ``run_suite(jobs=N)``,
-durable ``jobs=N`` sweeps, the :mod:`repro.serve` pool — runs its units
+every durable sweep, the :mod:`repro.serve` service — runs its units
 here: one forked process per :class:`Worker`, one private pipe per
 worker (no shared queue a dying worker could poison), a heartbeat
 thread in the child, and a single place (:meth:`Worker.step`) that
 decides when a worker is lost — pipe EOF, process exit, heartbeat
 staleness, a stage past its deadline, or a crash message carrying the
-child's traceback.  The drivers differ only in how they wait: the
-durable controller steps all its workers from one synchronous loop, the
-service steps each worker from one coroutine via ``run_in_executor``.
-What to do about a lost worker (requeue, respawn, give up) is theirs;
-the quarantining outcome of giving up is :func:`lost_unit_failure`.
+child's traceback.  Its one driver,
+:class:`~repro.serve.pool.WorkerPool`, steps each worker from one
+coroutine via ``run_in_executor`` and decides what to do about a lost
+worker (respawn, retry the unit, give up); the quarantining outcome of
+giving up is :func:`lost_unit_failure`.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class Worker:
     (:func:`repro.harness.durable.execute_unit`; tests pass stubs),
     ``policy`` the :class:`~repro.harness.durable.DurablePolicy` whose
     heartbeat and deadline settings :meth:`step` judges by, ``plugins``
-    the execution clones every unit of this worker runs under.
+    the instances every unit of this worker runs under (the fork gives
+    the child its own copy).
     """
 
     def __init__(self, wid: int, execute, policy, plugins: tuple = ()) -> None:

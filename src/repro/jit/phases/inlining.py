@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.errors import CompileError
 from repro.jit.graph_builder import build_graph
-from repro.jit.ir import FrameState, Graph, GuardInfo, Node
+from repro.jit.ir import FrameState, Graph, GuardInfo, Node, resolve
 from repro.jit.phases.common import const_node, exact_type, insert_before
 
 _INLINEABLE = ("invokestatic", "invokespecial", "invokedirect")
@@ -76,9 +76,13 @@ def devirtualize(graph: Graph, pool) -> bool:
 
 # ----------------------------------------------------------------------
 def _inline_round(graph: Graph, config, pool) -> bool:
+    """Inline at most one call per block.  Each call's result replaces
+    its uses in one caller walk at the end of the round; until then,
+    later calls read their arguments through ``results``."""
     depth_of = getattr(graph, "_inline_depth", None)
     if depth_of is None:
         depth_of = graph._inline_depth = {}
+    results: dict = {}
     changed = False
     for block in list(graph.blocks):
         for node in list(block.nodes):
@@ -102,21 +106,29 @@ def _inline_round(graph: Graph, config, pool) -> bool:
                     continue
                 if graph.node_count() + size > config.inline_graph_budget:
                     continue
-            new_nodes = inline_call(graph, block, node, callee_graph)
+            new_nodes = inline_call(graph, block, node, callee_graph,
+                                    results)
             new_chain = chain + (target.qualified,)
             for inlined in new_nodes:
                 depth_of[inlined.id] = (depth + 1, new_chain)
             changed = True
-            break       # the block was split; restart from fresh lists
+            break       # the block was split; go on with the next one
+    if changed:
+        graph.replace_uses(results)
+        graph.recompute_preds()
     return changed
 
 
-def inline_call(graph: Graph, block, invoke: Node, callee: Graph) -> list[Node]:
+def inline_call(graph: Graph, block, invoke: Node, callee: Graph,
+                results: dict) -> list[Node]:
     """Splice ``callee``'s graph in place of ``invoke``.
 
+    The invoke's arguments are read through ``results``, and its own
+    result is added there: the caller applies ``results`` with one
+    :meth:`Graph.replace_uses` and then recomputes predecessors.
     Returns the list of newly added nodes (for inline-depth accounting).
     """
-    args = list(invoke.inputs)
+    args = [resolve(results, arg) for arg in invoke.inputs]
     if len(args) != len(callee.params):
         raise CompileError(
             f"inline {callee.method.qualified}: arity mismatch "
@@ -162,11 +174,10 @@ def inline_call(graph: Graph, block, invoke: Node, callee: Graph) -> list[Node]:
             result = Node("phi", values)
             cont.add_phi(result)
         cont.preds = [cblock for cblock, _ in returning]
-        graph.replace_uses({invoke: result})
+        results[invoke] = result
 
     graph.blocks.extend(callee.blocks)
     graph.blocks.append(cont)
-    graph.recompute_preds()
     return [n for cblock in callee.blocks
             for n in list(cblock.phis) + list(cblock.nodes)]
 

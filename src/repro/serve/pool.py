@@ -1,18 +1,20 @@
-"""The service's pool of supervised unit workers.
+"""The one driver of supervised unit workers.
 
 The processes, the pipe protocol and the judgement of when a worker is
-lost are :mod:`repro.harness.workers` — the same
-:class:`~repro.harness.workers.Worker` the ``jobs=N`` sweep controller
-drives.  This module is the asyncio driver: a service runs units from
-*many* jobs with *different* configurations, so each unit is sent with
-its own :class:`~repro.harness.config.SweepConfig`; each worker is owned
-by exactly one coroutine at a time, and the blocking
+lost are :mod:`repro.harness.workers`; this module is the asyncio
+driver both front-ends run units on.  The service shares one pool
+between *many* jobs with *different* configurations; a durable sweep
+(:class:`~repro.harness.durable.DurableSweep`) builds one pool per run
+and drives it with ``asyncio.run``.  Each unit is sent with its own
+:class:`~repro.harness.config.SweepConfig` and fault plan; each worker
+is owned by exactly one coroutine at a time, and the blocking
 :meth:`~repro.harness.workers.Worker.step` runs on the default executor
 so the event loop (the store's single writer) never blocks.
 
-Faults and plugins never cross this boundary: the service always runs
-``plan=None, plugins=()`` — the fingerprint under which its digests
-were minted (see :mod:`repro.serve.spec`).
+A sweep's plugins are handed to every worker at spawn: the fork gives
+the child its own copy, and only the per-unit snapshots come back.  The
+service runs ``plan=None, plugins=()`` — the fingerprint under which
+its digests were minted (see :mod:`repro.serve.spec`).
 """
 
 from __future__ import annotations
@@ -26,13 +28,21 @@ from repro.harness.workers import Worker, lost_unit_failure
 
 
 class WorkerPool:
-    """Asyncio-owned pool of supervised :class:`Worker` processes."""
+    """Asyncio-owned pool of supervised :class:`Worker` processes.
 
-    def __init__(self, size: int, policy: DurablePolicy,
-                 metrics=None) -> None:
+    ``on_shard(kind, worker, **fields)``, if given, hears every shard
+    event: ``"spawn"``, ``"send"`` (``worker.unit`` was just dispatched
+    to it), ``"exit"`` (the worker was lost, ``reason=``) and
+    ``"respawn"`` (``worker`` replaces the lost one, ``replaces=`` its
+    id).
+    """
+
+    def __init__(self, size: int, policy: DurablePolicy, on_shard=None,
+                 plugins: tuple = ()) -> None:
         self.size = max(1, size)
         self.policy = policy
-        self.metrics = metrics
+        self.on_shard = on_shard or (lambda kind, worker, **fields: None)
+        self.plugins = plugins
         self._idle: asyncio.Queue = asyncio.Queue()
         self._workers: dict[int, Worker] = {}
         self._next_wid = 0
@@ -47,15 +57,18 @@ class WorkerPool:
         for _ in range(self.size):
             self._spawn()
 
-    def _spawn(self) -> None:
-        worker = Worker(self._next_wid, execute_unit, self.policy)
+    def _spawn(self) -> Worker:
+        worker = Worker(self._next_wid, execute_unit, self.policy,
+                        self.plugins)
         self._next_wid += 1
         self._workers[worker.wid] = worker
         self._idle.put_nowait(worker)
+        self.on_shard("spawn", worker)
+        return worker
 
     # ------------------------------------------------------------------
     async def run_unit(self, unit: SweepUnit, config: SweepConfig,
-                       on_stage=None) -> tuple[dict, bytes]:
+                       on_stage=None, plan=None) -> tuple[dict, bytes]:
         """Execute one unit, supervising the worker that runs it.
 
         Returns ``(outcome, payload)`` — the decoded outcome dict plus
@@ -63,13 +76,14 @@ class WorkerPool:
         unit retried elsewhere, up to ``policy.max_unit_attempts``;
         after that the outcome is the quarantining
         :func:`~repro.harness.workers.lost_unit_failure` — a sick unit
-        never wedges the service.
+        never wedges a sweep or the service.
         """
         loop = asyncio.get_running_loop()
         attempt = 0
         while True:
             worker = await self._idle.get()
-            worker.send(unit, config)
+            worker.send(unit, config, plan)
+            self.on_shard("send", worker)
             while True:
                 event = await loop.run_in_executor(
                     None, worker.step, self.policy.heartbeat_interval)
@@ -83,10 +97,9 @@ class WorkerPool:
                 self._idle.put_nowait(worker)
                 return decode_outcome(event[1]), event[1]
             self._workers.pop(worker.wid, None)
-            if self.metrics is not None:
-                self.metrics.inc("serve_workers_respawned")
+            self.on_shard("exit", worker, reason=event[1])
             if not self._closed:
-                self._spawn()
+                self.on_shard("respawn", self._spawn(), replaces=worker.wid)
             attempt += 1
             if attempt >= self.policy.max_unit_attempts:
                 outcome = lost_unit_failure(worker, config, attempt)
@@ -94,7 +107,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     async def close(self) -> None:
-        """Stop every worker (in-flight units must already be drained)."""
+        """Stop every worker; a unit still in flight is lost with it."""
         self._closed = True
         for worker in self._workers.values():
             worker.stop()

@@ -136,7 +136,7 @@ class Scheduler:
         self.dir = str(dir)
         self.policy = policy or DurablePolicy()
         self.metrics = metrics or ServeMetrics()
-        self.pool = WorkerPool(workers, self.policy, self.metrics)
+        self.pool = WorkerPool(workers, self.policy, self._on_shard)
         self.jobs: dict[str, Job] = {}
         self._job_seq = 0
         #: digest -> [(job, unit), ...] — everyone awaiting the digest.
@@ -148,6 +148,10 @@ class Scheduler:
         self._wake = asyncio.Event()
         self._draining = False
         self._dispatcher: asyncio.Task | None = None
+
+    def _on_shard(self, kind: str, worker, **fields) -> None:
+        if kind == "respawn":
+            self.metrics.inc("serve_workers_respawned")
 
     # ------------------------------------------------------------------
     # Lifecycle.

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 from repro.errors import ServeError
 from repro.harness.config import SweepConfig
-from repro.harness.durable import SweepUnit, unit_digest
+from repro.harness.durable import SweepUnit, sweep_units
 from repro.harness.store import canonical_digest
 from repro.runtime.vm import TIER_LADDERS
 
@@ -180,14 +180,6 @@ class SweepSpec:
         return self.config().fingerprint(None, ())
 
     def expand(self) -> list[SweepUnit]:
-        """Every schedulable unit of this job, serial sweep order
-        (round-major, benchmark order within a round) — the same cells
-        with the same digests ``DurableSweep`` would build."""
-        benches = self.resolve()
-        fingerprint = self.fingerprint()
-        return [
-            SweepUnit(idx, rnd, bench,
-                      unit_digest(bench, rnd, fingerprint))
-            for rnd in range(self.repeat)
-            for idx, bench in enumerate(benches)
-        ]
+        """Every schedulable unit of this job, serial sweep order — the
+        same cells with the same digests ``DurableSweep`` would build."""
+        return sweep_units(self.resolve(), self.repeat, self.fingerprint())

@@ -330,6 +330,57 @@ def test_serial_stage_deadline_times_out(tmp_path):
     assert suite.failures[0].phase == "stage:run"
 
 
+class PidPlugin(MergeablePlugin):
+    """Records the pid of the process each unit ran in."""
+
+    def __init__(self) -> None:
+        self.pids: list[int] = []
+
+    def snapshot_run(self):
+        return os.getpid()
+
+    def absorb_run(self, payload) -> None:
+        self.pids.append(payload)
+
+
+@pytest.fixture
+def appended(monkeypatch):
+    """Every journal record appended, compacted away later or not."""
+    records = []
+    append = Journal.append
+
+    def recording(self, kind, **fields):
+        records.append(kind)
+        return append(self, kind, **fields)
+
+    monkeypatch.setattr(Journal, "append", recording)
+    return records
+
+
+def test_default_jobs_durable_sweep_runs_units_in_a_worker(tmp_path,
+                                                           appended):
+    plugin = PidPlugin()
+    suite = run_suite([TINY_BENCHMARK, FAILING_BENCHMARK],
+                      durable_dir=tmp_path / "sweep", warmup=0, measure=1,
+                      plugins=(plugin,))
+    assert len(plugin.pids) == 2 and os.getpid() not in plugin.pids
+    assert appended.count("shard-spawn") == 1
+    assert suite.durable["executed"] == 2
+
+
+def test_resuming_stored_sweep_spawns_no_worker(tmp_path, appended):
+    benches = [TINY_BENCHMARK, FAILING_BENCHMARK]
+    run_suite(benches, durable_dir=tmp_path / "sweep", jobs=2, warmup=0,
+              measure=1)
+    assert "shard-spawn" in appended
+    appended.clear()
+    resumed = run_suite(benches, durable_dir=tmp_path / "sweep",
+                        resume=True, jobs=2, warmup=0, measure=1)
+    assert resumed.durable["served_from_store"] == 2
+    assert "shard-spawn" not in appended
+    assert "unit-begin" not in appended
+
+
 def test_plain_plugin_rejected(tmp_path):
     from repro.errors import DurableSweepError
     from repro.harness.plugins import IterationLogPlugin
