@@ -50,6 +50,14 @@ durable:
 serve:
 	PYTHONPATH=src python -m pytest -q -m "serve or not chaos" tests/test_serve.py -s
 
+# Resilience-layer focus: one unit (run_resilient: retry-with-reseed,
+# FailureReport, plugins), the in-process run_suite loop it serves and
+# the jobs=N equivalence with it — the counterpart of `make durable`
+# and `make serve`.
+harness:
+	PYTHONPATH=src python -m pytest -q tests/test_faults.py tests/test_plugins.py \
+		tests/test_harness.py tests/test_parallel.py
+
 # Tier-0 engine focus: the threaded engine's equivalence suite (handler
 # tables, inline caches, fusion, the fixture list) plus the reference
 # interpreter it is pinned against — the tier-0 counterpart of
@@ -121,4 +129,4 @@ trace:
 		--out .trace-out --warmup 1 --measure 1
 	@ls -l .trace-out
 
-.PHONY: test chaos sanitize lint verify-ir threaded tier1 tier2 jit exact-compile e2e trace durable serve
+.PHONY: test chaos sanitize lint verify-ir threaded tier1 tier2 jit exact-compile e2e trace durable serve harness

@@ -9,17 +9,18 @@ injection"):
   a plan inside one VM through call-site / allocation / scheduler hooks;
 - :mod:`repro.faults.report` — :class:`FailureReport`, the structured,
   byte-identical-when-replayed failure record;
-- :mod:`repro.faults.resilience` — :class:`ResilientRunner`,
+- :mod:`repro.faults.resilience` — :func:`run_resilient` (one unit),
   :class:`Quarantine` and :func:`run_suite`, which keep a suite sweep
   alive when individual workloads die.
 
 Quick start::
 
-    from repro.faults import FaultPlan, ResilientRunner, run_suite
+    from repro.faults import FaultPlan, run_resilient, run_suite
+    from repro.harness import SweepConfig
     from repro.suites.registry import get_benchmark
 
-    plan = FaultPlan.single("oom", site="Bench.run", at=2, seed=42)
-    outcome = ResilientRunner(get_benchmark("scrabble"), faults=plan).run()
+    plan = FaultPlan.single("oom", site="Scrabble.*", at=3, seed=42)
+    outcome = run_resilient(get_benchmark("scrabble"), SweepConfig(), plan)
     print(outcome.failure.format())        # includes the seed to replay
 
     sweep = run_suite("renaissance", faults={"scrabble": plan})
@@ -32,8 +33,8 @@ from repro.faults.report import FailureReport
 from repro.faults.resilience import (
     Quarantine,
     ResilientResult,
-    ResilientRunner,
     SuiteResult,
+    run_resilient,
     run_suite,
 )
 from repro.harness.config import DEFAULT_ITERATION_BUDGET
@@ -41,5 +42,5 @@ from repro.harness.config import DEFAULT_ITERATION_BUDGET
 __all__ = [
     "KINDS", "FaultEvent", "FaultPlan", "FaultSpec", "FaultInjector",
     "FailureReport", "DEFAULT_ITERATION_BUDGET", "Quarantine",
-    "ResilientResult", "ResilientRunner", "SuiteResult", "run_suite",
+    "ResilientResult", "SuiteResult", "run_resilient", "run_suite",
 ]

@@ -3,8 +3,8 @@
 A :class:`FailureReport` captures everything needed to *reproduce* a
 benchmark failure: the fault kind, the iteration it struck, the thread
 dump at the point of failure, the fault trace, and — crucially — the
-seeds.  Feeding ``schedule_seed`` and the embedded plan back into a
-:class:`~repro.faults.ResilientRunner` replays the identical failure,
+seeds.  Feeding ``schedule_seed`` and the embedded plan back into
+:func:`~repro.faults.run_resilient` replays the identical failure,
 and :meth:`to_json` is canonical (sorted keys, fixed separators) so two
 replays of the same ``(seed, plan)`` compare byte-identical.
 """
@@ -70,12 +70,12 @@ class FailureReport:
         """A copy-pasteable recipe for replaying this failure."""
         plan = ""
         if self.fault_plan is not None:
-            plan = (f", faults=FaultPlan.from_dict({self.fault_plan!r})")
+            plan = f", FaultPlan.from_dict({self.fault_plan!r})"
         jit = None if self.config == "interpreter" else self.config
         return (
-            f"ResilientRunner(get_benchmark({self.benchmark!r}), "
-            f"jit={jit!r}, schedule_seed={self.schedule_seed}"
-            f"{plan}).run()"
+            f"run_resilient(get_benchmark({self.benchmark!r}), "
+            f"SweepConfig(jit={jit!r}, schedule_seed={self.schedule_seed})"
+            f"{plan})"
         )
 
     def format(self) -> str:

@@ -1,6 +1,8 @@
 """Harness resilience: survive and diagnose benchmark failures.
 
-:class:`ResilientRunner` wraps :class:`repro.harness.core.Runner` with
+:func:`run_resilient` runs one unit — a benchmark under a
+:class:`~repro.harness.config.SweepConfig` — on a
+:class:`repro.harness.core.Runner` with
 
 - a per-iteration cycle budget (the scheduler watchdog turns runaway
   guest loops into :class:`~repro.errors.WatchdogTimeout`),
@@ -32,7 +34,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.report import FailureReport
 from repro.harness.config import SweepConfig, plans_of, resolve_suite
 from repro.harness.core import GuestBenchmark, Runner, RunResult, \
-    ValidationError, config_name
+    ValidationError
 from repro.harness.plugins import MergeablePlugin
 
 #: Errors a different schedule seed can plausibly dodge.
@@ -58,114 +60,103 @@ class ResilientResult:
         return self.failure is None
 
 
-class ResilientRunner:
-    """A :class:`Runner` that reports failures instead of dying on them."""
+#: Schedule-seed distance between retry attempts: attempt ``k`` runs
+#: under ``config.schedule_seed + k * RESEED_STRIDE``.
+RESEED_STRIDE = 1_000_003
 
-    def __init__(self, benchmark: GuestBenchmark, *, jit=SweepConfig.jit,
-                 cores: int = SweepConfig.cores, schedule_seed: int = 0,
-                 plugins: tuple = (), faults: FaultPlan | None = None,
-                 iteration_budget: int | None = SweepConfig.iteration_budget,
-                 max_retries: int = SweepConfig.max_retries,
-                 reseed_stride: int = 1_000_003, sanitize=None,
-                 engine: str = SweepConfig.engine,
-                 verify_ir: bool = False) -> None:
-        self.benchmark = benchmark
-        self.jit = jit
-        self.cores = cores
-        self.schedule_seed = schedule_seed
-        self.plugins = tuple(plugins)
-        self.faults = faults
-        self.iteration_budget = iteration_budget
-        self.max_retries = max_retries
-        self.reseed_stride = reseed_stride
-        self.sanitize = sanitize
-        self.engine = engine
-        self.verify_ir = verify_ir
 
-    # ------------------------------------------------------------------
-    def run(self, warmup: int | None = None,
-            measure: int | None = None) -> ResilientResult:
-        bench = self.benchmark
-        # Checked runs force the interpreter, so name the config after it.
-        config = config_name(None if self.sanitize else self.jit)
-        attempt = 0
-        while True:
-            seed = self.schedule_seed + attempt * self.reseed_stride
-            runner = Runner(
-                bench, jit=self.jit, cores=self.cores, schedule_seed=seed,
-                plugins=self.plugins, faults=self.faults,
-                iteration_budget=self.iteration_budget,
-                sanitize=self.sanitize, engine=self.engine,
-                verify_ir=self.verify_ir)
-            try:
-                result = runner.run(warmup=warmup, measure=measure)
-            except ReproError as exc:
-                if self._should_retry(exc, runner, attempt):
-                    attempt += 1
-                    continue
-                report = self._report(exc, runner, seed, config, attempt)
-                for plugin in self.plugins:
-                    on_fault = getattr(plugin, "on_fault", None)
-                    if on_fault is not None:
-                        on_fault(runner.last_vm, bench, report)
-                return ResilientResult(bench.name, config, failure=report,
-                                       retries=attempt)
-            plugin = getattr(runner, "sanitize_plugin", None)
-            race = plugin.report if plugin is not None else None
-            return ResilientResult(bench.name, config, result=result,
-                                   retries=attempt, race_report=race)
+def run_resilient(bench: GuestBenchmark, config: SweepConfig = SweepConfig(),
+                  plan: FaultPlan | None = None,
+                  plugins: tuple = ()) -> ResilientResult:
+    """Run one unit under ``config``, reporting failures instead of
+    dying on them.
 
-    # ------------------------------------------------------------------
-    def _should_retry(self, exc: ReproError, runner: Runner,
-                      attempt: int) -> bool:
-        if attempt >= self.max_retries:
-            return False
-        # Only nondeterministic benchmarks may legitimately fail under
-        # one interleaving and pass under another (the paper: "it is not
-        # possible to achieve full determinism in concurrent
-        # benchmarks").
-        if self.benchmark.deterministic:
-            return False
-        if not isinstance(exc, _RETRYABLE):
-            return False
-        # Never retry a failure the fault plan caused on purpose.
-        if getattr(exc, "injected", False):
-            return False
-        injector = runner.last_injector
-        if injector is not None and any(
-                e.kind in _DESTRUCTIVE_KINDS for e in injector.trace):
-            return False
-        return True
+    The only place a :class:`SweepConfig` becomes :class:`Runner`
+    arguments: every sweep path (the in-process loop, the durable
+    workers, the service) runs its units through here.
+    """
+    plugins = tuple(plugins)
+    attempt = 0
+    while True:
+        seed = config.schedule_seed + attempt * RESEED_STRIDE
+        runner = Runner(
+            bench, jit=config.jit, cores=config.cores, schedule_seed=seed,
+            plugins=plugins, faults=plan,
+            iteration_budget=config.iteration_budget,
+            sanitize=config.sanitize, engine=config.engine,
+            verify_ir=config.verify_ir)
+        try:
+            result = runner.run(warmup=config.warmup, measure=config.measure)
+        except ReproError as exc:
+            if _should_retry(exc, runner, bench, attempt, config.max_retries):
+                attempt += 1
+                continue
+            report = _report(exc, runner, bench, plan, seed,
+                             config.config_name, attempt)
+            for plugin in plugins:
+                on_fault = getattr(plugin, "on_fault", None)
+                if on_fault is not None:
+                    on_fault(runner.last_vm, bench, report)
+            return ResilientResult(bench.name, config.config_name,
+                                   failure=report, retries=attempt)
+        plugin = runner.sanitize_plugin
+        return ResilientResult(
+            bench.name, config.config_name, result=result, retries=attempt,
+            race_report=plugin.report if plugin is not None else None)
 
-    def _report(self, exc: ReproError, runner: Runner, seed: int,
-                config: str, retries: int) -> FailureReport:
-        injector = runner.last_injector
-        vm = runner.last_vm
-        thread_dump = getattr(exc, "thread_dump", None)
-        if thread_dump is None and vm is not None \
-                and isinstance(exc, GuestRuntimeError):
-            thread_dump = vm.scheduler.thread_dump()
-        warmup_flag = getattr(exc, "warmup", None)
-        iteration = getattr(exc, "iteration", None)
-        if warmup_flag is None and iteration is None:
-            phase = "load"
-        else:
-            phase = "warmup" if warmup_flag else "measure"
-        return FailureReport(
-            benchmark=self.benchmark.name,
-            config=config,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            phase=phase,
-            iteration=iteration,
-            schedule_seed=seed,
-            fault_seed=self.faults.seed if self.faults is not None else None,
-            fault_plan=self.faults.to_dict() if self.faults is not None else None,
-            fault_trace=injector.trace_dicts() if injector is not None else (),
-            thread_dump=thread_dump,
-            clock=vm.scheduler.clock if vm is not None else 0,
-            retries=retries,
-        )
+
+def _should_retry(exc: ReproError, runner: Runner, bench: GuestBenchmark,
+                  attempt: int, max_retries: int) -> bool:
+    if attempt >= max_retries:
+        return False
+    # Only nondeterministic benchmarks may legitimately fail under
+    # one interleaving and pass under another (the paper: "it is not
+    # possible to achieve full determinism in concurrent
+    # benchmarks").
+    if bench.deterministic:
+        return False
+    if not isinstance(exc, _RETRYABLE):
+        return False
+    # Never retry a failure the fault plan caused on purpose.
+    if getattr(exc, "injected", False):
+        return False
+    injector = runner.last_injector
+    if injector is not None and any(
+            e.kind in _DESTRUCTIVE_KINDS for e in injector.trace):
+        return False
+    return True
+
+
+def _report(exc: ReproError, runner: Runner, bench: GuestBenchmark,
+            plan: FaultPlan | None, seed: int, config: str,
+            retries: int) -> FailureReport:
+    injector = runner.last_injector
+    vm = runner.last_vm
+    thread_dump = getattr(exc, "thread_dump", None)
+    if thread_dump is None and vm is not None \
+            and isinstance(exc, GuestRuntimeError):
+        thread_dump = vm.scheduler.thread_dump()
+    warmup_flag = getattr(exc, "warmup", None)
+    iteration = getattr(exc, "iteration", None)
+    if warmup_flag is None and iteration is None:
+        phase = "load"
+    else:
+        phase = "warmup" if warmup_flag else "measure"
+    return FailureReport(
+        benchmark=bench.name,
+        config=config,
+        error_type=type(exc).__name__,
+        message=str(exc),
+        phase=phase,
+        iteration=iteration,
+        schedule_seed=seed,
+        fault_seed=plan.seed if plan is not None else None,
+        fault_plan=plan.to_dict() if plan is not None else None,
+        fault_trace=injector.trace_dicts() if injector is not None else (),
+        thread_dump=thread_dump,
+        clock=vm.scheduler.clock if vm is not None else 0,
+        retries=retries,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +320,7 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
     many supervised worker processes (a crashed or hung worker is killed
     and respawned, its unit retried) with a byte-identical merged
     result; ``None``/1 runs serially in-process, as does a sweep whose
-    plugins or prepared sanitizer cannot cross a process boundary.
+    plugins cannot cross a process boundary.
     ``durable_dir`` keeps the controller's journal and content-addressed
     result store (:mod:`repro.harness.durable`) so ``resume=True``
     continues a killed sweep byte-identically; it always runs on
@@ -342,7 +333,7 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
         max_retries=max_retries, sanitize=sanitize, engine=engine,
         verify_ir=verify_ir)
     plugins = tuple(plugins)
-    sharded = jobs is not None and jobs > 1 and config.shardable \
+    sharded = jobs is not None and jobs > 1 \
         and all(isinstance(p, MergeablePlugin) for p in plugins)
     if durable_dir is not None or sharded:
         from repro.harness.durable import DurableSweep
@@ -385,8 +376,8 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
             if bench.name in out.quarantine:
                 out.skipped.append(bench.name)
                 continue
-            runner = config.runner(bench, plan_of[bench.name], plugins)
-            outcome = runner.run(warmup=warmup, measure=measure)
+            outcome = run_resilient(bench, config, plan_of[bench.name],
+                                    plugins)
             if outcome.ok:
                 out.results.append(outcome.result)
                 outcome.result.vm.drop_host_code()

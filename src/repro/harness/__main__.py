@@ -127,27 +127,23 @@ def store_maintenance(ls_dir: str | None, gc_dir: str | None) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.harness.config import SweepConfig
     from repro.runtime.vm import TIER_LADDERS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Run a benchmark suite through the resilient harness")
     parser.add_argument(
-        "spec", nargs="?", default=None,
+        "spec", nargs="?", default="renaissance",
         help="suite name, optionally with a benchmark subset: "
              "'renaissance' or 'renaissance:scrabble,philosophers' "
              "(default: renaissance)")
-    parser.add_argument("--suite", default=None,
-                        help="registered suite name (same as the "
-                             "positional spec; kept for compatibility)")
-    parser.add_argument("--benchmarks", default=None,
-                        help="comma-separated benchmark subset of the suite")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1: serial "
                              "in-process, or one worker with --durable)")
-    parser.add_argument("--jit", default="graal",
+    parser.add_argument("--jit", default=SweepConfig.jit,
                         help='"graal", "c2" or "none" (interpreter only)')
-    parser.add_argument("--engine", default="threaded",
+    parser.add_argument("--engine", default=SweepConfig.engine,
                         choices=tuple(TIER_LADDERS),
                         help="host execution engine (byte-identical "
                              "results; tier1 compiles hot methods to "
@@ -155,9 +151,10 @@ def main(argv=None) -> int:
                              "host-compiles guest-JIT machine code at "
                              "region leaders, with interpreted resumes "
                              "and a deopt chain)")
-    parser.add_argument("--cores", type=int, default=8,
+    parser.add_argument("--cores", type=int, default=SweepConfig.cores,
                         help="simulated cores per VM")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int,
+                        default=SweepConfig.schedule_seed,
                         help="schedule seed (same seed for every shard)")
     parser.add_argument("--warmup", type=int, default=None)
     parser.add_argument("--measure", type=int, default=None)
@@ -191,13 +188,10 @@ def main(argv=None) -> int:
     from repro.errors import DurableSweepError, SweepInterrupted
     from repro.faults.resilience import run_suite
 
-    spec = args.spec or args.suite or "renaissance"
-    if args.benchmarks:
-        spec = f"{spec.split(':', 1)[0]}:{args.benchmarks}"
     try:
-        workload, spec_label = _resolve_spec(spec)
+        workload, spec_label = _resolve_spec(args.spec)
     except Exception as exc:
-        print(f"error: bad spec {spec!r}: {exc}", file=sys.stderr)
+        print(f"error: bad spec {args.spec!r}: {exc}", file=sys.stderr)
         return EXIT_FAILURES
 
     plugins = []

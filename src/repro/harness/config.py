@@ -6,7 +6,8 @@ controller, the unit workers — receives that one object; the service's
 :class:`~repro.serve.spec.SweepSpec` builds the same one from JSON.
 Each default is written here once; the identity a result is stored
 under (:meth:`SweepConfig.fingerprint`) is computed here and nowhere
-else.
+else, and :func:`repro.faults.resilience.run_resilient` is the one
+place its fields become :class:`~repro.harness.core.Runner` arguments.
 """
 
 from __future__ import annotations
@@ -48,27 +49,6 @@ class SweepConfig:
     @property
     def config_name(self) -> str:
         return config_name(self.compiler)
-
-    @property
-    def shardable(self) -> bool:
-        """A prepared sanitizer plugin holds shared in-process state;
-        only declarative specs (``True`` / a SanitizerConfig) cross a
-        process boundary or land in a store."""
-        if self.sanitize is None or isinstance(self.sanitize, bool):
-            return True
-        from repro.sanitize.hb import SanitizerConfig
-        return isinstance(self.sanitize, SanitizerConfig)
-
-    def runner(self, bench, plan, plugins):
-        """The resilient runner of one unit under this config."""
-        from repro.faults.resilience import ResilientRunner
-
-        return ResilientRunner(
-            bench, jit=self.jit, cores=self.cores,
-            schedule_seed=self.schedule_seed, plugins=plugins, faults=plan,
-            iteration_budget=self.iteration_budget,
-            max_retries=self.max_retries, sanitize=self.sanitize,
-            engine=self.engine, verify_ir=self.verify_ir)
 
     def fingerprint(self, faults, plugins: tuple) -> dict:
         """The run parameters a unit's outcome depends on.

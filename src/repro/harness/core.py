@@ -197,9 +197,8 @@ class Runner:
     ``iteration_budget`` bounds each iteration to that many simulated
     cycles via the scheduler watchdog — a runaway guest loop raises
     :class:`~repro.errors.WatchdogTimeout` instead of hanging the host.
-    ``sanitize`` turns on checked mode: ``True``, a
-    :class:`~repro.sanitize.hb.SanitizerConfig` or a prepared
-    :class:`~repro.sanitize.plugin.SanitizerPlugin`.  Checked runs are
+    ``sanitize`` turns on checked mode: ``True`` or a
+    :class:`~repro.sanitize.hb.SanitizerConfig`.  Checked runs are
     interpreter-only (the JIT's machine code has no access hooks), and
     the race report of the latest run hangs off
     ``runner.sanitize_plugin.report``.
@@ -239,13 +238,15 @@ class Runner:
         self.iteration_budget = iteration_budget
         self.sanitize_plugin = None
         if sanitize is not None and sanitize is not False:
+            from repro.sanitize.hb import SanitizerConfig
             from repro.sanitize.plugin import SanitizerPlugin
 
-            if isinstance(sanitize, SanitizerPlugin):
-                self.sanitize_plugin = sanitize
-            else:
-                config = None if sanitize is True else sanitize
-                self.sanitize_plugin = SanitizerPlugin(config)
+            if sanitize is not True \
+                    and not isinstance(sanitize, SanitizerConfig):
+                raise TypeError("sanitize= takes None, False, True or a "
+                                f"SanitizerConfig, not {sanitize!r}")
+            self.sanitize_plugin = SanitizerPlugin(
+                None if sanitize is True else sanitize)
             self.plugins.append(self.sanitize_plugin)
             self.jit = None   # checked runs are interpreter-only
         self.last_vm: VM | None = None     # VM of the most recent run()

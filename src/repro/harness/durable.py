@@ -9,7 +9,7 @@ journaled, stored, or run on worker processes — ``run_suite(durable_dir=
   teardown`` — with per-stage host-wall-clock deadlines and
   infrastructure retry (exponential backoff + deterministic jitter) *on
   top of* the benchmark-level retry-with-reseed that
-  :class:`~repro.faults.resilience.ResilientRunner` already does,
+  :func:`~repro.faults.resilience.run_resilient` already does,
 - all state flows through a write-ahead :class:`~repro.harness.journal.
   Journal` plus a content-addressed :class:`~repro.harness.store.
   ResultStore`; a ``kill -9`` at any instant loses at most the units in
@@ -18,10 +18,10 @@ journaled, stored, or run on worker processes — ``run_suite(durable_dir=
   to an uninterrupted sweep,
 - every unit runs on a supervised worker process of the service's
   :class:`~repro.serve.pool.WorkerPool` (``max(1, jobs)`` of them,
-  driven by ``asyncio.run``): a hung or crashed worker is killed and
-  respawned and its unit retried, and SIGINT/SIGTERM drain gracefully,
-  journaling in-flight state before raising
-  :class:`~repro.errors.SweepInterrupted`,
+  driven by ``asyncio.run`` on a helper thread): a hung or crashed
+  worker is killed and respawned and its unit retried, and
+  SIGINT/SIGTERM drain gracefully, journaling in-flight state before
+  raising :class:`~repro.errors.SweepInterrupted`,
 - a failed unit is recorded, persisted, and quarantined — never fatal
   (``continue_on_error=False`` raises only after the merge).
 
@@ -62,10 +62,10 @@ from repro.harness.store import (
     decode_outcome,
 )
 
-#: Stage lifecycle, in order.  ``prepare`` builds the runner and warms
-#: the compile cache, ``run`` executes warmup+measure through the
-#: resilience layer, ``collect`` snapshots plugins and packs the
-#: outcome, ``teardown`` drops VM references.
+#: Stage lifecycle, in order.  ``prepare`` warms the compile cache,
+#: ``run`` executes warmup+measure through
+#: :func:`~repro.faults.resilience.run_resilient`, ``collect`` snapshots
+#: plugins and packs the outcome, ``teardown`` drops VM references.
 STAGES = ("prepare", "run", "collect", "teardown")
 
 
@@ -172,11 +172,13 @@ def execute_unit(unit: SweepUnit, config: SweepConfig, plan,
             unit.benchmark.compile()  # compile error surfaces in run()
         except ReproError:            # through the resilience layer so
             pass                      # the report matches a plain sweep
-        state["runner"] = config.runner(unit.benchmark, plan, plugins)
 
     def _run():
-        state["outcome"] = state["runner"].run(
-            warmup=config.warmup, measure=config.measure)
+        # Lazy: repro.faults.resilience loads repro.harness, hence us.
+        from repro.faults.resilience import run_resilient
+
+        state["outcome"] = run_resilient(unit.benchmark, config, plan,
+                                         plugins)
 
     def _collect():
         payloads = tuple(p.snapshot_run() for p in plugins)
@@ -193,7 +195,6 @@ def execute_unit(unit: SweepUnit, config: SweepConfig, plan,
                 "plugins": payloads}
 
     def _teardown():
-        state.pop("runner", None)
         state.pop("outcome", None)
 
     stage_fns = {"prepare": _prepare, "run": _run,
@@ -265,10 +266,6 @@ class DurableSweep:
             raise DurableSweepError(
                 "durable sweeps persist plugin state into the store; "
                 "every plugin must implement MergeablePlugin")
-        if not config.shardable:
-            raise DurableSweepError(
-                "pass sanitize=True or a SanitizerConfig (a prepared "
-                "SanitizerPlugin holds unshareable in-process state)")
         self.benches, self.suite_name = resolve_suite(suite)
         self.config = config
         self.dir = str(dir)
@@ -444,7 +441,22 @@ class DurableSweep:
             finally:
                 await pool.close()
 
-        asyncio.run(dispatch())
+        # The loop runs on a helper thread, so a sweep started from a
+        # coroutine works too; the signal handlers stay on the calling
+        # thread and only set the flag the loop polls.
+        errors: list = []
+
+        def drive() -> None:
+            try:
+                asyncio.run(dispatch())
+            except BaseException as exc:    # re-raised on the caller
+                errors.append(exc)
+
+        thread = threading.Thread(target=drive, name="durable-sweep")
+        thread.start()
+        thread.join()
+        if errors:
+            raise errors[0]
 
     async def _execute(self, pool, unit: SweepUnit) -> None:
         def on_stage(stage: str, attempt: int) -> None:

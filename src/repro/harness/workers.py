@@ -60,8 +60,11 @@ def _child_loop(conn, execute, policy, plugins) -> None:
                     ("stage", stage, attempt)))
             send(("done", encode_outcome(outcome)))
         except BaseException:         # truly unexpected: report and die
+            # The parent reports this traceback in the unit's
+            # FailureReport; exit without multiprocessing printing it.
             send(("crash", traceback.format_exc()))
-            raise
+            stop_beating.set()
+            os._exit(1)
     stop_beating.set()
     conn.close()
 
@@ -136,10 +139,10 @@ class Worker:
                 return msg
             if msg[0] == "crash":
                 return self._lost("worker raised", msg[1])
-            return None                 # heartbeat
-        if not self.proc.is_alive():
+            # A heartbeat: a live worker may still be past its deadline.
+        elif not self.proc.is_alive():
             return self._exited()
-        if now - self._last_seen > self.policy.heartbeat_timeout:
+        elif now - self._last_seen > self.policy.heartbeat_timeout:
             return self._lost("heartbeat lost")
         if self.unit is not None and self.stage is not None:
             deadline = self.policy.deadline_for(self.stage)

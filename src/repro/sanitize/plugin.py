@@ -74,12 +74,10 @@ def run_checked(benchmark, *, cores: int = 8, schedule_seed: int = 0,
     """
     from repro.harness.core import Runner
 
-    plugin = SanitizerPlugin(config)
-    runner = Runner(benchmark, jit=None, cores=cores,
-                    schedule_seed=schedule_seed, plugins=(plugin,),
-                    sanitize=None)
+    runner = Runner(benchmark, cores=cores, schedule_seed=schedule_seed,
+                    sanitize=config or True)
     result = runner.run(warmup=warmup, measure=measure)
-    report = plugin.report
+    report = runner.sanitize_plugin.report
     if static:
         report.static_issues = [
             issue.to_dict() for issue in static_issues(benchmark)]

@@ -5,7 +5,7 @@ lost are :mod:`repro.harness.workers`; this module is the asyncio
 driver both front-ends run units on.  The service shares one pool
 between *many* jobs with *different* configurations; a durable sweep
 (:class:`~repro.harness.durable.DurableSweep`) builds one pool per run
-and drives it with ``asyncio.run``.  Each unit is sent with its own
+and drives it with ``asyncio.run`` on a helper thread.  Each unit is sent with its own
 :class:`~repro.harness.config.SweepConfig` and fault plan; each worker
 is owned by exactly one coroutine at a time, and the blocking
 :meth:`~repro.harness.workers.Worker.step` runs on the default executor

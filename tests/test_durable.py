@@ -171,6 +171,23 @@ def test_serial_durable_matches_plain_and_resumes(tmp_path):
     assert resumed.durable["served_from_store"] == len(benches)
 
 
+def test_durable_sweep_runs_inside_an_event_loop(tmp_path):
+    # The pool's event loop runs on a helper thread, so a sweep started
+    # from a coroutine does not nest asyncio.run.
+    import asyncio
+
+    benches = [get_benchmark("philosophers")]
+    plain = run_suite(benches, jit=None, warmup=0, measure=1)
+
+    async def main():
+        return run_suite(benches, jit=None, warmup=0, measure=1,
+                         durable_dir=tmp_path / "sweep")
+
+    durable = asyncio.run(main())
+    assert suite_key(durable) == suite_key(plain)
+    assert durable.durable["executed"] == 1
+
+
 def test_durable_dir_requires_resume_flag(tmp_path):
     from repro.errors import DurableSweepError
 

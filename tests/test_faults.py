@@ -18,9 +18,10 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     Quarantine,
-    ResilientRunner,
+    run_resilient,
     run_suite,
 )
+from repro.harness.config import SweepConfig
 from repro.harness.core import (
     GuestBenchmark,
     Runner,
@@ -113,8 +114,8 @@ def test_same_seed_and_plan_give_byte_identical_reports():
     plan = FaultPlan.single("guest-exception", site="Bench.step", at=5,
                             seed=7, message="boom")
     b = bench("det")
-    first = ResilientRunner(b, jit=None, faults=plan).run()
-    second = ResilientRunner(b, jit=None, faults=plan).run()
+    first = run_resilient(b, SweepConfig(jit=None), plan)
+    second = run_resilient(b, SweepConfig(jit=None), plan)
     assert not first.ok and not second.ok
     assert first.failure.to_json() == second.failure.to_json()
     assert first.failure.to_json().encode() == second.failure.to_json().encode()
@@ -122,7 +123,7 @@ def test_same_seed_and_plan_give_byte_identical_reports():
 
 def test_fault_fires_at_nth_matching_call_site():
     plan = FaultPlan.single("guest-exception", site="Bench.step", at=5)
-    out = ResilientRunner(bench("nth"), jit=None, faults=plan).run()
+    out = run_resilient(bench("nth"), SweepConfig(jit=None), plan)
     (event,) = out.failure.fault_trace
     assert event["kind"] == "guest-exception"
     assert event["site"] == "Bench.step"
@@ -143,8 +144,8 @@ def test_heap_limit_oom_is_deterministic():
     plan = FaultPlan(seed=3, heap_limit_words=200)
     b = bench("heap", source=ALLOC_SRC, args=(50,), expected=1225,
               warmup=1, measure=1)
-    first = ResilientRunner(b, jit=None, faults=plan).run()
-    second = ResilientRunner(b, jit=None, faults=plan).run()
+    first = run_resilient(b, SweepConfig(jit=None), plan)
+    second = run_resilient(b, SweepConfig(jit=None), plan)
     assert first.failure.error_type == "GuestOutOfMemoryError"
     assert "heap limit exceeded" in first.failure.message
     assert first.failure.to_json() == second.failure.to_json()
@@ -153,7 +154,7 @@ def test_heap_limit_oom_is_deterministic():
 def test_thread_kill_surfaces_thread_killed_error():
     plan = FaultPlan.single("thread-kill", site="kill*", at=2)
     b = bench("kill", source=ALLOC_SRC, args=(50,), expected=1225)
-    out = ResilientRunner(b, jit=None, faults=plan).run()
+    out = run_resilient(b, SweepConfig(jit=None), plan)
     assert out.failure.error_type == "ThreadKilledError"
     assert [e["kind"] for e in out.failure.fault_trace] == ["thread-kill"]
 
@@ -163,7 +164,7 @@ def test_delay_and_jitter_do_not_break_results():
         FaultSpec("delay", site="Bench.step", at=1, count=2, cycles=50000),
         FaultSpec("sched-jitter", at=3, count=10),
     ))
-    out = ResilientRunner(bench("slow"), jit=None, faults=plan).run()
+    out = run_resilient(bench("slow"), SweepConfig(jit=None), plan)
     assert out.ok
     assert all(it.result == 190 for it in out.result.iterations)
 
@@ -213,8 +214,8 @@ def test_watchdog_aborts_runaway_guest_loop():
 def test_watchdog_failure_report_carries_seed_and_dump():
     b = bench("looper2", source=LOOP_SRC, args=(1,), expected=None,
               warmup=0, measure=1)
-    out = ResilientRunner(b, jit=None, iteration_budget=100_000,
-                          schedule_seed=17).run()
+    out = run_resilient(b, SweepConfig(jit=None, iteration_budget=100_000,
+                                       schedule_seed=17))
     assert out.failure.error_type == "WatchdogTimeout"
     assert out.failure.schedule_seed == 17
     assert out.failure.thread_dump is not None
@@ -258,8 +259,8 @@ def test_deadlock_thread_dump_contents():
 def test_deadlock_report_is_replayable():
     b = bench("deadlocker2", source=DEADLOCK_SRC, args=(1,), expected=0,
               warmup=0, measure=1)
-    first = ResilientRunner(b, jit=None).run()
-    second = ResilientRunner(b, jit=None).run()
+    first = run_resilient(b, SweepConfig(jit=None))
+    second = run_resilient(b, SweepConfig(jit=None))
     assert first.failure.error_type == "DeadlockError"
     assert first.failure.to_json() == second.failure.to_json()
 
@@ -278,6 +279,7 @@ class _FlakyRunner:
         self.schedule_seed = schedule_seed
         self.last_vm = None
         self.last_injector = None
+        self.sanitize_plugin = None
 
     def run(self, warmup=None, measure=None):
         _FlakyRunner.seeds_seen.append(self.schedule_seed)
@@ -301,7 +303,8 @@ def flaky_runner(monkeypatch):
 def test_nondeterministic_benchmark_retries_with_new_seeds(flaky_runner):
     flaky_runner.failures_left = 2
     b = bench("flaky", deterministic=False)
-    out = ResilientRunner(b, jit=None, schedule_seed=3, max_retries=2).run()
+    out = run_resilient(b, SweepConfig(jit=None, schedule_seed=3,
+                                       max_retries=2))
     assert out.ok
     assert out.retries == 2
     assert flaky_runner.seeds_seen == [3, 3 + 1_000_003, 3 + 2 * 1_000_003]
@@ -310,7 +313,7 @@ def test_nondeterministic_benchmark_retries_with_new_seeds(flaky_runner):
 def test_retries_are_bounded(flaky_runner):
     flaky_runner.failures_left = 10
     b = bench("hopeless", deterministic=False)
-    out = ResilientRunner(b, jit=None, max_retries=2).run()
+    out = run_resilient(b, SweepConfig(jit=None, max_retries=2))
     assert not out.ok
     assert out.failure.retries == 2
     assert len(flaky_runner.seeds_seen) == 3
@@ -318,7 +321,7 @@ def test_retries_are_bounded(flaky_runner):
 
 def test_deterministic_benchmark_never_retries(flaky_runner):
     flaky_runner.failures_left = 1
-    out = ResilientRunner(bench("det2"), jit=None, max_retries=5).run()
+    out = run_resilient(bench("det2"), SweepConfig(jit=None, max_retries=5))
     assert not out.ok
     assert flaky_runner.seeds_seen == [0]
 
@@ -326,7 +329,7 @@ def test_deterministic_benchmark_never_retries(flaky_runner):
 def test_injected_faults_never_retry():
     plan = FaultPlan.single("guest-exception", site="Bench.step", at=5)
     b = bench("injected", deterministic=False)
-    out = ResilientRunner(b, jit=None, faults=plan, max_retries=5).run()
+    out = run_resilient(b, SweepConfig(jit=None, max_retries=5), plan)
     assert not out.ok
     assert out.failure.retries == 0
 
@@ -400,12 +403,12 @@ def test_renaissance_sweep_with_one_poisoned_benchmark():
     assert report.benchmark == "page-rank"
     assert report.fault_seed == 99
     # The embedded plan replays to the byte-identical report.
-    replay = ResilientRunner(
+    replay = run_resilient(
         __import__("repro.suites.registry", fromlist=["get_benchmark"])
         .get_benchmark("page-rank"),
-        jit=None, schedule_seed=report.schedule_seed,
-        faults=FaultPlan.from_dict(report.fault_plan),
-    ).run(warmup=0, measure=1)
+        SweepConfig(jit=None, schedule_seed=report.schedule_seed,
+                    warmup=0, measure=1),
+        FaultPlan.from_dict(report.fault_plan))
     assert replay.failure.to_json() == report.to_json()
 
 
@@ -414,7 +417,7 @@ def test_renaissance_sweep_with_one_poisoned_benchmark():
 # ----------------------------------------------------------------------
 def test_failure_report_json_roundtrip():
     plan = FaultPlan.single("guest-exception", site="Bench.step", at=5)
-    out = ResilientRunner(bench("round"), jit=None, faults=plan).run()
+    out = run_resilient(bench("round"), SweepConfig(jit=None), plan)
     text = out.failure.to_json()
     parsed = FailureReport.from_json(text)
     assert parsed.to_json() == text
@@ -423,13 +426,23 @@ def test_failure_report_json_roundtrip():
 
 def test_failure_report_format_mentions_fault_and_seeds():
     plan = FaultPlan.single("oom", site="Bench.step", at=3, seed=21)
-    out = ResilientRunner(bench("fmt"), jit=None, schedule_seed=5,
-                          faults=plan).run()
+    out = run_resilient(bench("fmt"), SweepConfig(jit=None, schedule_seed=5),
+                        plan)
     text = out.failure.format()
     assert "oom" in text
     assert "schedule=5" in text
     assert "fault=21" in text
     assert "reproduce:" in text
+
+
+def test_reproduce_hint_replays_the_identical_failure():
+    b = bench("hint")
+    plan = FaultPlan.single("oom", site="Bench.step", at=3, seed=21)
+    out = run_resilient(b, SweepConfig(jit=None, schedule_seed=5), plan)
+    replay = eval(out.failure.reproduce_hint(), {
+        "run_resilient": run_resilient, "get_benchmark": lambda name: b,
+        "SweepConfig": SweepConfig, "FaultPlan": FaultPlan})
+    assert replay.failure.to_json() == out.failure.to_json()
 
 
 # ----------------------------------------------------------------------

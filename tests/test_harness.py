@@ -114,3 +114,32 @@ def test_sweep_and_service_imports_stay_light():
         [sys.executable, "-c", code], check=True, capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_defaults_are_the_sweep_config_defaults(monkeypatch):
+    import repro.faults.resilience as resilience
+    from repro.harness import SweepConfig
+    from repro.harness.__main__ import main
+
+    seen = {}
+
+    def fake_run_suite(workload, **kwargs):
+        seen.update(kwargs)
+        return resilience.SuiteResult("renaissance", "graal")
+
+    monkeypatch.setattr(resilience, "run_suite", fake_run_suite)
+    assert main(["renaissance:philosophers"]) == 0
+    default = SweepConfig()
+    assert {k: seen[k] for k in ("jit", "engine", "cores", "schedule_seed")} \
+        == {"jit": default.jit, "engine": default.engine,
+            "cores": default.cores, "schedule_seed": default.schedule_seed}
+
+
+def test_runner_sanitize_takes_only_declarative_values():
+    from repro.sanitize import SanitizerConfig, SanitizerPlugin
+
+    for spec in (True, SanitizerConfig()):
+        runner = Runner(SIMPLE, sanitize=spec)
+        assert runner.jit is None and runner.sanitize_plugin is not None
+    with pytest.raises(TypeError, match="SanitizerConfig"):
+        Runner(SIMPLE, sanitize=SanitizerPlugin())

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.faults.resilience import ResilientRunner, run_suite
+from repro.faults.resilience import RESEED_STRIDE, run_resilient, run_suite
+from repro.harness.config import SweepConfig
 from repro.harness.core import GuestBenchmark, Runner
 from repro.harness.plugins import (
     FaultLogPlugin,
@@ -80,8 +81,7 @@ def test_hook_ordering_and_warmup_flags():
 
 def test_on_fault_fires_for_unrecovered_failures():
     log = FaultLogPlugin()
-    outcome = ResilientRunner(FAILING_BENCHMARK,
-                              plugins=(log,)).run()
+    outcome = run_resilient(FAILING_BENCHMARK, SweepConfig(), None, (log,))
     assert not outcome.ok
     assert [r.benchmark for r in log.reports] == [FAILING_BENCHMARK.name]
     assert log.reports[0].error_type == "ValidationError"
@@ -142,7 +142,7 @@ def test_on_fault_silent_when_retry_recovers():
     # Find a base seed whose checksum differs from its retry seed's:
     # expecting the *retry* value makes attempt 0 fail with a
     # ValidationError and the reseeded attempt 1 succeed.
-    stride = 1_000_003
+    stride = RESEED_STRIDE
     for base_seed in range(8):
         first = _order_value(base_seed)
         second = _order_value(base_seed + stride)
@@ -152,9 +152,8 @@ def test_on_fault_silent_when_retry_recovers():
         raise AssertionError("fixture produced seed-independent checksums")
     bench = dataclasses.replace(ORDER_BENCHMARK, expected=second)
     log = FaultLogPlugin()
-    outcome = ResilientRunner(bench, cores=1, schedule_seed=base_seed,
-                              reseed_stride=stride,
-                              plugins=(log,)).run()
+    outcome = run_resilient(
+        bench, SweepConfig(cores=1, schedule_seed=base_seed), None, (log,))
     assert outcome.ok
     assert outcome.retries == 1
     assert log.reports == []
@@ -164,7 +163,7 @@ def test_trace_plugin_keeps_failed_recording():
     from repro.trace import TracePlugin
 
     plugin = TracePlugin()
-    outcome = ResilientRunner(FAILING_BENCHMARK, plugins=(plugin,)).run()
+    outcome = run_resilient(FAILING_BENCHMARK, SweepConfig(), None, (plugin,))
     assert not outcome.ok
     assert plugin.last is not None
     assert plugin.last["failed"] == "ValidationError"

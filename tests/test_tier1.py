@@ -16,7 +16,8 @@ import functools
 
 import pytest
 
-from repro.faults import FaultPlan, ResilientRunner, run_suite
+from repro.faults import FaultPlan, run_resilient, run_suite
+from repro.harness.config import SweepConfig
 from repro.harness.core import GuestBenchmark, Runner
 from repro.runtime import VM
 from repro.sanitize.plugin import build_report
@@ -291,10 +292,8 @@ def test_injected_fault_deopts_cleanly():
     plan = FaultPlan.single("guest-exception", site="Bench.step", at=30,
                             seed=7, message="boom")
     bench = hot_bench("faultdeopt")
-    ref = ResilientRunner(bench, jit=None, faults=plan,
-                          engine="reference").run()
-    t1 = ResilientRunner(bench, jit=None, faults=plan,
-                         engine="tier1").run()
+    ref = run_resilient(bench, SweepConfig(jit=None, engine="reference"), plan)
+    t1 = run_resilient(bench, SweepConfig(jit=None, engine="tier1"), plan)
     assert not ref.ok and not t1.ok
     assert ref.failure.to_json() == t1.failure.to_json()
 
@@ -302,10 +301,8 @@ def test_injected_fault_deopts_cleanly():
 def test_resilient_retry_on_tier1_matches_threaded():
     plan = FaultPlan(seed=5, heap_limit_words=120_000)
     bench = hot_bench("retry")
-    thr = ResilientRunner(bench, jit=None, faults=plan,
-                          engine="threaded").run()
-    t1 = ResilientRunner(bench, jit=None, faults=plan,
-                         engine="tier1").run()
+    thr = run_resilient(bench, SweepConfig(jit=None, engine="threaded"), plan)
+    t1 = run_resilient(bench, SweepConfig(jit=None, engine="tier1"), plan)
     assert (thr.ok, thr.retries) == (t1.ok, t1.retries)
     if thr.ok:
         assert [it.result for it in thr.result.iterations] == \
@@ -357,8 +354,6 @@ def test_metrics_plugin_exports_tier1_counters():
 
 
 def test_durable_fingerprint_records_engine():
-    from repro.harness.config import SweepConfig
-
     tier1 = SweepConfig(engine="tier1").fingerprint(None, ())
     default = SweepConfig().fingerprint(None, ())
     assert tier1["engine"] == "tier1"

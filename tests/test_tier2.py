@@ -20,7 +20,8 @@ import functools
 
 import pytest
 
-from repro.faults import FaultPlan, ResilientRunner, run_suite
+from repro.faults import FaultPlan, run_resilient, run_suite
+from repro.harness.config import SweepConfig
 from repro.harness.core import GuestBenchmark, Runner
 from repro.jit.pipeline import graal_config
 from repro.runtime import VM
@@ -842,10 +843,9 @@ def test_injected_fault_deopts_cleanly():
     plan = FaultPlan.single("guest-exception", site="Bench.step", at=75,
                             seed=7, message="boom")
     bench = hot_bench("faultdeopt2")
-    ref = ResilientRunner(bench, jit="graal", faults=plan,
-                          engine="reference").run()
-    t2 = ResilientRunner(bench, jit="graal", faults=plan,
-                         engine="tier2").run()
+    ref = run_resilient(bench, SweepConfig(jit="graal", engine="reference"),
+                        plan)
+    t2 = run_resilient(bench, SweepConfig(jit="graal", engine="tier2"), plan)
     assert not ref.ok and not t2.ok
     assert ref.failure.to_json() == t2.failure.to_json()
 
@@ -1096,8 +1096,6 @@ def test_tier_snapshot_and_metric_keys_are_pinned():
 
 
 def test_durable_fingerprint_records_tier_ladder():
-    from repro.harness.config import SweepConfig
-
     tier2 = SweepConfig(engine="tier2").fingerprint(None, ())
     tier1 = SweepConfig(engine="tier1").fingerprint(None, ())
     default = SweepConfig().fingerprint(None, ())

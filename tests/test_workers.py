@@ -121,6 +121,32 @@ def test_lost_worker_is_judged_killed_and_reported(
     assert report.extra["traceback"] == lost[2]
 
 
+def test_heartbeats_do_not_mask_a_stage_deadline(spawn):
+    # Each step waits longer than the heartbeat interval, so every step
+    # returns on a heartbeat; the stage deadline is judged all the same.
+    worker = spawn(run_overruns, stage_deadlines={"run": 0.3})
+    worker.send(UNIT, CONFIG)
+    event = None
+    give_up = time.monotonic() + 5
+    while time.monotonic() < give_up and (event is None
+                                          or event[0] != "lost"):
+        event = worker.step(1.0)
+    assert event[:2] == ("lost", "stage run exceeded 0.300s deadline")
+
+
+def test_child_raise_leaves_stderr_to_the_parent(spawn, capfd):
+    # The traceback travels in the crash message; the child exits
+    # without multiprocessing printing it a second time.
+    worker = spawn(run_raises)
+    worker.send(UNIT, CONFIG)
+    lost = events_of(worker)[-1]
+    assert lost[:2] == ("lost", "worker raised")
+    assert "boom-in-child" in lost[2]
+    err = capfd.readouterr().err
+    assert "Process ForkProcess" not in err
+    assert "Traceback" not in err
+
+
 def test_send_to_dead_worker_is_found_by_next_step(spawn):
     worker = spawn(run_ok)
     os.kill(worker.pid, signal.SIGKILL)
