@@ -35,20 +35,24 @@ verify-ir:
 # Tier-2: the full crash/resume suite — everything in
 # tests/test_durable.py including the heavyweight supervision
 # scenarios (hung-worker kill/respawn, SIGTERM drain) that tier-1
-# skips via the `durable` marker, plus tests/test_workers.py: every
-# durable sweep runs its units on that supervised worker.  Never gates
-# tier-1.
+# skips via the `durable` marker, plus tests/test_workers.py (every
+# durable sweep runs its units on that supervised worker) and
+# tests/test_serve.py: a durable sweep is one job on the service's
+# scheduler, so the service's tests exercise the same admission, round
+# chaining and dispatch.  Never gates tier-1.
 durable:
 	PYTHONPATH=src python -m pytest -q -m "durable or not chaos" \
-		tests/test_durable.py tests/test_workers.py -s
+		tests/test_durable.py tests/test_workers.py tests/test_serve.py -s
 
 # Tier-2: the full benchmark-as-a-service suite — everything in
 # tests/test_serve.py including the subprocess SIGTERM drain/restart
-# recovery scenario that tier-1 skips via the `serve` marker.  Never
-# gates tier-1.  To run the service itself:
+# recovery scenario that tier-1 skips via the `serve` marker — plus the
+# non-chaos tests of tests/test_durable.py, the scheduler's other
+# front-end.  Never gates tier-1.  To run the service itself:
 #   PYTHONPATH=src python -m repro.serve --dir .sweeps/service
 serve:
-	PYTHONPATH=src python -m pytest -q -m "serve or not chaos" tests/test_serve.py -s
+	PYTHONPATH=src python -m pytest -q -m "serve or not chaos" \
+		tests/test_serve.py tests/test_durable.py -s
 
 # Resilience-layer focus: one unit (run_resilient: retry-with-reseed,
 # FailureReport, plugins), the in-process run_suite loop it serves and

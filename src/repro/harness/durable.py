@@ -16,22 +16,25 @@ journaled, stored, or run on worker processes — ``run_suite(durable_dir=
   flight, and ``--resume`` serves completed units from the store so the
   merged :class:`~repro.faults.resilience.SuiteResult` is byte-identical
   to an uninterrupted sweep,
-- every unit runs on a supervised worker process of the service's
-  :class:`~repro.serve.pool.WorkerPool` (``max(1, jobs)`` of them,
-  driven by ``asyncio.run`` on a helper thread): a hung or crashed
-  worker is killed and respawned and its unit retried, and
-  SIGINT/SIGTERM drain gracefully, journaling in-flight state before
-  raising :class:`~repro.errors.SweepInterrupted`,
+- the sweep's units are one job on the service's
+  :class:`~repro.serve.scheduler.Scheduler` (``asyncio.run`` on a
+  helper thread), which admits them against the store, chains rounds
+  and runs them on ``max(1, jobs)`` supervised workers: a hung or
+  crashed worker is killed and respawned and its unit retried.  The
+  sweep keeps what is its own — the lock, the journal and its resume
+  check, SIGINT/SIGTERM draining (journaled before
+  :class:`~repro.errors.SweepInterrupted` is raised), the merge and
+  compaction,
 - a failed unit is recorded, persisted, and quarantined — never fatal
   (``continue_on_error=False`` raises only after the merge).
 
 Byte-identity holds because unit outcomes are pure functions of their
 keys (fresh VM per run, fully seeded), execution happens on the forked
-workers' copies of the plugins, and the caller's plugins only ever
-absorb the per-unit :class:`~repro.harness.plugins.MergeablePlugin`
-snapshots in serial sweep order (round-major, registry order) at merge
-time — whether a snapshot came from a worker or from the store on
-resume.
+workers' copies of the plugins, and the merge reads every outcome back
+from the store, so the caller's plugins absorb the per-unit
+:class:`~repro.harness.plugins.MergeablePlugin` snapshots in serial
+sweep order (round-major, registry order) whether a unit ran in this
+session or an earlier one.
 """
 
 from __future__ import annotations
@@ -55,12 +58,7 @@ from repro.harness.config import SweepConfig, plans_of, resolve_suite
 from repro.harness.core import GuestBenchmark
 from repro.harness.journal import Journal
 from repro.harness.plugins import MergeablePlugin
-from repro.harness.store import (
-    ResultStore,
-    StoreLock,
-    canonical_digest,
-    decode_outcome,
-)
+from repro.harness.store import StoreLock, canonical_digest, decode_outcome
 
 #: Stage lifecycle, in order.  ``prepare`` warms the compile cache,
 #: ``run`` executes warmup+measure through
@@ -155,7 +153,7 @@ def sweep_units(benches, repeat: int, fingerprint: dict) -> list[SweepUnit]:
 # Stage lifecycle (runs in a worker process).
 # ----------------------------------------------------------------------
 def execute_unit(unit: SweepUnit, config: SweepConfig, plan,
-                 plugins: tuple, policy: DurablePolicy, notify=None) -> dict:
+                 plugins: tuple, policy: DurablePolicy, notify) -> dict:
     """Run one unit through prepare → run → collect → teardown.
 
     Returns an outcome dict (kind ``"result"`` or ``"failure"``).  Host
@@ -224,8 +222,7 @@ def _run_stage(unit, stage, fn, policy, stage_trace, notify) -> None:
     deadline = policy.deadline_for(stage)
     attempt = 0
     while True:
-        if notify is not None:
-            notify(stage, attempt)
+        notify(stage, attempt)
         started = time.perf_counter()
         try:
             fn()
@@ -281,9 +278,6 @@ class DurableSweep:
 
         self.units = {(u.index, u.round): u for u in sweep_units(
             self.benches, repeat, self.fingerprint)}
-        self.outcomes: dict[str, dict] = {}
-        self.ready: list[SweepUnit] = []
-        self.failed_bench: set[str] = set()
         self.stats = {
             "units": len(self.units), "executed": 0,
             "served_from_store": 0, "failed": 0, "skipped": 0,
@@ -309,7 +303,6 @@ class DurableSweep:
                 raise DurableSweepError(
                     f"{self.dir} already holds a sweep journal; pass "
                     f"resume=True (CLI: --resume) to continue it")
-            self.store = ResultStore(self.dir)
             self.journal = Journal(journal_path, fsync=self.policy.fsync)
             if self.resume and os.path.exists(journal_path):
                 replay = self.journal.replay()
@@ -348,134 +341,77 @@ class DurableSweep:
         return previous
 
     # ------------------------------------------------------------------
-    # Scheduling: rounds of one benchmark form a chain (a failure
-    # quarantines the later rounds), so round r+1 is only schedulable
-    # once round r resolved.
-    # ------------------------------------------------------------------
-    def _bootstrap(self) -> None:
-        pre = self.quarantine
-        for idx, bench in enumerate(self.benches):
-            if pre is not None and bench.name in pre:
-                continue              # every round is a merge-time skip
-            self._schedule(self.units[(idx, 0)])
-
-    def _schedule(self, unit: SweepUnit) -> None:
-        payload = self.store.get(unit.digest)
-        if payload is not None:
-            try:
-                outcome = decode_outcome(payload)
-            except Exception:                       # pragma: no cover
-                self.store.corrupt.append((unit.digest, "undecodable"))
-                outcome = None
-            if outcome is not None:
-                self.stats["served_from_store"] += 1
-                self.journal.append(
-                    "unit-cached", digest=unit.digest, benchmark=unit.name,
-                    round=unit.round, outcome=outcome["kind"])
-                self._resolve(unit, outcome)
-                return
-        self.ready.append(unit)
-
-    def _resolve(self, unit: SweepUnit, outcome: dict) -> None:
-        self.outcomes[unit.digest] = outcome
-        if outcome["kind"] == "failure":
-            self.failed_bench.add(unit.name)
-            self.stats["failed"] += 1
-        nxt = (unit.index, unit.round + 1)
-        if unit.round + 1 < self.repeat and unit.name not in self.failed_bench:
-            self._schedule(self.units[nxt])
-
-    def _persist(self, unit: SweepUnit, outcome: dict, payload: bytes) -> None:
-        self.store.put(unit.digest, payload)
-        self.stats["executed"] += 1
-        self.journal.append(
-            "unit-done", digest=unit.digest, benchmark=unit.name,
-            round=unit.round, outcome=outcome["kind"],
-            retries=outcome.get("retries", 0))
-        self._resolve(unit, outcome)
-        abort_after = self.policy.abort_after_units
-        if abort_after is not None and self.stats["executed"] >= abort_after:
-            self._signal = self._signal or "test-abort"
-
-    # ------------------------------------------------------------------
-    # Execution: the service's worker pool, driven from one event loop.
+    # Execution: one job on the service's scheduler.
     # ------------------------------------------------------------------
     def _drive(self) -> None:
-        """Dispatch ready units in serial order onto a pool of
-        ``max(1, jobs)`` workers until none is left or a signal drains
-        the sweep."""
-        import asyncio            # only sweeps that run a unit load it
-        from repro.serve.pool import WorkerPool   # serve.pool imports us
+        """Run the units not quarantined up front as one job on a
+        :class:`~repro.serve.scheduler.Scheduler` of ``max(1, jobs)``
+        workers, until the job ends or a signal drains it."""
+        # Lazy: the in-process path must not load asyncio, and the
+        # scheduler imports this module.
+        import asyncio
+        from concurrent.futures import ThreadPoolExecutor
 
-        async def dispatch() -> None:
-            pool = WorkerPool(min(max(1, self.jobs or 1), len(self.ready)),
-                              self.policy, self._on_shard, self.plugins)
-            pool.start()
-            active: dict = {}     # task -> unit
-            try:
-                while (self.ready or active) and self._signal is None:
-                    self.ready.sort(key=lambda u: (u.round, u.index))
-                    while self.ready and len(active) < pool.size:
-                        unit = self.ready.pop(0)
-                        active[asyncio.ensure_future(
-                            self._execute(pool, unit))] = unit
-                    # A signal only sets the flag: look at it every beat.
-                    done, _ = await asyncio.wait(
-                        active, timeout=self.policy.heartbeat_interval,
-                        return_when=asyncio.FIRST_COMPLETED)
-                    for task in done:
-                        del active[task]
-                        task.result()
-                if self._signal is not None:
-                    self.journal.append(
-                        "drain-begin", signal=self._signal,
-                        inflight=[u.digest for u in active.values()],
-                        pending=[u.digest for u in self.ready])
-                    if active:
-                        done, late = await asyncio.wait(
-                            active, timeout=self.policy.drain_timeout)
-                        for task in late:
-                            task.cancel()
-                        for task in done:
-                            task.result()
-            finally:
-                await pool.close()
+        from repro.serve.scheduler import Job, Scheduler
+
+        pre = self.quarantine
+        self._job = Job("sweep", [u for u in self.units.values()
+                                  if pre is None or u.name not in pre],
+                        self.config, plans=self.plans, sink=self._record)
+        self._scheduler = Scheduler(self.dir, workers=max(1, self.jobs or 1),
+                                    policy=self.policy)
+        pool = self._scheduler.pool
+        pool.plugins, pool.on_shard = self.plugins, self._on_shard
+
+        async def drive() -> None:
+            run = asyncio.ensure_future(self._scheduler.run(self._job))
+            while not run.done():   # a signal only sets the flag: poll it
+                await asyncio.wait({run},
+                                   timeout=self.policy.heartbeat_interval)
+                if self._signal is not None and not self._job.terminal:
+                    self._drain()
+            run.result()
 
         # The loop runs on a helper thread, so a sweep started from a
-        # coroutine works too; the signal handlers stay on the calling
-        # thread and only set the flag the loop polls.
-        errors: list = []
+        # coroutine works too; the signal handlers stay on this thread.
+        with ThreadPoolExecutor(1, "durable-sweep") as helper:
+            helper.submit(asyncio.run, drive()).result()
+        self.stats["corrupt_store_entries"] += len(
+            self._scheduler.store.corrupt)
 
-        def drive() -> None:
-            try:
-                asyncio.run(dispatch())
-            except BaseException as exc:    # re-raised on the caller
-                errors.append(exc)
+    def _record(self, kind: str, outcome, /, **fields) -> None:
+        """The job's sink: the per-unit lifecycle goes to the journal
+        (and the merge reads outcomes back from the store)."""
+        if kind not in ("unit-cached", "unit-begin", "stage", "unit-done"):
+            return
+        if kind == "unit-done":
+            self.stats["executed"] += 1
+            fields["retries"] = outcome.get("retries", 0)
+        elif kind == "unit-cached":
+            self.stats["served_from_store"] += 1
+        elif kind == "stage" and fields["attempt"] > 0:
+            self.stats["stage_retries"] += 1
+        if fields.get("outcome") == "failure":
+            self.stats["failed"] += 1
+        self.journal.append(kind, **fields)
+        abort_after = self.policy.abort_after_units
+        if kind == "unit-done" and self._signal is None \
+                and abort_after is not None \
+                and self.stats["executed"] >= abort_after:
+            self._signal = "test-abort"
+            self._drain()
 
-        thread = threading.Thread(target=drive, name="durable-sweep")
-        thread.start()
-        thread.join()
-        if errors:
-            raise errors[0]
-
-    async def _execute(self, pool, unit: SweepUnit) -> None:
-        def on_stage(stage: str, attempt: int) -> None:
-            if attempt > 0:
-                self.stats["stage_retries"] += 1
-            self.journal.append("stage", digest=unit.digest, stage=stage,
-                                attempt=attempt)
-
-        outcome, payload = await pool.run_unit(
-            unit, self.config, on_stage, self.plans.get(unit.name))
-        self._persist(unit, outcome, payload)
+    def _drain(self) -> None:
+        """Cancel the job: nothing more is dispatched, units on a worker
+        finish (up to ``policy.drain_timeout``) and are journaled."""
+        states = self._job.unit_states
+        self.journal.append(
+            "drain-begin", signal=self._signal,
+            inflight=[d for d, s in states.items() if s == "running"],
+            pending=[d for d, s in states.items() if s == "pending"])
+        self._scheduler.cancel(self._job.id)
 
     def _on_shard(self, kind: str, worker, **fields) -> None:
-        if kind == "send":
-            unit = worker.unit
-            self.journal.append(
-                "unit-begin", digest=unit.digest, benchmark=unit.name,
-                round=unit.round, worker=worker.wid)
-            return
         if kind == "respawn":
             self.stats["respawns"] += 1
         self.journal.append(f"shard-{kind}", worker=worker.wid,
@@ -508,11 +444,12 @@ class DurableSweep:
                     self.stats["skipped"] += 1
                     continue
                 unit = self.units[(idx, rnd)]
-                outcome = self.outcomes.get(unit.digest)
-                if outcome is None:                 # pragma: no cover
+                payload = self._scheduler.store.get(unit.digest)
+                if payload is None:                 # pragma: no cover
                     raise DurableSweepError(
                         f"unit {unit.name} round {rnd} has no outcome "
                         f"({unit.digest[:12]}); journal/store inconsistent")
+                outcome = decode_outcome(payload)
                 if outcome["kind"] == "result":
                     out.results.append(outcome["result"])
                     if outcome["race"] is not None:
@@ -543,10 +480,7 @@ class DurableSweep:
         self._open()
         previous = self._install_signals()
         try:
-            self._bootstrap()
-            if self.ready:            # every unit stored: no worker at all
-                self._drive()
-            self.stats["corrupt_store_entries"] += len(self.store.corrupt)
+            self._drive()
             if self._signal is not None:
                 self._interrupt()
             out = self._merge()

@@ -1,31 +1,26 @@
-"""Benchmark-as-a-service: an asyncio sweep scheduler plus a
-stdlib-only HTTP API layered over the durable journal/store.
+"""Benchmark-as-a-service: the one unit scheduler plus a stdlib-only
+HTTP API over the durable sweeps' journal/store directory.
 
-``python -m repro.serve --dir DIR`` turns the one-shot durable sweep
-machinery (:mod:`repro.harness.durable`) into a long-running service:
+``python -m repro.serve --dir DIR`` runs the service:
 
 - ``POST /jobs`` accepts a :class:`~repro.serve.spec.SweepSpec`
-  (benchmarks × repetitions × engine/config), which the
-  :class:`~repro.serve.scheduler.Scheduler` expands into the *same*
-  content-addressed :class:`~repro.harness.durable.SweepUnit` digests a
-  ``run_suite(durable_dir=...)`` call would produce — so cache hits
-  flow both ways between the CLI and the service, and a unit is never
-  computed twice, not even across restarts,
-- misses are dispatched to a supervised fork-worker pool
-  (:mod:`repro.serve.pool`) with priority/fairness queuing, per-job
-  concurrency limits, in-flight dedup (two jobs wanting the same digest
-  share one execution) and cancellation,
-- ``GET /jobs/{id}/events`` streams the stage lifecycle as NDJSON while
-  the job runs; ``GET /results/{digest}`` serves the stored outcome
-  bytes; ``GET /metrics`` exports Prometheus-style ``serve_*`` counters,
-- SIGTERM drains gracefully: in-flight units finish and persist,
-  unfinished jobs stay journaled in ``serve.wal`` and are resubmitted on
-  the next start — restart recovery rides the same write-ahead journal
-  the durable sweeps use.
+  (benchmarks × repetitions × engine/config), which expands to the
+  *same* content-addressed :class:`~repro.harness.durable.SweepUnit`
+  digests a ``run_suite(durable_dir=...)`` call mints, so cache hits
+  flow both ways between the CLI and the service,
+- the :class:`~repro.serve.scheduler.Scheduler` — the one that also runs
+  every durable sweep, as one job — admits units against the store,
+  dedups in-flight digests across jobs, chains rounds, orders the ready
+  queue by priority and fairness, and runs misses on the supervised
+  fork-worker pool (:mod:`repro.serve.pool`),
+- ``GET /jobs/{id}/events`` streams each unit's lifecycle as NDJSON;
+  ``GET /results/{digest}`` serves stored outcome bytes; ``GET
+  /metrics`` exports Prometheus-style ``serve_*`` counters,
+- SIGTERM drains gracefully: in-flight units finish and persist, and
+  jobs left open in ``serve.wal`` are resubmitted on the next start.
 
 The event loop is the store's single writer (the service holds the
-directory's :class:`~repro.harness.store.StoreLock`), so results are
-written exactly once no matter how many workers or clients race.
+directory's :class:`~repro.harness.store.StoreLock`).
 """
 
 from repro.serve.api import Service

@@ -18,9 +18,6 @@ import time
 from repro.errors import ServeError
 from repro.harness.store import decode_outcome
 
-#: Event kinds that end a job's event stream.
-TERMINAL_EVENTS = ("job-done", "job-cancelled")
-
 
 class ServeClient:
     def __init__(self, host: str, port: int,
@@ -68,14 +65,27 @@ class ServeClient:
     def events(self, jid: str):
         """Yield the job's NDJSON events live, backlog first.  The
         generator ends when the server closes the stream (job done)."""
-        conn, resp = self._request("GET", f"/jobs/{jid}/events")
+        return self._events(jid, None)
+
+    def _events(self, jid: str, deadline: float | None):
+        conn = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout)
         try:
+            conn.request("GET", f"/jobs/{jid}/events")
+            sock = conn.sock        # the response reads from it after
+            resp = conn.getresponse()   # the connection lets go of it
             if resp.status >= 400:
                 doc = json.loads(resp.read().decode("utf-8"))
                 raise ServeError(f"events {jid} -> {resp.status}: "
                                  f"{doc.get('error', doc)}")
             while True:
-                line = resp.readline()
+                if deadline is not None:    # a read that outlives it times out
+                    sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+                try:
+                    line = resp.readline()
+                except TimeoutError:
+                    raise ServeError(f"timed out waiting for {jid}") \
+                        from None
                 if not line:
                     return
                 yield json.loads(line)
@@ -83,15 +93,13 @@ class ServeClient:
             conn.close()
 
     def wait(self, jid: str, timeout: float = 120.0) -> dict:
-        """Follow the event stream until the job is terminal, then
-        return the final status document."""
-        deadline = time.monotonic() + timeout
-        for event in self.events(jid):
-            if event["kind"] in TERMINAL_EVENTS:
-                return self.job(jid)
-            if time.monotonic() > deadline:
-                raise ServeError(f"timed out waiting for {jid}")
-        return self.job(jid)            # stream ended without the event
+        """Follow the event stream to its end (the server ends it once
+        the job is terminal), then return the final status document;
+        :class:`ServeError` once ``timeout`` seconds have passed, whether
+        or not events arrive."""
+        for _ in self._events(jid, time.monotonic() + timeout):
+            pass
+        return self.job(jid)
 
     def result(self, digest: str) -> dict:
         """GET /results/{digest}, decoded to the stored outcome dict."""

@@ -2,10 +2,11 @@
 
 The processes, the pipe protocol and the judgement of when a worker is
 lost are :mod:`repro.harness.workers`; this module is the asyncio
-driver both front-ends run units on.  The service shares one pool
-between *many* jobs with *different* configurations; a durable sweep
-(:class:`~repro.harness.durable.DurableSweep`) builds one pool per run
-and drives it with ``asyncio.run`` on a helper thread.  Each unit is sent with its own
+driver the one scheduler (:class:`~repro.serve.scheduler.Scheduler`)
+runs units on, the only caller of :meth:`WorkerPool.run_unit`.  The
+service's scheduler shares one pool between *many* jobs with
+*different* configurations; a durable sweep's scheduler has one pool
+for its one job.  Each unit is sent with its own
 :class:`~repro.harness.config.SweepConfig` and fault plan; each worker
 is owned by exactly one coroutine at a time, and the blocking
 :meth:`~repro.harness.workers.Worker.step` runs on the default executor
@@ -30,19 +31,17 @@ from repro.harness.workers import Worker, lost_unit_failure
 class WorkerPool:
     """Asyncio-owned pool of supervised :class:`Worker` processes.
 
-    ``on_shard(kind, worker, **fields)``, if given, hears every shard
-    event: ``"spawn"``, ``"send"`` (``worker.unit`` was just dispatched
-    to it), ``"exit"`` (the worker was lost, ``reason=``) and
+    ``on_shard(kind, worker, **fields)`` hears every shard event:
+    ``"spawn"``, ``"exit"`` (the worker was lost, ``reason=``) and
     ``"respawn"`` (``worker`` replaces the lost one, ``replaces=`` its
-    id).
+    id).  ``plugins``, set before :meth:`start`, go to every worker.
     """
 
-    def __init__(self, size: int, policy: DurablePolicy, on_shard=None,
-                 plugins: tuple = ()) -> None:
+    def __init__(self, size: int, policy: DurablePolicy, on_shard) -> None:
         self.size = max(1, size)
         self.policy = policy
-        self.on_shard = on_shard or (lambda kind, worker, **fields: None)
-        self.plugins = plugins
+        self.on_shard = on_shard
+        self.plugins: tuple = ()
         self._idle: asyncio.Queue = asyncio.Queue()
         self._workers: dict[int, Worker] = {}
         self._next_wid = 0
@@ -68,22 +67,22 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     async def run_unit(self, unit: SweepUnit, config: SweepConfig,
-                       on_stage=None, plan=None) -> tuple[dict, bytes]:
+                       on_stage, plan) -> tuple[dict, bytes]:
         """Execute one unit, supervising the worker that runs it.
 
-        Returns ``(outcome, payload)`` — the decoded outcome dict plus
-        the exact bytes to persist.  A lost worker is replaced and the
-        unit retried elsewhere, up to ``policy.max_unit_attempts``;
-        after that the outcome is the quarantining
-        :func:`~repro.harness.workers.lost_unit_failure` — a sick unit
-        never wedges a sweep or the service.
+        ``on_stage(worker, stage, attempt)`` hears every stage the
+        worker running the unit enters.  Returns ``(outcome, payload)``
+        — the decoded outcome dict plus the exact bytes to persist.  A
+        lost worker is replaced and the unit retried elsewhere, up to
+        ``policy.max_unit_attempts``; after that the outcome is the
+        quarantining :func:`~repro.harness.workers.lost_unit_failure` —
+        a sick unit never wedges a sweep or the service.
         """
         loop = asyncio.get_running_loop()
         attempt = 0
         while True:
             worker = await self._idle.get()
             worker.send(unit, config, plan)
-            self.on_shard("send", worker)
             while True:
                 event = await loop.run_in_executor(
                     None, worker.step, self.policy.heartbeat_interval)
@@ -91,8 +90,7 @@ class WorkerPool:
                     continue
                 if event[0] != "stage":
                     break
-                if on_stage is not None:
-                    on_stage(event[1], event[2])
+                on_stage(worker, event[1], event[2])
             if event[0] == "done":
                 self._idle.put_nowait(worker)
                 return decode_outcome(event[1]), event[1]

@@ -1,33 +1,35 @@
-"""The asyncio sweep scheduler: jobs, queuing, dedup, recovery.
+"""The one unit scheduler: jobs, admission, round chaining, dispatch.
 
-A submitted :class:`~repro.serve.spec.SweepSpec` becomes a
-:class:`Job`: its units expand to the same content-addressed digests a
-durable CLI sweep would mint, so scheduling is mostly *avoiding work*:
+Every sweep that runs on worker processes is a :class:`Job` on a
+:class:`Scheduler`, behind one of two front-ends: the service
+(:meth:`~Scheduler.start`/``submit``/``drain``) shares one scheduler
+between many jobs; a durable sweep
+(:class:`~repro.harness.durable.DurableSweep`) runs as one job with
+:meth:`~Scheduler.run`.  Both mint the same content-addressed unit
+digests, so scheduling is mostly *avoiding work*:
 
-- **store dedup** — a digest already in the result store resolves
-  instantly as ``unit-cached`` (zero executions; the acceptance
-  criterion for resubmitting an identical spec),
-- **in-flight dedup** — a digest some other job is already running is
-  joined, not re-enqueued: every interested job gets the lifecycle
-  events and the single outcome,
-- **round chaining** — round ``r+1`` of a benchmark only becomes
-  schedulable once round ``r`` resolves, and a failure skips the later
-  rounds (mirrors ``DurableSweep._resolve`` so the service's outcome
-  set matches a serial sweep's),
+- **store admission** — a digest already in the result store resolves
+  instantly as ``unit-cached`` (zero executions),
+- **in-flight dedup** — a digest another job is already running is
+  joined, not re-enqueued; every interested job gets the one outcome,
+- **round chaining** — round ``r+1`` of a benchmark is scheduled only
+  once round ``r`` resolves, and a failure skips the later rounds, so
+  the outcome set matches a serial sweep's; an ended job schedules none,
 - the ready queue orders by ``(priority, owner's running units, job
-  age, round, index)`` — priority first, then fairness across equal
-  jobs — and per-job ``max_concurrency`` caps how much of the pool one
-  job may hold.
+  age, round, index)`` and per-job ``max_concurrency`` caps how much of
+  the pool one job may hold; units run on the
+  :class:`~repro.serve.pool.WorkerPool` and the event loop writes their
+  outcomes to the store, its only writer.
 
-Durability is write-ahead, like the sweeps: ``job-submit`` (spec +
-digest list) is journaled to ``serve.wal`` before any scheduling,
-``job-done``/``job-cancel`` close it out.  On start, submits without a
-closing record are resubmitted — after a SIGTERM drain the finished
-units are in the store, so a recovered job re-runs only what was lost —
-and one whose spec no longer validates is closed with a ``job-cancel``.
-The event loop is the only store writer; the directory's
-:class:`~repro.harness.store.StoreLock` keeps out concurrent CLI
-sweeps.
+A job's per-unit lifecycle (``unit-cached``/``unit-begin``/``stage``/
+``unit-done``) goes to one sink: the job's NDJSON event stream, or a
+sweep's ``journal.wal``.  A unit task that raises (a full disk, say)
+ends every job waiting on its digest in state ``error`` and frees the
+digest.  The service journals jobs, never units, to ``serve.wal``:
+``job-submit`` before any scheduling, ``job-done``/``job-cancel`` to
+close.  On start, unclosed submits are resubmitted (what finished
+before a drain is now a store hit), and one whose spec no longer
+validates is closed with a ``job-cancel``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import os
 import time
 
 from repro.errors import ServeError
+from repro.harness.config import SweepConfig
 from repro.harness.durable import DurablePolicy, SweepUnit
 from repro.harness.journal import Journal
 from repro.harness.store import ResultStore, StoreLock, decode_outcome
@@ -52,15 +55,31 @@ EVENT_SCHEMA = "serve-event/1"
 
 
 class Job:
-    """One accepted sweep spec and its per-unit progress."""
+    """One job's units, how to run them, and their progress.
 
-    def __init__(self, jid: str, spec: SweepSpec,
-                 units: list[SweepUnit], seq: int) -> None:
+    Units are sent with ``config`` and their benchmark's fault plan from
+    ``plans``; ``spec`` is the service's spec the job came from.
+    ``sink(kind, outcome, /, **fields)`` hears the job's events (with
+    the outcome for ``unit-cached``/``unit-done``); by default they form
+    the job's NDJSON event stream.
+    """
+
+    def __init__(self, jid: str, units: list[SweepUnit],
+                 config: SweepConfig, *, plans: dict | None = None,
+                 priority: int = 0, max_concurrency: int | None = None,
+                 seq: int = 0, spec: SweepSpec | None = None,
+                 sink=None) -> None:
         self.id = jid
-        self.spec = spec
         self.units = units
+        self.config = config
+        self.plans = plans or {}
+        self.priority = priority
+        self.max_concurrency = max_concurrency
         self.seq = seq                  # submission order (fairness key)
-        self.state = "queued"           # queued|running|done|cancelled
+        self.spec = spec
+        self.sink = sink
+        self.state = "queued"   # queued|running|done|cancelled|error
+        self.error: Exception | None = None
         self.unit_states: dict[str, str] = {
             u.digest: "pending" for u in units}
         self.failed_bench: set[str] = set()
@@ -69,19 +88,28 @@ class Job:
         self.finished: float | None = None
         self.events: list[dict] = []
         self._subscribers: list[asyncio.Queue] = []
-        self._event_seq = 0
 
     # -- events --------------------------------------------------------
-    def emit(self, kind: str, **fields) -> dict:
+    def emit(self, kind: str, unit: SweepUnit | None = None,
+             outcome: dict | None = None, **fields) -> None:
+        """Hand one event to the sink, or append it to the stream."""
+        if unit is not None:
+            fields.update(digest=unit.digest, benchmark=unit.name,
+                          round=unit.round)
+        if outcome is not None:
+            fields["outcome"] = outcome["kind"]
+        if self.sink is not None:
+            return self.sink(kind, outcome, **fields)
         event = {"schema": EVENT_SCHEMA, "job": self.id,
-                 "seq": self._event_seq, "t": round(time.time(), 3),
+                 "seq": len(self.events), "t": round(time.time(), 3),
                  "kind": kind}
         event.update(fields)
-        self._event_seq += 1
+        if kind == "unit-done":
+            event["fingerprint"] = outcome["result"].fingerprint() \
+                if outcome["kind"] == "result" else None
         self.events.append(event)
         for queue in self._subscribers:
             queue.put_nowait(event)
-        return event
 
     def subscribe(self) -> asyncio.Queue:
         """Event queue primed with the full backlog.  ``None`` is the
@@ -103,32 +131,38 @@ class Job:
     # -- status --------------------------------------------------------
     @property
     def terminal(self) -> bool:
-        return self.state in ("done", "cancelled")
+        return self.state in ("done", "cancelled", "error")
 
     def counts(self) -> dict:
-        counts = {state: 0
-                  for state in ("pending", "running") + UNIT_TERMINAL}
+        counts = dict.fromkeys(("pending", "running") + UNIT_TERMINAL, 0)
         for state in self.unit_states.values():
             counts[state] += 1
         return counts
 
     def to_dict(self) -> dict:
-        counts = self.counts()
-        return {
+        doc = {
             "id": self.id, "state": self.state,
             "spec": self.spec.to_dict(),
             "spec_digest": self.spec.digest(),
-            "units": counts, "total_units": len(self.units),
+            "units": self.counts(), "total_units": len(self.units),
             "unit_states": dict(self.unit_states),
             "failed_benchmarks": sorted(self.failed_bench),
             "created": round(self.created, 3),
             "finished": round(self.finished, 3)
             if self.finished is not None else None,
         }
+        if self.error is not None:
+            doc["error"] = _describe(self.error)
+        return doc
+
+
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 class Scheduler:
-    """Owns the store, the journal, the pool, and the ready queue."""
+    """Owns the store, the pool, the jobs and the ready queue; the
+    service's front-end adds ``serve.wal`` and the store lock."""
 
     def __init__(self, dir: str, *, workers: int = 2,
                  policy: DurablePolicy | None = None,
@@ -137,6 +171,8 @@ class Scheduler:
         self.policy = policy or DurablePolicy()
         self.metrics = metrics or ServeMetrics()
         self.pool = WorkerPool(workers, self.policy, self._on_shard)
+        self.store = ResultStore(self.dir)
+        self.journal: Journal | None = None     # serve.wal (service only)
         self.jobs: dict[str, Job] = {}
         self._job_seq = 0
         #: digest -> [(job, unit), ...] — everyone awaiting the digest.
@@ -144,7 +180,7 @@ class Scheduler:
         #: digests queued or on a worker (in-flight dedup set).
         self._inflight: set[str] = set()
         self._ready: list[str] = []     # digests awaiting dispatch
-        self._active: set[asyncio.Task] = set()
+        self._active: dict[asyncio.Task, str] = {}  # task -> its digest
         self._wake = asyncio.Event()
         self._draining = False
         self._dispatcher: asyncio.Task | None = None
@@ -154,13 +190,12 @@ class Scheduler:
             self.metrics.inc("serve_workers_respawned")
 
     # ------------------------------------------------------------------
-    # Lifecycle.
+    # Front-end: the service.
     # ------------------------------------------------------------------
     async def start(self) -> None:
         os.makedirs(self.dir, exist_ok=True)
         self.lock = StoreLock(self.dir).acquire(owner="repro.serve")
         try:
-            self.store = ResultStore(self.dir)
             self.journal = Journal(os.path.join(self.dir, "serve.wal"),
                                    fsync=self.policy.fsync)
             self.journal.open()
@@ -191,9 +226,10 @@ class Scheduler:
                 self.journal.append("job-cancel", job=jid, error=str(exc),
                                     t=round(time.time(), 3))
                 continue
-            job = self._admit(spec, jid=jid, recovered=True)
+            job = self._job_of(spec, jid)
             self.metrics.inc("serve_jobs_recovered")
             job.emit("job-recovered")
+            self._admit(job)
 
     async def drain(self) -> list[str]:
         """Graceful shutdown: stop admitting, wait for in-flight units
@@ -202,16 +238,7 @@ class Scheduler:
         Returns the ids of jobs left unfinished (they will be recovered
         by the next start from their ``job-submit`` records).
         """
-        self._draining = True
-        self._wake.set()
-        if self._active:
-            done, pending = await asyncio.wait(
-                self._active, timeout=self.policy.drain_timeout)
-            for task in pending:
-                task.cancel()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-        await self.pool.close()
+        await self._stop()
         unfinished = [job.id for job in self.jobs.values()
                       if not job.terminal]
         self.journal.append("serve-drain", unfinished=unfinished,
@@ -220,39 +247,59 @@ class Scheduler:
         self.lock.release()
         return unfinished
 
-    # ------------------------------------------------------------------
-    # Submission.
-    # ------------------------------------------------------------------
     def submit(self, spec: SweepSpec) -> Job:
         if self._draining:
             raise ServeError("service is draining; resubmit after restart")
-        job = self._admit(spec)
+        self._job_seq += 1
+        job = self._job_of(spec, f"job-{self._job_seq:06d}")
+        self.journal.append("job-submit", job=job.id, spec=spec.to_dict(),
+                            digests=[u.digest for u in job.units])
         self.metrics.inc("serve_jobs_submitted")
+        self._admit(job)
         return job
 
-    def _admit(self, spec: SweepSpec, jid: str | None = None,
-               recovered: bool = False) -> Job:
-        if jid is None:
-            self._job_seq += 1
-            jid = f"job-{self._job_seq:06d}"
-        units = spec.expand()
-        job = Job(jid, spec, units, self._job_seq)
-        self.jobs[jid] = job
-        if not recovered:
-            self.journal.append(
-                "job-submit", job=jid, spec=spec.to_dict(),
-                digests=[u.digest for u in units])
-        self.metrics.inc("serve_units_total", len(units))
-        job.emit("job-queued", total_units=len(units),
+    def _job_of(self, spec: SweepSpec, jid: str) -> Job:
+        job = Job(jid, spec.expand(), spec.config(),
+                  priority=spec.priority,
+                  max_concurrency=spec.max_concurrency,
+                  seq=self._job_seq, spec=spec)
+        job.emit("job-queued", total_units=len(job.units),
                  spec_digest=spec.digest())
+        return job
+
+    # ------------------------------------------------------------------
+    # Front-end: one job to its end (a durable sweep).
+    # ------------------------------------------------------------------
+    async def run(self, job: Job) -> None:
+        """Run ``job`` to its end, then stop; the caller holds the lock.
+        Workers are forked only for units the store misses, no more than
+        are ready.  An error that ended the job is raised here."""
+        ended = job.subscribe()
+        self._admit(job)
+        if self._ready:
+            self.pool.size = min(self.pool.size, len(self._ready))
+            self.pool.start()
+            self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
+        while await ended.get() is not None:
+            pass
+        await self._stop()
+        if job.error is not None:
+            raise job.error
+
+    # ------------------------------------------------------------------
+    # Admission: store hit, in-flight join, or the ready queue.  Rounds
+    # of one benchmark form a chain, so only round 0 is admitted up
+    # front.
+    # ------------------------------------------------------------------
+    def _admit(self, job: Job) -> None:
+        self.jobs[job.id] = job
+        self.metrics.inc("serve_units_total", len(job.units))
         job.state = "running"
-        # Round chaining: only round 0 is schedulable up front.
-        for unit in units:
+        for unit in job.units:
             if unit.round == 0:
                 self._schedule_unit(job, unit)
         self._check_done(job)
         self._wake.set()
-        return job
 
     def _schedule_unit(self, job: Job, unit: SweepUnit) -> None:
         payload = self.store.get(unit.digest)
@@ -260,20 +307,16 @@ class Scheduler:
             try:
                 outcome = decode_outcome(payload)
             except Exception:                       # pragma: no cover
-                outcome = None
-            if outcome is not None:
+                self.store.corrupt.append((unit.digest, "undecodable"))
+            else:
                 self.metrics.inc("serve_units_cached")
-                job.emit("unit-cached", digest=unit.digest,
-                         benchmark=unit.name, round=unit.round,
-                         outcome=outcome["kind"])
-                self._resolve(job, unit, outcome, state="cached")
+                self._resolve(job, unit, outcome, "unit-cached")
                 return
         if unit.digest in self._inflight:           # join, don't re-run
             self.metrics.inc("serve_units_deduped")
             self._interest[unit.digest].append((job, unit))
             job.unit_states[unit.digest] = "running"
-            job.emit("unit-deduped", digest=unit.digest,
-                     benchmark=unit.name, round=unit.round)
+            job.emit("unit-deduped", unit)
             return
         self._inflight.add(unit.digest)
         self._interest[unit.digest] = [(job, unit)]
@@ -287,20 +330,18 @@ class Scheduler:
         """Highest-priority, fairest eligible digest, or None."""
         def key(digest):
             job, unit = self._interest[digest][0]
-            return (job.spec.priority, job.running, job.seq,
+            return (job.priority, job.running, job.seq,
                     unit.round, unit.index)
 
-        eligible = []
-        for digest in self._ready:
-            job, unit = self._interest[digest][0]
-            cap = job.spec.max_concurrency
-            if cap is not None and job.running >= cap:
-                continue
-            eligible.append(digest)
-        if not eligible:
-            return None
-        choice = min(eligible, key=key)
-        self._ready.remove(choice)
+        def capped(digest):
+            job = self._interest[digest][0][0]
+            return job.max_concurrency is not None \
+                and job.running >= job.max_concurrency
+
+        choice = min((d for d in self._ready if not capped(d)), key=key,
+                     default=None)
+        if choice is not None:
+            self._ready.remove(choice)
         return choice
 
     async def _dispatch_loop(self) -> None:
@@ -318,73 +359,78 @@ class Scheduler:
                 if digest is None:
                     break
                 task = asyncio.ensure_future(self._run_digest(digest))
-                self._active.add(task)
+                self._active[task] = digest
                 task.add_done_callback(self._task_done)
 
     def _task_done(self, task: asyncio.Task) -> None:
         # Discard BEFORE waking the dispatcher: waking first would let
         # it observe a stale full active set, clear the event, and
         # sleep through the slot this completion just freed.
-        self._active.discard(task)
+        digest = self._active.pop(task)
+        if not task.cancelled() and task.exception() is not None:
+            self._fail(digest, task.exception())
         self._wake.set()
 
     async def _run_digest(self, digest: str) -> None:
         interested = self._interest[digest]
         job, unit = interested[0]
-        job.running += 1
         for j, u in interested:
             j.unit_states[u.digest] = "running"
-            j.emit("unit-begin", digest=digest, benchmark=u.name,
-                   round=u.round)
+        begun = False
 
-        def on_stage(stage: str, attempt: int) -> None:
-            for j, _ in self._interest.get(digest, ()):
+        def on_stage(worker, stage: str, attempt: int) -> None:
+            nonlocal begun
+            for j, u in interested:
+                if not begun:
+                    j.emit("unit-begin", u, worker=worker.wid)
                 j.emit("stage", digest=digest, stage=stage,
                        attempt=attempt)
+            begun = True
 
+        job.running += 1
         try:
             outcome, payload = await self.pool.run_unit(
-                unit, job.spec.config(), on_stage)
-        except asyncio.CancelledError:  # drain timeout: unit is lost,
-            job.running -= 1            # job stays open for recovery
-            raise
-        # Single-writer store append happens here, on the event loop.
+                unit, job.config, on_stage, job.plans.get(unit.name))
+        finally:                # a drain-timeout cancel loses the unit;
+            job.running -= 1    # its jobs stay open for recovery
         self.store.put(digest, payload)
         self.metrics.inc("serve_units_executed")
-        job.running -= 1
-        state = "done" if outcome["kind"] == "result" else "failed"
-        if state == "failed":
+        if outcome["kind"] == "failure":
             self.metrics.inc("serve_units_failed")
-        for j, u in self._interest.pop(digest, ()):
-            j.emit("unit-done", digest=digest, benchmark=u.name,
-                   round=u.round, outcome=outcome["kind"],
-                   fingerprint=outcome["result"].fingerprint()
-                   if outcome["kind"] == "result" else None)
-            self._resolve(j, u, outcome, state=state)
+        for j, u in list(interested):
+            self._resolve(j, u, outcome, "unit-done")
+        del self._interest[digest]
         self._inflight.discard(digest)
 
+    def _fail(self, digest: str, exc: Exception) -> None:
+        """A unit task raised: end every job waiting on its digest and
+        free the digest, so a later job runs it again."""
+        self._inflight.discard(digest)
+        for job, _ in self._interest.pop(digest, ()):
+            if job.terminal:
+                job.error = job.error or exc
+                continue
+            self._drop(job)
+            self._close(job, "error", exc)
+
     # ------------------------------------------------------------------
-    # Resolution (mirrors DurableSweep._resolve round chaining).
+    # Resolution: round chaining.
     # ------------------------------------------------------------------
-    def _resolve(self, job: Job, unit: SweepUnit, outcome: dict, *,
-                 state: str) -> None:
-        job.unit_states[unit.digest] = state
+    def _resolve(self, job: Job, unit: SweepUnit, outcome: dict,
+                 kind: str) -> None:
         failed = outcome["kind"] == "failure"
+        job.unit_states[unit.digest] = "cached" if kind == "unit-cached" \
+            else "failed" if failed else "done"
+        job.emit(kind, unit, outcome)
         if failed:
             job.failed_bench.add(unit.name)
             self._skip_later_rounds(job, unit)
-        else:
-            nxt = self._next_round(job, unit)
+        elif job.state == "running":
+            nxt = next((u for u in job.units if u.index == unit.index
+                        and u.round == unit.round + 1), None)
             if nxt is not None:
                 self._schedule_unit(job, nxt)
         self._check_done(job)
-
-    def _next_round(self, job: Job, unit: SweepUnit) -> SweepUnit | None:
-        for candidate in job.units:
-            if candidate.index == unit.index \
-                    and candidate.round == unit.round + 1:
-                return candidate
-        return None
 
     def _skip_later_rounds(self, job: Job, unit: SweepUnit) -> None:
         for candidate in job.units:
@@ -393,29 +439,36 @@ class Scheduler:
                     and job.unit_states[candidate.digest] == "pending":
                 job.unit_states[candidate.digest] = "skipped"
                 self.metrics.inc("serve_units_skipped")
-                job.emit("unit-skipped", digest=candidate.digest,
-                         benchmark=candidate.name, round=candidate.round,
+                job.emit("unit-skipped", candidate,
                          reason=f"round {unit.round} failed")
 
     def _check_done(self, job: Job) -> None:
-        if job.terminal:
-            return
-        if all(state in UNIT_TERMINAL
-               for state in job.unit_states.values()):
-            job.state = "done"
-            job.finished = time.time()
-            counts = job.counts()
-            self.journal.append("job-done", job=job.id,
-                                units=counts, t=round(job.finished, 3))
-            if counts["failed"]:
-                self.metrics.inc("serve_jobs_failed")
-            else:
-                self.metrics.inc("serve_jobs_completed")
-            job.emit("job-done", units=counts)
-            job._finish_stream()
+        if not job.terminal and all(
+                state in UNIT_TERMINAL
+                for state in job.unit_states.values()):
+            self._close(job, "done")
+
+    def _close(self, job: Job, state: str,
+               error: Exception | None = None) -> None:
+        """End a job ``done``, ``cancelled`` or in ``error``.  Its stream
+        ends before ``serve.wal`` is written, which may raise."""
+        job.state, job.error, job.finished = state, error, time.time()
+        fields = {"units": job.counts()} if state == "done" \
+            else {"error": _describe(error)} if error else {}
+        job.emit({"done": "job-done", "cancelled": "job-cancelled",
+                  "error": "job-error"}[state], **fields)
+        job._finish_stream()
+        self.metrics.inc(
+            "serve_jobs_cancelled" if state == "cancelled"
+            else "serve_jobs_failed" if error or fields["units"]["failed"]
+            else "serve_jobs_completed")
+        if self.journal is not None:    # a sweep journals through its sink
+            self.journal.append(
+                "job-done" if state == "done" else "job-cancel",
+                job=job.id, t=round(job.finished, 3), **fields)
 
     # ------------------------------------------------------------------
-    # Queries and cancellation.
+    # Queries, cancellation and stopping.
     # ------------------------------------------------------------------
     def get_job(self, jid: str) -> Job:
         try:
@@ -424,38 +477,49 @@ class Scheduler:
             raise ServeError(f"unknown job {jid!r}") from None
 
     def cancel(self, jid: str) -> Job:
-        """Cancel a job: queued units are dropped, in-flight units run
-        to completion (their results still land in the store)."""
+        """Cancel a job: queued units are dropped and no later round is
+        scheduled; units on a worker run to completion (their results
+        still land in the store)."""
         job = self.get_job(jid)
-        if job.terminal:
-            return job
-        for unit in job.units:
-            if job.unit_states[unit.digest] not in UNIT_TERMINAL \
-                    and job.unit_states[unit.digest] != "running":
-                job.unit_states[unit.digest] = "skipped"
-                self.metrics.inc("serve_units_skipped")
-            # Drop queued digests this job exclusively owns.
-            interested = self._interest.get(unit.digest)
-            if interested and unit.digest in self._ready:
-                remaining = [(j, u) for j, u in interested if j is not job]
-                if remaining:
-                    self._interest[unit.digest] = remaining
-                else:
-                    self._ready.remove(unit.digest)
-                    self._interest.pop(unit.digest, None)
-                    self._inflight.discard(unit.digest)
-            elif interested:            # running: detach this job only
-                self._interest[unit.digest] = [
-                    (j, u) for j, u in interested if j is not job
-                ] or interested[:1]     # keep primary for bookkeeping
-        job.state = "cancelled"
-        job.finished = time.time()
-        self.journal.append("job-cancel", job=jid,
-                            t=round(job.finished, 3))
-        self.metrics.inc("serve_jobs_cancelled")
-        job.emit("job-cancelled")
-        job._finish_stream()
+        if not job.terminal:
+            self._drop(job)
+            self._close(job, "cancelled")
         return job
+
+    def _drop(self, job: Job) -> None:
+        """Take ``job`` out of the ready queue and skip every unit of it
+        that is neither resolved nor on a worker.  A queued digest
+        another job also wants stays queued for that job."""
+        for unit in job.units:
+            digest = unit.digest
+            interested = self._interest.get(digest, ())
+            if any(j is job for j, _ in interested):
+                if digest not in self._ready:
+                    continue            # on a worker: it still resolves
+                rest = [(j, u) for j, u in interested if j is not job]
+                if rest:
+                    self._interest[digest] = rest
+                else:
+                    self._ready.remove(digest)
+                    del self._interest[digest]
+                    self._inflight.discard(digest)
+            if job.unit_states[digest] not in UNIT_TERMINAL:
+                job.unit_states[digest] = "skipped"
+                self.metrics.inc("serve_units_skipped")
+
+    async def _stop(self) -> None:
+        """No new dispatch; wait for units on workers (up to
+        ``policy.drain_timeout``), then stop the pool."""
+        self._draining = True
+        self._wake.set()
+        if self._active:
+            done, pending = await asyncio.wait(
+                self._active, timeout=self.policy.drain_timeout)
+            for task in pending:
+                task.cancel()
+        if self._dispatcher is not None:
+            self._dispatcher.cancel()
+        await self.pool.close()
 
     def gauges(self) -> dict:
         return {

@@ -398,6 +398,31 @@ def test_resuming_stored_sweep_spawns_no_worker(tmp_path, appended):
     assert "unit-begin" not in appended
 
 
+def test_store_error_is_raised_and_sweep_stays_resumable(tmp_path,
+                                                         monkeypatch):
+    import errno
+
+    put = ResultStore.put
+    calls = []
+
+    def full_once(self, digest, payload):
+        calls.append(digest)
+        if len(calls) == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return put(self, digest, payload)
+
+    benches = [TINY_BENCHMARK, FAILING_BENCHMARK]
+    plain = run_suite(benches, warmup=0, measure=1)
+    monkeypatch.setattr(ResultStore, "put", full_once)
+    with pytest.raises(OSError, match="No space left"):
+        run_suite(benches, durable_dir=tmp_path / "sweep", warmup=0,
+                  measure=1)
+    resumed = run_suite(benches, durable_dir=tmp_path / "sweep",
+                        resume=True, warmup=0, measure=1)
+    assert suite_key(plain) == suite_key(resumed)
+    assert resumed.durable["executed"] >= 1
+
+
 def test_plain_plugin_rejected(tmp_path):
     from repro.errors import DurableSweepError
     from repro.harness.plugins import IterationLogPlugin

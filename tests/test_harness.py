@@ -114,6 +114,14 @@ def test_sweep_and_service_imports_stay_light():
         [sys.executable, "-c", code], check=True, capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+    # The in-process sweep path never loads asyncio: only a sweep that
+    # runs on workers imports the scheduler.
+    code = ("import sys; import repro.faults.resilience, repro.harness; "
+            "print('asyncio' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_defaults_are_the_sweep_config_defaults(monkeypatch):

@@ -239,7 +239,7 @@ def test_overlapping_jobs_share_one_execution(tmp_path):
 
 def test_round_chaining_orders_repetitions(tmp_path):
     # repeat=2 chains: round 1 becomes schedulable only after round 0
-    # resolves (the DurableSweep._resolve contract, mirrored).
+    # resolves (the one rule durable sweeps run under too).
     with ServiceThread(str(tmp_path), workers=1) as svc:
         client = svc.client()
         job = client.submit({"benchmarks": ["philosophers"],
@@ -279,6 +279,92 @@ def test_cancellation_drops_queued_units(tmp_path):
         m = client.metrics()
         assert m["serve_jobs_cancelled"] == 1
         assert m["serve_units_executed"] <= 2
+
+
+def test_cancellation_stops_the_round_chain(tmp_path):
+    # Cancelled while round 0 is on a worker: round 0 finishes into the
+    # store, rounds 1 and 2 are never scheduled and stay skipped.
+    with ServiceThread(str(tmp_path), workers=1) as svc:
+        client = svc.client()
+        job = client.submit({"benchmarks": ["philosophers"], "jit": "none",
+                             "warmup": 1, "measure": 1, "repeat": 3})
+        for event in client.events(job["id"]):
+            if event["kind"] == "unit-begin":
+                assert client.cancel(job["id"])["state"] == "cancelled"
+                break
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            m = client.metrics()
+            if m["serve_units_executed"] >= 1 \
+                    and m["serve_units_ready"] == 0 \
+                    and m["serve_units_inflight"] == 0:
+                break
+            time.sleep(0.05)
+        final = client.job(job["id"])
+        assert final["state"] == "cancelled"
+        assert final["units"]["done"] == 1
+        assert final["units"]["skipped"] == 2
+        assert client.metrics()["serve_units_executed"] == 1
+
+
+def test_unit_task_error_ends_its_jobs_and_frees_the_digest(
+        tmp_path, monkeypatch):
+    # The store's disk is full once: the job waiting on the unit ends
+    # with the error, and a resubmit runs the unit again.
+    import errno
+
+    from repro.harness.store import ResultStore
+
+    put = ResultStore.put
+    calls = []
+
+    def full_once(self, digest, payload):
+        calls.append(digest)
+        if len(calls) == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return put(self, digest, payload)
+
+    monkeypatch.setattr(ResultStore, "put", full_once)
+    spec = {"benchmarks": ["scrabble"], "jit": "none", "warmup": 1,
+            "measure": 1}
+    with ServiceThread(str(tmp_path), workers=1) as svc:
+        client = svc.client(timeout=10)
+        first = client.wait(client.submit(spec)["id"], timeout=30)
+        assert first["state"] == "error"
+        assert "OSError" in first["error"]
+        assert "No space left" in first["error"]
+        kinds = [e["kind"] for e in client.events(first["id"])]
+        assert kinds[-1] == "job-error"
+        second = client.wait(client.submit(spec)["id"], timeout=30)
+        assert second["state"] == "done"
+        assert second["units"]["done"] == 1
+        assert len(calls) == 2
+        assert client.metrics()["serve_jobs_failed"] == 1
+    assert svc.unfinished == []
+
+
+def test_wait_honours_its_own_deadline(tmp_path, monkeypatch):
+    # A job whose unit never finishes goes silent after job-queued;
+    # wait() must give up at its own deadline, not at the socket
+    # timeout.
+    import asyncio
+
+    from repro.harness.durable import DurablePolicy
+    from repro.serve.pool import WorkerPool
+
+    async def never(self, unit, config, on_stage=None, plan=None):
+        await asyncio.Event().wait()
+
+    monkeypatch.setattr(WorkerPool, "run_unit", never)
+    with ServiceThread(str(tmp_path), workers=1,
+                       policy=DurablePolicy(drain_timeout=0.2)) as svc:
+        client = svc.client(timeout=10)
+        job = client.submit({"benchmarks": ["scrabble"], "jit": "none"})
+        started = time.monotonic()
+        with pytest.raises(ServeError, match="timed out"):
+            client.wait(job["id"], timeout=0.5)
+        assert time.monotonic() - started < 5
+        assert client.job(job["id"])["state"] == "running"
 
 
 def _raw_status(port: int, request: bytes) -> int:
