@@ -363,9 +363,11 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
 
     # The in-process reference path: what the equivalence tests diff the
     # supervised paths against, and the only one that keeps RunResult.vm.
-    # Each finished unit's host code is dropped, so a sweep's footprint
-    # is one unit's code; counters, vm.jit and cache hit/miss totals
-    # stay readable.  A stopgap until results are plain values.
+    # Each finished unit's VM is retired (VM.retire: host code, guest
+    # state and the per-run state on its classes go), so a sweep holds
+    # one unit's code and guest heap, not every unit's; counters, vm.jit
+    # and cache hit/miss totals stay readable.  A stopgap until results
+    # are plain values.
     benches, suite_name = resolve_suite(suite)
     plan_of = plans_of(faults, benches)
     out = SuiteResult(
@@ -380,7 +382,7 @@ def run_suite(suite="renaissance", *, jit=SweepConfig.jit,
                                     plugins)
             if outcome.ok:
                 out.results.append(outcome.result)
-                outcome.result.vm.drop_host_code()
+                outcome.result.vm.retire()
                 if outcome.race_report is not None:
                     out.race_reports.append(outcome.race_report)
             else:

@@ -110,6 +110,9 @@ class RunResult:
     iterations: list[IterationResult] = field(default_factory=list)
     counters: dict = field(default_factory=dict)   # steady-state deltas
     cpu: float = 0.0
+    # The unit's VM; an in-process sweep retires it (VM.retire) and
+    # workers send None.  Read for counters, jit, cache_info() and the
+    # loaded classes by the ledger, exact_compile and repro.analysis.
     vm: object = None
     trace: object = None      # summary dict set by repro.trace.TracePlugin
     tier1: object = None      # host tier-1 snapshot: engine tier1 or tier2

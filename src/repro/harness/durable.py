@@ -182,7 +182,10 @@ def execute_unit(unit: SweepUnit, config: SweepConfig, plan,
         payloads = tuple(p.snapshot_run() for p in plugins)
         res = state["outcome"]
         if res.ok:
-            res.result.vm = None      # VMs neither pickle nor merge
+            # VMs neither pickle nor merge; retiring first also resets
+            # the per-run state on this worker's cached Program.
+            res.result.vm.retire()
+            res.result.vm = None
             state["packed"] = {
                 "kind": "result", "result": res.result,
                 "race": res.race_report, "plugins": payloads,

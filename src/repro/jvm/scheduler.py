@@ -109,6 +109,9 @@ class Scheduler:
         self.slices = 0
         self.busy_core_slices = 0.0
         self.threads: list[JThread] = []
+        # The spawned non-daemon threads not yet terminated: run() goes
+        # on while this is non-empty, without rescanning every thread.
+        self.live_nondaemon: set[JThread] = set()
         self.runnable: deque[JThread] = deque()
         self.executor = None       # set by the VM: callable(thread) -> cycles used
         # Every `perturb_period` slices, deterministically rotate the run
@@ -145,6 +148,8 @@ class Scheduler:
         thread.tid = self._next_tid
         self._next_tid += 1
         self.threads.append(thread)
+        if not thread.daemon:
+            self.live_nondaemon.add(thread)
         self.runnable.append(thread)
         if self.sanitizer is not None:
             self.sanitizer.on_spawn(thread, parent)
@@ -195,6 +200,7 @@ class Scheduler:
         if tr is not None and tr.thread_on and thread.state != TERMINATED:
             tr.emit("thread", "terminate", thread.tid, ())
         thread.state = TERMINATED
+        self.live_nondaemon.discard(thread)
         thread.frames.clear()
         for joiner in thread.joiners:
             if joiner.state == JOINING:
@@ -346,9 +352,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # The run loop.
     # ------------------------------------------------------------------
-    def _live_nondaemon(self) -> bool:
-        return any(t.alive and not t.daemon for t in self.threads)
-
     def run(self, max_cycles: int | None = None) -> None:
         """Run until all non-daemon threads terminate.
 
@@ -360,7 +363,7 @@ class Scheduler:
         """
         if self.executor is None:
             raise VMError("scheduler has no executor")
-        while self._live_nondaemon():
+        while self.live_nondaemon:
             if max_cycles is not None and self.clock >= max_cycles:
                 return
             if self.watchdog_cycles is not None \
@@ -424,6 +427,14 @@ class Scheduler:
         tr = self.trace
         if tr is not None:
             tr.on_slice_end(self)
+
+    def release(self) -> None:
+        """Forget every thread, the run queue and every monitor (a
+        retired VM's scheduler); the clock and slice totals stay."""
+        self.threads.clear()
+        self.live_nondaemon.clear()
+        self.runnable.clear()
+        self._monitors.clear()
 
     def _perturb(self) -> None:
         """Deterministically rotate the run queue (seed-dependent)."""

@@ -118,6 +118,7 @@ class VM:
             self.interpreter = Interpreter(self)
         self.engine = engine
         self.stdout: list[str] = []
+        self.retired = False
         self._loaded_marks: set[str] = set()
         self._class_cache: dict[str, JClass] = {}
         self._static_cache: dict[tuple[str, str], JMethod] = {}
@@ -195,11 +196,28 @@ class VM:
         guest (the next entry re-translates and re-promotes); counters,
         ``jit`` and the tier stats stay readable.  Attaching a sanitizer
         or a flight recorder calls it, since host code binds both at
-        compile time, and so does a sweep once a unit has finished."""
+        compile time, and so does :meth:`retire`."""
         for engine in (self.interpreter, self.machine):
             drop = getattr(engine, "invalidate_all", None)
             if drop is not None:      # the reference engines hold no code
                 drop()
+
+    def retire(self) -> None:
+        """Release everything a finished unit no longer needs: the host
+        code (:meth:`drop_host_code`), the cache-model tags, the guest
+        threads, run queue and monitors, and the per-run state on the
+        loaded classes (statics, compiled code, profiles), which a
+        compiled Program shared through the compile cache would
+        otherwise keep alive.  What a result is read through stays:
+        ``counters``, ``jit`` (stats, compiled-method list), the tier
+        stats, ``interpreter.cache_info()`` and ``pool.loaded_classes()``.
+        A retired VM runs nothing more: :meth:`invoke` raises."""
+        self.drop_host_code()
+        self.retired = True
+        self.cache.l1_tags = []
+        self.cache.llc_tags = []
+        self.scheduler.release()
+        _reset_run_state(self.pool.classes.values())
 
     # ------------------------------------------------------------------
     # Construction.
@@ -243,16 +261,11 @@ class VM:
         for cls in program.classes:
             self.pool.define(cls)
             cls.loaded = False
-            for field in cls.fields.values():
-                if field.static:
-                    cls.static_values[field.name] = 0
             for method in cls.methods.values():
                 method.invocation_count = 0
                 method.backedge_count = 0
-                method.call_profile = None
-                method.compiled = None
                 method.compile_failures = 0
-                method.disabled_speculations.clear()
+        _reset_run_state(program.classes)
         self.pool.link_all()
         for cls in program.classes:
             if "__clinit__" in cls.methods:
@@ -371,6 +384,8 @@ class VM:
         ``method`` is a :class:`JMethod` or a ``"Class.method"`` string.
         Returns the guest return value (or ``None`` for void).
         """
+        if self.retired:
+            raise VMError("invoke on a retired VM")
         if isinstance(method, str):
             owner, _, mname = method.partition(".")
             method = self.resolve_static(owner, mname)
@@ -406,3 +421,18 @@ class VM:
 
     def loaded_class_names(self) -> set[str]:
         return {c.name for c in self.pool.loaded_classes()}
+
+
+def _reset_run_state(classes) -> None:
+    """Reset the per-run state a run leaves on ``classes`` that holds
+    guest or compiled objects: static values, compiled code, call
+    profiles and disabled speculations.  Shared by :meth:`VM.load`
+    (a Program may be loaded into several VMs) and :meth:`VM.retire`."""
+    for cls in classes:
+        for field in cls.fields.values():
+            if field.static:
+                cls.static_values[field.name] = 0
+        for method in cls.methods.values():
+            method.call_profile = None
+            method.compiled = None
+            method.disabled_speculations.clear()

@@ -82,6 +82,10 @@ class Job:
         self.error: Exception | None = None
         self.unit_states: dict[str, str] = {
             u.digest: "pending" for u in units}
+        #: unit states not yet in UNIT_TERMINAL (the job is done at 0)
+        self.unresolved = len(self.unit_states)
+        #: (index, round) -> unit, for round chaining; dropped at close
+        self.cells: dict | None = {(u.index, u.round): u for u in units}
         self.failed_bench: set[str] = set()
         self.running = 0                # units of this job on workers
         self.created = time.time()
@@ -127,6 +131,12 @@ class Job:
         for queue in self._subscribers:
             queue.put_nowait(None)
         self._subscribers.clear()
+
+    def mark(self, unit: SweepUnit, state: str) -> None:
+        """Set a unit's state, keeping :attr:`unresolved` in step."""
+        old = self.unit_states[unit.digest]
+        self.unresolved += (old in UNIT_TERMINAL) - (state in UNIT_TERMINAL)
+        self.unit_states[unit.digest] = state
 
     # -- status --------------------------------------------------------
     @property
@@ -302,20 +312,26 @@ class Scheduler:
         self._wake.set()
 
     def _schedule_unit(self, job: Job, unit: SweepUnit) -> None:
-        payload = self.store.get(unit.digest)
-        if payload is not None:
+        """Admit ``unit``; a store hit resolves at once and goes on to
+        the next round in this loop (a chain may be thousands of rounds
+        long, too deep to recurse)."""
+        while True:
+            payload = self.store.get(unit.digest)
+            if payload is None:
+                break
             try:
                 outcome = decode_outcome(payload)
             except Exception:                       # pragma: no cover
                 self.store.corrupt.append((unit.digest, "undecodable"))
-            else:
-                self.metrics.inc("serve_units_cached")
-                self._resolve(job, unit, outcome, "unit-cached")
+                break
+            self.metrics.inc("serve_units_cached")
+            unit = self._resolve(job, unit, outcome, "unit-cached")
+            if unit is None:
                 return
         if unit.digest in self._inflight:           # join, don't re-run
             self.metrics.inc("serve_units_deduped")
             self._interest[unit.digest].append((job, unit))
-            job.unit_states[unit.digest] = "running"
+            job.mark(unit, "running")
             job.emit("unit-deduped", unit)
             return
         self._inflight.add(unit.digest)
@@ -375,7 +391,7 @@ class Scheduler:
         interested = self._interest[digest]
         job, unit = interested[0]
         for j, u in interested:
-            j.unit_states[u.digest] = "running"
+            j.mark(u, "running")
         begun = False
 
         def on_stage(worker, stage: str, attempt: int) -> None:
@@ -398,7 +414,9 @@ class Scheduler:
         if outcome["kind"] == "failure":
             self.metrics.inc("serve_units_failed")
         for j, u in list(interested):
-            self._resolve(j, u, outcome, "unit-done")
+            nxt = self._resolve(j, u, outcome, "unit-done")
+            if nxt is not None:
+                self._schedule_unit(j, nxt)
         del self._interest[digest]
         self._inflight.discard(digest)
 
@@ -417,35 +435,34 @@ class Scheduler:
     # Resolution: round chaining.
     # ------------------------------------------------------------------
     def _resolve(self, job: Job, unit: SweepUnit, outcome: dict,
-                 kind: str) -> None:
+                 kind: str) -> SweepUnit | None:
+        """Record ``unit``'s outcome; returns the next round of its
+        benchmark for the caller to schedule, if one is due."""
+        nxt = None
         failed = outcome["kind"] == "failure"
-        job.unit_states[unit.digest] = "cached" if kind == "unit-cached" \
-            else "failed" if failed else "done"
+        job.mark(unit, "cached" if kind == "unit-cached"
+                 else "failed" if failed else "done")
         job.emit(kind, unit, outcome)
         if failed:
             job.failed_bench.add(unit.name)
             self._skip_later_rounds(job, unit)
         elif job.state == "running":
-            nxt = next((u for u in job.units if u.index == unit.index
-                        and u.round == unit.round + 1), None)
-            if nxt is not None:
-                self._schedule_unit(job, nxt)
+            nxt = job.cells.get((unit.index, unit.round + 1))
         self._check_done(job)
+        return nxt
 
     def _skip_later_rounds(self, job: Job, unit: SweepUnit) -> None:
         for candidate in job.units:
             if candidate.name == unit.name \
                     and candidate.round > unit.round \
                     and job.unit_states[candidate.digest] == "pending":
-                job.unit_states[candidate.digest] = "skipped"
+                job.mark(candidate, "skipped")
                 self.metrics.inc("serve_units_skipped")
                 job.emit("unit-skipped", candidate,
                          reason=f"round {unit.round} failed")
 
     def _check_done(self, job: Job) -> None:
-        if not job.terminal and all(
-                state in UNIT_TERMINAL
-                for state in job.unit_states.values()):
+        if not job.terminal and not job.unresolved:
             self._close(job, "done")
 
     def _close(self, job: Job, state: str,
@@ -453,6 +470,7 @@ class Scheduler:
         """End a job ``done``, ``cancelled`` or in ``error``.  Its stream
         ends before ``serve.wal`` is written, which may raise."""
         job.state, job.error, job.finished = state, error, time.time()
+        job.cells = None        # no round of an ended job is scheduled
         fields = {"units": job.counts()} if state == "done" \
             else {"error": _describe(error)} if error else {}
         job.emit({"done": "job-done", "cancelled": "job-cancelled",
@@ -504,7 +522,7 @@ class Scheduler:
                     del self._interest[digest]
                     self._inflight.discard(digest)
             if job.unit_states[digest] not in UNIT_TERMINAL:
-                job.unit_states[digest] = "skipped"
+                job.mark(unit, "skipped")
                 self.metrics.inc("serve_units_skipped")
 
     async def _stop(self) -> None:

@@ -274,3 +274,60 @@ def test_determinism_same_seed_same_interleaving():
 
     assert trace(1) == trace(1)
     assert trace(7) == trace(7)
+
+
+def test_live_nondaemon_count_matches_a_scan_of_every_thread():
+    # run() loops on a maintained set of live non-daemon threads; at
+    # every step it must agree with a scan of every thread ever spawned,
+    # through spawns, daemons, a join, a kill and a guest fault.
+    sched = make_sched()
+    threads = {}
+
+    def check(_=None):
+        scan = sum(1 for t in sched.threads if t.alive and not t.daemon)
+        assert len(sched.live_nondaemon) == scan
+        return scan
+
+    def start(name, steps, daemon=False):
+        def step(_):
+            t = JThread(name, daemon=daemon)
+            t.frames.append(list(steps))
+            threads[name] = t
+            sched.spawn(t)
+        return step
+
+    def crash(_):
+        raise VMError("guest fault")
+
+    def executor(thread):
+        steps = thread.frames[-1]
+        if steps:
+            steps.pop(0)(thread)
+            check()
+        if not steps and thread.state == RUNNABLE:
+            thread.frames.clear()
+        return 10
+
+    noop = (lambda _: None)
+    main_steps = [
+        start("worker", [noop] * 3),
+        start("daemon", [noop] * 200, daemon=True),
+        start("victim", [noop] * 200),
+        start("crasher", [noop, crash]),
+        noop,
+        lambda _: sched.kill(threads["victim"]),
+        lambda main: sched.join(main, threads["worker"]),
+        noop,
+    ]
+    start("main", main_steps)(None)
+    sched.executor = executor
+    sched.fault_hook = check
+    assert check() == 1
+    with pytest.raises(VMError, match="guest fault"):
+        sched.run()
+    assert threads["crasher"].state == TERMINATED
+    check()
+    sched.run()
+    assert check() == 0 and not sched.live_nondaemon
+    assert threads["victim"].fault is not None
+    assert threads["daemon"].alive

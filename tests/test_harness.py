@@ -151,3 +151,144 @@ def test_runner_sanitize_takes_only_declarative_values():
         assert runner.jit is None and runner.sanitize_plugin is not None
     with pytest.raises(TypeError, match="SanitizerConfig"):
         Runner(SIMPLE, sanitize=SanitizerPlugin())
+
+
+# ----------------------------------------------------------------------
+# A finished sweep unit's VM is retired: its numbers stay, its guest
+# state goes.
+# ----------------------------------------------------------------------
+GUEST_STATE = GuestBenchmark(
+    name="guest-state",
+    suite="tests",
+    source="""
+    class Bench {
+        static var table = null;
+        static def fill(a, n) {
+            var i = 0;
+            while (i < n) { a[i] = i * 2; i = i + 1; }
+            return a;
+        }
+        static def run(n) {
+            Bench.table = new int[n];
+            var t = new Thread(fun () { park(); });
+            t.daemon = true;
+            t.start();
+            synchronized (Bench.table) { Bench.fill(Bench.table, n); }
+            return Bench.table[n - 1];
+        }
+    }""",
+    args=(3000,),
+    expected=5998,
+    warmup=1,
+    measure=1,
+)
+
+
+def _readers(result) -> dict:
+    """Everything the ledger and the analysis modules read off a
+    finished unit."""
+    vm = result.vm
+    stats = vm.jit.stats
+    return {
+        "counters": vm.counters.snapshot(),
+        "jit": (stats.compilations, stats.failures, stats.recompilations,
+                dict(stats.phase_cycles), vm.jit.code_size_bytes(),
+                vm.jit.hot_method_count()),
+        "cache_info": vm.interpreter.cache_info(),
+        "loaded": sorted(c.name for c in vm.pool.loaded_classes()),
+        "tiers": (result.tier1, result.tier2),
+    }
+
+
+def test_retired_sweep_units_read_as_before_retire():
+    from repro.faults.resilience import run_resilient, run_suite
+    from repro.harness.config import SweepConfig
+
+    kwargs = dict(jit="graal", engine="tier2", schedule_seed=3)
+    swept = run_suite((GUEST_STATE,), **kwargs).results[0]
+    alone = run_resilient(GUEST_STATE, SweepConfig(**kwargs)).result
+    alone.vm.drop_host_code()
+    before = _readers(alone)
+    assert before["jit"][4] > 0 and before["tiers"][1] is not None
+    alone.vm.retire()
+    assert _readers(alone) == before
+    assert _readers(swept) == before
+    assert swept.fingerprint() == alone.fingerprint()
+
+
+def test_retired_vm_holds_no_guest_state_and_runs_nothing():
+    from repro.errors import VMError
+    from repro.faults.resilience import run_suite
+
+    vm = run_suite((GUEST_STATE,), jit="graal").results[0].vm
+    assert vm.counters.instructions > 0 and vm.jit.hot_method_count() > 0
+    program = GUEST_STATE.compile()
+    for cls in program.classes:
+        assert all(v == 0 for v in cls.static_values.values())
+        assert all(m.compiled is None and m.call_profile is None
+                   for m in cls.methods.values())
+    assert not vm.scheduler.threads and not vm.scheduler.runnable
+    assert not vm.scheduler._monitors and not vm.scheduler.live_nondaemon
+    assert not vm.cache.llc_tags and not vm.cache.l1_tags
+    with pytest.raises(VMError, match="retired"):
+        vm.invoke("Bench.run", [10])
+
+
+def test_each_retired_unit_fingerprints_as_when_run_alone():
+    from repro.faults.resilience import run_suite
+    from repro.suites.registry import get_benchmark
+
+    benches = (GUEST_STATE, SIMPLE, get_benchmark("philosophers"))
+    kwargs = dict(jit="graal", warmup=0, measure=1, schedule_seed=1)
+    suite = run_suite(benches, repeat=2, **kwargs)
+    assert [r.benchmark for r in suite.results] == \
+        [b.name for b in benches] * 2
+    for bench, result in zip(benches * 2, suite.results):
+        alone = run_suite((bench,), **kwargs).results[0]
+        assert alone.fingerprint() == result.fingerprint()
+
+
+#: Its one static holds a 400 000-element array: about 3.2 MB of host
+#: list, which a sweep must not keep after the unit finishes.
+BIG_STATIC = GuestBenchmark(
+    name="big-static",
+    suite="tests",
+    source="""
+    class Bench {
+        static var table = null;
+        static def run(n) {
+            Bench.table = new int[n];
+            return n;
+        }
+    }""",
+    args=(400_000,),
+    expected=400_000,
+    warmup=0,
+    measure=1,
+)
+
+
+def test_a_sweep_does_not_keep_a_finished_units_guest_heap():
+    import gc
+    import tracemalloc
+
+    from repro.faults.resilience import run_suite
+
+    kwargs = dict(jit=None, warmup=0, measure=1)
+    run_suite((SIMPLE,), **kwargs)          # imports and first-use caches
+    BIG_STATIC.compile()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        suite = run_suite((BIG_STATIC,), **kwargs)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert suite.results[0].vm.counters.array == 1
+    array_bytes = 400_000 * 8
+    assert held < array_bytes / 2, f"{held} bytes still traced"

@@ -262,6 +262,39 @@ def test_round_chaining_orders_repetitions(tmp_path):
         assert [e["round"] for e in dones] == [0, 1]
 
 
+def test_fully_cached_max_units_job_is_admitted_done(tmp_path):
+    # Every unit is a store hit, so admission alone resolves the whole
+    # job, each round chaining to the next: ten benchmarks x 1 000
+    # rounds, the largest job a spec may expand to.
+    import pickle
+
+    from repro.serve.scheduler import Scheduler
+    from repro.serve.spec import MAX_UNITS
+
+    class CachedStore:
+        corrupt: list = []
+        payload = pickle.dumps({"kind": "result"})
+
+        def get(self, digest):
+            return self.payload
+
+    names = ("scrabble", "philosophers", "fj-kmeans", "akka-uct",
+             "reactors", "als", "dec-tree", "naive-bayes", "log-regression",
+             "page-rank")
+    spec = SweepSpec(benchmarks=names, jit=None,
+                     repeat=MAX_UNITS // len(names))
+    scheduler = Scheduler(str(tmp_path), workers=1)
+    scheduler.store = CachedStore()
+    job = scheduler._job_of(spec, "job-000001")
+    assert len(job.units) == MAX_UNITS
+    scheduler._admit(job)
+    assert job.state == "done" and job.unresolved == 0
+    assert set(job.unit_states.values()) == {"cached"}
+    assert job.counts()["cached"] == MAX_UNITS
+    assert not scheduler._ready and not scheduler._inflight
+    assert scheduler.metrics.to_dict()["serve_units_cached"] == MAX_UNITS
+
+
 def test_cancellation_drops_queued_units(tmp_path):
     with ServiceThread(str(tmp_path), workers=1) as svc:
         client = svc.client()

@@ -1142,3 +1142,15 @@ def test_finished_sweep_units_release_host_code_but_stay_readable():
         assert result.tier2["compiled_blocks"] == vm.machine.stats.blocks
         alone = run_suite((bench,), **kwargs).results[0]
         assert alone.fingerprint() == result.fingerprint()
+    # The VM is retired, so its guest state goes too; on the default
+    # engine as well as on the full ladder.
+    default = run_suite(benches, jit="graal", warmup=1, measure=1)
+    for result in suite.results + default.results:
+        vm = result.vm
+        assert vm.retired and vm.jit.hot_method_count() > 0
+        assert not vm.scheduler.threads and not vm.scheduler.runnable
+        assert not vm.cache.llc_tags and not vm.cache.l1_tags
+        assert vm.interpreter.cache_info()["size"] == 0
+        for cls in vm.pool.classes.values():
+            assert all(v == 0 for v in cls.static_values.values())
+            assert all(m.compiled is None for m in cls.methods.values())
