@@ -57,10 +57,13 @@ serve:
 # Resilience-layer focus: one unit (run_resilient: retry-with-reseed,
 # FailureReport, plugins), the in-process run_suite loop it serves and
 # the jobs=N equivalence with it — the counterpart of `make durable`
-# and `make serve`.
+# and `make serve` — plus what the compile cache hands every unit: one
+# shared stdlib compile with fresh classes per Program (codegen tests),
+# linked against each VM's own pool (the CK reload test).
 harness:
 	PYTHONPATH=src python -m pytest -q tests/test_faults.py tests/test_plugins.py \
-		tests/test_harness.py tests/test_parallel.py
+		tests/test_harness.py tests/test_parallel.py tests/lang/test_codegen.py \
+		tests/test_analysis.py::test_ck_row_does_not_depend_on_a_warm_compile_cache
 
 # Tier-0 engine focus: the threaded engine's equivalence suite (handler
 # tables, inline caches, fusion, the fixture list) plus the reference

@@ -49,6 +49,9 @@ class GuestBenchmark:
 # evict the 70 (expensive) suite benchmarks mid-session and every
 # subsequent Runner recompiles them.  Instead: a true-LRU OrderedDict
 # sized comfortably above the suite corpus, with an explicit clear knob.
+# An entry holds its own classes and user bytecode; the stdlib bytecode
+# is one per-process compile every Program shares (lang/codegen.py), so
+# no entry carries a private stdlib compile.
 _COMPILE_CACHE: OrderedDict[str, object] = OrderedDict()
 _COMPILE_CACHE_MAX = 1024
 _COMPILE_CACHE_STATS = {"hits": 0, "misses": 0}

@@ -56,7 +56,10 @@ class JitCompiler:
         self.config = config
         self.machine = Machine(vm)
         self.stats = CompileStats()
-        self.compiled_methods: list = []
+        #: method -> its latest CompiledCode, in compile order; None once
+        #: :meth:`retire` kept only the two numbers read from it.
+        self._compiled: dict | None = {}
+        self._retired_totals = (0, 0)
         self.failed: dict[str, str] = {}
 
     # ------------------------------------------------------------------
@@ -111,12 +114,9 @@ class JitCompiler:
         method.compiled = code
         self._emit_compile(method, ok=True)
         self.stats.compilations += 1
-        if all(c.method is not method for c in self.compiled_methods):
-            self.compiled_methods.append(code)
-        else:
-            self.compiled_methods = [c for c in self.compiled_methods
-                                     if c.method is not method]
-            self.compiled_methods.append(code)
+        # A recompile replaces the method's code and moves it last.
+        self._compiled.pop(method, None)
+        self._compiled[method] = code
         return True
 
     def _emit_compile(self, method, ok: bool) -> None:
@@ -127,11 +127,28 @@ class JitCompiler:
             tr.emit("jit", "compile", tid,
                     (method.qualified, 1 if ok else 0))
 
+    @property
+    def compiled_methods(self) -> list:
+        """Each compiled method's latest code, oldest compile first;
+        empty once retired."""
+        return [] if self._compiled is None else list(self._compiled.values())
+
+    def retire(self) -> None:
+        """Keep :meth:`code_size_bytes` and :meth:`hot_method_count`,
+        drop the compiled code (:meth:`VM.retire`)."""
+        self._retired_totals = (self.code_size_bytes(),
+                                self.hot_method_count())
+        self._compiled = None
+
     # ------------------------------------------------------------------
     # Figure 7 metrics.
     # ------------------------------------------------------------------
     def code_size_bytes(self) -> int:
-        return sum(code.size_bytes for code in self.compiled_methods)
+        if self._compiled is None:
+            return self._retired_totals[0]
+        return sum(code.size_bytes for code in self._compiled.values())
 
     def hot_method_count(self) -> int:
-        return len(self.compiled_methods)
+        if self._compiled is None:
+            return self._retired_totals[1]
+        return len(self._compiled)

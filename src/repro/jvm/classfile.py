@@ -236,8 +236,17 @@ class ClassPool:
         self.classes["Object"] = object_cls
 
     def define(self, cls: JClass) -> JClass:
+        """Add ``cls``, unlinked: link state belongs to the pool that
+        links, and a cached Program's classes may have been linked
+        against an earlier VM's pool (its ``Object``, its subclass
+        lists), which CK's NOC and DIT would otherwise read."""
         if cls.name in self.classes:
             raise LinkError(f"duplicate class {cls.name}")
+        cls.linked = False
+        cls.superclass = None
+        cls.subclasses = []
+        cls.field_layout = {}
+        cls._method_cache = {}
         self.classes[cls.name] = cls
         return cls
 

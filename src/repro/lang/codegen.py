@@ -37,7 +37,18 @@ BUILTIN_CLASSES = frozenset({
 
 
 class Program:
-    """A compiled guest program: the classes to load into a VM."""
+    """A compiled guest program: the classes to load into a VM.
+
+    Every ``JClass`` and ``JMethod`` here belongs to this Program alone:
+    they carry the link state a VM's ``ClassPool`` writes (``linked``,
+    ``superclass``, ``subclasses``) and the run state ``VM.load`` and
+    ``VM.retire`` reset (statics, ``compiled``, counters, profiles,
+    ``loaded``), so sharing them would leak one VM's state into another.
+    The stdlib classes' read-only codegen output (each method's ``code``,
+    ``accessed_fields``, ``called`` and ``source_lines``, each class's
+    ``referenced``) is shared by every Program in the process: see
+    :func:`compile_program`.
+    """
 
     def __init__(self, classes: list[JClass]) -> None:
         self.classes = classes
@@ -51,20 +62,62 @@ class Program:
 def _stdlib_decls() -> tuple:
     """The guest stdlib's class declarations, parsed once per process.
 
-    AST only — codegen reads the nodes and runs per program; the key set
-    is the fixed stdlib, so the cache has no size to manage."""
+    AST only: :func:`_stdlib_template` compiles them once, and every user
+    compile checks its names against them (resolution, duplicates); the
+    key set is the fixed stdlib, so the cache has no size to manage."""
     from repro.lang.stdlib import STDLIB_SOURCES
     return tuple(decl for text in STDLIB_SOURCES for decl in parse(text))
 
 
+@functools.cache
+def _stdlib_template() -> tuple[JClass, ...]:
+    """The guest stdlib compiled once per process, in ``STDLIB_SOURCES``
+    order.  Never loaded into a VM: :func:`_instance` copies it.
+
+    Compiled without user classes in scope; a stdlib body that compiles
+    alone resolves every name to a local or a stdlib class, so user
+    classes cannot change what it emits."""
+    return tuple(_CodegenUnit(list(_stdlib_decls())).compile())
+
+
+def _instance(template: JClass) -> JClass:
+    """A fresh class and methods sharing ``template``'s codegen output
+    (and its ``JField``s, which nothing writes after codegen)."""
+    cls = JClass(template.name, template.super_name,
+                 interfaces=template.interfaces,
+                 is_interface=template.is_interface)
+    cls.referenced = template.referenced
+    for fld in template.fields.values():
+        cls.add_field(fld)
+    for shared in template.methods.values():
+        method = JMethod(shared.name, shared.owner, shared.params,
+                         shared.code, max_locals=shared.max_locals,
+                         static=shared.static, native=shared.native,
+                         synchronized=shared.synchronized,
+                         abstract=shared.abstract)
+        method.accessed_fields = shared.accessed_fields
+        method.called = shared.called
+        method.source_lines = shared.source_lines
+        cls.add_method(method)
+    return cls
+
+
 def compile_program(*sources: str, include_stdlib: bool = True) -> Program:
-    """Compile JL ``sources`` (plus the guest stdlib) into a Program."""
+    """Compile JL ``sources`` (plus the guest stdlib) into a Program.
+
+    The stdlib is compiled once per process (:func:`_stdlib_template`);
+    each Program gets fresh stdlib classes sharing that bytecode, then
+    the user classes, so define, link and ``__clinit__`` order is the
+    stdlib's then the sources'.  User code is compiled seeing the stdlib
+    declarations, as one joint compile would."""
+    library = _stdlib_decls() if include_stdlib else ()
     decls: list[A.ClassDecl] = []
-    if include_stdlib:
-        decls.extend(_stdlib_decls())
     for text in sources:
         decls.extend(parse(text))
-    return _CodegenUnit(decls).compile()
+    user = _CodegenUnit(decls, library).compile()
+    if not include_stdlib:
+        return Program(user)
+    return Program([_instance(c) for c in _stdlib_template()] + user)
 
 
 # ----------------------------------------------------------------------
@@ -163,22 +216,23 @@ def _free_vars(stmts: list[A.Stmt], bound: set[str], class_names: set[str],
 # ----------------------------------------------------------------------
 
 class _CodegenUnit:
-    def __init__(self, decls: list[A.ClassDecl]) -> None:
+    """Compiles ``decls``; names resolve against them, the builtins and
+    ``library`` (declarations compiled elsewhere, here the stdlib)."""
+
+    def __init__(self, decls: list[A.ClassDecl],
+                 library: tuple[A.ClassDecl, ...] = ()) -> None:
         self.decls = decls
-        self.class_names = BUILTIN_CLASSES | {d.name for d in decls}
-        dup = [d.name for d in decls if d.name in BUILTIN_CLASSES]
+        names = [d.name for d in (*library, *decls)]
+        self.class_names = BUILTIN_CLASSES | set(names)
+        dup = [n for n in names if n in BUILTIN_CLASSES]
         if dup:
             raise CompileError(f"classes shadow builtins: {dup}")
-        if len({d.name for d in decls}) != len(decls):
-            names = [d.name for d in decls]
+        if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise CompileError(f"duplicate class declarations: {dupes}")
 
-    def compile(self) -> Program:
-        classes = []
-        for decl in self.decls:
-            classes.append(self._compile_class(decl))
-        return Program(classes)
+    def compile(self) -> list[JClass]:
+        return [self._compile_class(decl) for decl in self.decls]
 
     def _compile_class(self, decl: A.ClassDecl) -> JClass:
         jclass = JClass(decl.name, decl.super_name,

@@ -204,15 +204,19 @@ class VM:
 
     def retire(self) -> None:
         """Release everything a finished unit no longer needs: the host
-        code (:meth:`drop_host_code`), the cache-model tags, the guest
+        code (:meth:`drop_host_code`), the guest JIT's compiled code
+        (:meth:`JitCompiler.retire`), the cache-model tags, the guest
         threads, run queue and monitors, and the per-run state on the
         loaded classes (statics, compiled code, profiles), which a
         compiled Program shared through the compile cache would
         otherwise keep alive.  What a result is read through stays:
-        ``counters``, ``jit`` (stats, compiled-method list), the tier
-        stats, ``interpreter.cache_info()`` and ``pool.loaded_classes()``.
+        ``counters``, ``jit`` (stats, ``code_size_bytes()``,
+        ``hot_method_count()``), the tier stats,
+        ``interpreter.cache_info()`` and ``pool.loaded_classes()``.
         A retired VM runs nothing more: :meth:`invoke` raises."""
         self.drop_host_code()
+        if self.jit is not None:
+            self.jit.retire()
         self.retired = True
         self.cache.l1_tags = []
         self.cache.llc_tags = []
@@ -256,7 +260,8 @@ class VM:
         A Program may be loaded into several VMs over its lifetime (the
         experiment harness reuses compiled guest programs), so all
         per-run mutable state on the classes — JIT counters, compiled
-        code, profiles, statics, loaded flags — is reset here.
+        code, profiles, statics, loaded flags — is reset here, and
+        ``ClassPool.define`` drops the link state of an earlier pool.
         """
         for cls in program.classes:
             self.pool.define(cls)

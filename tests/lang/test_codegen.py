@@ -188,3 +188,130 @@ def test_stdlib_compiles_and_links():
     names = {cls.name for cls in program.classes}
     assert {"Thread", "Random", "ArrayList", "HashMap", "Promise",
             "ThreadPool", "Stream", "STM", "Vector"} <= names
+
+
+# ----------------------------------------------------------------------
+# One compiled stdlib per process, fresh classes per Program.
+# ----------------------------------------------------------------------
+def _codegen_view(cls):
+    """Everything codegen decides about ``cls``."""
+    return (cls.name, cls.super_name, cls.interfaces, cls.is_interface,
+            cls.referenced,
+            [(f.name, f.static, f.volatile) for f in cls.fields.values()],
+            [(m.name, m.params, m.code, m.max_locals, m.static, m.native,
+              m.synchronized, m.abstract, m.accessed_fields, m.called,
+              m.source_lines) for m in cls.methods.values()])
+
+
+def _stdlib_names():
+    return {cls.name for cls in compile_program().classes}
+
+
+def test_shared_stdlib_equals_a_joint_compile_for_every_benchmark():
+    from repro.lang.stdlib import STDLIB_SOURCES
+    from repro.suites.registry import all_benchmarks
+
+    for source in {b.source: b for b in all_benchmarks()}:
+        joint = compile_program(*STDLIB_SOURCES, source,
+                                include_stdlib=False)
+        program = compile_program(source)
+        assert [_codegen_view(c) for c in program.classes] == \
+            [_codegen_view(c) for c in joint.classes]
+
+
+_STM_MAIN = """
+class Main {
+    static def main() {
+        var ref = new STMRef(0);
+        var i = 0;
+        while (i < 20) {
+            STM.atomic(fun (txn) { return txn.write(ref, txn.read(ref) + 1); });
+            i = i + 1;
+        }
+        return STM.commits.get() * 100 + ref.value;
+    }
+}
+"""
+
+
+def test_programs_share_stdlib_bytecode_but_not_its_classes():
+    from repro.jit.pipeline import graal_config
+    from repro.runtime import VM
+
+    stdlib = _stdlib_names()
+    first, second = compile_program(_STM_MAIN), compile_program(_STM_MAIN)
+    assert [c.name for c in first.classes] == [c.name for c in second.classes]
+    for a, b in zip(first.classes, second.classes):
+        assert a is not b
+        assert (a.referenced is b.referenced) == (a.name in stdlib)
+        for name, method in a.methods.items():
+            other = b.methods[name]
+            assert method is not other
+            if method.code is not None:
+                assert (method.code is other.code) == (a.name in stdlib)
+            if a.name in stdlib:
+                assert method.called is other.called
+                assert method.accessed_fields is other.accessed_fields
+
+    def run(program):
+        vm = VM(jit=graal_config(compile_threshold=3))
+        vm.load(program)
+        return vm.invoke("Main.main")
+
+    assert run(first) == 20 * 100 + 20
+    ran = [m for c in first.classes if c.name in stdlib
+           for m in c.methods.values()]
+    assert any(m.compiled is not None for m in ran)
+    assert any(m.invocation_count > 0 for m in ran)
+    assert first.by_name["STM"].static_values["commits"] != 0
+    for cls in second.classes:
+        assert all(v == 0 for v in cls.static_values.values())
+        for method in cls.methods.values():
+            assert method.invocation_count == 0 and method.compiled is None
+            assert method.call_profile is None
+        assert not cls.linked and not cls.loaded
+    assert run(second) == 20 * 100 + 20
+
+
+def test_user_class_named_like_a_stdlib_class_is_rejected():
+    with pytest.raises(CompileError, match="duplicate class"):
+        compile_program("class ArrayList { }")
+
+
+def test_programs_do_not_each_keep_a_compiled_stdlib():
+    import gc
+    import tracemalloc
+
+    from repro.lang import codegen
+    from repro.lang.stdlib import STDLIB_SOURCES
+    from repro.suites.registry import all_benchmarks
+
+    sources = list({b.source: b for b in all_benchmarks()})[:10]
+    compile_program(sources[0])             # first-use caches
+
+    def held_in_codegen(build):
+        only = [tracemalloc.Filter(True, codegen.__file__)]
+        gc.collect()
+        before = tracemalloc.take_snapshot().filter_traces(only)
+        kept = build()
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(only)
+        del kept
+        return sum(t.size for t in after.traces) - \
+            sum(t.size for t in before.traces)
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        one_copy = held_in_codegen(lambda: compile_program(
+            *STDLIB_SOURCES, include_stdlib=False))
+        ten = held_in_codegen(
+            lambda: [compile_program(s) for s in sources])
+    finally:
+        if started:
+            tracemalloc.stop()
+    # Each program keeps its own code and its own stdlib class and
+    # method objects (about a twelfth of a stdlib compile); ten private
+    # stdlib compiles would hold over ten copies.
+    assert ten < 2.5 * one_copy, (ten, one_copy)

@@ -63,6 +63,15 @@ def test_ck_table_and_loaded_classes():
     assert counts["sum_all"] >= counts["sum_unique"]
 
 
+def test_ck_row_does_not_depend_on_a_warm_compile_cache():
+    # The second run loads the cached Program into a new VM; its classes
+    # must link against that VM's pool (its Object's subclass list, NOC).
+    bench = get_benchmark("philosophers")
+    first, second = ck_table([bench, bench])
+    assert first.metrics["sum"]["NOC"] > 1
+    assert first == second
+
+
 def test_code_size_rows_and_geomeans():
     rows = code_size_table([small("scrabble", warmup=5, measure=1)],
                            warmup=5, measure=1)

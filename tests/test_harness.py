@@ -222,6 +222,7 @@ def test_retired_vm_holds_no_guest_state_and_runs_nothing():
 
     vm = run_suite((GUEST_STATE,), jit="graal").results[0].vm
     assert vm.counters.instructions > 0 and vm.jit.hot_method_count() > 0
+    assert vm.jit.code_size_bytes() > 0 and vm.jit.compiled_methods == []
     program = GUEST_STATE.compile()
     for cls in program.classes:
         assert all(v == 0 for v in cls.static_values.values())
